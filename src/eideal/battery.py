@@ -325,7 +325,7 @@ def _sandwich_chunk(task):
         parts = connected_components(g)
         reg = regularity_componentwise(g, parts=parts)
         comp_count = len(parts)
-        nontrivial = sum(1 for s in parts.sizes if s >= 2)
+        nontrivial = len(parts.component_subgraphs)
         nu = induced_matching_number(g)
         match = matching_number(g)
         # Censored components carry reg* somewhere in [nu, M]; accumulating
@@ -333,8 +333,7 @@ def _sandwich_chunk(task):
         cens_lo = 0
         cens_hi = 0
         for comp in parts.component_subgraphs:
-            if (comp.edge_count and comp.n > DEFAULT_BETTI_GUARD
-                    and not is_forest(comp)):
+            if comp.n > DEFAULT_BETTI_GUARD and not is_forest(comp):
                 cens_lo += induced_matching_number(comp)
                 cens_hi += matching_number(comp)
         rows.append((reg.value, comp_count, nontrivial, nu, match,

@@ -25,9 +25,9 @@ import json
 from dataclasses import dataclass
 
 from .comb_invariants import (independence_number, is_forest,
-                              tree_induced_matching,
+                              maximal_independent_sets, tree_induced_matching,
                               tree_min_maximal_independent_set)
-from .graph_core import Graph, bits, complement, connected_components
+from .graph_core import Graph, bits, component_masks, connected_components
 
 DEFAULT_BETTI_GUARD = 18
 MAX_HOMOLOGY_GROUND = 24
@@ -73,29 +73,7 @@ class SimplicialComplex:
 
 def independence_complex(g: Graph) -> SimplicialComplex:
     """Facets are the maximal independent sets of g."""
-    if g.n == 0:
-        return SimplicialComplex(0, (0,))
-    facets: list[int] = []
-    _maximal_independent_sets(g, (1 << g.n) - 1, facets)
-    return SimplicialComplex(g.n, tuple(sorted(facets)))
-
-
-def _maximal_independent_sets(g: Graph, full: int, out: list):
-    """Bron-Kerbosch with pivoting on the complement graph."""
-    cadj = complement(g).adj
-
-    def bk(r: int, p: int, x: int):
-        if p == 0 and x == 0:
-            out.append(r)
-            return
-        pool = p | x
-        pivot = max(bits(pool), key=lambda u: (cadj[u] & p).bit_count())
-        for v in bits(p & ~cadj[pivot]):
-            bk(r | (1 << v), p & cadj[v], x & cadj[v])
-            p &= ~(1 << v)
-            x |= 1 << v
-
-    bk(0, full, 0)
+    return SimplicialComplex(g.n, tuple(sorted(maximal_independent_sets(g))))
 
 
 def _faces_from_facets(c: SimplicialComplex) -> set[int]:
@@ -312,32 +290,13 @@ class HomologyEngine:
             if live in self.memo:
                 return self.memo[live]
         # Split into connected components -> join convolution.
-        comps = self._component_masks(live)
-        if len(comps) > 1:
-            dims = self._core_dims(comps[0])
-            for cm in comps[1:]:
-                dims = _join_convolve(dims, self._core_dims(cm))
-                if not dims:
-                    return {}
-            return dims
-        return self._core_dims(live)
-
-    def _component_masks(self, w: int) -> list[int]:
-        comps = []
-        rest = w
-        while rest:
-            start = rest & -rest
-            comp = start
-            frontier = comp
-            while frontier:
-                grow = 0
-                for v in bits(frontier):
-                    grow |= self.adj[v] & w
-                frontier = grow & ~comp
-                comp |= frontier
-            comps.append(comp)
-            rest &= ~comp
-        return comps
+        comps = component_masks(adj, live)
+        dims = self._core_dims(next(comps))
+        for cm in comps:
+            dims = _join_convolve(dims, self._core_dims(cm))
+            if not dims:
+                return {}
+        return dims
 
     def _core_dims(self, w: int) -> dict[int, int]:
         cached = self.memo.get(w)
@@ -531,8 +490,6 @@ def regularity_componentwise(g: Graph, field: str = "q",
     total = 0
     censored: list[int] = []
     for comp in parts.component_subgraphs:
-        if comp.edge_count == 0:
-            continue
         if is_forest(comp):
             total += tree_induced_matching(comp)
         elif comp.n <= betti_guard:
@@ -553,8 +510,6 @@ def pd_componentwise(g: Graph, field: str = "q",
     total = 0
     censored: list[int] = []
     for comp in parts.component_subgraphs:
-        if comp.edge_count == 0:
-            continue
         if is_forest(comp):
             total += forest_pd(comp)
         elif comp.n <= betti_guard:

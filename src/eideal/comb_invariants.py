@@ -1,10 +1,10 @@
 """Exact combinatorial invariants: induced matching, matching, independence,
 vertex-cover extremes and unmixedness.
 
-Everything is additive over connected components, and the solvers exploit
-that: forests get linear DPs, graphs with few independent cycles get
-branch-to-forest reductions, and only the residue falls back to general
-search with an explicit node budget.
+Forests get linear DPs.  Induced matching is additive over components, and
+a cyclic component branches on a 2-core vertex until the forest DP applies.
+Matching peels leaves (always optimal) and hands what is left to blossom.
+Independence and cover extremes search with an explicit node budget.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from .graph_core import (Graph, bits, complement, component_count,
+from .graph_core import (Graph, bits, complement, component_masks,
                          connected_components, induced_subgraph_mask)
 
 DEFAULT_MIS_BUDGET = 10 ** 7
@@ -25,27 +25,23 @@ class BudgetExceededError(RuntimeError):
 
 
 def is_forest(g: Graph) -> bool:
-    return g.edge_count == g.n - component_count(g)
+    components = sum(1 for _ in component_masks(g.adj, (1 << g.n) - 1))
+    return g.edge_count == g.n - components
 
 
-def _root_orders(g: Graph):
-    """Yield (order, parent) BFS arrays per connected component."""
-    seen = 0
-    for start in range(g.n):
-        if seen >> start & 1:
-            continue
-        order = [start]
-        parent = {start: -1}
-        seen |= 1 << start
-        i = 0
-        while i < len(order):
-            v = order[i]
-            i += 1
-            for u in bits(g.adj[v] & ~seen):
-                seen |= 1 << u
-                parent[u] = v
-                order.append(u)
-        yield order, parent
+def _tree_postorders(g: Graph):
+    """For each tree of a forest, rooted at its smallest vertex, yield the
+    list of (v, children) pairs with every child before its parent."""
+    for comp in component_masks(g.adj, (1 << g.n) - 1):
+        pairs = []
+        stack = [((comp & -comp).bit_length() - 1, -1)]
+        while stack:
+            v, par = stack.pop()
+            children = [u for u in bits(g.adj[v]) if u != par]
+            pairs.append((v, children))
+            stack.extend((u, v) for u in children)
+        pairs.reverse()
+        yield pairs
 
 
 NEG = float("-inf")
@@ -61,18 +57,17 @@ def tree_induced_matching(g: Graph) -> int:
     if not is_forest(g):
         raise ValueError("tree_induced_matching requires a forest")
     total = 0
-    for order, parent in _root_orders(g):
+    for tree in _tree_postorders(g):
         a = {}
         n_ = {}
         p = {}
-        for v in reversed(order):
-            children = [u for u in bits(g.adj[v]) if parent.get(u) == v]
+        for v, children in tree:
             sum_n = sum(n_[c] for c in children)
             best_swap = max((p[c] - n_[c] for c in children), default=NEG)
             a[v] = 1 + sum_n + best_swap if children else NEG
             n_[v] = sum(max(a[c], n_[c]) for c in children)
             p[v] = sum_n
-        root = order[0]
+        root = tree[-1][0]
         total += int(max(a[root], n_[root]))
     return total
 
@@ -106,8 +101,6 @@ def induced_matching_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> int:
     """
     total = 0
     for comp in connected_components(g).component_subgraphs:
-        if comp.edge_count == 0:
-            continue
         if comp.edge_count == comp.n - 1:
             total += tree_induced_matching(comp)
         else:
@@ -145,97 +138,31 @@ def _induced_matching_cyclic(g: Graph, budget: int) -> int:
     return solve((1 << g.n) - 1)
 
 
-def _tree_matching(g: Graph, order, parent) -> int:
-    """Greedy leaf-matching, optimal on trees."""
-    matched = set()
-    size = 0
-    for v in reversed(order):
-        par = parent[v]
-        if par >= 0 and v not in matched and par not in matched:
-            matched.add(v)
-            matched.add(par)
-            size += 1
-    return size
-
-
-_MATCHING_EXCESS_LIMIT = 16
-
-
 def matching_number(g: Graph) -> int:
     """Maximum matching size, exact on general graphs.
 
-    Componentwise; trees use the greedy DP, small cyclomatic excess branches
-    on cycle edges down to forests, and anything denser goes to networkx's
-    blossom implementation.
+    Matching a degree-1 vertex to its only neighbor is always optimal
+    (Karp-Sipser), so leaves are peeled off the whole graph first and
+    networkx's blossom implementation matches whatever is left.
     """
-    total = 0
-    for comp in connected_components(g).component_subgraphs:
-        total += _matching_component(comp)
-    return total
-
-
-def _matching_component(g: Graph) -> int:
-    excess = g.edge_count - g.n + 1
-    if excess <= 0:
-        order, parent = next(_root_orders(g))
-        return _tree_matching(g, order, parent)
-    if excess > _MATCHING_EXCESS_LIMIT:
-        h = nx.Graph()
-        h.add_nodes_from(range(g.n))
-        h.add_edges_from(g.edges())
-        return len(nx.max_weight_matching(h, maxcardinality=True))
-
-    def solve(active: int, removed_edges: frozenset) -> int:
-        sub = _induced_with_removed(g, active, removed_edges)
-        if is_forest(sub):
-            best = 0
-            for order, parent in _root_orders(sub):
-                best += _tree_matching(sub, order, parent)
-            return best
-        u, v = _some_cycle_edge(sub)
-        verts = sorted(bits(active))
-        gu, gv = verts[u], verts[v]
-        skip = solve(active, removed_edges | {(min(gu, gv), max(gu, gv))})
-        take = 1 + solve(active & ~(1 << gu) & ~(1 << gv), removed_edges)
-        return max(skip, take)
-
-    return solve((1 << g.n) - 1, frozenset())
-
-
-def _induced_with_removed(g: Graph, active: int, removed: frozenset) -> Graph:
-    verts = sorted(bits(active))
-    index = {v: i for i, v in enumerate(verts)}
-    adj = [0] * len(verts)
-    for i, v in enumerate(verts):
-        for u in bits(g.adj[v] & active):
-            if u > v and (v, u) not in removed:
-                j = index[u]
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return Graph(len(verts), tuple(adj))
-
-
-def _some_cycle_edge(g: Graph) -> tuple[int, int]:
-    """A (u, v) edge on a cycle, found as a DFS back edge."""
-    color = [0] * g.n
-    parent = [-1] * g.n
-    for start in range(g.n):
-        if color[start]:
+    adj = list(g.adj)
+    leaves = [v for v in range(g.n) if adj[v].bit_count() == 1]
+    size = 0
+    while leaves:
+        v = leaves.pop()
+        if adj[v].bit_count() != 1:
             continue
-        stack = [(start, -1)]
-        while stack:
-            v, par = stack.pop()
-            if color[v]:
-                continue
-            color[v] = 1
-            parent[v] = par
-            for u in bits(g.adj[v]):
-                if u == par:
-                    continue
-                if color[u]:
-                    return (v, u)
-                stack.append((u, v))
-    raise ValueError("graph is a forest, no cycle edge")
+        u = adj[v].bit_length() - 1
+        size += 1
+        for x in (v, u):
+            for w in bits(adj[x]):
+                adj[w] &= ~(1 << x)
+                if adj[w].bit_count() == 1:
+                    leaves.append(w)
+            adj[x] = 0
+    h = nx.Graph()
+    h.add_edges_from((v, u) for v in range(g.n) for u in bits(adj[v]) if u > v)
+    return size + len(nx.max_weight_matching(h, maxcardinality=True))
 
 
 def independence_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> int:
@@ -303,37 +230,28 @@ class CoverProfile:
     unmixed: bool
 
 
-def _maximal_independent_set_sizes(comp: Graph, budget_left: list):
-    """Sizes (min, max) of maximal independent sets via Bron-Kerbosch with
-    pivoting on the complement (cliques there are independent sets here)."""
-    cadj = complement(comp).adj
-    full = (1 << comp.n) - 1
-    lo = comp.n + 1
-    hi = -1
+def maximal_independent_sets(g: Graph):
+    """Yield the maximal independent sets of g as vertex masks, by
+    Bron-Kerbosch with pivoting on the complement (cliques there are
+    independent sets here)."""
+    cadj = complement(g).adj
 
-    def bk(rsize: int, p: int, x: int):
-        nonlocal lo, hi
+    def bk(r: int, p: int, x: int):
         if p == 0 and x == 0:
-            budget_left[0] -= 1
-            if budget_left[0] < 0:
-                raise BudgetExceededError(
-                    "maximal independent set enumeration budget exhausted")
-            lo = min(lo, rsize)
-            hi = max(hi, rsize)
+            yield r
             return
-        pool = p | x
-        pivot = max(bits(pool), key=lambda u: (cadj[u] & p).bit_count())
+        pivot = max(bits(p | x), key=lambda u: (cadj[u] & p).bit_count())
         for v in bits(p & ~cadj[pivot]):
-            bk(rsize + 1, p & cadj[v], x & cadj[v])
+            yield from bk(r | (1 << v), p & cadj[v], x & cadj[v])
             p &= ~(1 << v)
             x |= 1 << v
 
-    bk(0, full, 0)
-    return lo, hi
+    return bk(0, (1 << g.n) - 1, 0)
 
 
 def cover_profile(g: Graph, budget: int = DEFAULT_MIS_BUDGET) -> CoverProfile:
-    """Cover extremes by enumerating maximal independent sets per component.
+    """Cover extremes by enumerating maximal independent sets per component;
+    ``budget`` caps the number of sets enumerated over all components.
 
     Isolated vertices sit in every maximal independent set and never in a
     minimal cover, so they contribute nothing; unmixedness of the whole graph
@@ -342,11 +260,17 @@ def cover_profile(g: Graph, budget: int = DEFAULT_MIS_BUDGET) -> CoverProfile:
     min_cover = 0
     max_minimal = 0
     unmixed = True
-    budget_left = [budget]
     for comp in connected_components(g).component_subgraphs:
-        if comp.n == 1:
-            continue
-        lo, hi = _maximal_independent_set_sizes(comp, budget_left)
+        lo = comp.n + 1
+        hi = -1
+        for s in maximal_independent_sets(comp):
+            budget -= 1
+            if budget < 0:
+                raise BudgetExceededError(
+                    "maximal independent set enumeration budget exhausted")
+            size = s.bit_count()
+            lo = min(lo, size)
+            hi = max(hi, size)
         min_cover += comp.n - hi
         max_minimal += comp.n - lo
         if lo != hi:
@@ -360,12 +284,11 @@ def tree_min_maximal_independent_set(g: Graph) -> int:
         raise ValueError("requires a forest")
     INF = float("inf")
     total = 0
-    for order, parent in _root_orders(g):
+    for tree in _tree_postorders(g):
         a = {}   # v in the set
         b = {}   # v out, dominated by a child
         f = {}   # v out, domination deferred to the parent
-        for v in reversed(order):
-            children = [u for u in bits(g.adj[v]) if parent.get(u) == v]
+        for v, children in tree:
             a[v] = 1 + sum(f[c] for c in children)
             base = sum(min(a[c], b[c]) for c in children)
             f[v] = base
@@ -374,6 +297,6 @@ def tree_min_maximal_independent_set(g: Graph) -> int:
                 b[v] = base + force
             else:
                 b[v] = INF
-        root = order[0]
+        root = tree[-1][0]
         total += int(min(a[root], b[root]))
     return total

@@ -14,7 +14,6 @@ the kernel itself is validated against the public per-graph functions.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 from itertools import combinations
 
 import numpy as np
@@ -22,12 +21,16 @@ import numpy as np
 from .betti import (HomologyEngine, has_linear_presentation,
                     has_linear_resolution)
 from .chordality import has_induced_c4, is_chordal
-from .graph_core import Graph, pair_index, pair_list
+from .experiments import _chunk_ranges, run_chunked
+from .graph_core import (complement, graph_from_edge_mask, pair_index,
+                         pair_list)
 from .random_models import rng_for
 
 _AUDIT_FIELD = "f2"
 _TABLE_SIZES = (4, 5, 6)
 _tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# Largest n whose n(n-1)/2 pair bits fit the uint64 draw of a random audit.
+MAX_RANDOM_AUDIT_N = 11
 
 
 def flag_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -42,15 +45,8 @@ def flag_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
     lpflag = np.zeros(size, dtype=np.uint8)
     full = (1 << k) - 1
     for mask in range(size):
-        adj = [0] * k
-        m = mask
-        while m:
-            low = m & -m
-            u, v = pairs[low.bit_length() - 1]
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            m ^= low
-        dims = HomologyEngine(Graph(k, tuple(adj)), _AUDIT_FIELD).dims(full)
+        g = graph_from_edge_mask(k, mask, pairs)
+        dims = HomologyEngine(g, _AUDIT_FIELD).dims(full)
         if any(d >= 1 and r for d, r in dims.items()):
             haspos[mask] = 1
         if dims.get(k - 3, 0):
@@ -87,6 +83,18 @@ def _subset_violations(n: int, masks: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return lr_viol, lp_viol
 
 
+def _disagreement(g, lr: bool, lp: bool) -> dict | None:
+    """All four flags of g if the homological side (lr, lp) disagrees with
+    the chordal side of its complement, else None."""
+    comp = complement(g)
+    cochordal = is_chordal(comp)
+    gap_free = not has_induced_c4(comp)
+    if lr == cochordal and lp == gap_free:
+        return None
+    return {"linear_resolution": lr, "cochordal": cochordal,
+            "linear_presentation": lp, "four_cochordal": gap_free}
+
+
 def _audit_chunk(task):
     n, lo, hi = task
     pairs = pair_list(n)
@@ -95,18 +103,9 @@ def _audit_chunk(task):
     full_vertices = (1 << n) - 1
     top_lp_degree = n - 3
     mismatches = []
-    adj_template = [0] * n
     for i in range(hi - lo):
         mask = lo + i
-        adj = adj_template[:]
-        m = mask
-        while m:
-            low = m & -m
-            u, v = pairs[low.bit_length() - 1]
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            m ^= low
-        g = Graph(n, tuple(adj))
+        g = graph_from_edge_mask(n, mask, pairs)
         lr = not lr_viol[i]
         lp = not lp_viol[i]
         if lr or lp:
@@ -115,16 +114,9 @@ def _audit_chunk(task):
                 lr = False
             if lp and dims.get(top_lp_degree, 0):
                 lp = False
-        comp_full = full_vertices
-        comp = Graph(n, tuple((comp_full ^ row ^ (1 << v)) & comp_full
-                              for v, row in enumerate(adj)))
-        cochordal = is_chordal(comp)
-        gap_free = not has_induced_c4(comp)
-        if lr != cochordal or lp != gap_free:
-            mismatches.append((mask, {"linear_resolution": lr,
-                                      "cochordal": cochordal,
-                                      "linear_presentation": lp,
-                                      "four_cochordal": gap_free}))
+        flags = _disagreement(g, lr, lp)
+        if flags:
+            mismatches.append((mask, flags))
     return (hi - lo), mismatches
 
 
@@ -138,15 +130,8 @@ def exhaustive_flag_audit(n: int, workers: int = 1):
         if k < n:
             flag_tables(k)  # build pre-fork so workers share the tables
     total = 1 << (n * (n - 1) // 2)
-    parts = max(1, min(workers * 4, total))
-    step = (total + parts - 1) // parts
-    tasks = [(n, lo, min(lo + step, total)) for lo in range(0, total, step)]
-    if workers <= 1 or len(tasks) <= 1:
-        results = [_audit_chunk(t) for t in tasks]
-    else:
-        ctx = mp.get_context("fork")
-        with ctx.Pool(processes=workers) as pool:
-            results = pool.map(_audit_chunk, tasks)
+    tasks = [(n, lo, hi) for lo, hi in _chunk_ranges(total, workers * 4)]
+    results = run_chunked(_audit_chunk, tasks, workers)
     checked = sum(r[0] for r in results)
     mismatches = [m for r in results for m in r[1]]
     return checked, mismatches
@@ -155,31 +140,19 @@ def exhaustive_flag_audit(n: int, workers: int = 1):
 def random_flag_audit(n: int, count: int, seed: int):
     """Randomized spot audit at sizes beyond the exhaustive sweep, driven by
     the public (rational-coefficient) predicates."""
+    if n > MAX_RANDOM_AUDIT_N:
+        raise ValueError(f"random_flag_audit draws a 64-bit edge mask, so n "
+                         f"must be <= {MAX_RANDOM_AUDIT_N}, got {n}")
     rng = rng_for(seed, "random_flag_audit", n)
     pairs = pair_list(n)
     nbits = len(pairs)
     mismatches = []
     for _ in range(count):
         mask = int(rng.integers(0, 1 << nbits, dtype=np.uint64))
-        adj = [0] * n
-        m = mask
-        while m:
-            low = m & -m
-            u, v = pairs[low.bit_length() - 1]
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            m ^= low
-        g = Graph(n, tuple(adj))
+        g = graph_from_edge_mask(n, mask, pairs)
         lr = has_linear_resolution(g)
         lp = has_linear_presentation(g)
-        full = (1 << n) - 1
-        comp = Graph(n, tuple((full ^ row ^ (1 << v)) & full
-                              for v, row in enumerate(adj)))
-        cochordal = is_chordal(comp)
-        gap_free = not has_induced_c4(comp)
-        if lr != cochordal or lp != gap_free:
-            mismatches.append((mask, {"linear_resolution": lr,
-                                      "cochordal": cochordal,
-                                      "linear_presentation": lp,
-                                      "four_cochordal": gap_free}))
+        flags = _disagreement(g, lr, lp)
+        if flags:
+            mismatches.append((mask, flags))
     return mismatches

@@ -173,6 +173,19 @@ class ExperimentConfig:
                     f"schedule: kind {self.kind!r} needs a sparse schedule")
             if self.kind == "gw_limit" and self.schedule.lam > 1:
                 raise ConfigError("schedule: gw_limit needs lambda <= 1")
+        if (self.kind in ("gw_limit", "variance_audit", "cycle_calibration")
+                and self.trials < 2):
+            raise ConfigError(
+                f"trials: kind {self.kind!r} needs trials >= 2 for a "
+                f"sample variance")
+        if self.kind == "froberg_audit":
+            from .corpus import MAX_RANDOM_AUDIT_N
+
+            for n, count in self.random_audit:
+                if not 1 <= n <= MAX_RANDOM_AUDIT_N or count < 1:
+                    raise ConfigError(
+                        f"random_audit: entry [{n}, {count}] needs 1 <= n <= "
+                        f"{MAX_RANDOM_AUDIT_N} and count >= 1")
 
 
 @dataclass
@@ -191,6 +204,8 @@ class Cell:
     extra: dict = field(default_factory=dict)
 
     def as_dict(self, include_timing: bool = True) -> dict:
+        """Field values with every non-finite float (an estimate that had no
+        uncensored sample, say) given as None, which JSON writes as null."""
         obj = {"experiment": self.experiment, "n": self.n,
                "cell_id": self.cell_id, "estimate": self.estimate,
                "ci_lo": self.ci_lo, "ci_hi": self.ci_hi,
@@ -200,7 +215,15 @@ class Cell:
             obj["seconds"] = round(self.seconds, 3)
         if self.extra:
             obj["extra"] = self.extra
-        return obj
+        return _finite_or_none(obj)
+
+
+def _finite_or_none(x):
+    if isinstance(x, float) and not math.isfinite(x):
+        return None
+    if isinstance(x, dict):
+        return {k: _finite_or_none(v) for k, v in x.items()}
+    return x
 
 
 CSV_COLUMNS = ("experiment", "n", "cell_id", "estimate", "ci_lo", "ci_hi",
@@ -516,10 +539,11 @@ def _lipschitz_chunk(task):
         g = sample_gnp(n, p, substream_seed(rng_seed, "g"))
         v = int(rng.integers(0, n))
         h = induced_subgraph(g, [u for u in range(n) if u != v])
-        reg_g = betti_table(g).regularity_quotient()
-        reg_h = betti_table(h).regularity_quotient()
-        pd_g = betti_table(g).projective_dimension()
-        pd_h = betti_table(h).projective_dimension()
+        table_g, table_h = betti_table(g), betti_table(h)
+        reg_g = table_g.regularity_quotient()
+        reg_h = table_h.regularity_quotient()
+        pd_g = table_g.projective_dimension()
+        pd_h = table_h.projective_dimension()
         if abs(reg_g - reg_h) > 1:
             violations.append({"kind": "reg", "graph": to_hex_dump(g).strip(),
                                "vertex": v, "delta": reg_g - reg_h})
@@ -543,10 +567,11 @@ def _additivity_chunk(task):
                        substream_seed(rng_seed, "b"))
         g = disjoint_union(a, b)
         table = betti_table(g)
-        reg_sum = (betti_table(a).regularity_quotient()
-                   + betti_table(b).regularity_quotient())
-        pd_sum = (betti_table(a).projective_dimension()
-                  + betti_table(b).projective_dimension())
+        table_a, table_b = betti_table(a), betti_table(b)
+        reg_sum = (table_a.regularity_quotient()
+                   + table_b.regularity_quotient())
+        pd_sum = (table_a.projective_dimension()
+                  + table_b.projective_dimension())
         if table.regularity_quotient() != reg_sum:
             violations.append({"kind": "reg_additivity",
                                "graph": to_hex_dump(g).strip()})

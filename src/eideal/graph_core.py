@@ -46,7 +46,9 @@ class Graph:
 class ComponentPartition:
     """Connected components, labeled in order of smallest contained vertex.
 
-    Induced subgraphs are built lazily; most consumers only need sizes.
+    ``sizes`` and ``len()`` count every component, isolated vertices
+    included; ``component_subgraphs`` holds only the components with an
+    edge (size >= 2), built lazily because most consumers need only sizes.
     """
 
     def __init__(self, graph: Graph, labels: tuple[int, ...],
@@ -59,8 +61,9 @@ class ComponentPartition:
 
     @cached_property
     def component_subgraphs(self) -> tuple[Graph, ...]:
+        """Induced subgraphs of the components with an edge, in label order."""
         return tuple(induced_subgraph(self.graph, vs)
-                     for vs in self.component_vertex_sets)
+                     for vs in self.component_vertex_sets if len(vs) > 1)
 
     def __len__(self) -> int:
         return len(self.sizes)
@@ -127,66 +130,42 @@ def delete_closed_neighborhood(g: Graph, v: int) -> Graph:
     return induced_subgraph_mask(g, keep)
 
 
+def component_masks(adj, w: int):
+    """Yield the vertex masks of the connected components of the subgraph
+    induced on the vertex mask ``w``, ordered by smallest vertex."""
+    rest = w
+    while rest:
+        comp = frontier = rest & -rest
+        rest ^= comp
+        while frontier:
+            grow = 0
+            for v in bits(frontier):
+                grow |= adj[v]
+            frontier = grow & rest
+            if frontier:  # skipped on the last round: keeps singletons cheap
+                rest ^= frontier
+                comp |= frontier
+        yield comp
+
+
 def connected_components(g: Graph) -> ComponentPartition:
     """BFS partition; components numbered by their smallest vertex."""
     labels = [-1] * g.n
     sizes: list[int] = []
     vertex_sets: list[tuple[int, ...]] = []
-    seen = 0
-    for start in range(g.n):
-        if seen >> start & 1:
-            continue
-        comp = 1 << start
-        frontier = comp
-        while frontier:
-            grow = 0
-            for v in bits(frontier):
-                grow |= g.adj[v]
-            frontier = grow & ~comp
-            comp |= frontier
+    for comp in component_masks(g.adj, (1 << g.n) - 1):
         cid = len(sizes)
         members = tuple(bits(comp))
         for v in members:
             labels[v] = cid
         sizes.append(len(members))
         vertex_sets.append(members)
-        seen |= comp
     return ComponentPartition(g, tuple(labels), tuple(sizes),
                               tuple(vertex_sets))
 
 
-def component_count(g: Graph) -> int:
-    """Number of connected components, without materializing them."""
-    seen = 0
-    count = 0
-    for start in range(g.n):
-        if seen >> start & 1:
-            continue
-        count += 1
-        comp = 1 << start
-        frontier = comp
-        while frontier:
-            grow = 0
-            for v in bits(frontier):
-                grow |= g.adj[v]
-            frontier = grow & ~comp
-            comp |= frontier
-        seen |= comp
-    return count
-
-
 def max_degree(g: Graph) -> int:
     return max((row.bit_count() for row in g.adj), default=0)
-
-
-def isolated_vertex_count(g: Graph) -> int:
-    return sum(1 for row in g.adj if row == 0)
-
-
-def nontrivial_component_count(g: Graph) -> int:
-    """Number of connected components with at least one edge."""
-    parts = connected_components(g)
-    return sum(1 for s in parts.sizes if s >= 2)
 
 
 # Pair indexing for edge masks: pair (u, v), u < v, gets index in

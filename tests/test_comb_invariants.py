@@ -7,10 +7,10 @@ from eideal.comb_invariants import (BudgetExceededError, cover_profile,
                                     induced_matching_number, is_forest,
                                     matching_number, tree_induced_matching,
                                     tree_min_maximal_independent_set)
-from eideal.graph_core import (build_graph, complete_graph, cycle_graph,
+from eideal.graph_core import (build_graph, complete_graph,
+                               connected_components, cycle_graph,
                                disjoint_union, empty_graph, enumerate_graphs,
-                               nontrivial_component_count, path_graph,
-                               star_graph)
+                               path_graph, star_graph)
 from eideal.random_models import sample_gnp
 
 from oracles import (naive_cover_sizes, naive_independence_number,
@@ -75,8 +75,9 @@ def test_matching_number_cases():
 
 
 def test_matching_number_exhaustive_n5():
-    for g in enumerate_graphs(5):
-        assert matching_number(g) == naive_matching_number(g)
+    for n in (5, 6):
+        for g in enumerate_graphs(n):
+            assert matching_number(g) == naive_matching_number(g)
 
 
 def test_matching_number_random_vs_oracle():
@@ -154,7 +155,8 @@ def test_invariant_inequalities():
         nu = induced_matching_number(g)
         m = matching_number(g)
         assert nu <= m <= g.n // 2
-        assert nu >= nontrivial_component_count(g)
+        nontrivial = sum(1 for s in connected_components(g).sizes if s >= 2)
+        assert nu >= nontrivial
 
 
 def test_component_additivity():

@@ -67,6 +67,22 @@ def test_config_round_trip_and_validation():
                                     "n_list": [50], "trials": 2,
                                     "schedule": {"kind": "sparse",
                                                  "lambda": 2.0}})
+    for kind in ("variance_audit", "cycle_calibration", "gw_limit"):
+        with pytest.raises(ConfigError, match="trials"):
+            ExperimentConfig.from_json({"kind": kind, "seed": 1,
+                                        "n_list": [50], "trials": 1,
+                                        "schedule": {"kind": "sparse",
+                                                     "lambda": 0.5}})
+    with pytest.raises(ConfigError, match="random_audit"):
+        ExperimentConfig.from_json({"kind": "froberg_audit", "seed": 1,
+                                    "random_audit": [[8, 5], [12, 5]]})
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"bare {constant} in report JSON")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def test_threshold_trivial_schedules():
@@ -121,6 +137,13 @@ def test_unmixed_scan_small():
     cell = run_unmixed_scan(cfg).cells[0]
     assert cell.estimate <= 0.1
     assert cell.guard_trips == 0
+    # Every trial trips the budget: no estimate, written as null.
+    cfg = ExperimentConfig(kind="unmixed_scan", seed=9, trials=5,
+                           n_list=(12,), schedule=ParamSchedule.constant(0.5),
+                           mis_budget=1)
+    cell = _strict_json(run_unmixed_scan(cfg).to_json())["cells"][0]
+    assert cell["estimate"] is None
+    assert (cell["guard_trips"], cell["trials"]) == (5, 0)
 
 
 def test_cycle_calibration_small():
@@ -164,6 +187,14 @@ def test_gw_limit_small_run():
     assert graph_pd.estimate + graph_depth.estimate == pytest.approx(1.0)
     # Loose agreement gate at this small scale.
     assert graph_pd.extra["gap_combined_se"] < 12
+    # Every tree censored: no tree-side estimate, written as null.
+    cfg = ExperimentConfig(kind="gw_limit", seed=2, trials=2, n_list=(20,),
+                           schedule=ParamSchedule.sparse(1.0),
+                           gw_trials=3, gw_cap=1)
+    cells = _strict_json(run_gw_limit(cfg).to_json())["cells"]
+    tree_pd = next(c for c in cells if c["cell_id"] == "tree_pd")
+    assert tree_pd["estimate"] is None
+    assert (tree_pd["censored"], tree_pd["trials"]) == (3, 0)
 
 
 def test_variance_audit_zero_p():
@@ -188,3 +219,5 @@ def test_froberg_audit_small():
     assert checked == 64 and mismatches == []
     assert random_flag_audit(7, 25, seed=77) == []
     assert random_flag_audit(8, 10, seed=78) == []
+    with pytest.raises(ValueError, match="n must be <= 11"):
+        random_flag_audit(12, 1, seed=79)

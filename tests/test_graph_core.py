@@ -91,6 +91,7 @@ def test_connected_components():
     assert parts.sizes == (2, 2)
     assert len(connected_components(cycle_graph(5))) == 1
     assert connected_components(empty_graph(3)).sizes == (1, 1, 1)
+    assert connected_components(empty_graph(3)).component_subgraphs == ()
     assert sum(connected_components(g).sizes) == g.n
 
 
