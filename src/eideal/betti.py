@@ -22,6 +22,7 @@ tests validate them against a reduction-free oracle on exhaustive corpora.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .comb_invariants import (independence_number, is_forest,
@@ -43,10 +44,11 @@ def parse_field(field: str) -> tuple[str, int]:
         return ("q", 0)
     if field.startswith("f") and field[1:].isdigit():
         p = int(field[1:])
-        if p < 2:
-            raise ValueError(f"field characteristic must be >= 2: {field!r}")
+        if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+            raise ValueError(f"field characteristic must be a prime: {field!r}")
         return ("fp", p)
-    raise ValueError(f"unknown field tag {field!r}; use 'q' or 'f<p>'")
+    raise ValueError(f"unknown field tag {field!r}; use 'q' or 'f<p>' "
+                     "for a prime p")
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,31 @@
 """Chordality-family predicates and chordless cycle counting.
 
 ``is_chordal`` runs maximum cardinality search and verifies the elimination
-order, after collapsing true-twin classes (vertices with equal closed
-neighborhoods), which preserves chordality and shrinks the nearly-complete
-complements that dominate the dense experiment regimes.
+order; ``has_induced_c4`` scans induced 3-paths for a closing vertex.  Two
+lemmas let both shrink their input without changing the verdict:
+
+* True twins collapse: two vertices with equal closed neighborhoods are
+  adjacent, so a cycle of length >= 4 through both has a chord, and either
+  one can stand in for the other on any chordless cycle.
+* A universal or isolated vertex lies on no chordless cycle of length >= 4:
+  a universal vertex is adjacent to every other cycle vertex, an isolated
+  one to none.
+
+``is_cochordal`` and ``is_4_cochordal`` apply both on the complement's side
+without building the complement: a vertex with an empty row in g is
+universal in the complement, one with a full row is isolated there, and
+equal open neighborhoods in g are equal closed neighborhoods in the
+complement.  A class that makes up a whole component of the complement
+collapses to an isolated vertex and is dropped as well.  Only the
+quotient's complement rows are built, so the nearly-empty and
+nearly-complete graphs of the critical windows never pay for an n x n
+complement; graphs under 24 vertices, or with nothing to drop, take the
+plain complement.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .graph_core import Graph, bits, complement, delete_closed_neighborhood
@@ -130,13 +148,48 @@ def has_induced_c4(g: Graph) -> bool:
     return False
 
 
+def _complement_twin_reduced(g: Graph) -> Graph:
+    """The complement of g with one vertex kept per closed-neighborhood
+    class, minus universal and isolated vertices; built from g's rows.
+
+    By the two lemmas in the module docstring the result is chordal (and
+    induced-C4-free) iff the complement of g is.
+    """
+    if g.n < _REDUCE_MIN_VERTICES:
+        return complement(g)
+    sizes = Counter(filter(None, g.adj))
+    keep = []
+    keep_mask = 0
+    for v, row in enumerate(g.adj):
+        # Drop universal vertices (empty row in g), later members of a class,
+        # and classes whose closed neighborhood in the complement (n - |row|
+        # vertices) is the class itself: they collapse to an isolated vertex.
+        if row == 0:
+            continue
+        size = sizes.pop(row, 0)
+        if size == 0 or size == g.n - row.bit_count():
+            continue
+        keep.append(v)
+        keep_mask |= 1 << v
+    if len(keep) == g.n:
+        return complement(g)
+    index = {v: i for i, v in enumerate(keep)}
+    adj = []
+    for v in keep:
+        acc = 0
+        for u in bits(~g.adj[v] & keep_mask & ~(1 << v)):
+            acc |= 1 << index[u]
+        adj.append(acc)
+    return Graph(len(keep), tuple(adj))
+
+
 def is_cochordal(g: Graph) -> bool:
-    return is_chordal(complement(g))
+    return is_chordal(_complement_twin_reduced(g))
 
 
 def is_4_cochordal(g: Graph) -> bool:
     """Equivalent to gap-freeness of g."""
-    return not has_induced_c4(complement(g))
+    return not has_induced_c4(_complement_twin_reduced(g))
 
 
 def is_locally_cochordal(g: Graph) -> bool:

@@ -21,7 +21,8 @@ from .asymptotics import (expected_chordless_cycles, expected_local_cycles,
                           prob_lr_dense_window, prob_lr_sparse_window)
 from .battery import DEFAULT_SEED, run_battery
 from .betti import (DEFAULT_BETTI_GUARD, betti_table,
-                    has_linear_presentation, has_linear_resolution)
+                    has_linear_presentation, has_linear_resolution,
+                    parse_field)
 from .chordality import (has_induced_c4, is_4_cochordal, is_chordal,
                          is_cochordal, is_locally_4_cochordal,
                          is_locally_cochordal)
@@ -298,6 +299,15 @@ def cmd_theory(args) -> int:
     return EXIT_OK
 
 
+def _field_tag(text: str) -> str:
+    """argparse type for --field: "q" or "f<p>" for a prime p."""
+    try:
+        parse_field(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eideal",
@@ -318,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariants", help="invariants of a graph file")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--field", choices=("q", "f2"), default="q")
+    p.add_argument("--field", type=_field_tag, default="q",
+                   help="coefficient field: q (rationals) or f<p>, p prime")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_invariants)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -145,11 +146,26 @@ def _pair_endpoints(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
+@lru_cache(maxsize=4)
+def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, k=1)``, built once per n and shared read-only."""
+    iu = np.triu_indices(n, k=1)
+    for a in iu:
+        a.setflags(write=False)
+    return iu
+
+
 def sample_gnp(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi sample: each of the n(n-1)/2 pairs kept with probability p.
 
-    Sparse p uses geometric index skipping, dense p per-pair Bernoulli; the
-    two paths realize the same distribution, not the same stream.
+    Sparse p uses geometric index skipping, dense p one Bernoulli draw per
+    pair in lexicographic pair order; the two paths realize the same
+    distribution, not the same stream.  The dense path turns its draw into
+    rows one of two ways, chosen by the number of non-edges drawn: at most
+    2n of them start from complete rows and clear each non-edge, more are
+    packed from an n x n bool matrix.  Both build the same graph from the
+    same draw, so the stream and every sampled graph are unchanged by the
+    choice.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0,1], got {p}")
@@ -180,12 +196,17 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
         return Graph(n, tuple(adj))
-    # Dense path: vectorized Bernoulli over the full upper triangle, packed
-    # into bitmask rows via numpy.
     flat = rng.random(m) < p
+    if m - np.count_nonzero(flat) <= 2 * n:
+        full = (1 << n) - 1
+        adj = [full ^ (1 << v) for v in range(n)]
+        us, vs = _pair_endpoints(n, np.flatnonzero(~flat))
+        for u, v in zip(us.tolist(), vs.tolist()):
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
+        return Graph(n, tuple(adj))
     mat = np.zeros((n, n), dtype=bool)
-    iu = np.triu_indices(n, k=1)
-    mat[iu] = flat
+    mat[_upper_triangle(n)] = flat
     mat |= mat.T
     packed = np.packbits(mat, axis=1, bitorder="little")
     rows = tuple(int.from_bytes(packed[v].tobytes(), "little") for v in range(n))

@@ -60,6 +60,34 @@ def naive_has_induced_c4(g: Graph) -> bool:
     return False
 
 
+def elimination_is_chordal(g: Graph) -> bool:
+    """Dirac's characterization: repeatedly deleting a simplicial vertex (one
+    whose remaining neighbors are pairwise adjacent) empties g iff g is
+    chordal.  Polynomial, so it serves graphs too large for the subset scan.
+    """
+    alive = (1 << g.n) - 1
+    while alive:
+        for v in bits(alive):
+            nbrs = g.adj[v] & alive
+            if all(not nbrs & ~g.adj[u] & ~(1 << u) for u in bits(nbrs)):
+                alive &= ~(1 << v)
+                break
+        else:
+            return False
+    return True
+
+
+def pair_scan_has_induced_c4(g: Graph) -> bool:
+    """An induced C4 is two non-adjacent vertices with two non-adjacent
+    common neighbors; scan every non-adjacent pair.  Polynomial."""
+    for u in range(g.n):
+        for w in bits(~g.adj[u] & ((1 << g.n) - 1) & (-1 << (u + 1))):
+            common = g.adj[u] & g.adj[w]
+            if any(common & ~g.adj[a] & ~(1 << a) for a in bits(common)):
+                return True
+    return False
+
+
 def naive_chordless_cycle_counts(g: Graph, k_max: int) -> dict[int, int]:
     counts = {k: 0 for k in range(4, k_max + 1)}
     for size in range(4, min(k_max, g.n) + 1):

@@ -5,7 +5,8 @@ import pytest
 from eideal.betti import (BettiTable, HomologyEngine, SizeGuardExceeded,
                           betti_table, forest_pd, has_linear_presentation,
                           has_linear_resolution, independence_complex,
-                          invariants, pd_componentwise, reduced_homology_dims,
+                          invariants, parse_field, pd_componentwise,
+                          reduced_homology_dims,
                           regularity_componentwise, SimplicialComplex)
 from eideal.chordality import is_4_cochordal, is_cochordal
 from eideal.comb_invariants import tree_induced_matching
@@ -141,6 +142,17 @@ def test_field_independence_small_corpus():
             tq = betti_table(g, "q").entries
             t2 = betti_table(g, "f2").entries
             assert tq == t2, f"field disagreement witness: n={n} adj={g.adj}"
+
+
+def test_field_tags():
+    assert parse_field("q") == ("q", 0)
+    assert parse_field("f2") == ("fp", 2)
+    assert parse_field("f7") == ("fp", 7)
+    for bad in ("f0", "f1", "f4", "f9", "f", "r", "F2"):
+        with pytest.raises(ValueError):
+            parse_field(bad)
+    assert betti_table(cycle_graph(5), "f3").entries == \
+        betti_table(cycle_graph(5), "q").entries
 
 
 def test_size_guard():

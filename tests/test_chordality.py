@@ -6,13 +6,15 @@ from eideal.chordality import (count_chordless_cycles, count_triangles,
                                has_induced_c4, is_4_cochordal, is_chordal,
                                is_cochordal, is_locally_4_cochordal,
                                is_locally_cochordal)
-from eideal.graph_core import (build_graph, complement, complete_graph,
-                               cycle_graph, empty_graph, enumerate_graphs,
-                               graph_from_edge_mask, path_graph)
+from eideal.graph_core import (Graph, build_graph, complement, complete_graph,
+                               cycle_graph, disjoint_union, empty_graph,
+                               enumerate_graphs, graph_from_edge_mask,
+                               path_graph)
 from eideal.random_models import sample_gnp
 
-from oracles import (naive_chordless_cycle_counts, naive_has_induced_c4,
-                     naive_is_chordal)
+from oracles import (elimination_is_chordal, naive_chordless_cycle_counts,
+                     naive_has_induced_c4, naive_is_chordal,
+                     pair_scan_has_induced_c4)
 
 
 def test_chordal_basics():
@@ -86,6 +88,71 @@ def test_cochordal_small_cases():
     two_edges = build_graph(4, [(0, 1), (2, 3)])
     assert not is_cochordal(two_edges)
     assert not is_4_cochordal(two_edges)
+
+
+def test_cochordal_exhaustive_n6_vs_oracle():
+    # Each graph also runs padded to 24 vertices with isolated or with
+    # universal vertices, which do not change either verdict and send it
+    # through the quotient built for large graphs.  The loop also checks the
+    # polynomial oracles used below for graphs too large for the subset
+    # scans (g runs over all graphs, and so does its complement).
+    pad = 18
+    high = ((1 << pad) - 1) << 6
+    full = (1 << (6 + pad)) - 1
+    universal_rows = tuple(full ^ (1 << v) for v in range(6, 6 + pad))
+    for g in enumerate_graphs(6):
+        h = complement(g)
+        chordal = naive_is_chordal(h)
+        c4 = naive_has_induced_c4(h)
+        padded = (g, Graph(6 + pad, g.adj + (0,) * pad),
+                  Graph(6 + pad, tuple(row | high for row in g.adj)
+                        + universal_rows))
+        for p in padded:
+            assert is_cochordal(p) == chordal, p.adj
+            assert is_4_cochordal(p) == (not c4), p.adj
+        assert elimination_is_chordal(h) == chordal, h.adj
+        assert pair_scan_has_induced_c4(h) == c4, h.adj
+
+
+def test_cochordal_midsize_vs_oracle():
+    # 24-60 vertices: the quotient reaches is_chordal's own twin reduction.
+    # At p = 0.01 most vertices of g are isolated (universal in the
+    # complement), at p = 0.99 most are universal (isolated there).
+    graphs = [sample_gnp(24 + 3 * trial, p, seed=4100 + trial)
+              for trial in range(12) for p in (0.01, 0.5, 0.99)]
+    # Complements of a long chordless cycle beside a clique component and
+    # isolated vertices: not chordal, yet free of induced C4s.
+    for cycle, clique, isolated in ((7, 20, 0), (5, 10, 12)):
+        h = disjoint_union(disjoint_union(cycle_graph(cycle),
+                                          complete_graph(clique)),
+                           empty_graph(isolated))
+        graphs.append(complement(h))
+    seen = set()
+    for g in graphs:
+        h = complement(g)
+        chordal = elimination_is_chordal(h)
+        c4 = pair_scan_has_induced_c4(h)
+        assert is_chordal(h) == chordal and has_induced_c4(h) == c4
+        assert is_cochordal(g) == chordal, g.adj
+        assert is_4_cochordal(g) == (not c4), g.adj
+        seen.add((chordal, c4))
+    assert seen == {(True, False), (False, True), (False, False)}
+
+
+def test_cochordal_large_sparse_and_dense_cases():
+    n = 2000
+    assert is_cochordal(empty_graph(n)) and is_4_cochordal(empty_graph(n))
+    assert is_cochordal(complete_graph(50))
+    assert is_4_cochordal(complete_graph(50))
+    one = build_graph(n, [(5, 1900)])
+    assert is_cochordal(one) and is_4_cochordal(one)
+    # Two disjoint edges: the complement holds the induced C4 5-7-1900-1999.
+    two = build_graph(n, [(5, 1900), (7, 1999)])
+    assert not is_cochordal(two) and not is_4_cochordal(two)
+    # A path on three vertices: the complement is an edge plus universal
+    # vertices, hence chordal.
+    path = build_graph(n, [(5, 1900), (1900, 1999)])
+    assert is_cochordal(path) and is_4_cochordal(path)
 
 
 def test_count_chordless_cycles_basics():

@@ -96,6 +96,20 @@ def test_invariants_large_graph_censors_betti(tmp_path, capsys):
     assert payload["unmixed"] is True
 
 
+def test_invariants_field_f3(c5_file, capsys):
+    assert run_cli(["invariants", "--in", c5_file, "--json"]) == 0
+    over_q = json.loads(capsys.readouterr().out)
+    assert run_cli(["invariants", "--in", c5_file, "--field", "f3",
+                    "--json"]) == 0
+    over_f3 = json.loads(capsys.readouterr().out)
+    assert over_f3["field"] == "f3"
+    assert over_f3["betti"] == over_q["betti"]
+    for bad in ("f4", "f1", "f", "r2"):
+        assert run_cli(["invariants", "--in", c5_file, "--field", bad]) == 2
+        # The library's own message, not argparse's generic one.
+        assert f"{bad!r}" in capsys.readouterr().err
+
+
 def test_predicates_c5(c5_file, capsys):
     assert run_cli(["predicates", "--in", c5_file, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from eideal.comb_invariants import is_forest
-from eideal.graph_core import complete_graph, empty_graph
-from eideal.random_models import (ParamSchedule, sample_gnp,
+from eideal.graph_core import Graph, complete_graph, empty_graph
+from eideal.random_models import (ParamSchedule, rng_for, sample_gnp,
                                   sample_gw_tree, schedule_p, substream_seed)
 
 
@@ -61,6 +61,30 @@ def test_gnp_determinism():
     assert a == b
     c = sample_gnp(40, 0.2, seed=1000)
     assert a != c
+
+
+def _packed_gnp(n, p, seed):
+    """Reference dense-path build: pack the full bool matrix of one draw."""
+    flat = rng_for(seed).random(n * (n - 1) // 2) < p
+    mat = np.zeros((n, n), dtype=bool)
+    mat[np.triu_indices(n, k=1)] = flat
+    mat |= mat.T
+    packed = np.packbits(mat, axis=1, bitorder="little")
+    return Graph(n, tuple(int.from_bytes(packed[v].tobytes(), "little")
+                          for v in range(n)))
+
+
+def test_gnp_dense_builds_match_packed_reference():
+    # Both row builds of the dense path reproduce the packed matrix of the
+    # same draw; the cutoff between them is 2n non-edges.
+    sides = set()
+    for n in (5, 60, 400):
+        for p in (0.06, 0.5, 0.9, 0.995, 0.9999):
+            for seed in range(3 if n == 400 else 12):
+                g = sample_gnp(n, p, seed)
+                assert g == _packed_gnp(n, p, seed), (n, p, seed)
+                sides.add(n * (n - 1) // 2 - g.edge_count <= 2 * n)
+    assert sides == {True, False}
 
 
 def test_gnp_symmetry_no_loops():
