@@ -120,6 +120,10 @@ def is_chordal(g: Graph) -> bool:
     """True iff every cycle of length >= 4 has a chord."""
     if g.n >= _REDUCE_MIN_VERTICES:
         g = _true_twin_reduced(g)
+    return _is_chordal_core(g)
+
+
+def _is_chordal_core(g: Graph) -> bool:
     if g.n <= 3:
         return True
     return _verify_mcs_order(g, _mcs_order(g))
@@ -129,6 +133,10 @@ def has_induced_c4(g: Graph) -> bool:
     """True iff some four vertices induce exactly a 4-cycle."""
     if g.n >= _REDUCE_MIN_VERTICES:
         g = _true_twin_reduced(g)
+    return _has_induced_c4_core(g)
+
+
+def _has_induced_c4_core(g: Graph) -> bool:
     if g.n < 4:
         return False
     # An induced C4 is a path u-v-w (u,w non-adjacent) plus a common
@@ -183,13 +191,16 @@ def _complement_twin_reduced(g: Graph) -> Graph:
     return Graph(len(keep), tuple(adj))
 
 
+# From _REDUCE_MIN_VERTICES up the quotient has no true twins left, so the
+# cochordal predicates call the cores and skip a second twin pass.
+
 def is_cochordal(g: Graph) -> bool:
-    return is_chordal(_complement_twin_reduced(g))
+    return _is_chordal_core(_complement_twin_reduced(g))
 
 
 def is_4_cochordal(g: Graph) -> bool:
     """Equivalent to gap-freeness of g."""
-    return not has_induced_c4(_complement_twin_reduced(g))
+    return not _has_induced_c4_core(_complement_twin_reduced(g))
 
 
 def is_locally_cochordal(g: Graph) -> bool:
@@ -217,12 +228,20 @@ class ChordlessCycleCount:
 def count_chordless_cycles(g: Graph, k_max: int) -> ChordlessCycleCount:
     """Exact chordless (induced) cycle counts by length, each counted once.
 
+    Length 4 comes from codegrees: an induced 4-cycle is a non-adjacent pair
+    {a, c} (a diagonal) plus two non-adjacent common neighbors, so the pair
+    contributes C(|com|, 2) - e(com) with com = N(a) & N(c), and each cycle
+    is seen once per diagonal, twice in all.  Lengths 5..k_max come from a
     DFS over induced paths with canonical start: the cycle's smallest vertex
-    first, and the smaller of its two cycle-neighbors as the second vertex.
+    first, and the smaller of its two cycle-neighbors as the second vertex;
+    it does not run when k_max is 4.
     """
     if k_max < 4:
         raise ValueError("k_max must be >= 4")
     counts = {k: 0 for k in range(4, k_max + 1)}
+    counts[4] = _count_induced_c4(g)
+    if k_max == 4:
+        return ChordlessCycleCount(counts, k_max)
     adj = g.adj
 
     for s in range(g.n):
@@ -247,12 +266,36 @@ def count_chordless_cycles(g: Graph, k_max: int) -> ChordlessCycleCount:
                         # interior are excluded by cand, the s-edge is the
                         # closing edge.  Count each cycle once: smaller
                         # s-neighbor first.
-                        if 3 <= length <= k_max - 1 and u > v1:
+                        if 4 <= length <= k_max - 1 and u > v1:
                             counts[length + 1] += 1
                     elif length + 2 <= k_max:
                         stack.append((path + (u,),
                                       cand & ~adj[last] & ~(1 << u)))
     return ChordlessCycleCount(counts, k_max)
+
+
+def _count_induced_c4(g: Graph) -> int:
+    """Induced 4-cycles by the codegree rule of ``count_chordless_cycles``."""
+    adj = g.adj
+    per_diagonal = 0
+    for a in range(g.n):
+        ra = adj[a]
+        if ra & (ra - 1) == 0:  # fewer than two neighbors
+            continue
+        once = twice = 0  # vertices with >= 1 and >= 2 neighbors in N(a)
+        for b in bits(ra):
+            rb = adj[b]
+            twice |= once & rb
+            once |= rb
+        # Diagonal partners c > a, non-adjacent to a, with codegree >= 2.
+        for c in bits(twice & ~ra & (-1 << (a + 1))):
+            com = ra & adj[c]
+            size = com.bit_count()
+            inner = 0  # twice the edges inside com
+            for x in bits(com):
+                inner += (adj[x] & com).bit_count()
+            per_diagonal += size * (size - 1) // 2 - inner // 2
+    return per_diagonal // 2
 
 
 def count_triangles(g: Graph) -> int:

@@ -1,26 +1,33 @@
 """Exhaustive audit of the resolution/presentation equivalences on every
 labeled graph with few vertices.
 
-The homology side cannot afford a full per-graph table at corpus scale, so
-subset contributions are aggregated with numpy: for each k-subset of the
-vertices (k = 4, 5, 6) the induced edge mask is gathered bitwise for all
-graphs at once and looked up in precomputed flag tables indexed by labeled
-k-vertex graphs.  Only graphs still undecided after proper subsets get a
-direct top-set homology call.  The combinatorial side runs the real
-chordality predicates per graph.  Flag tables use GF(2) ranks; at these
-sizes coefficients cannot matter (see the field-independence tests), and
-the kernel itself is validated against the public per-graph functions.
+Both sides are decided from induced subgraphs.  For each k-subset of the
+vertices (k = 4, 5, 6, below n) the induced edge mask is gathered bitwise
+for all graphs at once and looked up in flag tables indexed by labeled
+k-vertex graphs.  Two tables come from the homology engine (homology in
+degree >= 1, and in degree k-3); graphs still undecided after the proper
+subsets get a direct top-set homology call.  The third table, built by
+``count_chordless_cycles`` on each complement, marks graphs whose complement
+is a chordless k-cycle: the complement of a graph is chordal iff no subset
+carries that flag, and free of induced C4s iff no 4-subset does.  The top
+set is tested by membership in the labeled complement-C_n masks.  The real
+``is_chordal``/``has_induced_c4`` still run on every mask divisible by
+``CROSS_CHECK_STRIDE``, and any disagreement with either side is a mismatch;
+choosing the sample by mask keeps reports equal at any worker count.  Flag
+tables use GF(2) ranks; at these sizes coefficients cannot matter (see the
+field-independence tests), and the kernel itself is validated against the
+public per-graph functions.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
 from .betti import (HomologyEngine, has_linear_presentation,
                     has_linear_resolution)
-from .chordality import has_induced_c4, is_chordal
+from .chordality import count_chordless_cycles, has_induced_c4, is_chordal
 from .experiments import _chunk_ranges, run_chunked
 from .graph_core import (complement, graph_from_edge_mask, pair_index,
                          pair_list)
@@ -28,31 +35,54 @@ from .random_models import rng_for
 
 _AUDIT_FIELD = "f2"
 _TABLE_SIZES = (4, 5, 6)
-_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+# Largest n of the exhaustive audit, which checks 2**21 graphs there.
+MAX_EXHAUSTIVE_N = 7
 # Largest n whose n(n-1)/2 pair bits fit the uint64 draw of a random audit.
 MAX_RANDOM_AUDIT_N = 11
+# Masks divisible by this prime also run the per-graph chordality
+# predicates.  A power of two would sample only graphs missing the lowest
+# pairs; an odd prime ties the sample to no fixed set of pair bits.
+CROSS_CHECK_STRIDE = 29
 
 
-def flag_tables(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(haspos, lp_flag) over all labeled k-vertex graphs by edge mask:
-    haspos marks homology in degree >= 1, lp_flag homology in degree k-3."""
+def flag_tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(haspos, lp_flag, cycle) over all labeled k-vertex graphs by edge mask:
+    haspos marks homology in degree >= 1, lp_flag homology in degree k-3,
+    cycle a complement that is a chordless k-cycle."""
     cached = _tables.get(k)
     if cached is not None:
         return cached
     pairs = pair_list(k)
     size = 1 << len(pairs)
-    haspos = np.zeros(size, dtype=np.uint8)
-    lpflag = np.zeros(size, dtype=np.uint8)
+    haspos = np.zeros(size, dtype=bool)
+    lpflag = np.zeros(size, dtype=bool)
+    cycle = np.zeros(size, dtype=bool)
     full = (1 << k) - 1
     for mask in range(size):
         g = graph_from_edge_mask(k, mask, pairs)
         dims = HomologyEngine(g, _AUDIT_FIELD).dims(full)
-        if any(d >= 1 and r for d, r in dims.items()):
-            haspos[mask] = 1
-        if dims.get(k - 3, 0):
-            lpflag[mask] = 1
-    _tables[k] = (haspos, lpflag)
+        haspos[mask] = any(d >= 1 and r for d, r in dims.items())
+        lpflag[mask] = bool(dims.get(k - 3, 0))
+        cycle[mask] = count_chordless_cycles(complement(g), k).by_length[k] > 0
+    _tables[k] = (haspos, lpflag, cycle)
     return _tables[k]
+
+
+def _complement_cycle_masks(n: int) -> np.ndarray:
+    """Sorted edge masks of the (n-1)!/2 labeled n-vertex graphs whose
+    complement is an n-cycle (none below n = 4)."""
+    if n < 4:
+        return np.zeros(0, dtype=np.uint32)
+    full = (1 << (n * (n - 1) // 2)) - 1
+    out = []
+    for rest in permutations(range(1, n)):
+        if rest[0] < rest[-1]:  # each cycle once, not once per direction
+            cyc = (0,) + rest
+            edges = sum(1 << pair_index(n, cyc[i - 1], cyc[i])
+                        for i in range(n))
+            out.append(full ^ edges)
+    return np.array(sorted(out), dtype=np.uint32)
 
 
 def _gather_positions(n: int, subset: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -65,30 +95,40 @@ def _gather_positions(n: int, subset: tuple[int, ...]) -> list[tuple[int, int]]:
     return out
 
 
-def _subset_violations(n: int, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-graph flags: some proper subset of size 4..min(6, n-1) already
-    breaks linear resolution / linear presentation."""
-    lr_viol = np.zeros(len(masks), dtype=np.uint8)
-    lp_viol = np.zeros(len(masks), dtype=np.uint8)
+def _subset_flags(n: int, masks: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-graph flags from proper subsets of size 4..min(6, n-1): some subset
+    breaks linear resolution / linear presentation, or has a complement that
+    is a chordless cycle / a chordless 4-cycle."""
+    lr_viol = np.zeros(len(masks), dtype=bool)
+    lp_viol = np.zeros(len(masks), dtype=bool)
+    chordless = np.zeros(len(masks), dtype=bool)
+    chordless4 = np.zeros(len(masks), dtype=bool)
     for k in _TABLE_SIZES:
         if k >= n:
             continue
-        haspos, lpflag = flag_tables(k)
+        haspos, lpflag, cycle = flag_tables(k)
         for subset in combinations(range(n), k):
             ind = np.zeros(len(masks), dtype=np.uint32)
             for src, dst in _gather_positions(n, subset):
                 ind |= ((masks >> np.uint32(src)) & np.uint32(1)) << np.uint32(dst)
             lr_viol |= haspos[ind]
             lp_viol |= lpflag[ind]
-    return lr_viol, lp_viol
+            hits = cycle[ind]
+            chordless |= hits
+            if k == 4:
+                chordless4 |= hits
+    return lr_viol, lp_viol, chordless, chordless4
 
 
 def _disagreement(g, lr: bool, lp: bool) -> dict | None:
     """All four flags of g if the homological side (lr, lp) disagrees with
     the chordal side of its complement, else None."""
     comp = complement(g)
-    cochordal = is_chordal(comp)
-    gap_free = not has_induced_c4(comp)
+    return _mismatch(lr, is_chordal(comp), lp, not has_induced_c4(comp))
+
+
+def _mismatch(lr: bool, cochordal: bool, lp: bool,
+              gap_free: bool) -> dict | None:
     if lr == cochordal and lp == gap_free:
         return None
     return {"linear_resolution": lr, "cochordal": cochordal,
@@ -99,22 +139,30 @@ def _audit_chunk(task):
     n, lo, hi = task
     pairs = pair_list(n)
     masks = np.arange(lo, hi, dtype=np.uint32)
-    lr_viol, lp_viol = _subset_violations(n, masks)
+    lr_viol, lp_viol, chordless, chordless4 = _subset_flags(n, masks)
+    top = np.isin(masks, _complement_cycle_masks(n))
+    cochordal = ~(chordless | top)
+    # At n = 4 the top set is the only 4-subset.
+    gap_free = ~(chordless4 | top) if n == 4 else ~chordless4
+    lr = ~lr_viol
+    lp = ~lp_viol
     full_vertices = (1 << n) - 1
-    top_lp_degree = n - 3
+    for i in np.flatnonzero(lr | lp):
+        g = graph_from_edge_mask(n, lo + int(i), pairs)
+        dims = HomologyEngine(g, _AUDIT_FIELD).dims(full_vertices)
+        lr[i] &= not any(d >= 1 and r for d, r in dims.items())
+        # Degree n - 3 is a nonlinear first syzygy only from 4 vertices on.
+        lp[i] &= n < 4 or not dims.get(n - 3, 0)
+    sampled = masks % np.uint32(CROSS_CHECK_STRIDE) == 0
     mismatches = []
-    for i in range(hi - lo):
-        mask = lo + i
-        g = graph_from_edge_mask(n, mask, pairs)
-        lr = not lr_viol[i]
-        lp = not lp_viol[i]
-        if lr or lp:
-            dims = HomologyEngine(g, _AUDIT_FIELD).dims(full_vertices)
-            if lr and any(d >= 1 and r for d, r in dims.items()):
-                lr = False
-            if lp and dims.get(top_lp_degree, 0):
-                lp = False
-        flags = _disagreement(g, lr, lp)
+    for i in np.flatnonzero((lr != cochordal) | (lp != gap_free) | sampled):
+        mask = lo + int(i)
+        lr_i, lp_i = bool(lr[i]), bool(lp[i])
+        # Where the tables agree with the homology side, a sampled mask still
+        # runs the predicates, so a wrong table shows up either way.
+        flags = (_mismatch(lr_i, bool(cochordal[i]), lp_i, bool(gap_free[i]))
+                 or _disagreement(graph_from_edge_mask(n, mask, pairs),
+                                  lr_i, lp_i))
         if flags:
             mismatches.append((mask, flags))
     return (hi - lo), mismatches
@@ -124,8 +172,9 @@ def exhaustive_flag_audit(n: int, workers: int = 1):
     """Check linear resolution == cochordal and linear presentation ==
     4-cochordal on all labeled n-vertex graphs; returns (checked, mismatches).
     """
-    if n > 7:
-        raise ValueError("exhaustive audit is for n <= 7")
+    if n > MAX_EXHAUSTIVE_N:
+        raise ValueError(f"exhaustive audit is for n <= {MAX_EXHAUSTIVE_N}, "
+                         f"got {n}")
     for k in _TABLE_SIZES:
         if k < n:
             flag_tables(k)  # build pre-fork so workers share the tables

@@ -179,8 +179,11 @@ class ExperimentConfig:
                 f"trials: kind {self.kind!r} needs trials >= 2 for a "
                 f"sample variance")
         if self.kind == "froberg_audit":
-            from .corpus import MAX_RANDOM_AUDIT_N
+            from .corpus import MAX_EXHAUSTIVE_N, MAX_RANDOM_AUDIT_N
 
+            if self.exhaustive_n > MAX_EXHAUSTIVE_N:
+                raise ConfigError(f"exhaustive_n: must be <= "
+                                  f"{MAX_EXHAUSTIVE_N}")
             for n, count in self.random_audit:
                 if not 1 <= n <= MAX_RANDOM_AUDIT_N or count < 1:
                     raise ConfigError(

@@ -14,7 +14,7 @@ from eideal.random_models import sample_gnp
 
 from oracles import (elimination_is_chordal, naive_chordless_cycle_counts,
                      naive_has_induced_c4, naive_is_chordal,
-                     pair_scan_has_induced_c4)
+                     pair_scan_has_induced_c4, trace_identity_induced_c4)
 
 
 def test_chordal_basics():
@@ -175,6 +175,34 @@ def test_count_chordless_cycles_random_vs_oracle():
         g = sample_gnp(n, 0.2 + 0.1 * (trial % 6), seed=31 + trial)
         assert count_chordless_cycles(g, n).by_length == \
             naive_chordless_cycle_counts(g, n)
+
+
+def test_count_induced_c4_exhaustive_n6():
+    # k_max = 4 takes the codegree count alone, with no DFS.  The identity
+    # oracle is checked against the subset scan on the smaller graphs.
+    for n in range(7):
+        for g in enumerate_graphs(n):
+            expected = naive_chordless_cycle_counts(g, 4)
+            assert count_chordless_cycles(g, 4).by_length == expected, g.adj
+            if n <= 5:
+                assert trace_identity_induced_c4(g) == expected[4], g.adj
+
+
+def test_count_induced_c4_vs_trace_identity():
+    samples = [(60, 0.1, 40), (30, 0.3, 40), (500, 1 / 500, 5)]
+    seen = 0
+    for n, p, trials in samples:
+        for trial in range(trials):
+            g = sample_gnp(n, p, seed=7100 + 97 * n + trial)
+            count = count_chordless_cycles(g, 4).by_length[4]
+            assert count == trace_identity_induced_c4(g), (n, p, trial)
+            seen += count
+    assert seen > 0
+    # A K4 beside a diamond and a C4: the identity's correction terms.
+    g = disjoint_union(disjoint_union(complete_graph(4), cycle_graph(4)),
+                       build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]))
+    assert count_chordless_cycles(g, 4).by_length[4] == 1
+    assert trace_identity_induced_c4(g) == 1
 
 
 def test_locally_cochordal():

@@ -76,6 +76,9 @@ def test_config_round_trip_and_validation():
     with pytest.raises(ConfigError, match="random_audit"):
         ExperimentConfig.from_json({"kind": "froberg_audit", "seed": 1,
                                     "random_audit": [[8, 5], [12, 5]]})
+    with pytest.raises(ConfigError, match="exhaustive_n"):
+        ExperimentConfig.from_json({"kind": "froberg_audit", "seed": 1,
+                                    "exhaustive_n": 8, "random_audit": []})
 
 
 def _strict_json(text):
