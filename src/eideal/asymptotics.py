@@ -157,18 +157,23 @@ class GwLimitEstimate:
     censor_fraction: float
 
 
-def gw_limit_estimate(lam: float, trials: int, cap: int, which: str,
-                      seed: int) -> GwLimitEstimate:
-    """Monte Carlo estimate of E[invariant(tree)/|tree|] over Galton-Watson
-    trees; censored samples are excluded and counted."""
-    if which not in GW_INVARIANTS:
-        raise ValueError(f"which must be one of {GW_INVARIANTS}")
+def gw_limit_estimate(lam: float, trials: int, cap: int,
+                      seed: int) -> dict[str, GwLimitEstimate]:
+    """Monte Carlo estimates of E[X(T)/|T|] over Galton-Watson trees T for
+    each X in GW_INVARIANTS, keyed by name, all from one pass over `trials`
+    trees.
+
+    Each tree is sampled once; its induced matching number nu and forest pd
+    are computed once and give the per-tree values nu/|T|, pd/|T| and
+    (|T| - pd)/|T|.  Trees that hit `cap` are censored: excluded from every
+    estimate and counted in its censor_fraction.
+    """
     if lam > 1:
         raise ValueError("the tree limit is only meaningful for lam <= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    total = 0.0
-    total_sq = 0.0
+    total = dict.fromkeys(GW_INVARIANTS, 0.0)
+    total_sq = dict.fromkeys(GW_INVARIANTS, 0.0)
     used = 0
     censored = 0
     for t in range(trials):
@@ -177,20 +182,21 @@ def gw_limit_estimate(lam: float, trials: int, cap: int, which: str,
             censored += 1
             continue
         size = s.size
-        if which == "induced_matching":
-            value = tree_induced_matching(s.tree) / size
-        elif which == "pd":
-            value = forest_pd(s.tree) / size
-        else:
-            value = (size - forest_pd(s.tree)) / size
-        total += value
-        total_sq += value * value
+        pd = forest_pd(s.tree)
+        values = (tree_induced_matching(s.tree) / size, pd / size,
+                  (size - pd) / size)
+        for which, value in zip(GW_INVARIANTS, values):
+            total[which] += value
+            total_sq[which] += value * value
         used += 1
-    mean = total / used if used else float("nan")
-    if used > 1:
-        var = max(0.0, (total_sq - used * mean * mean) / (used - 1))
-        stderr = math.sqrt(var / used)
-    else:
-        stderr = float("nan")
-    return GwLimitEstimate(which, lam, mean, stderr, used,
-                           censored / trials)
+    estimates = {}
+    for which in GW_INVARIANTS:
+        mean = total[which] / used if used else float("nan")
+        if used > 1:
+            var = max(0.0, (total_sq[which] - used * mean * mean) / (used - 1))
+            stderr = math.sqrt(var / used)
+        else:
+            stderr = float("nan")
+        estimates[which] = GwLimitEstimate(which, lam, mean, stderr, used,
+                                           censored / trials)
+    return estimates

@@ -315,9 +315,6 @@ def criterion_gw_limit(seed: int = DEFAULT_SEED,
 # -- 10 ---------------------------------------------------------------------
 
 def _sandwich_chunk(task):
-    from .betti import DEFAULT_BETTI_GUARD
-    from .comb_invariants import is_forest
-
     seed, n, p, lo, hi = task
     rows = []
     for t in range(lo, hi):
@@ -332,10 +329,9 @@ def _sandwich_chunk(task):
         # those envelopes keeps both inequality checks conservative.
         cens_lo = 0
         cens_hi = 0
-        for comp in parts.component_subgraphs:
-            if comp.n > DEFAULT_BETTI_GUARD and not is_forest(comp):
-                cens_lo += induced_matching_number(comp)
-                cens_hi += matching_number(comp)
+        for comp in reg.censored:
+            cens_lo += induced_matching_number(comp)
+            cens_hi += matching_number(comp)
         rows.append((reg.value, comp_count, nontrivial, nu, match,
                      cens_lo, cens_hi, reg.censored_components))
     return rows

@@ -25,8 +25,8 @@ import json
 import math
 from dataclasses import dataclass
 
-from .comb_invariants import (independence_number, is_forest,
-                              maximal_independent_sets, tree_induced_matching,
+from .comb_invariants import (independence_number, maximal_independent_sets,
+                              tree_induced_matching,
                               tree_min_maximal_independent_set)
 from .graph_core import Graph, bits, component_masks, connected_components
 
@@ -165,12 +165,12 @@ def _rank_modp(rows: list[list[int]], p: int) -> int:
     return rank
 
 
-def _homology_from_faces(faces, field: str) -> dict[int, int]:
-    """Reduced homology dims by degree from an explicit face set.
+def _homology_from_faces(faces, field: tuple[str, int]) -> dict[int, int]:
+    """Reduced homology dims by degree of a face set over a parsed field.
 
     Includes degree -1: the empty-but-nonvoid complex has H~_{-1} = 1.
     """
-    kind, p = parse_field(field)
+    kind, p = field
     by_size: dict[int, list[int]] = {}
     for f in faces:
         by_size.setdefault(f.bit_count(), []).append(f)
@@ -232,7 +232,7 @@ def reduced_homology_dims(c: SimplicialComplex, field: str = "q") -> list[int]:
     if c.is_void:
         return []
     faces = _faces_from_facets(c)
-    dims = _homology_from_faces(faces, field)
+    dims = _homology_from_faces(faces, parse_field(field))
     return [dims.get(d, 0) for d in range(-1, c.dim() + 1)]
 
 
@@ -244,10 +244,9 @@ class HomologyEngine:
     """Memoized reduced-homology dims of Ind(G[W]) over vertex masks W."""
 
     def __init__(self, g: Graph, field: str = "q"):
-        parse_field(field)
         self.g = g
         self.adj = g.adj
-        self.field = field
+        self.field = parse_field(field)
         self.memo: dict[int, dict[int, int]] = {}
 
     def dims(self, w: int) -> dict[int, int]:
@@ -468,55 +467,56 @@ def forest_pd(g: Graph) -> int:
 
 @dataclass(frozen=True)
 class ComponentwiseResult:
-    """Sum of a per-component invariant with explicit censoring."""
+    """Sum of a per-component invariant with explicit censoring: the
+    components in `censored` add nothing to `value`."""
 
     value: int
     total_components: int
-    censored_components: int
-    censored_sizes: tuple[int, ...]
+    censored: tuple[Graph, ...]
 
     @property
-    def censored_fraction(self) -> float:
-        if self.total_components == 0:
-            return 0.0
-        return self.censored_components / self.total_components
+    def censored_components(self) -> int:
+        return len(self.censored)
+
+
+def reg_pd_componentwise(g: Graph, field: str = "q",
+                         betti_guard: int = DEFAULT_BETTI_GUARD, parts=None
+                         ) -> tuple[ComponentwiseResult, ComponentwiseResult]:
+    """reg*(I) = reg(I) - 1 and pd(S/I) summed over components, with one
+    censoring record shared by both results.
+
+    A tree component (connected, so edge_count == n - 1) takes the induced
+    matching identity and the forest pd formula; any other component on at
+    most betti_guard vertices takes both from one exact Betti table; the
+    rest are censored and add to neither sum."""
+    if parts is None:
+        parts = connected_components(g)
+    reg = pd = 0
+    censored = []
+    for comp in parts.component_subgraphs:
+        if comp.edge_count == comp.n - 1:
+            reg += tree_induced_matching(comp)
+            pd += forest_pd(comp)
+        elif comp.n <= betti_guard:
+            table = betti_table(comp, field, betti_guard)
+            reg += table.regularity_quotient()
+            pd += table.projective_dimension()
+        else:
+            censored.append(comp)
+    censored = tuple(censored)
+    return (ComponentwiseResult(reg, len(parts), censored),
+            ComponentwiseResult(pd, len(parts), censored))
 
 
 def regularity_componentwise(g: Graph, field: str = "q",
                              betti_guard: int = DEFAULT_BETTI_GUARD,
                              parts=None) -> ComponentwiseResult:
-    """reg*(I) = reg(I) - 1 summed over components; forests use the induced
-    matching identity, small components the exact table, the rest censor."""
-    if parts is None:
-        parts = connected_components(g)
-    total = 0
-    censored: list[int] = []
-    for comp in parts.component_subgraphs:
-        if is_forest(comp):
-            total += tree_induced_matching(comp)
-        elif comp.n <= betti_guard:
-            total += betti_table(comp, field, betti_guard).regularity_quotient()
-        else:
-            censored.append(comp.n)
-    return ComponentwiseResult(total, len(parts), len(censored),
-                               tuple(censored))
+    """reg*(I) summed over components; see reg_pd_componentwise."""
+    return reg_pd_componentwise(g, field, betti_guard, parts)[0]
 
 
 def pd_componentwise(g: Graph, field: str = "q",
                      betti_guard: int = DEFAULT_BETTI_GUARD,
                      parts=None) -> ComponentwiseResult:
-    """pd(S/I) summed over components; forests use the validated fast
-    formula, small components the exact table, the rest censor."""
-    if parts is None:
-        parts = connected_components(g)
-    total = 0
-    censored: list[int] = []
-    for comp in parts.component_subgraphs:
-        if is_forest(comp):
-            total += forest_pd(comp)
-        elif comp.n <= betti_guard:
-            total += betti_table(comp, field, betti_guard).projective_dimension()
-        else:
-            censored.append(comp.n)
-    return ComponentwiseResult(total, len(parts), len(censored),
-                               tuple(censored))
+    """pd(S/I) summed over components; see reg_pd_componentwise."""
+    return reg_pd_componentwise(g, field, betti_guard, parts)[1]

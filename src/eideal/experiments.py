@@ -17,15 +17,14 @@ from . import __version__
 from .asymptotics import (expected_chordless_cycles, gw_limit_estimate,
                           prob_lp_dense_window, prob_lr_dense_window,
                           prob_lr_sparse_window)
-from .betti import (DEFAULT_BETTI_GUARD, betti_table, pd_componentwise,
-                    regularity_componentwise)
+from .betti import DEFAULT_BETTI_GUARD, betti_table, reg_pd_componentwise
 from .chordality import (count_chordless_cycles, count_triangles,
                          is_4_cochordal, is_cochordal, is_locally_4_cochordal,
                          is_locally_cochordal)
 from .comb_invariants import (DEFAULT_MIS_BUDGET, BudgetExceededError,
                               cover_profile)
-from .graph_core import (connected_components, disjoint_union,
-                         induced_subgraph, max_degree, to_hex_dump)
+from .graph_core import (disjoint_union, induced_subgraph, max_degree,
+                         to_hex_dump)
 from .random_models import (ParamSchedule, rng_for, sample_gnp, schedule_p,
                             substream_seed)
 
@@ -349,57 +348,52 @@ def _threshold_theory(schedule: ParamSchedule, predicate: str) -> float | None:
 # gw_limit
 # ---------------------------------------------------------------------------
 
-def _gw_graph_chunk(task):
-    seed, n, p, betti_guard, lo, hi = task
+def _componentwise_chunk(task):
+    """(reg*, pd, censored components, components) of each G(n, p) trial of
+    experiment `kind`, from one componentwise dispatch per graph."""
+    seed, kind, n, p, betti_guard, lo, hi = task
     rows = []
     for t in range(lo, hi):
-        g = sample_gnp(n, p, substream_seed(seed, "gw_limit", n, t))
-        parts = connected_components(g)
-        reg = regularity_componentwise(g, betti_guard=betti_guard, parts=parts)
-        pd = pd_componentwise(g, betti_guard=betti_guard, parts=parts)
+        g = sample_gnp(n, p, substream_seed(seed, kind, n, t))
+        reg, pd = reg_pd_componentwise(g, betti_guard=betti_guard)
         rows.append((reg.value, pd.value, reg.censored_components,
-                     pd.censored_components, len(parts)))
+                     reg.total_components))
     return rows
 
 
 def run_gw_limit(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     lam = config.schedule.lam
     cells = []
-    tree_est = {}
-    for which in ("induced_matching", "pd", "depth"):
-        t0 = time.perf_counter()
-        est = gw_limit_estimate(lam, config.gw_trials, config.gw_cap, which,
-                                config.seed)
-        tree_est[which] = est
+    t0 = time.perf_counter()
+    tree_est = gw_limit_estimate(lam, config.gw_trials, config.gw_cap,
+                                 config.seed)
+    tree_seconds = (time.perf_counter() - t0) / len(tree_est)
+    for which, est in tree_est.items():
         cells.append(Cell("gw_limit", None, f"tree_{which}", est.estimate,
                           est.estimate - WILSON_Z * est.stderr,
                           est.estimate + WILSON_Z * est.stderr,
                           None, round(est.censor_fraction * config.gw_trials),
-                          0, est.trials, time.perf_counter() - t0,
+                          0, est.trials, tree_seconds,
                           extra={"stderr": est.stderr,
                                  "censor_fraction": est.censor_fraction}))
     for n in config.n_list:
         p = schedule_p(config.schedule, n)
         t0 = time.perf_counter()
-        tasks = [(config.seed, n, p, config.betti_guard, lo, hi)
+        tasks = [(config.seed, "gw_limit", n, p, config.betti_guard, lo, hi)
                  for lo, hi in _trial_chunks(config.trials, workers)]
-        rows = [row for part in run_chunked(_gw_graph_chunk, tasks, workers)
-                for row in part]
+        rows = [row for part in run_chunked(_componentwise_chunk, tasks,
+                                            workers) for row in part]
         elapsed = time.perf_counter() - t0
-        columns = {
-            "reg_star": [r[0] / n for r in rows],
-            "pd": [r[1] / n for r in rows],
-            "depth": [(n - r[1]) / n for r in rows],
-        }
-        censored = sum(max(r[2], r[3]) for r in rows)
-        total_comps = sum(r[4] for r in rows)
-        tree_key = {"reg_star": "induced_matching", "pd": "pd",
-                    "depth": "depth"}
-        for col, vals in columns.items():
+        columns = (("reg_star", "induced_matching", [r[0] / n for r in rows]),
+                   ("pd", "pd", [r[1] / n for r in rows]),
+                   ("depth", "depth", [(n - r[1]) / n for r in rows]))
+        censored = sum(r[2] for r in rows)
+        total_comps = sum(r[3] for r in rows)
+        for col, which, vals in columns:
             mean = math.fsum(vals) / len(vals)
             var = math.fsum((v - mean) ** 2 for v in vals) / (len(vals) - 1)
             se = math.sqrt(var / len(vals))
-            est = tree_est[tree_key[col]]
+            est = tree_est[which]
             combined = math.hypot(se, est.stderr)
             gap_se = abs(mean - est.estimate) / combined if combined else 0.0
             cells.append(Cell(
@@ -613,25 +607,21 @@ def run_lipschitz_audit(config: ExperimentConfig,
 # variance_audit
 # ---------------------------------------------------------------------------
 
-def _variance_chunk(task):
-    seed, n, p, betti_guard, lo, hi = task
-    vals = []
-    for t in range(lo, hi):
-        g = sample_gnp(n, p, substream_seed(seed, "variance_audit", n, t))
-        vals.append(regularity_componentwise(g, betti_guard=betti_guard).value)
-    return vals
-
-
 def run_variance_audit(config: ExperimentConfig,
                        workers: int = 1) -> ExperimentReport:
+    """Sample variance of reg*(I) over G(n, p) trials, divided by n.
+
+    A censored component (not a tree, more than betti_guard vertices) adds
+    0 to its trial's reg*, and the report does not count them.
+    """
     cells = []
     for n in config.n_list:
         p = schedule_p(config.schedule, n)
         t0 = time.perf_counter()
-        tasks = [(config.seed, n, p, config.betti_guard, lo, hi)
-                 for lo, hi in _trial_chunks(config.trials, workers)]
-        vals = [v for part in run_chunked(_variance_chunk, tasks, workers)
-                for v in part]
+        tasks = [(config.seed, "variance_audit", n, p, config.betti_guard,
+                  lo, hi) for lo, hi in _trial_chunks(config.trials, workers)]
+        vals = [row[0] for part in run_chunked(_componentwise_chunk, tasks,
+                                               workers) for row in part]
         elapsed = time.perf_counter() - t0
         mean = sum(vals) / len(vals)
         var = sum((v - mean) ** 2 for v in vals) / (len(vals) - 1)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from eideal.asymptotics import (expected_chordless_cycles,
+from eideal.asymptotics import (GW_INVARIANTS, expected_chordless_cycles,
                                 expected_local_cycles, gw_limit_estimate,
                                 karp_sipser_root, karp_sipser_upper,
                                 mcdiarmid_tail, near_lipschitz_tail,
@@ -149,20 +149,18 @@ def test_tail_bounds():
 
 
 def test_gw_limit_estimate_lambda_zero():
-    est = gw_limit_estimate(0.0, trials=200, cap=100, which="induced_matching",
-                            seed=1)
-    assert est.estimate == 0.0
-    est = gw_limit_estimate(0.0, trials=200, cap=100, which="depth", seed=1)
-    assert est.estimate == 1.0
-    est = gw_limit_estimate(0.0, trials=200, cap=100, which="pd", seed=1)
-    assert est.estimate == 0.0
+    est = gw_limit_estimate(0.0, trials=200, cap=100, seed=1)
+    assert list(est) == list(GW_INVARIANTS)
+    assert est["induced_matching"].estimate == 0.0
+    assert est["depth"].estimate == 1.0
+    assert est["pd"].estimate == 0.0
 
 
 def test_gw_limit_estimate_seed_agreement():
     a = gw_limit_estimate(0.5, trials=20000, cap=10 ** 5,
-                          which="induced_matching", seed=11)
+                          seed=11)["induced_matching"]
     b = gw_limit_estimate(0.5, trials=20000, cap=10 ** 5,
-                          which="induced_matching", seed=2222)
+                          seed=2222)["induced_matching"]
     assert a.censor_fraction == 0
     gap = abs(a.estimate - b.estimate)
     assert gap <= 4 * math.hypot(a.stderr, b.stderr)
@@ -172,14 +170,10 @@ def test_gw_limit_estimate_seed_agreement():
 
 
 def test_gw_limit_depth_pd_complement():
-    pd = gw_limit_estimate(0.5, trials=5000, cap=10 ** 5, which="pd", seed=3)
-    depth = gw_limit_estimate(0.5, trials=5000, cap=10 ** 5, which="depth",
-                              seed=3)
-    assert pd.estimate + depth.estimate == pytest.approx(1.0)
+    est = gw_limit_estimate(0.5, trials=5000, cap=10 ** 5, seed=3)
+    assert est["pd"].estimate + est["depth"].estimate == pytest.approx(1.0)
 
 
 def test_gw_limit_validation():
     with pytest.raises(ValueError):
-        gw_limit_estimate(2.0, 10, 100, "pd", 0)
-    with pytest.raises(ValueError):
-        gw_limit_estimate(0.5, 10, 100, "nope", 0)
+        gw_limit_estimate(2.0, 10, 100, 0)

@@ -6,11 +6,12 @@ from eideal.betti import (BettiTable, HomologyEngine, SizeGuardExceeded,
                           betti_table, forest_pd, has_linear_presentation,
                           has_linear_resolution, independence_complex,
                           invariants, parse_field, pd_componentwise,
-                          reduced_homology_dims,
+                          reduced_homology_dims, reg_pd_componentwise,
                           regularity_componentwise, SimplicialComplex)
 from eideal.chordality import is_4_cochordal, is_cochordal
 from eideal.comb_invariants import tree_induced_matching
-from eideal.graph_core import (build_graph, complete_graph, cycle_graph,
+from eideal.graph_core import (build_graph, complete_graph,
+                               connected_components, cycle_graph,
                                disjoint_union, empty_graph, enumerate_graphs,
                                graph_from_edge_mask, path_graph)
 from eideal.random_models import sample_gnp
@@ -237,7 +238,7 @@ def test_componentwise_censoring():
     big_cycle = cycle_graph(20)
     res = regularity_componentwise(big_cycle, betti_guard=18)
     assert res.censored_components == 1
-    assert res.censored_sizes == (20,)
+    assert [comp.n for comp in res.censored] == [20]
     assert res.value == 0
     # Trees beyond the guard are never censored: the fast paths cover them.
     assert regularity_componentwise(path_graph(40)).censored_components == 0
@@ -253,6 +254,19 @@ def test_componentwise_matches_whole_graph_table():
         table = betti_table(g)
         assert regularity_componentwise(g).value == table.regularity_quotient()
         assert pd_componentwise(g).value == table.projective_dimension()
+    for g in enumerate_graphs(5):
+        table = betti_table(g)
+        reg, pd = reg_pd_componentwise(g)
+        assert reg.value == table.regularity_quotient()
+        assert pd.value == table.projective_dimension()
+        assert reg.censored_components == pd.censored_components == 0
+        # At betti_guard=3 every cyclic component on more than 3 vertices is
+        # censored, in one record shared by both results.
+        reg, pd = reg_pd_componentwise(g, betti_guard=3)
+        assert reg.censored == pd.censored
+        assert reg.censored_components == sum(
+            comp.edge_count >= comp.n > 3
+            for comp in connected_components(g).component_subgraphs)
 
 
 def test_additivity_against_naive():

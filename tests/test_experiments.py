@@ -200,6 +200,41 @@ def test_gw_limit_small_run():
     assert (tree_pd["censored"], tree_pd["trials"]) == (3, 0)
 
 
+def test_gw_limit_computes_each_value_once(monkeypatch):
+    import eideal.asymptotics as asymptotics
+    import eideal.betti as betti
+    from eideal.graph_core import connected_components
+    from eideal.random_models import sample_gnp, substream_seed
+
+    sample_gw_tree = asymptotics.sample_gw_tree
+    betti_table = betti.betti_table
+    trees = []
+    tables = []
+
+    def counted_tree(*args, **kwargs):
+        trees.append(args)
+        return sample_gw_tree(*args, **kwargs)
+
+    def counted_table(g, *args, **kwargs):
+        tables.append(g)
+        return betti_table(g, *args, **kwargs)
+
+    monkeypatch.setattr(asymptotics, "sample_gw_tree", counted_tree)
+    monkeypatch.setattr(betti, "betti_table", counted_table)
+    cfg = ExperimentConfig(kind="gw_limit", seed=8, trials=12, n_list=(150,),
+                           schedule=ParamSchedule.sparse(1.0), betti_guard=10,
+                           gw_trials=40, gw_cap=1000)
+    run_gw_limit(cfg, workers=1)
+    assert len(trees) == cfg.gw_trials
+    cyclic = 0
+    for t in range(cfg.trials):
+        g = sample_gnp(150, 1.0 / 150, substream_seed(8, "gw_limit", 150, t))
+        cyclic += sum(comp.edge_count >= comp.n and comp.n <= cfg.betti_guard
+                      for comp in connected_components(g).component_subgraphs)
+    assert cyclic > 0
+    assert len(tables) == cyclic
+
+
 def test_variance_audit_zero_p():
     cfg = ExperimentConfig(kind="variance_audit", seed=6, trials=30,
                            n_list=(40,), schedule=ParamSchedule.sparse(1.0))
