@@ -6,8 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .betti import forest_pd
-from .comb_invariants import tree_induced_matching
+from .comb_invariants import forest_dp
 from .random_models import sample_gw_tree, substream_seed
 
 
@@ -163,9 +162,9 @@ def gw_limit_estimate(lam: float, trials: int, cap: int,
     each X in GW_INVARIANTS, keyed by name, all from one pass over `trials`
     trees.
 
-    Each tree is sampled once; its induced matching number nu and forest pd
-    are computed once and give the per-tree values nu/|T|, pd/|T| and
-    (|T| - pd)/|T|.  Trees that hit `cap` are censored: excluded from every
+    Each tree is sampled once; one forest DP gives its induced matching
+    number nu and its smallest maximal independent set i, so pd = |T| - i
+    and depth = i, and the per-tree values are nu/|T|, pd/|T| and i/|T|.  Trees that hit `cap` are censored: excluded from every
     estimate and counted in its censor_fraction.
     """
     if lam > 1:
@@ -182,9 +181,8 @@ def gw_limit_estimate(lam: float, trials: int, cap: int,
             censored += 1
             continue
         size = s.size
-        pd = forest_pd(s.tree)
-        values = (tree_induced_matching(s.tree) / size, pd / size,
-                  (size - pd) / size)
+        nu, mmis = forest_dp(s.tree)
+        values = (nu / size, (size - mmis) / size, mmis / size)
         for which, value in zip(GW_INVARIANTS, values):
             total[which] += value
             total_sq[which] += value * value

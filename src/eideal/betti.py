@@ -25,8 +25,8 @@ import json
 import math
 from dataclasses import dataclass
 
-from .comb_invariants import (independence_number, maximal_independent_sets,
-                              tree_induced_matching,
+from .comb_invariants import (forest_dp, independence_number,
+                              maximal_independent_sets,
                               tree_min_maximal_independent_set)
 from .graph_core import Graph, bits, component_masks, connected_components
 
@@ -495,8 +495,9 @@ def reg_pd_componentwise(g: Graph, field: str = "q",
     censored = []
     for comp in parts.component_subgraphs:
         if comp.edge_count == comp.n - 1:
-            reg += tree_induced_matching(comp)
-            pd += forest_pd(comp)
+            nu, mmis = forest_dp(comp)
+            reg += nu
+            pd += comp.n - mmis
         elif comp.n <= betti_guard:
             table = betti_table(comp, field, betti_guard)
             reg += table.regularity_quotient()

@@ -132,8 +132,9 @@ def cmd_invariants(args) -> int:
                                     sorted(table.entries.items())],
                         "regularity_ideal": reg_q + 1,
                         "pd": pd_q, "depth": g.n - pd_q,
-                        "linear_resolution": has_linear_resolution(g, args.field),
-                        "linear_presentation": has_linear_presentation(g, args.field)}
+                        "linear_resolution": reg_q <= 1,
+                        "linear_presentation": not any(
+                            table.beta(2, j) for j in range(4, g.n + 1))}
     else:
         out["betti"] = {"censored": True,
                         "reason": f"{g.n} vertices exceed the direct-table "

@@ -1,8 +1,11 @@
 """Exact combinatorial invariants: induced matching, matching, independence,
 vertex-cover extremes and unmixedness.
 
-Forests get linear DPs.  Induced matching is additive over components, and
-a cyclic component branches on a 2-core vertex until the forest DP applies.
+Forests get one unchecked post-order DP, ``forest_dp``, for both induced
+matching and independent domination; the public ``tree_*`` wrappers check
+``is_forest`` first, callers that hold a tree by construction do not.
+Induced matching is additive over components, and a cyclic component
+branches on a 2-core vertex until the forest DP applies.
 Matching peels leaves (always optimal) and hands what is left to blossom.
 Independence and cover extremes search with an explicit node budget.
 """
@@ -29,47 +32,62 @@ def is_forest(g: Graph) -> bool:
     return g.edge_count == g.n - components
 
 
-def _tree_postorders(g: Graph):
-    """For each tree of a forest, rooted at its smallest vertex, yield the
-    list of (v, children) pairs with every child before its parent."""
-    for comp in component_masks(g.adj, (1 << g.n) - 1):
-        pairs = []
-        stack = [((comp & -comp).bit_length() - 1, -1)]
-        while stack:
-            v, par = stack.pop()
-            children = [u for u in bits(g.adj[v]) if u != par]
-            pairs.append((v, children))
-            stack.extend((u, v) for u in children)
-        pairs.reverse()
-        yield pairs
-
-
 NEG = float("-inf")
 
 
-def tree_induced_matching(g: Graph) -> int:
-    """Induced matching number of a forest by rooted DP; errors on non-forests.
+def forest_dp(g: Graph) -> tuple[int, int]:
+    """(induced matching number, minimum maximal independent set size) of a
+    forest, unchecked, from one post-order per tree rooted at its smallest
+    vertex: each vertex folds its values into its parent's sums.
 
-    Per vertex: a = best with v matched to a child, n_ = best with v
-    unmatched (children free), p = best with v unmatched and no child
-    matched (v available to its parent).
+    Induced matching: a = best with v matched to a child, m = best with v
+    unmatched, p = best with v unmatched and no child matched (v available
+    to its parent).  Independent domination: s = v in the set, d = v out
+    and dominated by a child, f = v out and left to its parent.
     """
+    parent = [None] * g.n
+    order = []
+    for root in range(g.n):
+        if parent[root] is None:
+            parent[root] = -1
+            stack = [root]
+            while stack:
+                v = stack.pop()
+                order.append(v)
+                for u in bits(g.adj[v]):
+                    if parent[u] is None:
+                        parent[u] = v
+                        stack.append(u)
+    # Over finished children: sums of m (= p), max(a, m), f and min(s, d)
+    # (= f), the best p - m swap, and the cheapest child forced into the set.
+    sum_m, sum_best, sum_f, sum_min = ([0] * g.n for _ in range(4))
+    swap = [NEG] * g.n
+    force = [float("inf")] * g.n
+    nu = mmis = 0
+    for v in reversed(order):
+        a = 1 + sum_m[v] + swap[v]  # -inf for a leaf
+        m = sum_best[v]
+        s = 1 + sum_f[v]
+        best = min(s, sum_min[v] + force[v])  # d is inf for a leaf
+        u = parent[v]
+        if u < 0:
+            nu += max(a, m)
+            mmis += best
+            continue
+        sum_m[u] += m
+        sum_best[u] += max(a, m)
+        sum_f[u] += sum_min[v]
+        sum_min[u] += best
+        swap[u] = max(swap[u], sum_m[v] - m)
+        force[u] = min(force[u], s - best)
+    return nu, mmis
+
+
+def tree_induced_matching(g: Graph) -> int:
+    """Induced matching number of a forest; errors on non-forests."""
     if not is_forest(g):
         raise ValueError("tree_induced_matching requires a forest")
-    total = 0
-    for tree in _tree_postorders(g):
-        a = {}
-        n_ = {}
-        p = {}
-        for v, children in tree:
-            sum_n = sum(n_[c] for c in children)
-            best_swap = max((p[c] - n_[c] for c in children), default=NEG)
-            a[v] = 1 + sum_n + best_swap if children else NEG
-            n_[v] = sum(max(a[c], n_[c]) for c in children)
-            p[v] = sum_n
-        root = tree[-1][0]
-        total += int(max(a[root], n_[root]))
-    return total
+    return forest_dp(g)[0]
 
 
 def _find_cycle_vertex(g: Graph, active: int) -> int | None:
@@ -102,7 +120,7 @@ def induced_matching_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> int:
     total = 0
     for comp in connected_components(g).component_subgraphs:
         if comp.edge_count == comp.n - 1:
-            total += tree_induced_matching(comp)
+            total += forest_dp(comp)[0]
         else:
             total += _induced_matching_cyclic(comp, budget)
     return total
@@ -126,7 +144,7 @@ def _induced_matching_cyclic(g: Graph, budget: int) -> int:
             return 0
         v = _find_cycle_vertex(g, live)
         if v is None:
-            return tree_induced_matching(induced_subgraph_mask(g, live))
+            return forest_dp(induced_subgraph_mask(g, live))[0]
         best = solve(live & ~(1 << v))
         for u in bits(g.adj[v] & live):
             rest = live & ~(g.adj[v] | g.adj[u] | (1 << v) | (1 << u))
@@ -282,21 +300,4 @@ def tree_min_maximal_independent_set(g: Graph) -> int:
     """Minimum maximal (= independent dominating) set size on a forest."""
     if not is_forest(g):
         raise ValueError("requires a forest")
-    INF = float("inf")
-    total = 0
-    for tree in _tree_postorders(g):
-        a = {}   # v in the set
-        b = {}   # v out, dominated by a child
-        f = {}   # v out, domination deferred to the parent
-        for v, children in tree:
-            a[v] = 1 + sum(f[c] for c in children)
-            base = sum(min(a[c], b[c]) for c in children)
-            f[v] = base
-            if children:
-                force = min(a[c] - min(a[c], b[c]) for c in children)
-                b[v] = base + force
-            else:
-                b[v] = INF
-        root = tree[-1][0]
-        total += int(min(a[root], b[root]))
-    return total
+    return forest_dp(g)[1]

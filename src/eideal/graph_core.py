@@ -61,7 +61,10 @@ class ComponentPartition:
 
     @cached_property
     def component_subgraphs(self) -> tuple[Graph, ...]:
-        """Induced subgraphs of the components with an edge, in label order."""
+        """Induced subgraphs of the components with an edge, in label order;
+        a component spanning all n > 1 vertices is the graph itself."""
+        if len(self.sizes) == 1 and self.graph.n > 1:
+            return (self.graph,)
         return tuple(induced_subgraph(self.graph, vs)
                      for vs in self.component_vertex_sets if len(vs) > 1)
 
@@ -149,18 +152,21 @@ def component_masks(adj, w: int):
 
 
 def connected_components(g: Graph) -> ComponentPartition:
-    """BFS partition; components numbered by their smallest vertex."""
+    """Partition numbered by smallest vertex.  The BFS touches only the
+    non-isolated vertices; one O(n) pass over the rows adds the singletons."""
+    flags = "".join("1" if row else "0" for row in reversed(g.adj))
+    live = int("0" + flags, 2)
+    starts = {(c & -c).bit_length() - 1: c
+              for c in component_masks(g.adj, live)}
     labels = [-1] * g.n
-    sizes: list[int] = []
-    vertex_sets: list[tuple[int, ...]] = []
-    for comp in component_masks(g.adj, (1 << g.n) - 1):
-        cid = len(sizes)
-        members = tuple(bits(comp))
-        for v in members:
-            labels[v] = cid
-        sizes.append(len(members))
-        vertex_sets.append(members)
-    return ComponentPartition(g, tuple(labels), tuple(sizes),
+    vertex_sets = []
+    for v, row in enumerate(g.adj):
+        if not row or v in starts:
+            members = tuple(bits(starts[v])) if row else (v,)
+            for u in members:
+                labels[u] = len(vertex_sets)
+            vertex_sets.append(members)
+    return ComponentPartition(g, tuple(labels), tuple(map(len, vertex_sets)),
                               tuple(vertex_sets))
 
 

@@ -24,6 +24,34 @@ def naive_independent_sets(g: Graph) -> list[int]:
     return out
 
 
+def union_find_components(g: Graph):
+    """(labels, sizes, vertex sets, induced subgraphs of the components with
+    an edge), components numbered by smallest vertex, by union-find over the
+    edge list."""
+    root = list(range(g.n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for u, v in g.edges():
+        root[find(u)] = find(v)
+    label_of_root: dict[int, int] = {}
+    labels = []
+    for v in range(g.n):
+        labels.append(label_of_root.setdefault(find(v), len(label_of_root)))
+    vertex_sets = [[] for _ in label_of_root]
+    for v, label in enumerate(labels):
+        vertex_sets[label].append(v)
+    vertex_sets = tuple(tuple(vs) for vs in vertex_sets)
+    subgraphs = tuple(induced_subgraph(g, vs) for vs in vertex_sets
+                      if len(vs) > 1)
+    return (tuple(labels), tuple(len(vs) for vs in vertex_sets), vertex_sets,
+            subgraphs)
+
+
 def naive_is_chordal(g: Graph) -> bool:
     """No chordless cycle of length >= 4, by brute-force subset scan."""
     for size in range(4, g.n + 1):

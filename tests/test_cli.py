@@ -230,3 +230,26 @@ def test_unknown_flag_rejected():
                            "--seed", "1", "--wat"],
                           capture_output=True, text=True)
     assert proc.returncode == 2
+
+
+def test_invariants_flags_match_the_scans(tmp_path, capsys):
+    # The flags are read off the Betti table; every graph on at most 6
+    # vertices (up to isomorphism) must agree with the direct subset scans.
+    import networkx as nx
+
+    from eideal.betti import has_linear_presentation, has_linear_resolution
+    from eideal.graph_core import build_graph
+
+    path = tmp_path / "g.txt"
+    atlas = [h for h in nx.graph_atlas_g() if h.number_of_nodes() <= 6]
+    assert len(atlas) == 209
+    seen = set()
+    for h in atlas:
+        g = build_graph(h.number_of_nodes(), h.edges())
+        path.write_text(to_edge_list_text(g))
+        assert run_cli(["invariants", "--in", str(path), "--json"]) == 0
+        betti = json.loads(capsys.readouterr().out)["betti"]
+        assert betti["linear_resolution"] == has_linear_resolution(g)
+        assert betti["linear_presentation"] == has_linear_presentation(g)
+        seen.add((betti["linear_resolution"], betti["linear_presentation"]))
+    assert seen == {(True, True), (False, True), (False, False)}

@@ -2,16 +2,18 @@ import random
 
 import pytest
 
+from eideal.asymptotics import gw_limit_estimate
+from eideal.betti import betti_table, forest_pd, reg_pd_componentwise
 from eideal.comb_invariants import (BudgetExceededError, cover_profile,
-                                    independence_number,
+                                    forest_dp, independence_number,
                                     induced_matching_number, is_forest,
                                     matching_number, tree_induced_matching,
                                     tree_min_maximal_independent_set)
-from eideal.graph_core import (build_graph, complete_graph,
+from eideal.graph_core import (bits, build_graph, complete_graph,
                                connected_components, cycle_graph,
                                disjoint_union, empty_graph, enumerate_graphs,
                                path_graph, star_graph)
-from eideal.random_models import sample_gnp
+from eideal.random_models import sample_gnp, sample_gw_tree
 
 from oracles import (naive_cover_sizes, naive_independence_number,
                      naive_induced_matching_number,
@@ -65,6 +67,112 @@ def test_tree_dp_matches_branch_and_bound_on_forests():
         f = random_forest(n, rng)
         assert is_forest(f)
         assert tree_induced_matching(f) == induced_matching_number(f)
+
+
+def shuffled_forest(n, rng):
+    f = random_forest(n, rng)
+    place = list(range(n))
+    rng.shuffle(place)
+    return build_graph(n, [(place[u], place[v]) for u, v in f.edges()])
+
+
+def test_forest_dp_matches_betti_table():
+    # reg* = induced matching number and pd = n - min maximal independent
+    # set on every forest with at most 6 vertices and random ones up to 12.
+    rng = random.Random(606)
+    forests = [g for n in range(7) for g in enumerate_graphs(n)
+               if is_forest(g)]
+    forests += [shuffled_forest(rng.randint(7, 12), rng) for _ in range(30)]
+    for f in forests:
+        nu, mmis = forest_dp(f)
+        table = betti_table(f)
+        assert nu == table.regularity_quotient()
+        assert f.n - mmis == table.projective_dimension()
+
+
+def _old_postorders(g):
+    seen = 0
+    for root in range(g.n):
+        if seen >> root & 1:
+            continue
+        pairs = []
+        stack = [(root, -1)]
+        while stack:
+            v, par = stack.pop()
+            seen |= 1 << v
+            children = [u for u in bits(g.adj[v]) if u != par]
+            pairs.append((v, children))
+            stack.extend((u, v) for u in children)
+        pairs.reverse()
+        yield pairs
+
+
+def _old_induced_matching(g):
+    total = 0
+    for tree in _old_postorders(g):
+        a, n_, p = {}, {}, {}
+        for v, children in tree:
+            sum_n = sum(n_[c] for c in children)
+            best_swap = max((p[c] - n_[c] for c in children),
+                            default=float("-inf"))
+            a[v] = 1 + sum_n + best_swap if children else float("-inf")
+            n_[v] = sum(max(a[c], n_[c]) for c in children)
+            p[v] = sum_n
+        root = tree[-1][0]
+        total += int(max(a[root], n_[root]))
+    return total
+
+
+def _old_min_maximal_independent_set(g):
+    total = 0
+    for tree in _old_postorders(g):
+        a, b, f = {}, {}, {}
+        for v, children in tree:
+            a[v] = 1 + sum(f[c] for c in children)
+            f[v] = sum(min(a[c], b[c]) for c in children)
+            b[v] = (f[v] + min(a[c] - min(a[c], b[c]) for c in children)
+                    if children else float("inf"))
+        root = tree[-1][0]
+        total += int(min(a[root], b[root]))
+    return total
+
+
+def test_forest_dp_matches_separate_dps():
+    rng = random.Random(2000)
+    graphs = [sample_gw_tree(lam, 2000, seed).tree
+              for lam in (0.5, 1.0) for seed in range(40)]
+    graphs += [shuffled_forest(n, rng) for n in (1, 2, 3, 50, 400, 2000)
+               for _ in range(2)]
+    assert max(g.n for g in graphs) == 2000
+    for g in graphs:
+        assert forest_dp(g) == (_old_induced_matching(g),
+                                _old_min_maximal_independent_set(g))
+
+
+def test_forest_wrappers_reject_cycles():
+    for wrapper in (tree_induced_matching, tree_min_maximal_independent_set,
+                    forest_pd):
+        with pytest.raises(ValueError):
+            wrapper(cycle_graph(4))
+
+
+def test_tree_callers_skip_the_forest_check(monkeypatch):
+    import eideal.comb_invariants as comb_invariants
+
+    checks = []
+    is_forest_before = comb_invariants.is_forest
+
+    def counted(g):
+        checks.append(g)
+        return is_forest_before(g)
+
+    monkeypatch.setattr(comb_invariants, "is_forest", counted)
+    g = disjoint_union(sample_gnp(300, 1.0 / 300, 5), cycle_graph(5))
+    reg, pd = reg_pd_componentwise(g)
+    assert reg.value > 0 and pd.value > 0
+    gw_limit_estimate(0.8, 50, 500, 3)
+    induced_matching_number(g)
+    assert checks == []
 
 
 def test_matching_number_cases():

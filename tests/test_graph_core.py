@@ -9,6 +9,8 @@ from eideal.graph_core import (build_graph, complement, complete_graph,
                                from_edge_list_text, from_hex_dump,
                                induced_subgraph, max_degree, path_graph,
                                star_graph, to_edge_list_text, to_hex_dump)
+from eideal.random_models import sample_gnp
+from oracles import union_find_components
 
 
 def random_graph_strategy(max_n=9):
@@ -101,6 +103,44 @@ def test_component_labels_by_smallest_vertex():
     assert parts.labels[0] == 0 and parts.labels[4] == 0
     assert parts.labels[1] == 1 and parts.labels[3] == 1
     assert parts.labels[2] == 2
+
+
+def _assert_matches_union_find(g):
+    parts = connected_components(g)
+    labels, sizes, vertex_sets, subgraphs = union_find_components(g)
+    assert parts.labels == labels
+    assert parts.sizes == sizes
+    assert parts.component_vertex_sets == vertex_sets
+    assert parts.component_subgraphs == subgraphs
+
+
+def test_components_match_union_find_exhaustive_padded():
+    # Every graph on at most 6 vertices: as is, with an isolated vertex
+    # before and one after, and with one between each two consecutive ones.
+    for n in range(7):
+        paddings = (list(range(n)), [v + 1 for v in range(n)],
+                    [2 * v for v in range(n)])
+        sizes = (n, n + 2, max(0, 2 * n - 1))
+        for g in enumerate_graphs(n):
+            for place, size in zip(paddings, sizes):
+                moved = [(place[u], place[v]) for u, v in g.edges()]
+                _assert_matches_union_find(build_graph(size, moved))
+
+
+def test_components_match_union_find_sparse_gnp():
+    for n in (1, 2, 17, 300, 2000):
+        for lam in (0.5, 1.0, 4.0):
+            for seed in range(3):
+                _assert_matches_union_find(sample_gnp(n, min(1.0, lam / n),
+                                                      seed))
+    _assert_matches_union_find(empty_graph(10 ** 4))
+
+
+def test_spanning_component_is_the_graph_itself():
+    g = cycle_graph(6)
+    assert connected_components(g).component_subgraphs[0] is g
+    h = disjoint_union(path_graph(3), empty_graph(1))
+    assert connected_components(h).component_subgraphs == (path_graph(3),)
 
 
 def test_max_degree():
