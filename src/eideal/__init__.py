@@ -22,9 +22,9 @@ from .comb_invariants import (BudgetExceededError, CoverProfile,
 from .betti import (BettiTable, InvariantBundle, SimplicialComplex,
                     SizeGuardExceeded, betti_table, forest_pd,
                     has_linear_presentation, has_linear_resolution,
-                    independence_complex, invariants, pd_componentwise,
-                    reduced_homology_dims, reg_pd_componentwise,
-                    regularity_componentwise)
+                    independence_complex, invariants, linear_flags,
+                    pd_componentwise, reduced_homology_dims,
+                    reg_pd_componentwise, regularity_componentwise)
 from .asymptotics import (TheoryValue, expected_chordless_cycles,
                           expected_local_cycles, gw_limit_estimate,
                           karp_sipser_upper, mcdiarmid_tail,

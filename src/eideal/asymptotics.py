@@ -164,8 +164,9 @@ def gw_limit_estimate(lam: float, trials: int, cap: int,
 
     Each tree is sampled once; one forest DP gives its induced matching
     number nu and its smallest maximal independent set i, so pd = |T| - i
-    and depth = i, and the per-tree values are nu/|T|, pd/|T| and i/|T|.  Trees that hit `cap` are censored: excluded from every
-    estimate and counted in its censor_fraction.
+    and depth = i, and the per-tree values are nu/|T|, pd/|T| and i/|T|.
+    Trees that hit `cap` are censored: excluded from every estimate and
+    counted in its censor_fraction.
     """
     if lam > 1:
         raise ValueError("the tree limit is only meaningful for lam <= 1")

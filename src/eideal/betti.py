@@ -357,6 +357,10 @@ class BettiTable:
     def projective_dimension(self) -> int:
         return max((i for (i, j) in self.entries), default=0)
 
+    def linear_flags(self) -> tuple[bool, bool]:
+        """(linear resolution, linear presentation); see linearity."""
+        return linearity(self.entries.items())
+
     def to_json(self) -> str:
         rows = [[i, j, r] for (i, j), r in sorted(self.entries.items())]
         return json.dumps({"n": self.ambient_n, "field": self.field,
@@ -369,26 +373,63 @@ class BettiTable:
         return cls(int(obj["n"]), obj["field"], entries)
 
 
-def betti_table(g: Graph, field: str = "q",
-                max_vertices: int = DEFAULT_BETTI_GUARD) -> BettiTable:
-    """Exact table via the subset-sum over induced independence complexes:
-    beta_{i,j}(S/I) = sum over |W|=j of dim H~_{j-i-1}(Ind(G[W]))."""
+def subset_positions(engine: HomologyEngine, subsets):
+    """((i, j), rank) that each vertex subset W in `subsets` adds to the
+    table: by beta_{i,j}(S/I) = sum over |W|=j of dim H~_{j-i-1}(Ind(G[W])),
+    homology in degree d lands at i = j - d - 1, and a nonempty W has
+    0 <= d <= j - 2, so i >= 1."""
+    for w in subsets:
+        dims = engine.dims(w)
+        if dims:
+            j = w.bit_count()
+            for d, rank in dims.items():
+                yield (j - d - 1, j), rank
+
+
+def _subset_scan(g: Graph, field: str, max_vertices: int):
+    """subset_positions over every nonempty vertex subset, from one
+    HomologyEngine; the size guard is checked before the walk starts."""
     if g.n > max_vertices:
         raise SizeGuardExceeded(
-            f"betti_table guard: {g.n} vertices > {max_vertices}")
-    engine = HomologyEngine(g, field)
+            f"Betti scan guard: {g.n} vertices > {max_vertices}")
+    return subset_positions(HomologyEngine(g, field), range(1, 1 << g.n))
+
+
+def linearity(positions) -> tuple[bool, bool]:
+    """(linear resolution, linear presentation) from ((i, j), rank) pairs
+    of nonzero beta_{i,j}(S/I).
+
+    The one linearity rule: a nonzero beta_{i,j} with j - i >= 2 breaks
+    linear resolution (reg(I) > 2), and one with i = 2 and j >= 4 breaks
+    linear presentation (a first syzygy of degree above 3).  The second
+    implies the first, so the walk stops there."""
+    lr = True
+    for (i, j), _ in positions:
+        if i == 2 and j >= 4:
+            return False, False
+        if j - i >= 2:
+            lr = False
+    return lr, True
+
+
+def betti_table(g: Graph, field: str = "q",
+                max_vertices: int = DEFAULT_BETTI_GUARD) -> BettiTable:
+    """Exact table: the sum of the subset scan's contributions."""
     entries: dict[tuple[int, int], int] = {}
-    for w in range(1, 1 << g.n):
-        dims = engine.dims(w)
-        if not dims:
-            continue
-        j = w.bit_count()
-        for d, rank in dims.items():
-            i = j - d - 1
-            if i >= 1:
-                key = (i, j)
-                entries[key] = entries.get(key, 0) + rank
+    for key, rank in _subset_scan(g, field, max_vertices):
+        entries[key] = entries.get(key, 0) + rank
     return BettiTable(g.n, field, entries)
+
+
+def linear_flags(g: Graph, field: str = "q",
+                 max_vertices: int = DEFAULT_BETTI_GUARD) -> tuple[bool, bool]:
+    """(linear resolution, linear presentation) of S/I(G) from one subset
+    scan that stops at the first break of linear presentation; both hold
+    vacuously for edgeless graphs."""
+    positions = _subset_scan(g, field, max_vertices)
+    if g.edge_count == 0:
+        return True, True
+    return linearity(positions)
 
 
 @dataclass(frozen=True)
@@ -416,37 +457,14 @@ def invariants(g: Graph, field: str = "q",
 
 def has_linear_resolution(g: Graph, field: str = "q",
                           max_vertices: int = DEFAULT_BETTI_GUARD) -> bool:
-    """reg(I) = 2, i.e. no induced subgraph contributes homology in degree
-    >= 1; vacuously true for edgeless graphs."""
-    if g.n > max_vertices:
-        raise SizeGuardExceeded(
-            f"linear resolution guard: {g.n} vertices > {max_vertices}")
-    if g.edge_count == 0:
-        return True
-    engine = HomologyEngine(g, field)
-    for w in range(1, 1 << g.n):
-        dims = engine.dims(w)
-        if any(d >= 1 and r for d, r in dims.items()):
-            return False
-    return True
+    """reg(I) = 2; see linear_flags."""
+    return linear_flags(g, field, max_vertices)[0]
 
 
 def has_linear_presentation(g: Graph, field: str = "q",
                             max_vertices: int = DEFAULT_BETTI_GUARD) -> bool:
-    """beta_{2,j}(S/I) = 0 for j >= 4: no j-subset carries H~_{j-3}."""
-    if g.n > max_vertices:
-        raise SizeGuardExceeded(
-            f"linear presentation guard: {g.n} vertices > {max_vertices}")
-    if g.edge_count == 0:
-        return True
-    engine = HomologyEngine(g, field)
-    for w in range(1, 1 << g.n):
-        j = w.bit_count()
-        if j < 4:
-            continue
-        if engine.dims(w).get(j - 3, 0):
-            return False
-    return True
+    """beta_{2,j}(S/I) = 0 for j >= 4; see linear_flags."""
+    return linear_flags(g, field, max_vertices)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,13 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .asymptotics import (expected_chordless_cycles, expected_local_cycles,
-                          karp_sipser_root, karp_sipser_upper, mcdiarmid_tail,
+from .asymptotics import (TheoryValue, expected_chordless_cycles,
+                          expected_local_cycles, karp_sipser_root,
+                          karp_sipser_upper, mcdiarmid_tail,
                           near_lipschitz_tail, prob_lp_dense_window,
                           prob_lr_dense_window, prob_lr_sparse_window)
 from .battery import DEFAULT_SEED, run_battery
-from .betti import (DEFAULT_BETTI_GUARD, betti_table,
-                    has_linear_presentation, has_linear_resolution,
+from .betti import (DEFAULT_BETTI_GUARD, betti_table, linear_flags,
                     parse_field)
 from .chordality import (has_induced_c4, is_4_cochordal, is_chordal,
                          is_cochordal, is_locally_4_cochordal,
@@ -65,20 +65,18 @@ def cmd_sample(args) -> int:
     _echo_config({"command": "sample", "model": args.model, "n": args.n,
                   "p": args.p, "lambda": getattr(args, "lam", None),
                   "seed": seed, "out": args.out})
-    if args.model == "gnp":
-        if args.n is None or args.p is None:
-            return _fail("gnp sampling needs --n and --p")
-        if not 0.0 <= args.p <= 1.0:
-            return _fail(f"--p must be in [0,1], got {args.p}")
-        g = sample_gnp(args.n, args.p, seed)
-        censored = False
-    else:
-        if args.lam is None:
-            return _fail("gw sampling needs --lambda")
-        if args.lam < 0:
-            return _fail("--lambda must be >= 0")
-        s = sample_gw_tree(args.lam, args.cap, seed)
-        g, censored = s.tree, s.censored
+    try:
+        if args.model == "gnp":
+            if args.n is None or args.p is None:
+                return _fail("gnp sampling needs --n and --p")
+            g = sample_gnp(args.n, args.p, seed)
+        else:
+            if args.lam is None:
+                return _fail("gw sampling needs --lambda")
+            s = sample_gw_tree(args.lam, args.cap, seed)
+            g = s.tree
+    except ValueError as exc:  # the samplers reject out-of-range parameters
+        return _fail(str(exc))
     text = to_edge_list_text(g)
     if args.out:
         Path(args.out).write_text(text)
@@ -88,7 +86,7 @@ def cmd_sample(args) -> int:
     summary = {"n": g.n, "m": g.edge_count, "components": len(parts),
                "max_degree": max_degree(g), "seed": seed}
     if args.model == "gw":
-        summary["censored"] = censored
+        summary["censored"] = s.censored
     if args.json:
         print(json.dumps(summary, sort_keys=True))
     else:
@@ -98,8 +96,7 @@ def cmd_sample(args) -> int:
 
 
 def _load_graph(path: str):
-    text = Path(path).read_text()
-    return from_edge_list_text(text)
+    return from_edge_list_text(Path(path).read_text())
 
 
 def cmd_invariants(args) -> int:
@@ -125,16 +122,14 @@ def cmd_invariants(args) -> int:
         out["combinatorial_censored"] = str(exc)
     if g.n <= DEFAULT_BETTI_GUARD:
         table = betti_table(g, args.field)
-        reg_q = table.regularity_quotient()
         pd_q = table.projective_dimension()
+        lr, lp = table.linear_flags()
         out["betti"] = {"censored": False,
                         "entries": [[i, j, r] for (i, j), r in
                                     sorted(table.entries.items())],
-                        "regularity_ideal": reg_q + 1,
+                        "regularity_ideal": table.regularity_quotient() + 1,
                         "pd": pd_q, "depth": g.n - pd_q,
-                        "linear_resolution": reg_q <= 1,
-                        "linear_presentation": not any(
-                            table.beta(2, j) for j in range(4, g.n + 1))}
+                        "linear_resolution": lr, "linear_presentation": lp}
     else:
         out["betti"] = {"censored": True,
                         "reason": f"{g.n} vertices exceed the direct-table "
@@ -183,8 +178,8 @@ def cmd_predicates(args) -> int:
            "locally_cochordal": is_locally_cochordal(g),
            "locally_four_cochordal": is_locally_4_cochordal(g)}
     if g.n <= DEFAULT_BETTI_GUARD:
-        out["linear_resolution"] = has_linear_resolution(g)
-        out["linear_presentation"] = has_linear_presentation(g)
+        out["linear_resolution"], out["linear_presentation"] = \
+            linear_flags(g)
     if args.json:
         print(json.dumps(out, sort_keys=True, indent=2))
     else:
@@ -259,44 +254,39 @@ def cmd_theory(args) -> int:
 
     try:
         if args.formula == "lr_sparse":
-            tv = prob_lr_sparse_window(need("lambda", args.lam))
+            value = prob_lr_sparse_window(need("lambda", args.lam))
         elif args.formula == "lp_dense":
-            tv = prob_lp_dense_window(need("lambda", args.lam))
+            value = prob_lp_dense_window(need("lambda", args.lam))
         elif args.formula == "lr_dense":
-            tv = prob_lr_dense_window(need("lambda", args.lam), args.tol)
+            value = prob_lr_dense_window(need("lambda", args.lam), args.tol)
         elif args.formula == "karp_sipser":
             lam = need("lambda", args.lam)
-            tv = karp_sipser_upper(lam)
+            value = karp_sipser_upper(lam)
             print(f"t_star = {karp_sipser_root(lam):.12f}")
         elif args.formula == "expected_cycles":
             value = expected_chordless_cycles(need("m", args.m),
                                               need("q", args.q),
                                               need("k", args.k))
-            print(f"value = {value:.12g}")
-            return EXIT_OK
         elif args.formula == "local_cycles":
             value = expected_local_cycles(need("n", args.n),
                                           need("p", args.p),
                                           need("k", args.k))
-            print(f"value = {value:.12g}")
-            return EXIT_OK
         elif args.formula == "mcdiarmid":
             value = mcdiarmid_tail(need("n", args.n), need("lip", args.lip),
                                    need("t", args.t))
-            print(f"value = {value:.12g}")
-            return EXIT_OK
         else:
             value = near_lipschitz_tail(need("n", args.n),
                                         need("lambda", args.lam),
                                         need("lip", args.lip),
                                         need("t", args.t))
-            print(f"value = {value:.12g}")
-            return EXIT_OK
     except (ConfigError, ValueError) as exc:
         return _fail(str(exc))
-    print(f"value = {tv.value:.12f}")
-    if tv.truncation_error:
-        print(f"truncation_error <= {tv.truncation_error:.3g}")
+    if not isinstance(value, TheoryValue):
+        print(f"value = {value:.12g}")
+        return EXIT_OK
+    print(f"value = {value.value:.12f}")
+    if value.truncation_error:
+        print(f"truncation_error <= {value.truncation_error:.3g}")
     return EXIT_OK
 
 

@@ -4,12 +4,14 @@ labeled graph with few vertices.
 Both sides are decided from induced subgraphs.  For each k-subset of the
 vertices (k = 4, 5, 6, below n) the induced edge mask is gathered bitwise
 for all graphs at once and looked up in flag tables indexed by labeled
-k-vertex graphs.  Two tables come from the homology engine (homology in
-degree >= 1, and in degree k-3); graphs still undecided after the proper
-subsets get a direct top-set homology call.  The third table, built by
-``count_chordless_cycles`` on each complement, marks graphs whose complement
-is a chordless k-cycle: the complement of a graph is chordal iff no subset
-carries that flag, and free of induced C4s iff no 4-subset does.  The top
+k-vertex graphs.  Two tables mark top sets whose homology breaks linear
+resolution or linear presentation, by ``betti.linearity`` applied to the
+Betti positions the top set contributes; graphs still undecided after the
+proper subsets get the same reading of a direct top-set homology call.
+The third table, built by ``count_chordless_cycles`` on each complement,
+marks graphs whose complement is a chordless k-cycle: the complement of a
+graph is chordal iff no subset carries that flag, and free of induced C4s
+iff no 4-subset does.  The top
 set is tested by membership in the labeled complement-C_n masks.  The real
 ``is_chordal``/``has_induced_c4`` still run on every mask divisible by
 ``CROSS_CHECK_STRIDE``, and any disagreement with either side is a mismatch;
@@ -25,8 +27,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .betti import (HomologyEngine, has_linear_presentation,
-                    has_linear_resolution)
+from .betti import HomologyEngine, linear_flags, linearity, subset_positions
 from .chordality import count_chordless_cycles, has_induced_c4, is_chordal
 from .experiments import _chunk_ranges, run_chunked
 from .graph_core import (complement, graph_from_edge_mask, pair_index,
@@ -47,26 +48,31 @@ CROSS_CHECK_STRIDE = 29
 
 
 def flag_tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(haspos, lp_flag, cycle) over all labeled k-vertex graphs by edge mask:
-    haspos marks homology in degree >= 1, lp_flag homology in degree k-3,
-    cycle a complement that is a chordless k-cycle."""
+    """(lr_break, lp_break, cycle) over all labeled k-vertex graphs by edge
+    mask: lr_break and lp_break mark a top set whose homology breaks linear
+    resolution and linear presentation, cycle a complement that is a
+    chordless k-cycle."""
     cached = _tables.get(k)
     if cached is not None:
         return cached
     pairs = pair_list(k)
     size = 1 << len(pairs)
-    haspos = np.zeros(size, dtype=bool)
-    lpflag = np.zeros(size, dtype=bool)
-    cycle = np.zeros(size, dtype=bool)
-    full = (1 << k) - 1
+    lr_break, lp_break, cycle = np.zeros((3, size), dtype=bool)
     for mask in range(size):
         g = graph_from_edge_mask(k, mask, pairs)
-        dims = HomologyEngine(g, _AUDIT_FIELD).dims(full)
-        haspos[mask] = any(d >= 1 and r for d, r in dims.items())
-        lpflag[mask] = bool(dims.get(k - 3, 0))
+        lr, lp = _top_set_flags(g)
+        lr_break[mask] = not lr
+        lp_break[mask] = not lp
         cycle[mask] = count_chordless_cycles(complement(g), k).by_length[k] > 0
-    _tables[k] = (haspos, lpflag, cycle)
+    _tables[k] = (lr_break, lp_break, cycle)
     return _tables[k]
+
+
+def _top_set_flags(g) -> tuple[bool, bool]:
+    """(linear resolution, linear presentation) as far as the Betti
+    positions contributed by g's full vertex set alone decide them."""
+    engine = HomologyEngine(g, _AUDIT_FIELD)
+    return linearity(subset_positions(engine, ((1 << g.n) - 1,)))
 
 
 def _complement_cycle_masks(n: int) -> np.ndarray:
@@ -86,33 +92,26 @@ def _complement_cycle_masks(n: int) -> np.ndarray:
 
 
 def _gather_positions(n: int, subset: tuple[int, ...]) -> list[tuple[int, int]]:
-    k = len(subset)
-    out = []
-    for a in range(k):
-        for b in range(a + 1, k):
-            out.append((pair_index(n, subset[a], subset[b]),
-                        pair_index(k, a, b)))
-    return out
+    return [(pair_index(n, subset[a], subset[b]), pair_index(len(subset), a, b))
+            for a, b in combinations(range(len(subset)), 2)]
 
 
 def _subset_flags(n: int, masks: np.ndarray) -> tuple[np.ndarray, ...]:
     """Per-graph flags from proper subsets of size 4..min(6, n-1): some subset
     breaks linear resolution / linear presentation, or has a complement that
     is a chordless cycle / a chordless 4-cycle."""
-    lr_viol = np.zeros(len(masks), dtype=bool)
-    lp_viol = np.zeros(len(masks), dtype=bool)
-    chordless = np.zeros(len(masks), dtype=bool)
-    chordless4 = np.zeros(len(masks), dtype=bool)
+    lr_viol, lp_viol, chordless, chordless4 = np.zeros((4, len(masks)),
+                                                       dtype=bool)
     for k in _TABLE_SIZES:
         if k >= n:
             continue
-        haspos, lpflag, cycle = flag_tables(k)
+        lr_break, lp_break, cycle = flag_tables(k)
         for subset in combinations(range(n), k):
             ind = np.zeros(len(masks), dtype=np.uint32)
             for src, dst in _gather_positions(n, subset):
                 ind |= ((masks >> np.uint32(src)) & np.uint32(1)) << np.uint32(dst)
-            lr_viol |= haspos[ind]
-            lp_viol |= lpflag[ind]
+            lr_viol |= lr_break[ind]
+            lp_viol |= lp_break[ind]
             hits = cycle[ind]
             chordless |= hits
             if k == 4:
@@ -146,13 +145,11 @@ def _audit_chunk(task):
     gap_free = ~(chordless4 | top) if n == 4 else ~chordless4
     lr = ~lr_viol
     lp = ~lp_viol
-    full_vertices = (1 << n) - 1
     for i in np.flatnonzero(lr | lp):
-        g = graph_from_edge_mask(n, lo + int(i), pairs)
-        dims = HomologyEngine(g, _AUDIT_FIELD).dims(full_vertices)
-        lr[i] &= not any(d >= 1 and r for d, r in dims.items())
-        # Degree n - 3 is a nonlinear first syzygy only from 4 vertices on.
-        lp[i] &= n < 4 or not dims.get(n - 3, 0)
+        top_lr, top_lp = _top_set_flags(graph_from_edge_mask(n, lo + int(i),
+                                                             pairs))
+        lr[i] &= top_lr
+        lp[i] &= top_lp
     sampled = masks % np.uint32(CROSS_CHECK_STRIDE) == 0
     mismatches = []
     for i in np.flatnonzero((lr != cochordal) | (lp != gap_free) | sampled):
@@ -181,27 +178,23 @@ def exhaustive_flag_audit(n: int, workers: int = 1):
     total = 1 << (n * (n - 1) // 2)
     tasks = [(n, lo, hi) for lo, hi in _chunk_ranges(total, workers * 4)]
     results = run_chunked(_audit_chunk, tasks, workers)
-    checked = sum(r[0] for r in results)
-    mismatches = [m for r in results for m in r[1]]
-    return checked, mismatches
+    return sum(r[0] for r in results), [m for r in results for m in r[1]]
 
 
 def random_flag_audit(n: int, count: int, seed: int):
-    """Randomized spot audit at sizes beyond the exhaustive sweep, driven by
-    the public (rational-coefficient) predicates."""
+    """Randomized spot audit at sizes beyond the exhaustive sweep: one
+    rational-coefficient ``linear_flags`` scan per graph decides both
+    homological flags."""
     if n > MAX_RANDOM_AUDIT_N:
         raise ValueError(f"random_flag_audit draws a 64-bit edge mask, so n "
                          f"must be <= {MAX_RANDOM_AUDIT_N}, got {n}")
     rng = rng_for(seed, "random_flag_audit", n)
     pairs = pair_list(n)
-    nbits = len(pairs)
     mismatches = []
     for _ in range(count):
-        mask = int(rng.integers(0, 1 << nbits, dtype=np.uint64))
+        mask = int(rng.integers(0, 1 << len(pairs), dtype=np.uint64))
         g = graph_from_edge_mask(n, mask, pairs)
-        lr = has_linear_resolution(g)
-        lp = has_linear_presentation(g)
-        flags = _disagreement(g, lr, lp)
+        flags = _disagreement(g, *linear_flags(g))
         if flags:
             mismatches.append((mask, flags))
     return mismatches

@@ -31,6 +31,9 @@ from .random_models import (ParamSchedule, rng_for, sample_gnp, schedule_p,
 EXPERIMENT_KINDS = ("threshold", "gw_limit", "unmixed_scan",
                     "cycle_calibration", "lipschitz_audit", "variance_audit",
                     "froberg_audit")
+# Kinds that sample graphs along a schedule at each n of n_list.
+SAMPLED_KINDS = ("threshold", "gw_limit", "unmixed_scan", "cycle_calibration",
+                 "variance_audit")
 
 PREDICATES = {
     "is_cochordal": is_cochordal,
@@ -128,8 +131,10 @@ class ExperimentConfig:
             preds = obj["predicates"]
             if isinstance(preds, str):
                 preds = [preds]
+            if not isinstance(preds, list):
+                raise ConfigError("predicates: expected a name or a list")
             for p in preds:
-                if p not in PREDICATES:
+                if not isinstance(p, str) or p not in PREDICATES:
                     raise ConfigError(
                         f"predicates: unknown {p!r}, expected "
                         f"{sorted(PREDICATES)}")
@@ -156,13 +161,9 @@ class ExperimentConfig:
         return cfg
 
     def validate(self):
-        needs_schedule = self.kind in ("threshold", "gw_limit", "unmixed_scan",
-                                       "cycle_calibration", "variance_audit")
-        if needs_schedule and self.schedule is None:
+        if self.kind in SAMPLED_KINDS and self.schedule is None:
             raise ConfigError(f"schedule: required for kind {self.kind!r}")
-        needs_n = self.kind in ("threshold", "gw_limit", "unmixed_scan",
-                                "cycle_calibration", "variance_audit")
-        if needs_n and not self.n_list:
+        if self.kind in SAMPLED_KINDS and not self.n_list:
             raise ConfigError(f"n_list: required for kind {self.kind!r}")
         if self.kind == "threshold" and not self.predicates:
             raise ConfigError("predicates: required for kind 'threshold'")
@@ -336,11 +337,8 @@ def _threshold_theory(schedule: ParamSchedule, predicate: str) -> float | None:
         return prob_lp_dense_window(schedule.lam).value
     if schedule.kind == "window_dense" and predicate == "is_cochordal":
         return prob_lr_dense_window(schedule.lam).value
-    if schedule.kind == "constant":
-        if schedule.p == 0.0:
-            return 1.0
-        if schedule.p == 1.0:
-            return 1.0
+    if schedule.kind == "constant" and schedule.p in (0.0, 1.0):
+        return 1.0
     return None
 
 

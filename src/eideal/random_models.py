@@ -16,8 +16,11 @@ import numpy as np
 
 from .graph_core import Graph
 
-SCHEDULE_KINDS = ("sparse", "power", "complement_power", "window_sparse",
-                  "window_dense", "constant")
+# JSON parameter names of each schedule kind; "lambda" is stored as `lam`.
+SCHEDULE_PARAMS = {"sparse": ("lambda",), "power": ("c", "alpha"),
+                   "complement_power": ("c", "alpha"),
+                   "window_sparse": ("lambda",), "window_dense": ("lambda",),
+                   "constant": ("p",)}
 
 
 @dataclass(frozen=True)
@@ -64,33 +67,27 @@ class ParamSchedule:
         return cls("constant", p=p)
 
     def to_json(self) -> dict:
-        obj: dict = {"kind": self.kind}
-        if self.kind in ("sparse", "window_sparse", "window_dense"):
-            obj["lambda"] = self.lam
-        elif self.kind in ("power", "complement_power"):
-            obj["c"] = self.c
-            obj["alpha"] = self.alpha
-        elif self.kind == "constant":
-            obj["p"] = self.p
-        return obj
+        return {"kind": self.kind,
+                **{name: getattr(self, "lam" if name == "lambda" else name)
+                   for name in SCHEDULE_PARAMS.get(self.kind, ())}}
 
     @classmethod
     def from_json(cls, obj: dict) -> "ParamSchedule":
+        if not isinstance(obj, dict):
+            raise ValueError(f"expected an object with a 'kind', got {obj!r}")
         kind = obj.get("kind")
-        if kind not in SCHEDULE_KINDS:
+        if kind not in SCHEDULE_PARAMS:
             raise ValueError(f"unknown schedule kind {kind!r}; "
-                             f"expected one of {SCHEDULE_KINDS}")
-        if kind in ("sparse", "window_sparse", "window_dense"):
-            if "lambda" not in obj:
-                raise ValueError(f"schedule kind {kind!r} needs 'lambda'")
-            return cls(kind, lam=float(obj["lambda"]))
-        if kind in ("power", "complement_power"):
-            if "c" not in obj or "alpha" not in obj:
-                raise ValueError(f"schedule kind {kind!r} needs 'c' and 'alpha'")
-            return cls(kind, c=float(obj["c"]), alpha=float(obj["alpha"]))
-        if "p" not in obj:
-            raise ValueError("schedule kind 'constant' needs 'p'")
-        return cls(kind, p=float(obj["p"]))
+                             f"expected one of {tuple(SCHEDULE_PARAMS)}")
+        params = {}
+        for name in SCHEDULE_PARAMS[kind]:
+            x = obj.get(name)
+            if (isinstance(x, bool) or not isinstance(x, (int, float))
+                    or not math.isfinite(x)):
+                raise ValueError(f"schedule kind {kind!r} needs a finite "
+                                 f"number {name!r}, got {x!r}")
+            params["lam" if name == "lambda" else name] = float(x)
+        return cls(kind, **params)
 
     def describe(self) -> str:
         return " ".join(f"{k}={v}" for k, v in self.to_json().items())
@@ -167,6 +164,8 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
     same draw, so the stream and every sampled graph are unchanged by the
     choice.
     """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0,1], got {p}")
     rng = rng_for(seed)

@@ -5,7 +5,8 @@ import pytest
 from eideal.betti import (BettiTable, HomologyEngine, SizeGuardExceeded,
                           betti_table, forest_pd, has_linear_presentation,
                           has_linear_resolution, independence_complex,
-                          invariants, parse_field, pd_componentwise,
+                          invariants, linear_flags, parse_field,
+                          pd_componentwise,
                           reduced_homology_dims, reg_pd_componentwise,
                           regularity_componentwise, SimplicialComplex)
 from eideal.chordality import is_4_cochordal, is_cochordal
@@ -184,6 +185,36 @@ def test_lr_lp_match_table_definition():
         lp_expected = all(j < 4 for (i, j) in table.entries if i == 2)
         assert has_linear_resolution(g) == lr_expected
         assert has_linear_presentation(g) == lp_expected
+
+
+def _flags_by_definition(entries):
+    """Linear resolution: beta_{i,j}(S/I) = 0 off the strand j = i + 1.
+    Linear presentation: beta_{2,j}(S/I) = 0 for j != 3."""
+    return (all(j == i + 1 for (i, j) in entries),
+            all(j == 3 for (i, j) in entries if i == 2))
+
+
+def test_linear_flags_match_table_reader_exhaustive_n5():
+    seen = set()
+    for field in ("q", "f2"):
+        for g in enumerate_graphs(5):
+            table = betti_table(g, field)
+            flags = linear_flags(g, field)
+            assert flags == table.linear_flags(), (tuple(g.adj), field)
+            assert flags == _flags_by_definition(table.entries)
+            seen.add(flags)
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
+def test_linear_flags_vs_naive_table_atlas_n6():
+    import networkx as nx
+
+    atlas = [h for h in nx.graph_atlas_g() if h.number_of_nodes() <= 6]
+    assert len(atlas) == 209
+    for h in atlas:
+        g = build_graph(h.number_of_nodes(), h.edges())
+        assert linear_flags(g) == _flags_by_definition(
+            naive_betti_table(g, "q")), sorted(h.edges())
 
 
 def test_froberg_equivalences_random_n7():

@@ -54,6 +54,12 @@ def test_sample_bad_params(capsys):
     assert run_cli(["sample", "--model", "gnp", "--n", "5", "--p", "1.5",
                     "--seed", "1"]) == 2
     assert run_cli(["sample", "--model", "gnp", "--seed", "1"]) == 2
+    assert run_cli(["sample", "--model", "gnp", "--n", "-3", "--p", "0.5",
+                    "--seed", "1"]) == 2
+    assert "n must be >= 0" in capsys.readouterr().err
+    assert run_cli(["sample", "--model", "gw", "--lambda", "0.5", "--cap",
+                    "0", "--seed", "1"]) == 2
+    assert "cap must be >= 1" in capsys.readouterr().err
 
 
 def test_invariants_c5_json_golden(c5_file, capsys):
@@ -117,6 +123,21 @@ def test_predicates_c5(c5_file, capsys):
     assert payload["four_cochordal_gap_free"] is True
     assert payload["linear_resolution"] is False
     assert payload["linear_presentation"] is True
+
+
+def test_predicates_build_one_engine(c5_file, capsys, monkeypatch):
+    from eideal import betti
+
+    built = []
+
+    class CountingEngine(betti.HomologyEngine):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(betti, "HomologyEngine", CountingEngine)
+    assert run_cli(["predicates", "--in", c5_file, "--json"]) == 0
+    assert len(built) == 1
 
 
 def test_theory_values(capsys):

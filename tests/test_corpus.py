@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 
-from eideal import corpus
+from eideal import betti, corpus
 from eideal.corpus import (CROSS_CHECK_STRIDE, _complement_cycle_masks,
-                           exhaustive_flag_audit, flag_tables)
+                           exhaustive_flag_audit, flag_tables,
+                           random_flag_audit)
 from eideal.graph_core import (build_graph, complement, edge_mask,
                                enumerate_graphs)
 
@@ -19,6 +20,19 @@ def test_exhaustive_audit_up_to_n6():
     serial = exhaustive_flag_audit(6)
     assert serial == (32768, [])
     assert exhaustive_flag_audit(6, workers=2) == serial
+
+
+def test_random_audit_builds_one_engine_per_graph(monkeypatch):
+    built = []
+
+    class CountingEngine(betti.HomologyEngine):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(betti, "HomologyEngine", CountingEngine)
+    assert random_flag_audit(8, 25, seed=5) == []
+    assert len(built) == 25
 
 
 def test_cycle_tables_vs_oracle():

@@ -73,6 +73,19 @@ def test_config_round_trip_and_validation():
                                         "n_list": [50], "trials": 1,
                                         "schedule": {"kind": "sparse",
                                                      "lambda": 0.5}})
+    # A schedule that is not an object, or a parameter that is not a finite
+    # number, is a config error, not a crash.
+    for schedule in ("sparse", {"kind": "sparse", "lambda": None},
+                     {"kind": "power", "c": "1", "alpha": 0.5},
+                     {"kind": "constant", "p": float("nan")}):
+        with pytest.raises(ConfigError, match="schedule"):
+            ExperimentConfig.from_json({"kind": "threshold", "seed": 1,
+                                        "n_list": [5], "schedule": schedule,
+                                        "predicates": ["is_cochordal"]})
+    with pytest.raises(ConfigError, match="predicates"):
+        ExperimentConfig.from_json({"kind": "threshold", "seed": 1,
+                                    "n_list": [5], "predicates": 5,
+                                    "schedule": {"kind": "constant", "p": 0.5}})
     with pytest.raises(ConfigError, match="random_audit"):
         ExperimentConfig.from_json({"kind": "froberg_audit", "seed": 1,
                                     "random_audit": [[8, 5], [12, 5]]})
