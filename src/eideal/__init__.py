@@ -22,8 +22,8 @@ from .comb_invariants import (BudgetExceededError, CoverProfile,
 from .betti import (BettiTable, InvariantBundle, SimplicialComplex,
                     SizeGuardExceeded, betti_table, forest_pd,
                     has_linear_presentation, has_linear_resolution,
-                    independence_complex, invariants, linear_flags,
-                    pd_componentwise, reduced_homology_dims,
+                    independence_complex, induced_betti_tables, invariants,
+                    linear_flags, pd_componentwise, reduced_homology_dims,
                     reg_pd_componentwise, regularity_componentwise)
 from .asymptotics import (TheoryValue, expected_chordless_cycles,
                           expected_local_cycles, gw_limit_estimate,

@@ -6,19 +6,36 @@ vertices (k = 4, 5, 6, below n) the induced edge mask is gathered bitwise
 for all graphs at once and looked up in flag tables indexed by labeled
 k-vertex graphs.  Two tables mark top sets whose homology breaks linear
 resolution or linear presentation, by ``betti.linearity`` applied to the
-Betti positions the top set contributes; graphs still undecided after the
-proper subsets get the same reading of a direct top-set homology call.
-The third table, built by ``count_chordless_cycles`` on each complement,
+Betti positions the top set contributes.
+
+The top set of a graph the proper subsets leave undecided takes one of
+three routes, all decided for the whole mask array before any per-graph
+Python runs:
+
+* cone: a vertex with an empty neighbor row makes the independence complex
+  a cone, with no homology, so the top set breaks neither flag;
+* fold: otherwise the first ordered pair (x, y) with N(x) subseteq N(y),
+  the homology engine's own rule, lets y go without changing the homotopy
+  type, and G - y is looked up in the (n-1)-vertex tables.  Homology in
+  degree d of an n-vertex top set sits at Betti position
+  (n - d - 1, n): degree >= 1 breaks resolution, and degree n - 3 breaks
+  presentation.  The first reads the same on G - y (``lr_break``); the
+  second is degree (n-1) - 2 there, the third table (``fold_lp_break``).
+  That degree is beta_{1,n-1} of G - y, so the table is empty: a fold
+  never breaks presentation, and the tests pin this;
+* engine: the rest, and every graph with n <= 4, run one
+  ``HomologyEngine`` on the top set.
+
+The fourth table, built by ``count_chordless_cycles`` on each complement,
 marks graphs whose complement is a chordless k-cycle: the complement of a
 graph is chordal iff no subset carries that flag, and free of induced C4s
-iff no 4-subset does.  The top
-set is tested by membership in the labeled complement-C_n masks.  The real
-``is_chordal``/``has_induced_c4`` still run on every mask divisible by
-``CROSS_CHECK_STRIDE``, and any disagreement with either side is a mismatch;
-choosing the sample by mask keeps reports equal at any worker count.  Flag
-tables use GF(2) ranks; at these sizes coefficients cannot matter (see the
-field-independence tests), and the kernel itself is validated against the
-public per-graph functions.
+iff no 4-subset does.  The top set is tested by membership in the labeled
+complement-C_n masks.  The real ``is_chordal``/``has_induced_c4`` still run
+on every mask divisible by ``CROSS_CHECK_STRIDE``, and any disagreement
+with either side is a mismatch; choosing the sample by mask keeps reports
+equal at any worker count.  Flag tables use GF(2) ranks; at these sizes
+coefficients cannot matter (see the field-independence tests), and the
+kernel itself is validated against the public per-graph functions.
 """
 
 from __future__ import annotations
@@ -36,7 +53,7 @@ from .random_models import rng_for
 
 _AUDIT_FIELD = "f2"
 _TABLE_SIZES = (4, 5, 6)
-_tables: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_tables: dict[int, tuple[np.ndarray, ...]] = {}
 # Largest n of the exhaustive audit, which checks 2**21 graphs there.
 MAX_EXHAUSTIVE_N = 7
 # Largest n whose n(n-1)/2 pair bits fit the uint64 draw of a random audit.
@@ -45,26 +62,33 @@ MAX_RANDOM_AUDIT_N = 11
 # predicates.  A power of two would sample only graphs missing the lowest
 # pairs; an odd prime ties the sample to no fixed set of pair bits.
 CROSS_CHECK_STRIDE = 29
+# How _top_set_routes decided a top set.
+CONE, FOLD, ENGINE = 0, 1, 2
 
 
-def flag_tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lr_break, lp_break, cycle) over all labeled k-vertex graphs by edge
-    mask: lr_break and lp_break mark a top set whose homology breaks linear
-    resolution and linear presentation, cycle a complement that is a
-    chordless k-cycle."""
+def flag_tables(k: int) -> tuple[np.ndarray, ...]:
+    """(lr_break, lp_break, fold_lp_break, cycle) over all labeled k-vertex
+    graphs by edge mask: lr_break and lp_break mark a top set whose homology
+    breaks linear resolution and linear presentation, fold_lp_break one with
+    homology in degree k - 2 (where a (k+1)-vertex graph that folds onto it
+    breaks linear presentation), cycle a complement that is a chordless
+    k-cycle."""
     cached = _tables.get(k)
     if cached is not None:
         return cached
     pairs = pair_list(k)
+    top = (1 << k) - 1
     size = 1 << len(pairs)
-    lr_break, lp_break, cycle = np.zeros((3, size), dtype=bool)
+    lr_break, lp_break, fold_lp_break, cycle = np.zeros((4, size), dtype=bool)
     for mask in range(size):
         g = graph_from_edge_mask(k, mask, pairs)
-        lr, lp = _top_set_flags(g)
+        engine = HomologyEngine(g, _AUDIT_FIELD)
+        lr, lp = linearity(subset_positions(engine, (top,)))
         lr_break[mask] = not lr
         lp_break[mask] = not lp
+        fold_lp_break[mask] = k - 2 in engine.dims(top)
         cycle[mask] = count_chordless_cycles(complement(g), k).by_length[k] > 0
-    _tables[k] = (lr_break, lp_break, cycle)
+    _tables[k] = (lr_break, lp_break, fold_lp_break, cycle)
     return _tables[k]
 
 
@@ -91,9 +115,19 @@ def _complement_cycle_masks(n: int) -> np.ndarray:
     return np.array(sorted(out), dtype=np.uint32)
 
 
-def _gather_positions(n: int, subset: tuple[int, ...]) -> list[tuple[int, int]]:
-    return [(pair_index(n, subset[a], subset[b]), pair_index(len(subset), a, b))
-            for a, b in combinations(range(len(subset)), 2)]
+def _bit(masks: np.ndarray, pos: int) -> np.ndarray:
+    return (masks >> np.uint32(pos)) & np.uint32(1)
+
+
+def _induced_masks(n: int, masks: np.ndarray,
+                   subset: tuple[int, ...]) -> np.ndarray:
+    """Edge masks of the subgraphs induced on `subset`, relabeled 0..k-1 in
+    order: indices into the k-vertex flag tables."""
+    ind = np.zeros(len(masks), dtype=np.uint32)
+    for a, b in combinations(range(len(subset)), 2):
+        src = pair_index(n, subset[a], subset[b])
+        ind |= _bit(masks, src) << np.uint32(pair_index(len(subset), a, b))
+    return ind
 
 
 def _subset_flags(n: int, masks: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -105,11 +139,9 @@ def _subset_flags(n: int, masks: np.ndarray) -> tuple[np.ndarray, ...]:
     for k in _TABLE_SIZES:
         if k >= n:
             continue
-        lr_break, lp_break, cycle = flag_tables(k)
+        lr_break, lp_break, _, cycle = flag_tables(k)
         for subset in combinations(range(n), k):
-            ind = np.zeros(len(masks), dtype=np.uint32)
-            for src, dst in _gather_positions(n, subset):
-                ind |= ((masks >> np.uint32(src)) & np.uint32(1)) << np.uint32(dst)
+            ind = _induced_masks(n, masks, subset)
             lr_viol |= lr_break[ind]
             lp_viol |= lp_break[ind]
             hits = cycle[ind]
@@ -117,6 +149,54 @@ def _subset_flags(n: int, masks: np.ndarray) -> tuple[np.ndarray, ...]:
             if k == 4:
                 chordless4 |= hits
     return lr_viol, lp_viol, chordless, chordless4
+
+
+def _vertex_rows(n: int, masks: np.ndarray) -> np.ndarray:
+    """(n, len(masks)) neighbor rows of every graph, gathered bitwise."""
+    rows = np.zeros((n, len(masks)), dtype=np.uint32)
+    for i, (u, v) in enumerate(pair_list(n)):
+        edge = _bit(masks, i)
+        rows[u] |= edge << np.uint32(v)
+        rows[v] |= edge << np.uint32(u)
+    return rows
+
+
+def _fold_vertex(rows: np.ndarray) -> np.ndarray:
+    """Per graph, the y of the first ordered pair (x, y), x != y, with
+    N(x) subseteq N(y), which HomologyEngine would delete; -1 if none."""
+    n = len(rows)
+    out = np.full(rows.shape[1], -1, dtype=np.int8)
+    for x in range(n):
+        for y in range(n):
+            if y != x:
+                out[(out < 0) & (rows[x] & ~rows[y] == 0)] = y
+    return out
+
+
+def _top_set_routes(n: int, masks: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(lr, lp, route) of each graph's top set alone, as _top_set_flags
+    reads it, by the cone, fold and engine routes of the module docstring;
+    with no (n-1)-vertex table every graph takes the engine."""
+    lr, lp = np.ones((2, len(masks)), dtype=bool)
+    route = np.full(len(masks), ENGINE, dtype=np.uint8)
+    if n - 1 in _TABLE_SIZES:
+        rows = _vertex_rows(n, masks)
+        fold_y = _fold_vertex(rows)
+        route[fold_y >= 0] = FOLD
+        # After the folds: an empty row is contained in every other row.
+        route[(rows == 0).any(axis=0)] = CONE
+        lr_break, _, fold_lp_break, _ = flag_tables(n - 1)
+        for y in range(n):
+            sel = np.flatnonzero((route == FOLD) & (fold_y == y))
+            rest = tuple(v for v in range(n) if v != y)
+            ind = _induced_masks(n, masks[sel], rest)
+            lr[sel] = ~lr_break[ind]
+            lp[sel] = ~fold_lp_break[ind]
+    pairs = pair_list(n)
+    for i in np.flatnonzero(route == ENGINE):
+        lr[i], lp[i] = _top_set_flags(graph_from_edge_mask(n, int(masks[i]),
+                                                           pairs))
+    return lr, lp, route
 
 
 def _disagreement(g, lr: bool, lp: bool) -> dict | None:
@@ -145,11 +225,10 @@ def _audit_chunk(task):
     gap_free = ~(chordless4 | top) if n == 4 else ~chordless4
     lr = ~lr_viol
     lp = ~lp_viol
-    for i in np.flatnonzero(lr | lp):
-        top_lr, top_lp = _top_set_flags(graph_from_edge_mask(n, lo + int(i),
-                                                             pairs))
-        lr[i] &= top_lr
-        lp[i] &= top_lp
+    undecided = np.flatnonzero(lr | lp)
+    top_lr, top_lp, _ = _top_set_routes(n, masks[undecided])
+    lr[undecided] &= top_lr
+    lp[undecided] &= top_lp
     sampled = masks % np.uint32(CROSS_CHECK_STRIDE) == 0
     mismatches = []
     for i in np.flatnonzero((lr != cochordal) | (lp != gap_free) | sampled):
@@ -169,6 +248,8 @@ def exhaustive_flag_audit(n: int, workers: int = 1):
     """Check linear resolution == cochordal and linear presentation ==
     4-cochordal on all labeled n-vertex graphs; returns (checked, mismatches).
     """
+    if n < 0:
+        raise ValueError(f"exhaustive audit is for n >= 0, got {n}")
     if n > MAX_EXHAUSTIVE_N:
         raise ValueError(f"exhaustive audit is for n <= {MAX_EXHAUSTIVE_N}, "
                          f"got {n}")
@@ -185,6 +266,9 @@ def random_flag_audit(n: int, count: int, seed: int):
     """Randomized spot audit at sizes beyond the exhaustive sweep: one
     rational-coefficient ``linear_flags`` scan per graph decides both
     homological flags."""
+    if n < 0:
+        raise ValueError(f"random_flag_audit draws an n-vertex graph, so n "
+                         f"must be >= 0, got {n}")
     if n > MAX_RANDOM_AUDIT_N:
         raise ValueError(f"random_flag_audit draws a 64-bit edge mask, so n "
                          f"must be <= {MAX_RANDOM_AUDIT_N}, got {n}")

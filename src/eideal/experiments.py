@@ -17,14 +17,14 @@ from . import __version__
 from .asymptotics import (expected_chordless_cycles, gw_limit_estimate,
                           prob_lp_dense_window, prob_lr_dense_window,
                           prob_lr_sparse_window)
-from .betti import DEFAULT_BETTI_GUARD, betti_table, reg_pd_componentwise
+from .betti import (DEFAULT_BETTI_GUARD, induced_betti_tables,
+                    reg_pd_componentwise)
 from .chordality import (count_chordless_cycles, count_triangles,
                          is_4_cochordal, is_cochordal, is_locally_4_cochordal,
                          is_locally_cochordal)
 from .comb_invariants import (DEFAULT_MIS_BUDGET, BudgetExceededError,
                               cover_profile)
-from .graph_core import (disjoint_union, induced_subgraph, max_degree,
-                         to_hex_dump)
+from .graph_core import disjoint_union, max_degree, to_hex_dump
 from .random_models import (ParamSchedule, rng_for, sample_gnp, schedule_p,
                             substream_seed)
 
@@ -533,8 +533,10 @@ def _lipschitz_chunk(task):
         p = float(rng.uniform(0.05, 0.95))
         g = sample_gnp(n, p, substream_seed(rng_seed, "g"))
         v = int(rng.integers(0, n))
-        h = induced_subgraph(g, [u for u in range(n) if u != v])
-        table_g, table_h = betti_table(g), betti_table(h)
+        full = (1 << n) - 1
+        # G - v's table from G's engine: its subsets are the submasks of
+        # V minus v, which G's table has already memoized.
+        table_g, table_h = induced_betti_tables(g, (full, full & ~(1 << v)))
         reg_g = table_g.regularity_quotient()
         reg_h = table_h.regularity_quotient()
         pd_g = table_g.projective_dimension()
@@ -561,8 +563,10 @@ def _additivity_chunk(task):
         b = sample_gnp(n2, float(rng.uniform(0.1, 0.9)),
                        substream_seed(rng_seed, "b"))
         g = disjoint_union(a, b)
-        table = betti_table(g)
-        table_a, table_b = betti_table(a), betti_table(b)
+        # a holds the low a.n vertices of a + b, b the rest.
+        full, low = (1 << g.n) - 1, (1 << a.n) - 1
+        table, table_a, table_b = induced_betti_tables(
+            g, (full, low, full & ~low))
         reg_sum = (table_a.regularity_quotient()
                    + table_b.regularity_quotient())
         pd_sum = (table_a.projective_dimension()

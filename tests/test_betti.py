@@ -5,7 +5,8 @@ import pytest
 from eideal.betti import (BettiTable, HomologyEngine, SizeGuardExceeded,
                           betti_table, forest_pd, has_linear_presentation,
                           has_linear_resolution, independence_complex,
-                          invariants, linear_flags, parse_field,
+                          induced_betti_tables, invariants, linear_flags,
+                          parse_field,
                           pd_componentwise,
                           reduced_homology_dims, reg_pd_componentwise,
                           regularity_componentwise, SimplicialComplex)
@@ -14,7 +15,8 @@ from eideal.comb_invariants import tree_induced_matching
 from eideal.graph_core import (build_graph, complete_graph,
                                connected_components, cycle_graph,
                                disjoint_union, empty_graph, enumerate_graphs,
-                               graph_from_edge_mask, path_graph)
+                               graph_from_edge_mask, induced_subgraph,
+                               path_graph)
 from eideal.random_models import sample_gnp
 
 from oracles import (naive_betti_table, naive_homology_of_faces,
@@ -308,6 +310,36 @@ def test_additivity_against_naive():
         g = disjoint_union(a, b)
         assert regularity_componentwise(g).value == naive_regularity_quotient(g)
         assert pd_componentwise(g).value == naive_pd_quotient(g)
+
+
+def _atlas(max_n):
+    import networkx as nx
+
+    return [build_graph(h.number_of_nodes(), h.edges())
+            for h in nx.graph_atlas_g() if h.number_of_nodes() <= max_n]
+
+
+def test_induced_tables_from_one_engine_atlas_n6():
+    atlas = _atlas(6)
+    assert len(atlas) == 209
+    for g in atlas:
+        full = (1 << g.n) - 1
+        # G - v for every v, read off G's engine after G's own table.
+        grounds = [full] + [full & ~(1 << v) for v in range(g.n)]
+        tables = induced_betti_tables(g, grounds)
+        assert tables[0] == betti_table(g)
+        for v, table in enumerate(tables[1:]):
+            h = induced_subgraph(g, [u for u in range(g.n) if u != v])
+            assert table == betti_table(h), (g.adj, v)
+    # a and b off the engine of a + b.
+    for a in atlas:
+        for b in atlas:
+            if 0 < a.n and 0 < b.n and a.n + b.n <= 6:
+                g = disjoint_union(a, b)
+                full, low = (1 << g.n) - 1, (1 << a.n) - 1
+                tables = induced_betti_tables(g, (full, low, full & ~low))
+                assert tables == [betti_table(g), betti_table(a),
+                                  betti_table(b)], (a.adj, b.adj)
 
 
 def test_table_json_round_trip():

@@ -1,9 +1,12 @@
 import math
 
 import numpy as np
+import pytest
 
 from eideal import betti, corpus
-from eideal.corpus import (CROSS_CHECK_STRIDE, _complement_cycle_masks,
+from eideal.corpus import (CONE, CROSS_CHECK_STRIDE, ENGINE, FOLD,
+                           _complement_cycle_masks, _subset_flags,
+                           _top_set_flags, _top_set_routes,
                            exhaustive_flag_audit, flag_tables,
                            random_flag_audit)
 from eideal.graph_core import (build_graph, complement, edge_mask,
@@ -37,7 +40,7 @@ def test_random_audit_builds_one_engine_per_graph(monkeypatch):
 
 def test_cycle_tables_vs_oracle():
     for k in (4, 5, 6):
-        cycle = flag_tables(k)[2]
+        cycle = flag_tables(k)[3]
         for mask, g in enumerate(enumerate_graphs(k)):
             expected = naive_chordless_cycle_counts(complement(g), k)[k]
             assert cycle[mask] == expected, (k, mask)
@@ -48,13 +51,13 @@ def test_cycle_tables_vs_oracle():
 
 
 def test_planted_cycle_table_fault_is_caught(monkeypatch):
-    haspos, lpflag, cycle = flag_tables(4)
+    haspos, lpflag, fold_lp, cycle = flag_tables(4)
     # Two disjoint edges: the complement is a 4-cycle.
     mask = edge_mask(build_graph(4, [(0, 1), (2, 3)]))
     assert cycle[mask]
     broken = cycle.copy()
     broken[mask] = False
-    monkeypatch.setitem(corpus._tables, 4, (haspos, lpflag, broken))
+    monkeypatch.setitem(corpus._tables, 4, (haspos, lpflag, fold_lp, broken))
     checked, mismatches = exhaustive_flag_audit(5)
     assert checked == 1024 and mismatches
     for _, flags in mismatches:
@@ -84,3 +87,68 @@ def test_cross_check_disagreement_is_a_mismatch(monkeypatch):
                                                     CROSS_CHECK_STRIDE))
     for mask, flags in mismatches:
         assert flags["linear_resolution"] != flags["cochordal"], mask
+
+
+def _top_set_disagreements(n):
+    """Masks where the bulk top-set routes and the per-graph engine read
+    (linear resolution, linear presentation) differently."""
+    masks = np.arange(1 << (n * (n - 1) // 2), dtype=np.uint32)
+    lr, lp, _ = _top_set_routes(n, masks)
+    return [mask for mask, g in enumerate(enumerate_graphs(n))
+            if (lr[mask], lp[mask]) != _top_set_flags(g)]
+
+
+def test_top_set_routes_match_engine_n5_n6():
+    for n in (5, 6):
+        assert _top_set_disagreements(n) == [], n
+
+
+def test_top_set_route_census_n6():
+    # Routes of the graphs the proper subsets leave undecided.
+    masks = np.arange(1 << 15, dtype=np.uint32)
+    lr_viol, lp_viol, _, _ = _subset_flags(6, masks)
+    route = _top_set_routes(6, masks[~(lr_viol & lp_viol)])[2]
+    assert np.bincount(route, minlength=3)[[CONE, FOLD, ENGINE]].tolist() == [
+        4224, 14901, 133]
+
+
+def test_fold_lp_table_is_the_degree_k_minus_2_flag():
+    for k in (4, 5):
+        fold_lp = flag_tables(k)[2]
+        expected = [k - 2 in betti.HomologyEngine(g, "f2").dims((1 << k) - 1)
+                    for g in enumerate_graphs(k)]
+        assert fold_lp.tolist() == expected, k
+        # That degree is beta_{1,k} of the top set, and an edge ideal has
+        # generators in degree 2 only: a fold never breaks presentation.
+        assert not fold_lp.any()
+
+
+def test_planted_fold_direction_fault_is_caught(monkeypatch):
+    def delete_x(rows):
+        # The first pair's x, whose neighborhood is the smaller one.
+        n = len(rows)
+        out = np.full(rows.shape[1], -1, dtype=np.int8)
+        for x in range(n):
+            for y in range(n):
+                if y != x:
+                    out[(out < 0) & (rows[x] & ~rows[y] == 0)] = x
+        return out
+
+    monkeypatch.setattr(corpus, "_fold_vertex", delete_x)
+    assert _top_set_disagreements(5)
+
+
+def test_planted_fold_degree_fault_is_caught(monkeypatch):
+    lr_break, lp_break, _, cycle = flag_tables(4)
+    # Homology in degree k - 3 of the folded graph, one below the rule.
+    wrong = np.array([1 in betti.HomologyEngine(g, "f2").dims(15)
+                      for g in enumerate_graphs(4)])
+    monkeypatch.setitem(corpus._tables, 4, (lr_break, lp_break, wrong, cycle))
+    assert _top_set_disagreements(5)
+
+
+def test_negative_n_is_a_value_error():
+    with pytest.raises(ValueError, match="n >= 0, got -1"):
+        exhaustive_flag_audit(-1)
+    with pytest.raises(ValueError, match="n must be >= 0, got -2"):
+        random_flag_audit(-2, 3, seed=1)

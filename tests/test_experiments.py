@@ -3,12 +3,15 @@ import math
 
 import pytest
 
+from eideal import betti, experiments
 from eideal.experiments import (CSV_COLUMNS, ConfigError, ExperimentConfig,
+                                _additivity_chunk, _lipschitz_chunk,
                                 _tv_distance_poisson, run_cycle_calibration,
                                 run_experiment, run_gw_limit,
                                 run_lipschitz_audit, run_threshold,
                                 run_unmixed_scan, run_variance_audit,
                                 wilson_interval)
+from eideal.graph_core import induced_subgraph_mask
 from eideal.random_models import ParamSchedule
 
 
@@ -188,6 +191,45 @@ def test_lipschitz_audit_clean():
     report = run_lipschitz_audit(cfg, workers=2)
     assert not report.has_witness
     assert all(c.estimate == 0 for c in report.cells)
+
+
+def test_lipschitz_trials_build_one_engine_each(monkeypatch):
+    built = []
+
+    class CountingEngine(betti.HomologyEngine):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(betti, "HomologyEngine", CountingEngine)
+    assert _lipschitz_chunk((3, 0, 20)) == []
+    assert len(built) == 20
+    built.clear()
+    assert _additivity_chunk((3, 0, 20)) == []
+    assert len(built) == 20
+
+
+def test_trial_tables_read_the_right_subgraphs(monkeypatch):
+    grounds_seen = []
+    real = experiments.induced_betti_tables
+
+    def checked(g, grounds, *args):
+        tables = real(g, grounds, *args)
+        for u, table in zip(grounds, tables):
+            assert table == betti.betti_table(induced_subgraph_mask(g, u))
+        grounds_seen.append(((1 << g.n) - 1, grounds))
+        return tables
+
+    monkeypatch.setattr(experiments, "induced_betti_tables", checked)
+    _lipschitz_chunk((3, 0, 10))
+    for full, (whole, minus_v) in grounds_seen:
+        assert whole == full and minus_v & ~full == 0
+        assert (full ^ minus_v).bit_count() == 1
+    grounds_seen.clear()
+    _additivity_chunk((3, 0, 10))
+    for full, (whole, a, b) in grounds_seen:
+        assert whole == full and a & b == 0 and a | b == full
+        assert a & (a + 1) == 0 and 2 <= a.bit_count() <= 6  # the low a.n
 
 
 def test_gw_limit_small_run():
