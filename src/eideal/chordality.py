@@ -10,6 +10,11 @@ lemmas let both shrink their input without changing the verdict:
 * A universal or isolated vertex lies on no chordless cycle of length >= 4:
   a universal vertex is adjacent to every other cycle vertex, an isolated
   one to none.
+* A vertex of degree <= 1 lies on no cycle at all, so peeling such vertices
+  until none is left, down to the 2-core, keeps both verdicts.  ``two_core``
+  does this on an edge list: in the dense critical window the sampler's
+  listed non-edges are the complement's edges, and the trials run
+  ``is_chordal``/``has_induced_c4`` on the complement's 2-core alone.
 
 ``is_cochordal`` and ``is_4_cochordal`` apply both on the complement's side
 without building the complement: a vertex with an empty row in g is
@@ -28,7 +33,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .graph_core import Graph, bits, complement, delete_closed_neighborhood
+import numpy as np
+
+from .graph_core import (Graph, bits, complement, delete_closed_neighborhood,
+                         graph_from_pairs)
 
 # Twin collapsing costs a hash pass; below this size MCS wins outright.
 _REDUCE_MIN_VERTICES = 24
@@ -189,6 +197,24 @@ def _complement_twin_reduced(g: Graph) -> Graph:
             acc |= 1 << index[u]
         adj.append(acc)
     return Graph(len(keep), tuple(adj))
+
+
+def two_core(us: np.ndarray, vs: np.ndarray) -> Graph:
+    """The 2-core of the graph with edges (us[i], vs[i]), its vertices
+    relabelled 0..k-1 in increasing order; by the leaf lemma of the module
+    docstring it is chordal (and induced-C4-free) iff that graph is."""
+    size = int(max(us.max(), vs.max())) + 1 if len(us) else 0
+    while True:
+        deg = (np.bincount(us, minlength=size)
+               + np.bincount(vs, minlength=size))
+        leaf = deg == 1
+        cut = leaf[us] | leaf[vs]
+        if not cut.any():
+            break
+        keep = ~cut
+        us, vs = us[keep], vs[keep]
+    core, ends = np.unique(np.concatenate((us, vs)), return_inverse=True)
+    return graph_from_pairs(len(core), ends[:len(us)], ends[len(us):])
 
 
 # From _REDUCE_MIN_VERTICES up the quotient has no true twins left, so the

@@ -19,14 +19,14 @@ Python runs:
   type, and G - y is looked up in the (n-1)-vertex tables.  Homology in
   degree d of an n-vertex top set sits at Betti position
   (n - d - 1, n): degree >= 1 breaks resolution, and degree n - 3 breaks
-  presentation.  The first reads the same on G - y (``lr_break``); the
-  second is degree (n-1) - 2 there, the third table (``fold_lp_break``).
-  That degree is beta_{1,n-1} of G - y, so the table is empty: a fold
-  never breaks presentation, and the tests pin this;
+  presentation.  The first reads the same on G - y (``lr_break``).  The
+  second is degree (n-1) - 2 there, which sits at beta_{1,n-1} of G - y,
+  and an edge ideal has generators in degree 2 only: a fold never breaks
+  presentation, and the tests pin this;
 * engine: the rest, and every graph with n <= 4, run one
   ``HomologyEngine`` on the top set.
 
-The fourth table, built by ``count_chordless_cycles`` on each complement,
+The third table, built by ``count_chordless_cycles`` on each complement,
 marks graphs whose complement is a chordless k-cycle: the complement of a
 graph is chordal iff no subset carries that flag, and free of induced C4s
 iff no 4-subset does.  The top set is tested by membership in the labeled
@@ -67,28 +67,23 @@ CONE, FOLD, ENGINE = 0, 1, 2
 
 
 def flag_tables(k: int) -> tuple[np.ndarray, ...]:
-    """(lr_break, lp_break, fold_lp_break, cycle) over all labeled k-vertex
-    graphs by edge mask: lr_break and lp_break mark a top set whose homology
-    breaks linear resolution and linear presentation, fold_lp_break one with
-    homology in degree k - 2 (where a (k+1)-vertex graph that folds onto it
-    breaks linear presentation), cycle a complement that is a chordless
-    k-cycle."""
+    """(lr_break, lp_break, cycle) over all labeled k-vertex graphs by edge
+    mask: lr_break and lp_break mark a top set whose homology breaks linear
+    resolution and linear presentation, cycle a complement that is a
+    chordless k-cycle."""
     cached = _tables.get(k)
     if cached is not None:
         return cached
     pairs = pair_list(k)
-    top = (1 << k) - 1
     size = 1 << len(pairs)
-    lr_break, lp_break, fold_lp_break, cycle = np.zeros((4, size), dtype=bool)
+    lr_break, lp_break, cycle = np.zeros((3, size), dtype=bool)
     for mask in range(size):
         g = graph_from_edge_mask(k, mask, pairs)
-        engine = HomologyEngine(g, _AUDIT_FIELD)
-        lr, lp = linearity(subset_positions(engine, (top,)))
+        lr, lp = _top_set_flags(g)
         lr_break[mask] = not lr
         lp_break[mask] = not lp
-        fold_lp_break[mask] = k - 2 in engine.dims(top)
         cycle[mask] = count_chordless_cycles(complement(g), k).by_length[k] > 0
-    _tables[k] = (lr_break, lp_break, fold_lp_break, cycle)
+    _tables[k] = (lr_break, lp_break, cycle)
     return _tables[k]
 
 
@@ -139,7 +134,7 @@ def _subset_flags(n: int, masks: np.ndarray) -> tuple[np.ndarray, ...]:
     for k in _TABLE_SIZES:
         if k >= n:
             continue
-        lr_break, lp_break, _, cycle = flag_tables(k)
+        lr_break, lp_break, cycle = flag_tables(k)
         for subset in combinations(range(n), k):
             ind = _induced_masks(n, masks, subset)
             lr_viol |= lr_break[ind]
@@ -185,13 +180,14 @@ def _top_set_routes(n: int, masks: np.ndarray) -> tuple[np.ndarray, ...]:
         route[fold_y >= 0] = FOLD
         # After the folds: an empty row is contained in every other row.
         route[(rows == 0).any(axis=0)] = CONE
-        lr_break, _, fold_lp_break, _ = flag_tables(n - 1)
+        lr_break = flag_tables(n - 1)[0]
+        # lp stays True on a fold: it would take homology of G - y in degree
+        # (n-1) - 2, at beta_{1,n-1}, and an edge ideal has no generator of
+        # degree above 2.
         for y in range(n):
             sel = np.flatnonzero((route == FOLD) & (fold_y == y))
             rest = tuple(v for v in range(n) if v != y)
-            ind = _induced_masks(n, masks[sel], rest)
-            lr[sel] = ~lr_break[ind]
-            lp[sel] = ~fold_lp_break[ind]
+            lr[sel] = ~lr_break[_induced_masks(n, masks[sel], rest)]
     pairs = pair_list(n)
     for i in np.flatnonzero(route == ENGINE):
         lr[i], lp[i] = _top_set_flags(graph_from_edge_mask(n, int(masks[i]),

@@ -20,13 +20,14 @@ from .asymptotics import (expected_chordless_cycles, gw_limit_estimate,
 from .betti import (DEFAULT_BETTI_GUARD, induced_betti_tables,
                     reg_pd_componentwise)
 from .chordality import (count_chordless_cycles, count_triangles,
-                         is_4_cochordal, is_cochordal, is_locally_4_cochordal,
-                         is_locally_cochordal)
+                         has_induced_c4, is_4_cochordal, is_chordal,
+                         is_cochordal, is_locally_4_cochordal,
+                         is_locally_cochordal, two_core)
 from .comb_invariants import (DEFAULT_MIS_BUDGET, BudgetExceededError,
                               cover_profile)
 from .graph_core import disjoint_union, max_degree, to_hex_dump
-from .random_models import (ParamSchedule, rng_for, sample_gnp, schedule_p,
-                            substream_seed)
+from .random_models import (GnpDraw, ParamSchedule, draw_gnp, rng_for,
+                            sample_gnp, schedule_p, substream_seed)
 
 EXPERIMENT_KINDS = ("threshold", "gw_limit", "unmixed_scan",
                     "cycle_calibration", "lipschitz_audit", "variance_audit",
@@ -298,14 +299,37 @@ def _trial_chunks(trials: int, workers: int) -> list[tuple[int, int]]:
 # threshold
 # ---------------------------------------------------------------------------
 
+def _threshold_verdicts(draw: GnpDraw, pred_names) -> list[bool]:
+    """Each named predicate on the drawn graph.
+
+    A draw that lists its non-edges lists the complement's edges, so the two
+    cochordal predicates run ``is_chordal``/``has_induced_c4`` on the
+    complement's 2-core and never build g; any other draw or predicate reads
+    g, built once.
+    """
+    core = g = None
+    verdicts = []
+    for name in pred_names:
+        if draw.non_edges is not None and name in ("is_cochordal",
+                                                   "is_4_cochordal"):
+            if core is None:
+                core = two_core(*draw.non_edges)
+            verdicts.append(is_chordal(core) if name == "is_cochordal"
+                            else not has_induced_c4(core))
+        else:
+            if g is None:
+                g = draw.graph()
+            verdicts.append(PREDICATES[name](g))
+    return verdicts
+
+
 def _threshold_chunk(task):
     seed, n, p, pred_names, lo, hi = task
     counts = [0] * len(pred_names)
     for t in range(lo, hi):
-        g = sample_gnp(n, p, substream_seed(seed, "threshold", n, t))
-        for i, name in enumerate(pred_names):
-            if PREDICATES[name](g):
-                counts[i] += 1
+        draw = draw_gnp(n, p, substream_seed(seed, "threshold", n, t))
+        for i, hit in enumerate(_threshold_verdicts(draw, pred_names)):
+            counts[i] += hit
     return counts
 
 

@@ -98,6 +98,16 @@ def build_graph(n: int, edges) -> Graph:
     return Graph(n, tuple(adj))
 
 
+def graph_from_pairs(n: int, us, vs) -> Graph:
+    """Graph on n vertices with edges (us[i], vs[i]) from two numpy endpoint
+    arrays; unlike ``build_graph`` nothing is checked."""
+    adj = [0] * n
+    for u, v in zip(us.tolist(), vs.tolist()):
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return Graph(n, tuple(adj))
+
+
 def complement(g: Graph) -> Graph:
     """Edge-complement on the same vertex set."""
     full = (1 << g.n) - 1

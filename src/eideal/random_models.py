@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graph_core import Graph
+from .graph_core import Graph, complement, graph_from_pairs
 
 # JSON parameter names of each schedule kind; "lambda" is stored as `lam`.
 SCHEDULE_PARAMS = {"sparse": ("lambda",), "power": ("c", "alpha"),
@@ -86,6 +86,11 @@ class ParamSchedule:
                     or not math.isfinite(x)):
                 raise ValueError(f"schedule kind {kind!r} needs a finite "
                                  f"number {name!r}, got {x!r}")
+            if name == "lambda" and x < 0:
+                # The window schedules take roots of lambda, and gw_limit
+                # draws Poisson(lambda) offspring.
+                raise ValueError(f"schedule kind {kind!r} needs 'lambda' "
+                                 f">= 0, got {x!r}")
             params["lam" if name == "lambda" else name] = float(x)
         return cls(kind, **params)
 
@@ -152,30 +157,52 @@ def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
     return iu
 
 
-def sample_gnp(n: int, p: float, seed: int) -> Graph:
-    """Erdos-Renyi sample: each of the n(n-1)/2 pairs kept with probability p.
+@dataclass(frozen=True, eq=False)
+class GnpDraw:
+    """One seeded G(n, p) draw before any row is built.
 
-    Sparse p uses geometric index skipping, dense p one Bernoulli draw per
-    pair in lexicographic pair order; the two paths realize the same
-    distribution, not the same stream.  The dense path turns its draw into
-    rows one of two ways, chosen by the number of non-edges drawn: at most
-    2n of them start from complete rows and clear each non-edge, more are
-    packed from an n x n bool matrix.  Both build the same graph from the
-    same draw, so the stream and every sampled graph are unchanged by the
-    choice.
+    Exactly one form is set.  ``edges`` and ``non_edges`` are endpoint
+    arrays (u, v), u < v, in lexicographic pair order: the pairs kept by the
+    sparse path (none at p = 0), or the pairs dropped by a dense draw that
+    dropped at most 2n of them (none at p = 1).  ``kept`` is any other dense
+    draw, one Bernoulli outcome per pair in lexicographic pair order.
     """
+
+    n: int
+    edges: tuple[np.ndarray, np.ndarray] | None = None
+    non_edges: tuple[np.ndarray, np.ndarray] | None = None
+    kept: np.ndarray | None = None
+
+    def graph(self) -> Graph:
+        """The sampled graph, built from whichever form the draw holds."""
+        n = self.n
+        if self.edges is not None:
+            return graph_from_pairs(n, *self.edges)
+        if self.non_edges is not None:
+            return complement(graph_from_pairs(n, *self.non_edges))
+        mat = np.zeros((n, n), dtype=bool)
+        mat[_upper_triangle(n)] = self.kept
+        mat |= mat.T
+        packed = np.packbits(mat, axis=1, bitorder="little")
+        return Graph(n, tuple(int.from_bytes(packed[v].tobytes(), "little")
+                              for v in range(n)))
+
+
+_NO_PAIRS = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+
+
+def draw_gnp(n: int, p: float, seed: int) -> GnpDraw:
+    """The random draw of ``sample_gnp(n, p, seed)``, rows not yet built."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0,1], got {p}")
     rng = rng_for(seed)
     m = n * (n - 1) // 2
-    adj = [0] * n
     if m == 0 or p == 0.0:
-        return Graph(n, tuple(adj))
+        return GnpDraw(n, edges=_NO_PAIRS)
     if p == 1.0:
-        full = (1 << n) - 1
-        return Graph(n, tuple(full & ~(1 << v) for v in range(n)))
+        return GnpDraw(n, non_edges=_NO_PAIRS)
     if p < _SPARSE_GNP_THRESHOLD:
         chunks = []
         pos = -1
@@ -188,28 +215,28 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
             if len(keep) < len(idx):
                 break
             pos = int(idx[-1])
-        hits = np.concatenate(chunks)
-        if len(hits):
-            us, vs = _pair_endpoints(n, hits)
-            for u, v in zip(us.tolist(), vs.tolist()):
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-        return Graph(n, tuple(adj))
+        return GnpDraw(n, edges=_pair_endpoints(n, np.concatenate(chunks)))
     flat = rng.random(m) < p
     if m - np.count_nonzero(flat) <= 2 * n:
-        full = (1 << n) - 1
-        adj = [full ^ (1 << v) for v in range(n)]
-        us, vs = _pair_endpoints(n, np.flatnonzero(~flat))
-        for u, v in zip(us.tolist(), vs.tolist()):
-            adj[u] ^= 1 << v
-            adj[v] ^= 1 << u
-        return Graph(n, tuple(adj))
-    mat = np.zeros((n, n), dtype=bool)
-    mat[_upper_triangle(n)] = flat
-    mat |= mat.T
-    packed = np.packbits(mat, axis=1, bitorder="little")
-    rows = tuple(int.from_bytes(packed[v].tobytes(), "little") for v in range(n))
-    return Graph(n, rows)
+        return GnpDraw(n, non_edges=_pair_endpoints(n, np.flatnonzero(~flat)))
+    return GnpDraw(n, kept=flat)
+
+
+def sample_gnp(n: int, p: float, seed: int) -> Graph:
+    """Erdos-Renyi sample: each of the n(n-1)/2 pairs kept with probability p.
+
+    Sparse p uses geometric index skipping, dense p one Bernoulli draw per
+    pair in lexicographic pair order; the two paths realize the same
+    distribution, not the same stream.  The sample is two steps:
+    ``draw_gnp`` makes the seeded draw and ``GnpDraw.graph`` builds the
+    rows.  A dense draw is kept in one of two forms, chosen by the number of
+    non-edges drawn: at most 2n of them are listed, and the build
+    complements the graph they form; more keep the per-pair outcomes,
+    packed from an n x n bool matrix.  Both forms give the same graph from
+    the same draw, and callers that read a draw's listed pairs directly (the
+    dense critical-window trials) see the same stream as every other caller.
+    """
+    return draw_gnp(n, p, seed).graph()
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from eideal.chordality import (count_chordless_cycles, count_triangles,
@@ -10,7 +11,8 @@ from eideal.graph_core import (Graph, build_graph, complement, complete_graph,
                                cycle_graph, disjoint_union, empty_graph,
                                enumerate_graphs, graph_from_edge_mask,
                                path_graph)
-from eideal.random_models import sample_gnp
+from eideal.experiments import _threshold_verdicts
+from eideal.random_models import GnpDraw, sample_gnp
 
 from oracles import (elimination_is_chordal, naive_chordless_cycle_counts,
                      naive_has_induced_c4, naive_is_chordal,
@@ -90,6 +92,12 @@ def test_cochordal_small_cases():
     assert not is_4_cochordal(two_edges)
 
 
+def _listing_draw(n, pairs):
+    """A draw that lists `pairs` as its non-edges, the complement's edges."""
+    ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return GnpDraw(n, non_edges=(ends[:, 0], ends[:, 1]))
+
+
 def test_cochordal_exhaustive_n6_vs_oracle():
     # Each graph also runs padded to 24 vertices with isolated or with
     # universal vertices, which do not change either verdict and send it
@@ -100,7 +108,8 @@ def test_cochordal_exhaustive_n6_vs_oracle():
     high = ((1 << pad) - 1) << 6
     full = (1 << (6 + pad)) - 1
     universal_rows = tuple(full ^ (1 << v) for v in range(6, 6 + pad))
-    for g in enumerate_graphs(6):
+    both = ("is_cochordal", "is_4_cochordal")
+    for mask, g in enumerate(enumerate_graphs(6)):
         h = complement(g)
         chordal = naive_is_chordal(h)
         c4 = naive_has_induced_c4(h)
@@ -112,6 +121,28 @@ def test_cochordal_exhaustive_n6_vs_oracle():
             assert is_4_cochordal(p) == (not c4), p.adj
         assert elimination_is_chordal(h) == chordal, h.adj
         assert pair_scan_has_induced_c4(h) == c4, h.adj
+        # The threshold trials' route: the complement's edges as a draw's
+        # listed non-edges, peeled to the 2-core.  Padded with pendant
+        # trees (a path hung on a vertex that moves with the mask, a star)
+        # and isolated vertices; every seventh graph also runs unpadded in a
+        # list with the local predicates, and with a universal vertex that
+        # carries a leaf.
+        edges = list(h.edges())
+        trees = [(mask % 6, 6), (6, 7), (7, 8), (8, 9), (1, 10), (10, 11),
+                 (10, 12)]
+        assert _threshold_verdicts(_listing_draw(24, edges + trees),
+                                   both) == [chordal, not c4], mask
+        if mask % 7 == 0:
+            cone = [(v, 6) for v in range(6)] + [(6, 7)]
+            assert _threshold_verdicts(_listing_draw(8, edges + cone),
+                                       both) == [chordal, not c4], mask
+            plain = _listing_draw(6, edges)
+            assert plain.graph() == g
+            assert _threshold_verdicts(plain, (
+                "is_locally_4_cochordal", "is_4_cochordal",
+                "is_locally_cochordal", "is_cochordal")) == [
+                is_locally_4_cochordal(g), not c4, is_locally_cochordal(g),
+                chordal], mask
 
 
 def test_cochordal_midsize_vs_oracle():

@@ -40,7 +40,7 @@ def test_random_audit_builds_one_engine_per_graph(monkeypatch):
 
 def test_cycle_tables_vs_oracle():
     for k in (4, 5, 6):
-        cycle = flag_tables(k)[3]
+        cycle = flag_tables(k)[2]
         for mask, g in enumerate(enumerate_graphs(k)):
             expected = naive_chordless_cycle_counts(complement(g), k)[k]
             assert cycle[mask] == expected, (k, mask)
@@ -51,13 +51,13 @@ def test_cycle_tables_vs_oracle():
 
 
 def test_planted_cycle_table_fault_is_caught(monkeypatch):
-    haspos, lpflag, fold_lp, cycle = flag_tables(4)
+    haspos, lpflag, cycle = flag_tables(4)
     # Two disjoint edges: the complement is a 4-cycle.
     mask = edge_mask(build_graph(4, [(0, 1), (2, 3)]))
     assert cycle[mask]
     broken = cycle.copy()
     broken[mask] = False
-    monkeypatch.setitem(corpus._tables, 4, (haspos, lpflag, fold_lp, broken))
+    monkeypatch.setitem(corpus._tables, 4, (haspos, lpflag, broken))
     checked, mismatches = exhaustive_flag_audit(5)
     assert checked == 1024 and mismatches
     for _, flags in mismatches:
@@ -93,7 +93,7 @@ def _top_set_disagreements(n):
     """Masks where the bulk top-set routes and the per-graph engine read
     (linear resolution, linear presentation) differently."""
     masks = np.arange(1 << (n * (n - 1) // 2), dtype=np.uint32)
-    lr, lp, _ = _top_set_routes(n, masks)
+    lr, lp, _ = corpus._top_set_routes(n, masks)
     return [mask for mask, g in enumerate(enumerate_graphs(n))
             if (lr[mask], lp[mask]) != _top_set_flags(g)]
 
@@ -112,15 +112,14 @@ def test_top_set_route_census_n6():
         4224, 14901, 133]
 
 
-def test_fold_lp_table_is_the_degree_k_minus_2_flag():
+def test_top_set_has_no_homology_in_degree_k_minus_2():
+    # Degree k - 2 of a k-vertex top set is beta_{1,k}, and an edge ideal
+    # has generators in degree 2 only; a fold reads it on G - y, so a fold
+    # never breaks presentation.
     for k in (4, 5):
-        fold_lp = flag_tables(k)[2]
-        expected = [k - 2 in betti.HomologyEngine(g, "f2").dims((1 << k) - 1)
-                    for g in enumerate_graphs(k)]
-        assert fold_lp.tolist() == expected, k
-        # That degree is beta_{1,k} of the top set, and an edge ideal has
-        # generators in degree 2 only: a fold never breaks presentation.
-        assert not fold_lp.any()
+        for g in enumerate_graphs(k):
+            dims = betti.HomologyEngine(g, "f2").dims((1 << k) - 1)
+            assert k - 2 not in dims, g.adj
 
 
 def test_planted_fold_direction_fault_is_caught(monkeypatch):
@@ -138,12 +137,15 @@ def test_planted_fold_direction_fault_is_caught(monkeypatch):
     assert _top_set_disagreements(5)
 
 
-def test_planted_fold_degree_fault_is_caught(monkeypatch):
-    lr_break, lp_break, _, cycle = flag_tables(4)
-    # Homology in degree k - 3 of the folded graph, one below the rule.
-    wrong = np.array([1 in betti.HomologyEngine(g, "f2").dims(15)
-                      for g in enumerate_graphs(4)])
-    monkeypatch.setitem(corpus._tables, 4, (lr_break, lp_break, wrong, cycle))
+def test_planted_fold_lp_fault_is_caught(monkeypatch):
+    real = corpus._top_set_routes
+
+    def fold_breaks_lp(n, masks):
+        lr, lp, route = real(n, masks)
+        lp[route == FOLD] = False
+        return lr, lp, route
+
+    monkeypatch.setattr(corpus, "_top_set_routes", fold_breaks_lp)
     assert _top_set_disagreements(5)
 
 

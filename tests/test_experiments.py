@@ -1,18 +1,25 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from eideal import betti, experiments
+from eideal.chordality import is_locally_4_cochordal, is_locally_cochordal
 from eideal.experiments import (CSV_COLUMNS, ConfigError, ExperimentConfig,
                                 _additivity_chunk, _lipschitz_chunk,
-                                _tv_distance_poisson, run_cycle_calibration,
+                                _threshold_verdicts, _tv_distance_poisson,
+                                run_cycle_calibration,
                                 run_experiment, run_gw_limit,
                                 run_lipschitz_audit, run_threshold,
                                 run_unmixed_scan, run_variance_audit,
                                 wilson_interval)
-from eideal.graph_core import induced_subgraph_mask
-from eideal.random_models import ParamSchedule
+from eideal.graph_core import complement, induced_subgraph_mask
+from eideal.random_models import (ParamSchedule, draw_gnp, schedule_p,
+                                  substream_seed)
+
+from oracles import (elimination_is_chordal, naive_has_induced_c4,
+                     naive_is_chordal, pair_scan_has_induced_c4)
 
 
 def test_wilson_interval_basics():
@@ -97,6 +104,23 @@ def test_config_round_trip_and_validation():
                                     "exhaustive_n": 8, "random_audit": []})
 
 
+@pytest.mark.parametrize("kind, schedule", [
+    ("threshold", "window_dense"), ("threshold", "window_sparse"),
+    ("gw_limit", "sparse")])
+def test_negative_lambda_is_a_config_error(kind, schedule):
+    # Each used to pass validation and crash in the run: a complex p, a
+    # math domain error, a ValueError from the tree sampler.
+    obj = {"kind": kind, "seed": 1, "trials": 2, "n_list": [20],
+           "schedule": {"kind": schedule, "lambda": -1.0},
+           "gw_trials": 3, "gw_cap": 10}
+    if kind == "threshold":
+        obj["predicates"] = ["is_cochordal"]
+    with pytest.raises(ConfigError, match="schedule: .*'lambda' >= 0"):
+        ExperimentConfig.from_json(obj)
+    obj["schedule"]["lambda"] = 0.0
+    assert run_experiment(ExperimentConfig.from_json(obj)).cells
+
+
 def _strict_json(text):
     def reject(constant):
         raise ValueError(f"bare {constant} in report JSON")
@@ -121,12 +145,79 @@ def test_threshold_determinism_across_workers():
     cfg = ExperimentConfig(kind="threshold", seed=11, trials=60, n_list=(25, 40),
                            schedule=ParamSchedule.window_dense(2.0),
                            predicates=("is_4_cochordal",))
-    blobs = set()
-    for workers in (1, 2, 3):
-        report = run_threshold(cfg, workers)
-        blobs.add(report.to_json(include_timing=False))
-        blobs.add(report.to_csv(include_timing=False))
-    assert len(blobs) == 2  # one JSON, one CSV
+    # The dense window at n = 400 lists its non-edges, and a local predicate
+    # in the list builds g beside the complement's 2-core.
+    dense = ExperimentConfig(kind="threshold", seed=12, trials=40,
+                             n_list=(60, 400),
+                             schedule=ParamSchedule.window_dense(16.0),
+                             predicates=("is_cochordal", "is_locally_cochordal",
+                                         "is_4_cochordal"))
+    for config in (cfg, dense):
+        blobs = set()
+        for workers in (1, 2, 3):
+            report = run_threshold(config, workers)
+            blobs.add(report.to_json(include_timing=False))
+            blobs.add(report.to_csv(include_timing=False))
+        assert len(blobs) == 2  # one JSON, one CSV
+
+
+MIXED_PREDICATES = ("is_locally_cochordal", "is_cochordal",
+                    "is_locally_4_cochordal", "is_4_cochordal")
+
+
+def _dense_draw_disagreements():
+    """Seeded dense-window draws that list their non-edges, n <= 60, where
+    the threshold verdicts differ from oracles run on the complement."""
+    bad = []
+    listed = 0
+    for n in (6, 8, 10, 24, 40, 60):
+        for lam in (0.5, 4.0, 16.0, 200.0):
+            p = schedule_p(ParamSchedule.window_dense(lam), n)
+            for t in range(10):
+                draw = draw_gnp(n, p, substream_seed(31, n, lam, t))
+                if draw.non_edges is None:
+                    continue
+                listed += 1
+                g = draw.graph()
+                h = complement(g)
+                # The subset scans are exponential; above 10 vertices the
+                # polynomial oracles, checked against them on every 6-vertex
+                # graph in test_chordality, stand in.
+                if n <= 10:
+                    chordal, c4 = naive_is_chordal(h), naive_has_induced_c4(h)
+                else:
+                    chordal = elimination_is_chordal(h)
+                    c4 = pair_scan_has_induced_c4(h)
+                expected = [is_locally_cochordal(g), chordal,
+                            is_locally_4_cochordal(g), not c4]
+                if _threshold_verdicts(draw, MIXED_PREDICATES) != expected:
+                    bad.append((n, lam, t))
+    assert listed > 150
+    return bad
+
+
+def test_dense_draw_verdicts_vs_oracle():
+    assert _dense_draw_disagreements() == []
+
+
+def test_planted_peel_fault_is_caught(monkeypatch):
+    two_core = experiments.two_core
+
+    def peel_degree_two(us, vs):
+        # Peels vertices of degree <= 2, which can lie on a chordless cycle.
+        size = int(max(us.max(), vs.max())) + 1 if len(us) else 0
+        while True:
+            deg = (np.bincount(us, minlength=size)
+                   + np.bincount(vs, minlength=size))
+            low = (deg >= 1) & (deg <= 2)
+            cut = low[us] | low[vs]
+            if not cut.any():
+                break
+            us, vs = us[~cut], vs[~cut]
+        return two_core(us, vs)
+
+    monkeypatch.setattr(experiments, "two_core", peel_degree_two)
+    assert _dense_draw_disagreements()
 
 
 def test_report_csv_contract():

@@ -1,12 +1,15 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from eideal.comb_invariants import is_forest
-from eideal.graph_core import Graph, complete_graph, empty_graph
-from eideal.random_models import (ParamSchedule, rng_for, sample_gnp,
-                                  sample_gw_tree, schedule_p, substream_seed)
+from eideal.graph_core import (Graph, complement, complete_graph, edge_mask,
+                               empty_graph, graph_from_pairs)
+from eideal.random_models import (ParamSchedule, draw_gnp, rng_for,
+                                  sample_gnp, sample_gw_tree, schedule_p,
+                                  substream_seed)
 
 
 def test_schedule_values():
@@ -76,15 +79,54 @@ def _packed_gnp(n, p, seed):
 
 def test_gnp_dense_builds_match_packed_reference():
     # Both row builds of the dense path reproduce the packed matrix of the
-    # same draw; the cutoff between them is 2n non-edges.
+    # same draw; the cutoff between them is 2n non-edges, and a draw below
+    # it lists its non-edges: the complement's edges.
     sides = set()
     for n in (5, 60, 400):
         for p in (0.06, 0.5, 0.9, 0.995, 0.9999):
             for seed in range(3 if n == 400 else 12):
                 g = sample_gnp(n, p, seed)
                 assert g == _packed_gnp(n, p, seed), (n, p, seed)
-                sides.add(n * (n - 1) // 2 - g.edge_count <= 2 * n)
+                listed = n * (n - 1) // 2 - g.edge_count <= 2 * n
+                draw = draw_gnp(n, p, seed)
+                assert (draw.non_edges is not None) == listed
+                if listed:
+                    h = graph_from_pairs(n, *draw.non_edges)
+                    assert h == complement(g), (n, p, seed)
+                sides.add(listed)
     assert sides == {True, False}
+
+
+# sha256 of the edge mask, as little-endian bytes, of seeded draws on each
+# path: geometric skipping, listed non-edges (at most 2n), packed matrix.
+# Any change to the sampled stream changes these.
+STREAM_PINS = {
+    (200, 0.01, 7):
+        "c4c99cec581fc2a3aa40d39f698731ec5da7342d430c3f64e790d9d2e850a572",
+    (2000, 0.001, 5):
+        "39ffb90590bf2d7aabf147619fb665041297dc9c09c8c1fce220edf46469471c",
+    (400, 0.995, 11):
+        "7434caec7f4356658bda0ff79f50c157c292485d1f1470874946b6c9bbf73d75",
+    (60, 0.99, 5):
+        "bba7d14d7a27a24925ba2a710987e25a4f416a63bade7f1a19bab7af73facec8",
+    (60, 0.5, 2):
+        "e4188ee8833e8e7a7ed33f3df625e370664a583a6dc60d2091145d9535688ef4",
+    (400, 0.9, 1):
+        "8b1b0d85f3c462e9f129e99d8d4e391d45d0d085118868751cdbe39d0d0c8bbc",
+}
+
+
+def test_gnp_stream_pins():
+    forms = set()
+    for (n, p, seed), digest in STREAM_PINS.items():
+        draw = draw_gnp(n, p, seed)
+        forms.add("edges" if draw.edges is not None else
+                  "non_edges" if draw.non_edges is not None else "kept")
+        m = n * (n - 1) // 2
+        raw = edge_mask(sample_gnp(n, p, seed)).to_bytes((m + 7) // 8,
+                                                         "little")
+        assert hashlib.sha256(raw).hexdigest() == digest, (n, p, seed)
+    assert forms == {"edges", "non_edges", "kept"}
 
 
 def test_gnp_symmetry_no_loops():
