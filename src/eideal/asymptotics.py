@@ -182,7 +182,7 @@ def gw_limit_estimate(lam: float, trials: int, cap: int,
             censored += 1
             continue
         size = s.size
-        nu, mmis = forest_dp(s.tree)
+        nu, mmis = forest_dp(s.tree, (1 << size) - 1)
         values = (nu / size, (size - mmis) / size, mmis / size)
         for which, value in zip(GW_INVARIANTS, values):
             total[which] += value

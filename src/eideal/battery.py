@@ -322,7 +322,7 @@ def _sandwich_chunk(task):
         parts = connected_components(g)
         reg = regularity_componentwise(g, parts=parts)
         comp_count = len(parts)
-        nontrivial = len(parts.component_subgraphs)
+        nontrivial = len(parts.masks)
         nu = induced_matching_number(g)
         match = matching_number(g)
         # Censored components carry reg* somewhere in [nu, M]; accumulating

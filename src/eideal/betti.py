@@ -532,26 +532,22 @@ def reg_pd_componentwise(g: Graph, field: str = "q",
     """reg*(I) = reg(I) - 1 and pd(S/I) summed over components, with one
     censoring record shared by both results.
 
-    A tree component (connected, so edge_count == n - 1) takes the induced
-    matching identity and the forest pd formula; any other component on at
-    most betti_guard vertices takes both from one exact Betti table; the
+    The tree components take the induced matching identity and the forest
+    pd formula from one forest DP over the union of their vertex masks, with
+    no relabeling.  Only the cyclic components are relabeled: one on at most
+    betti_guard vertices takes both values from one exact Betti table; the
     rest are censored and add to neither sum."""
     if parts is None:
         parts = connected_components(g)
-    reg = pd = 0
-    censored = []
-    for comp in parts.component_subgraphs:
-        if comp.edge_count == comp.n - 1:
-            nu, mmis = forest_dp(comp)
-            reg += nu
-            pd += comp.n - mmis
-        elif comp.n <= betti_guard:
+    trees, cyclic = parts.split_trees()
+    reg, mmis = forest_dp(g, trees)
+    pd = trees.bit_count() - mmis
+    censored = tuple(comp for comp in cyclic if comp.n > betti_guard)
+    for comp in cyclic:
+        if comp.n <= betti_guard:
             table = betti_table(comp, field, betti_guard)
             reg += table.regularity_quotient()
             pd += table.projective_dimension()
-        else:
-            censored.append(comp)
-    censored = tuple(censored)
     return (ComponentwiseResult(reg, len(parts), censored),
             ComponentwiseResult(pd, len(parts), censored))
 

@@ -1,11 +1,11 @@
 """Exact combinatorial invariants: induced matching, matching, independence,
 vertex-cover extremes and unmixedness.
 
-Forests get one unchecked post-order DP, ``forest_dp``, for both induced
-matching and independent domination; the public ``tree_*`` wrappers check
-``is_forest`` first, callers that hold a tree by construction do not.
-Induced matching is additive over components, and a cyclic component
-branches on a 2-core vertex until the forest DP applies.
+One unchecked post-order DP, ``forest_dp``, gives induced matching and
+independent domination of the forest on a vertex mask, read in place: callers
+pass all their tree components (or a branching leaf) at once, unrelabeled.
+Only the public ``tree_*`` wrappers check ``is_forest``.  Induced matching is
+additive over components; a cyclic one branches on a 2-core vertex.
 Matching peels leaves (always optimal) and hands what is left to blossom.
 Independence and cover extremes search with an explicit node budget.
 """
@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from .graph_core import (Graph, bits, complement, component_masks,
-                         connected_components, induced_subgraph_mask)
+from .graph_core import Graph, bits, complement, connected_components
 
 DEFAULT_MIS_BUDGET = 10 ** 7
 DEFAULT_NODE_BUDGET = 10 ** 7
@@ -28,17 +27,17 @@ class BudgetExceededError(RuntimeError):
 
 
 def is_forest(g: Graph) -> bool:
-    components = sum(1 for _ in component_masks(g.adj, (1 << g.n) - 1))
-    return g.edge_count == g.n - components
+    return g.edge_count == g.n - len(connected_components(g))
 
 
 NEG = float("-inf")
 
 
-def forest_dp(g: Graph) -> tuple[int, int]:
-    """(induced matching number, minimum maximal independent set size) of a
-    forest, unchecked, from one post-order per tree rooted at its smallest
-    vertex: each vertex folds its values into its parent's sums.
+def forest_dp(g: Graph, vertices: int) -> tuple[int, int]:
+    """(induced matching number, minimum maximal independent set size) of
+    the forest G[vertices], unchecked, read in place (neighbors are
+    ``adj[v] & vertices``), from one post-order per tree rooted at its
+    smallest vertex: each vertex folds its values into its parent's sums.
 
     Induced matching: a = best with v matched to a child, m = best with v
     unmatched, p = best with v unmatched and no child matched (v available
@@ -47,14 +46,14 @@ def forest_dp(g: Graph) -> tuple[int, int]:
     """
     parent = [None] * g.n
     order = []
-    for root in range(g.n):
+    for root in bits(vertices):
         if parent[root] is None:
             parent[root] = -1
             stack = [root]
             while stack:
                 v = stack.pop()
                 order.append(v)
-                for u in bits(g.adj[v]):
+                for u in bits(g.adj[v] & vertices):
                     if parent[u] is None:
                         parent[u] = v
                         stack.append(u)
@@ -64,22 +63,27 @@ def forest_dp(g: Graph) -> tuple[int, int]:
     swap = [NEG] * g.n
     force = [float("inf")] * g.n
     nu = mmis = 0
+    # Conditional expressions, not min/max: the calls cost a fifth of a DP.
     for v in reversed(order):
         a = 1 + sum_m[v] + swap[v]  # -inf for a leaf
         m = sum_best[v]
+        top = a if a > m else m
         s = 1 + sum_f[v]
-        best = min(s, sum_min[v] + force[v])  # d is inf for a leaf
+        d = sum_min[v] + force[v]  # inf for a leaf
+        best = s if s < d else d
         u = parent[v]
         if u < 0:
-            nu += max(a, m)
+            nu += top
             mmis += best
             continue
         sum_m[u] += m
-        sum_best[u] += max(a, m)
+        sum_best[u] += top
         sum_f[u] += sum_min[v]
         sum_min[u] += best
-        swap[u] = max(swap[u], sum_m[v] - m)
-        force[u] = min(force[u], s - best)
+        if sum_m[v] - m > swap[u]:
+            swap[u] = sum_m[v] - m
+        if s - best < force[u]:
+            force[u] = s - best
     return nu, mmis
 
 
@@ -87,7 +91,7 @@ def tree_induced_matching(g: Graph) -> int:
     """Induced matching number of a forest; errors on non-forests."""
     if not is_forest(g):
         raise ValueError("tree_induced_matching requires a forest")
-    return forest_dp(g)[0]
+    return forest_dp(g, (1 << g.n) - 1)[0]
 
 
 def _find_cycle_vertex(g: Graph, active: int) -> int | None:
@@ -113,17 +117,14 @@ def _find_cycle_vertex(g: Graph, active: int) -> int | None:
 def induced_matching_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Exact induced matching number.
 
-    Additive over components: forest components go straight to the DP, and
-    each cyclic component is branched on a 2-core vertex v (v unmatched, or
-    v matched to each neighbor in turn) until the forest DP applies.
+    Additive over components: the tree components take one forest DP over
+    the union of their masks, and each cyclic component is branched on a
+    2-core vertex v (v unmatched, or v matched to each neighbor in turn)
+    until the forest DP applies.
     """
-    total = 0
-    for comp in connected_components(g).component_subgraphs:
-        if comp.edge_count == comp.n - 1:
-            total += forest_dp(comp)[0]
-        else:
-            total += _induced_matching_cyclic(comp, budget)
-    return total
+    trees, cyclic = connected_components(g).split_trees()
+    return forest_dp(g, trees)[0] + sum(
+        _induced_matching_cyclic(comp, budget) for comp in cyclic)
 
 
 def _induced_matching_cyclic(g: Graph, budget: int) -> int:
@@ -135,19 +136,12 @@ def _induced_matching_cyclic(g: Graph, budget: int) -> int:
         if nodes > budget:
             raise BudgetExceededError(
                 f"induced matching search exceeded {budget} nodes")
-        # Drop vertices isolated within the active set.
-        live = 0
-        for v in bits(active):
-            if g.adj[v] & active:
-                live |= 1 << v
-        if live == 0:
-            return 0
-        v = _find_cycle_vertex(g, live)
-        if v is None:
-            return forest_dp(induced_subgraph_mask(g, live))[0]
-        best = solve(live & ~(1 << v))
-        for u in bits(g.adj[v] & live):
-            rest = live & ~(g.adj[v] | g.adj[u] | (1 << v) | (1 << u))
+        v = _find_cycle_vertex(g, active)
+        if v is None:  # G[active] is a forest, isolated vertices and all
+            return forest_dp(g, active)[0]
+        best = solve(active & ~(1 << v))
+        for u in bits(g.adj[v] & active):
+            rest = active & ~(g.adj[v] | g.adj[u] | (1 << v) | (1 << u))
             cand = 1 + solve(rest)
             if cand > best:
                 best = cand
@@ -300,4 +294,4 @@ def tree_min_maximal_independent_set(g: Graph) -> int:
     """Minimum maximal (= independent dominating) set size on a forest."""
     if not is_forest(g):
         raise ValueError("requires a forest")
-    return forest_dp(g)[1]
+    return forest_dp(g, (1 << g.n) - 1)[1]

@@ -26,8 +26,8 @@ Python runs:
 * engine: the rest, and every graph with n <= 4, run one
   ``HomologyEngine`` on the top set.
 
-The third table, built by ``count_chordless_cycles`` on each complement,
-marks graphs whose complement is a chordless k-cycle: the complement of a
+The third table marks graphs whose complement is a chordless k-cycle, set
+from the labeled complement-C_k masks listed directly: the complement of a
 graph is chordal iff no subset carries that flag, and free of induced C4s
 iff no 4-subset does.  The top set is tested by membership in the labeled
 complement-C_n masks.  The real ``is_chordal``/``has_induced_c4`` still run
@@ -45,10 +45,9 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .betti import HomologyEngine, linear_flags, linearity, subset_positions
-from .chordality import count_chordless_cycles, has_induced_c4, is_chordal
+from .chordality import has_induced_c4, is_chordal
 from .experiments import _chunk_ranges, run_chunked
-from .graph_core import (complement, graph_from_edge_mask, pair_index,
-                         pair_list)
+from .graph_core import complement, graph_from_edge_mask, pair_index, pair_list
 from .random_models import rng_for
 
 _AUDIT_FIELD = "f2"
@@ -78,11 +77,10 @@ def flag_tables(k: int) -> tuple[np.ndarray, ...]:
     size = 1 << len(pairs)
     lr_break, lp_break, cycle = np.zeros((3, size), dtype=bool)
     for mask in range(size):
-        g = graph_from_edge_mask(k, mask, pairs)
-        lr, lp = _top_set_flags(g)
+        lr, lp = _top_set_flags(graph_from_edge_mask(k, mask, pairs))
         lr_break[mask] = not lr
         lp_break[mask] = not lp
-        cycle[mask] = count_chordless_cycles(complement(g), k).by_length[k] > 0
+    cycle[_complement_cycle_masks(k)] = True
     _tables[k] = (lr_break, lp_break, cycle)
     return _tables[k]
 

@@ -174,6 +174,10 @@ class ExperimentConfig:
                     f"schedule: kind {self.kind!r} needs a sparse schedule")
             if self.kind == "gw_limit" and self.schedule.lam > 1:
                 raise ConfigError("schedule: gw_limit needs lambda <= 1")
+        if (self.kind == "cycle_calibration"
+                and not 4 <= self.k_max <= min(self.n_list)):
+            raise ConfigError(f"k_max: cycle_calibration needs 4 <= k_max "
+                              f"<= min(n_list) = {min(self.n_list)}")
         if (self.kind in ("gw_limit", "variance_audit", "cycle_calibration")
                 and self.trials < 2):
             raise ConfigError(

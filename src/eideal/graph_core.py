@@ -6,7 +6,7 @@ every graph size; all operations are pure functions on immutable values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 
@@ -43,36 +43,51 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
+@dataclass(frozen=True)
 class ComponentPartition:
-    """Connected components, labeled in order of smallest contained vertex.
+    """Connected components of ``graph``, ordered by smallest vertex.
 
-    ``sizes`` and ``len()`` count every component, isolated vertices
-    included; ``component_subgraphs`` holds only the components with an
-    edge (size >= 2), built lazily because most consumers need only sizes.
+    ``masks`` holds the vertex masks of the components with an edge;
+    isolated vertices are only counted, in ``count`` (= ``len()``), which
+    covers every component.  ``component_subgraphs`` relabels the ``masks``
+    components lazily, and ``split_trees`` relabels only the cyclic ones.
     """
 
-    def __init__(self, graph: Graph, labels: tuple[int, ...],
-                 sizes: tuple[int, ...],
-                 vertex_sets: tuple[tuple[int, ...], ...]):
-        self.graph = graph
-        self.labels = labels
-        self.sizes = sizes
-        self.component_vertex_sets = vertex_sets
+    graph: Graph = field(repr=False)
+    masks: tuple[int, ...] = field(repr=False)
+    count: int
+
+    def subgraph(self, mask: int) -> Graph:
+        """The component on ``mask`` relabeled, or ``graph`` if it spans."""
+        if self.count == 1 and self.graph.n > 1:
+            return self.graph
+        return induced_subgraph_mask(self.graph, mask)
 
     @cached_property
     def component_subgraphs(self) -> tuple[Graph, ...]:
-        """Induced subgraphs of the components with an edge, in label order;
-        a component spanning all n > 1 vertices is the graph itself."""
-        if len(self.sizes) == 1 and self.graph.n > 1:
-            return (self.graph,)
-        return tuple(induced_subgraph(self.graph, vs)
-                     for vs in self.component_vertex_sets if len(vs) > 1)
+        """Induced subgraphs of the components with an edge, in order."""
+        return tuple(map(self.subgraph, self.masks))
+
+    def split_trees(self) -> tuple[int, list[Graph]]:
+        """(union of the tree components' masks, the cyclic subgraphs)."""
+        trees = 0
+        cyclic = []
+        for mask in self.masks:
+            if spans_tree(self.graph.adj, mask):
+                trees |= mask
+            else:
+                cyclic.append(self.subgraph(mask))
+        return trees, cyclic
 
     def __len__(self) -> int:
-        return len(self.sizes)
+        return self.count
 
-    def __repr__(self) -> str:
-        return f"ComponentPartition(sizes={self.sizes})"
+
+def spans_tree(adj, mask: int) -> bool:
+    """Whether the connected component on ``mask`` is a tree: k vertices
+    whose rows hold 2(k - 1) edge ends."""
+    return (sum(adj[v].bit_count() for v in bits(mask))
+            == 2 * (mask.bit_count() - 1))
 
 
 def bits(mask: int):
@@ -162,22 +177,12 @@ def component_masks(adj, w: int):
 
 
 def connected_components(g: Graph) -> ComponentPartition:
-    """Partition numbered by smallest vertex.  The BFS touches only the
-    non-isolated vertices; one O(n) pass over the rows adds the singletons."""
+    """Components ordered by smallest vertex.  The BFS runs over the mask of
+    non-isolated vertices only; the isolated ones are counted, not built."""
     flags = "".join("1" if row else "0" for row in reversed(g.adj))
     live = int("0" + flags, 2)
-    starts = {(c & -c).bit_length() - 1: c
-              for c in component_masks(g.adj, live)}
-    labels = [-1] * g.n
-    vertex_sets = []
-    for v, row in enumerate(g.adj):
-        if not row or v in starts:
-            members = tuple(bits(starts[v])) if row else (v,)
-            for u in members:
-                labels[u] = len(vertex_sets)
-            vertex_sets.append(members)
-    return ComponentPartition(g, tuple(labels), tuple(map(len, vertex_sets)),
-                              tuple(vertex_sets))
+    masks = tuple(component_masks(g.adj, live))
+    return ComponentPartition(g, masks, g.n - live.bit_count() + len(masks))
 
 
 def max_degree(g: Graph) -> int:

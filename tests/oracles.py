@@ -12,7 +12,8 @@ from itertools import combinations
 
 import numpy as np
 
-from eideal.graph_core import Graph, bits, induced_subgraph
+from eideal.graph_core import (Graph, bits, build_graph, enumerate_graphs,
+                               induced_subgraph)
 
 
 def naive_independent_sets(g: Graph) -> list[int]:
@@ -50,6 +51,19 @@ def union_find_components(g: Graph):
                       if len(vs) > 1)
     return (tuple(labels), tuple(len(vs) for vs in vertex_sets), vertex_sets,
             subgraphs)
+
+
+def padded_graphs(max_n: int):
+    """Every graph on at most max_n vertices: as is, with an isolated vertex
+    before and one after, and with one between each two consecutive ones."""
+    for n in range(max_n + 1):
+        paddings = (list(range(n)), [v + 1 for v in range(n)],
+                    [2 * v for v in range(n)])
+        sizes = (n, n + 2, max(0, 2 * n - 1))
+        for g in enumerate_graphs(n):
+            for place, size in zip(paddings, sizes):
+                yield build_graph(size, [(place[u], place[v])
+                                         for u, v in g.edges()])
 
 
 def naive_is_chordal(g: Graph) -> bool:

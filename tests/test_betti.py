@@ -12,7 +12,7 @@ from eideal.betti import (BettiTable, HomologyEngine, SizeGuardExceeded,
                           regularity_componentwise, SimplicialComplex)
 from eideal.chordality import is_4_cochordal, is_cochordal
 from eideal.comb_invariants import tree_induced_matching
-from eideal.graph_core import (build_graph, complete_graph,
+from eideal.graph_core import (bits, build_graph, complete_graph,
                                connected_components, cycle_graph,
                                disjoint_union, empty_graph, enumerate_graphs,
                                graph_from_edge_mask, induced_subgraph,
@@ -300,6 +300,20 @@ def test_componentwise_matches_whole_graph_table():
         assert reg.censored_components == sum(
             comp.edge_count >= comp.n > 3
             for comp in connected_components(g).component_subgraphs)
+
+
+def test_planted_tree_test_fault_is_caught(monkeypatch):
+    # Counting 2k edge ends for k vertices, not 2(k - 1), sends every
+    # unicyclic component to the forest DP and every tree to a table.
+    import eideal.graph_core as graph_core
+
+    def unicyclic_as_tree(adj, mask):
+        return (sum(adj[v].bit_count() for v in bits(mask))
+                == 2 * mask.bit_count())
+
+    monkeypatch.setattr(graph_core, "spans_tree", unicyclic_as_tree)
+    with pytest.raises(AssertionError):
+        test_componentwise_matches_whole_graph_table()
 
 
 def test_additivity_against_naive():

@@ -12,12 +12,14 @@ from eideal.comb_invariants import (BudgetExceededError, cover_profile,
 from eideal.graph_core import (bits, build_graph, complete_graph,
                                connected_components, cycle_graph,
                                disjoint_union, empty_graph, enumerate_graphs,
+                               induced_subgraph, induced_subgraph_mask,
                                path_graph, star_graph)
 from eideal.random_models import sample_gnp, sample_gw_tree
 
 from oracles import (naive_cover_sizes, naive_independence_number,
                      naive_induced_matching_number,
-                     naive_maximal_independent_sets, naive_matching_number)
+                     naive_maximal_independent_sets, naive_matching_number,
+                     padded_graphs, union_find_components)
 
 
 def random_tree(n, rng):
@@ -84,7 +86,7 @@ def test_forest_dp_matches_betti_table():
                if is_forest(g)]
     forests += [shuffled_forest(rng.randint(7, 12), rng) for _ in range(30)]
     for f in forests:
-        nu, mmis = forest_dp(f)
+        nu, mmis = forest_dp(f, (1 << f.n) - 1)
         table = betti_table(f)
         assert nu == table.regularity_quotient()
         assert f.n - mmis == table.projective_dimension()
@@ -145,8 +147,86 @@ def test_forest_dp_matches_separate_dps():
                for _ in range(2)]
     assert max(g.n for g in graphs) == 2000
     for g in graphs:
-        assert forest_dp(g) == (_old_induced_matching(g),
+        assert forest_dp(g, (1 << g.n) - 1) == (_old_induced_matching(g),
                                 _old_min_maximal_independent_set(g))
+
+
+def _relabel_route(g):
+    """The union of g's tree components (by union-find), and their summed
+    (nu, mmis), each tree relabeled and solved by the separate DPs."""
+    _, _, vertex_sets, subgraphs = union_find_components(g)
+    trees = nu = mmis = 0
+    for vs, comp in zip([vs for vs in vertex_sets if len(vs) > 1], subgraphs):
+        if comp.edge_count == comp.n - 1:
+            trees |= sum(1 << v for v in vs)
+            nu += _old_induced_matching(comp)
+            mmis += _old_min_maximal_independent_set(comp)
+    return trees, (nu, mmis)
+
+
+def _assert_forest_dp_in_place(g):
+    trees, expected = _relabel_route(g)
+    split, cyclic = connected_components(g).split_trees()
+    assert split == trees
+    assert all(comp.edge_count >= comp.n for comp in cyclic)
+    assert forest_dp(g, trees) == expected
+
+
+def test_forest_dp_on_a_mask_matches_relabeled_trees_padded():
+    for g in padded_graphs(6):
+        _assert_forest_dp_in_place(g)
+
+
+def test_forest_dp_on_a_mask_matches_relabeled_trees_gnp():
+    rng = random.Random(77)
+    leaves = 0
+    for n in (1, 2, 17, 300, 2000):
+        for lam in (0.5, 1.0, 4.0):
+            for seed in range(3):
+                g = sample_gnp(n, min(1.0, lam / n), 500 + seed)
+                _assert_forest_dp_in_place(g)
+                # A vertex set that is not a union of components, as the
+                # branching leaves of the matching solver pass: its rows
+                # reach vertices outside it.
+                mask = rng.getrandbits(n)
+                sub = induced_subgraph_mask(g, mask)
+                if is_forest(sub):
+                    leaves += 1
+                    assert forest_dp(g, mask) == (
+                        _old_induced_matching(sub),
+                        _old_min_maximal_independent_set(sub))
+    assert leaves >= 20
+
+
+def test_no_tree_component_is_relabeled(monkeypatch):
+    import eideal.graph_core as graph_core
+
+    built = graph_core.induced_subgraph
+    relabeled = []
+
+    def recorded(g, vertices):
+        relabeled.append(built(g, vertices))
+        return relabeled[-1]
+
+    monkeypatch.setattr(graph_core, "induced_subgraph", recorded)
+    for seed in range(4):
+        g = disjoint_union(sample_gnp(400, 1.0 / 400, seed),
+                           disjoint_union(cycle_graph(5), path_graph(4)))
+        parts = connected_components(g)
+        cyclic = sum(not graph_core.spans_tree(g.adj, m) for m in parts.masks)
+        assert cyclic >= 1 and len(parts.masks) > cyclic
+        relabeled.clear()
+        reg, pd = reg_pd_componentwise(g, parts=parts)
+        assert reg.value > 0 and pd.value > 0
+        induced_matching_number(g)
+        # Each cyclic component once per solver, and never a tree.
+        assert len(relabeled) == 2 * cyclic
+        assert all(h.edge_count >= h.n for h in relabeled)
+    # The recorder does see a tree that is relabeled.
+    relabeled.clear()
+    connected_components(disjoint_union(path_graph(3), empty_graph(1))
+                         ).component_subgraphs
+    assert relabeled == [path_graph(3)]
 
 
 def test_forest_wrappers_reject_cycles():
@@ -263,7 +343,7 @@ def test_invariant_inequalities():
         nu = induced_matching_number(g)
         m = matching_number(g)
         assert nu <= m <= g.n // 2
-        nontrivial = sum(1 for s in connected_components(g).sizes if s >= 2)
+        nontrivial = len(connected_components(g).masks)
         assert nu >= nontrivial
 
 

@@ -128,6 +128,80 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+ALL_PREDICATES = sorted(experiments.PREDICATES)
+
+
+def _edge(kind, n_list=None, schedule=None, **extra):
+    obj = {"kind": kind, "seed": 5, "trials": 2, **extra}
+    if n_list is not None:
+        obj["n_list"] = n_list
+    if schedule is not None:
+        kind_, value = schedule
+        obj["schedule"] = ({"kind": "constant", "p": value}
+                           if kind_ == "p" else
+                           {"kind": kind_, "lambda": value} if kind_ != "power"
+                           else {"kind": "power", "c": 1.0, "alpha": value})
+    if kind == "threshold":
+        obj["predicates"] = ALL_PREDICATES
+    return pytest.param(obj, id="-".join(
+        [kind] + [f"{k}={v}" for k, v in obj.items()
+                  if k not in ("kind", "seed", "trials", "predicates")]))
+
+
+EDGE_CONFIGS = [
+    _edge("threshold", [1], ("sparse", 0.0)),
+    _edge("threshold", [4], ("p", 0.0)),
+    _edge("threshold", [4], ("p", 1.0)),
+    _edge("threshold", [2], ("window_dense", 0.0)),
+    _edge("threshold", [3], ("window_sparse", 0.0)),
+    _edge("gw_limit", [1], ("sparse", 0.0), gw_cap=1, gw_trials=2),
+    _edge("gw_limit", [4], ("sparse", 1.0), gw_cap=1, gw_trials=2),
+    _edge("unmixed_scan", [1], ("sparse", 0.0)),
+    _edge("unmixed_scan", [4], ("p", 0.0)),
+    _edge("unmixed_scan", [4], ("p", 1.0)),
+    _edge("variance_audit", [1], ("sparse", 0.0)),
+    _edge("variance_audit", [2], ("sparse", 1.0)),
+    _edge("cycle_calibration", [4], ("p", 0.0), k_max=4),
+    _edge("cycle_calibration", [4], ("p", 1.0), k_max=4),
+    _edge("cycle_calibration", [5], ("p", 0.5), k_max=5),
+    _edge("cycle_calibration", [4, 6], ("p", 0.5), k_max=6),
+    _edge("cycle_calibration", [6], ("p", 0.5), k_max=2),
+    _edge("cycle_calibration", [6], ("p", 0.5), k_max=3),
+    _edge("cycle_calibration", [1], ("p", 0.5), k_max=4),
+    _edge("cycle_calibration", [2], ("p", 0.5), k_max=4),
+    _edge("cycle_calibration", [3], ("power", 0.0)),
+    _edge("lipschitz_audit", trials=2),
+    _edge("froberg_audit", exhaustive_n=1, random_audit=[[1, 1], [2, 1]]),
+    _edge("froberg_audit", exhaustive_n=4, random_audit=[[11, 1]]),
+]
+
+
+@pytest.mark.parametrize("obj", EDGE_CONFIGS)
+def test_edge_case_config_is_rejected_or_reported(obj):
+    # A config either fails validation with a ConfigError or runs to a
+    # report whose JSON is strict: no crash inside the run, no NaN.
+    try:
+        cfg = ExperimentConfig.from_json(obj)
+    except ConfigError:
+        return
+    for include_timing in (True, False):
+        _strict_json(run_experiment(cfg).to_json(include_timing))
+
+
+@pytest.mark.parametrize("k_max, n_list", [(2, [6]), (3, [6]), (4, [2]),
+                                           (4, [1]), (6, [4, 6])])
+def test_cycle_calibration_k_max_bounds(k_max, n_list):
+    # Each used to pass validation and crash in the run.
+    obj = {"kind": "cycle_calibration", "seed": 1, "trials": 2,
+           "n_list": n_list, "k_max": k_max,
+           "schedule": {"kind": "power", "c": 1.0, "alpha": 0.0}}
+    with pytest.raises(ConfigError, match="k_max: .*4 <= k_max <= min"):
+        ExperimentConfig.from_json(obj)
+    # Both ends of the range pass.
+    for k_max, n_list in ((4, [4, 6]), (5, [5, 7])):
+        ExperimentConfig.from_json({**obj, "k_max": k_max, "n_list": n_list})
+
+
 def test_threshold_trivial_schedules():
     cfg = ExperimentConfig(kind="threshold", seed=3, trials=50, n_list=(12,),
                            schedule=ParamSchedule.constant(0.0),

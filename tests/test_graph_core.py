@@ -10,7 +10,7 @@ from eideal.graph_core import (build_graph, complement, complete_graph,
                                induced_subgraph, max_degree, path_graph,
                                star_graph, to_edge_list_text, to_hex_dump)
 from eideal.random_models import sample_gnp
-from oracles import union_find_components
+from oracles import padded_graphs, union_find_components
 
 
 def random_graph_strategy(max_n=9):
@@ -90,41 +90,35 @@ def test_delete_closed_neighborhood():
 def test_connected_components():
     g = build_graph(4, [(0, 1), (2, 3)])
     parts = connected_components(g)
-    assert parts.sizes == (2, 2)
+    assert parts.masks == (0b0011, 0b1100) and len(parts) == 2
     assert len(connected_components(cycle_graph(5))) == 1
-    assert connected_components(empty_graph(3)).sizes == (1, 1, 1)
+    assert connected_components(cycle_graph(5)).masks == (0b11111,)
+    assert len(connected_components(empty_graph(3))) == 3
+    assert connected_components(empty_graph(3)).masks == ()
     assert connected_components(empty_graph(3)).component_subgraphs == ()
-    assert sum(connected_components(g).sizes) == g.n
+    assert len(connected_components(empty_graph(0))) == 0
+    assert sum(m.bit_count() for m in parts.masks) == g.n
 
 
 def test_component_labels_by_smallest_vertex():
     g = build_graph(5, [(1, 3), (0, 4)])
     parts = connected_components(g)
-    assert parts.labels[0] == 0 and parts.labels[4] == 0
-    assert parts.labels[1] == 1 and parts.labels[3] == 1
-    assert parts.labels[2] == 2
+    assert parts.masks == (1 << 0 | 1 << 4, 1 << 1 | 1 << 3)
+    assert len(parts) == 3  # {0, 4}, {1, 3} and the isolated vertex 2
 
 
 def _assert_matches_union_find(g):
     parts = connected_components(g)
-    labels, sizes, vertex_sets, subgraphs = union_find_components(g)
-    assert parts.labels == labels
-    assert parts.sizes == sizes
-    assert parts.component_vertex_sets == vertex_sets
+    _, sizes, vertex_sets, subgraphs = union_find_components(g)
+    assert len(parts) == len(sizes)
+    assert parts.masks == tuple(sum(1 << v for v in vs) for vs in vertex_sets
+                                if len(vs) > 1)
     assert parts.component_subgraphs == subgraphs
 
 
 def test_components_match_union_find_exhaustive_padded():
-    # Every graph on at most 6 vertices: as is, with an isolated vertex
-    # before and one after, and with one between each two consecutive ones.
-    for n in range(7):
-        paddings = (list(range(n)), [v + 1 for v in range(n)],
-                    [2 * v for v in range(n)])
-        sizes = (n, n + 2, max(0, 2 * n - 1))
-        for g in enumerate_graphs(n):
-            for place, size in zip(paddings, sizes):
-                moved = [(place[u], place[v]) for u, v in g.edges()]
-                _assert_matches_union_find(build_graph(size, moved))
+    for g in padded_graphs(6):
+        _assert_matches_union_find(g)
 
 
 def test_components_match_union_find_sparse_gnp():
@@ -205,4 +199,5 @@ def test_edge_list_parse_errors():
 def test_disjoint_union():
     g = disjoint_union(cycle_graph(3), path_graph(2))
     assert g.n == 5 and g.edge_count == 4
-    assert connected_components(g).sizes == (3, 2)
+    parts = connected_components(g)
+    assert parts.masks == (0b00111, 0b11000) and len(parts) == 2
