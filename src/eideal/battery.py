@@ -11,19 +11,18 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from .asymptotics import (karp_sipser_upper, prob_lp_dense_window,
                           prob_lr_dense_window, prob_lr_sparse_window)
 from .betti import betti_table, invariants, regularity_componentwise
 from .comb_invariants import (induced_matching_number, matching_number,
                               tree_induced_matching)
-from .experiments import (ExperimentConfig, run_chunked,
+from .experiments import (ExperimentConfig, map_gnp_trials, map_trials,
                           run_cycle_calibration, run_lipschitz_audit,
-                          run_threshold, run_unmixed_scan, run_variance_audit,
-                          _trial_chunks)
+                          run_threshold, run_unmixed_scan, run_variance_audit)
 from .graph_core import build_graph, connected_components, cycle_graph
-from .random_models import (ParamSchedule, rng_for, sample_gnp,
-                            substream_seed)
+from .random_models import GnpDraw, ParamSchedule, rng_for, substream_seed
 
 DEFAULT_SEED = 1729
 
@@ -100,17 +99,12 @@ def _random_forest_edges(n: int, rng) -> list:
             if rng.random() > 0.25]
 
 
-def _forest_reg_chunk(task):
-    seed, lo, hi = task
-    bad = 0
-    for t in range(lo, hi):
-        rng = rng_for(substream_seed(seed, "forest_reg", t))
-        n = int(rng.integers(1, 15))
-        f = build_graph(n, _random_forest_edges(n, rng))
-        reg_ideal = betti_table(f).regularity_quotient() + 1
-        if reg_ideal != tree_induced_matching(f) + 1:
-            bad += 1
-    return bad
+def _forest_reg_mismatch(seed: int, t: int) -> bool:
+    rng = rng_for(substream_seed(seed, "forest_reg", t))
+    n = int(rng.integers(1, 15))
+    f = build_graph(n, _random_forest_edges(n, rng))
+    reg_ideal = betti_table(f).regularity_quotient() + 1
+    return reg_ideal != tree_induced_matching(f) + 1
 
 
 @_timed
@@ -119,8 +113,8 @@ def criterion_forest_regularity(seed: int = DEFAULT_SEED,
     """reg(I) = nu + 1 on 500 random forests with at most 14 vertices,
     homology table against tree DP."""
     trials = 500
-    tasks = [(seed, lo, hi) for lo, hi in _trial_chunks(trials, workers)]
-    bad = sum(run_chunked(_forest_reg_chunk, tasks, workers))
+    bad = sum(map_trials(partial(_forest_reg_mismatch, seed), trials,
+                         workers))
     return CriterionResult(
         "forest_regularity", bad == 0,
         f"{trials} forests, {bad} mismatches", {"mismatches": bad})
@@ -261,13 +255,14 @@ def criterion_cycle_calibration(seed: int = DEFAULT_SEED,
     exact_ok = True
     for m in (4, 5):
         pairs = m * (m - 1) // 2
+        # One count per graph at k_max = m gives every length k <= m.
+        counted = [(g.edge_count, count_chordless_cycles(g, m).by_length)
+                   for g in enumerate_graphs(m)]
         for qf in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
             for k in range(4, m + 1):
                 acc = Fraction(0)
-                for g in enumerate_graphs(m):
-                    e = g.edge_count
-                    acc += (qf ** e * (1 - qf) ** (pairs - e)
-                            * count_chordless_cycles(g, k).by_length[k])
+                for e, by_length in counted:
+                    acc += (qf ** e * (1 - qf) ** (pairs - e) * by_length[k])
                 formula = (Fraction(math.factorial(k - 1), 2) * math.comb(m, k)
                            * qf ** k * (1 - qf) ** (math.comb(k, 2) - k))
                 exact_ok = exact_ok and acc == formula
@@ -314,27 +309,23 @@ def criterion_gw_limit(seed: int = DEFAULT_SEED,
 
 # -- 10 ---------------------------------------------------------------------
 
-def _sandwich_chunk(task):
-    seed, n, p, lo, hi = task
-    rows = []
-    for t in range(lo, hi):
-        g = sample_gnp(n, p, substream_seed(seed, "sandwich", n, t))
-        parts = connected_components(g)
-        reg = regularity_componentwise(g, parts=parts)
-        comp_count = len(parts)
-        nontrivial = len(parts.masks)
-        nu = induced_matching_number(g)
-        match = matching_number(g)
-        # Censored components carry reg* somewhere in [nu, M]; accumulating
-        # those envelopes keeps both inequality checks conservative.
-        cens_lo = 0
-        cens_hi = 0
-        for comp in reg.censored:
-            cens_lo += induced_matching_number(comp)
-            cens_hi += matching_number(comp)
-        rows.append((reg.value, comp_count, nontrivial, nu, match,
-                     cens_lo, cens_hi, reg.censored_components))
-    return rows
+def _sandwich_row(draw: GnpDraw) -> tuple:
+    g = draw.graph()
+    parts = connected_components(g)
+    reg = regularity_componentwise(g, parts=parts)
+    comp_count = len(parts)
+    nontrivial = len(parts.masks)
+    nu = induced_matching_number(g)
+    match = matching_number(g)
+    # Censored components carry reg* somewhere in [nu, M]; accumulating
+    # those envelopes keeps both inequality checks conservative.
+    cens_lo = 0
+    cens_hi = 0
+    for comp in reg.censored:
+        cens_lo += induced_matching_number(comp)
+        cens_hi += matching_number(comp)
+    return (reg.value, comp_count, nontrivial, nu, match, cens_lo, cens_hi,
+            reg.censored_components)
 
 
 @_timed
@@ -346,9 +337,8 @@ def criterion_sandwich(seed: int = DEFAULT_SEED,
     lam, n, trials = 1.0, 2000, 200
     p = lam / n
     upper = karp_sipser_upper(lam).value
-    tasks = [(seed, n, p, lo, hi) for lo, hi in _trial_chunks(trials, workers)]
-    rows = [r for part in run_chunked(_sandwich_chunk, tasks, workers)
-            for r in part]
+    rows = map_gnp_trials("sandwich", seed, n, p, trials, workers,
+                          _sandwich_row)
     lower_ok = 0
     upper_ok = 0
     det_ok = 0

@@ -2,7 +2,9 @@
 
 Workers share nothing but the immutable config; every trial draws its own
 substream from hash(seed, experiment, n, trial); per-trial values are merged
-in trial order, so reports are bit-identical for any worker count.
+in trial order, so reports are bit-identical for any worker count.  Every
+trial loop is ``map_trials``, and every G(n, p) trial loop is
+``map_gnp_trials`` over it: a runner supplies only the function of one trial.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import math
 import multiprocessing as mp
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import __version__
 from .asymptotics import (expected_chordless_cycles, gw_limit_estimate,
@@ -295,8 +298,40 @@ def run_chunked(fn, tasks: list, workers: int) -> list:
         return pool.map(fn, tasks)
 
 
-def _trial_chunks(trials: int, workers: int) -> list[tuple[int, int]]:
-    return _chunk_ranges(trials, max(workers * 4, 1))
+def _map_chunk(task):
+    fn, lo, hi = task
+    return list(map(fn, range(lo, hi)))
+
+
+def map_trials(fn, trials: int, workers: int) -> list:
+    """``[fn(t) for t in range(trials)]``, run in chunks of trials on the
+    pool; ``fn`` and its rows must pickle."""
+    tasks = [(fn, lo, hi) for lo, hi in _chunk_ranges(trials, workers * 4)]
+    return [row for part in run_chunked(_map_chunk, tasks, workers)
+            for row in part]
+
+
+def _gnp_trial(label, seed, n, p, fn, t):
+    return fn(draw_gnp(n, p, substream_seed(seed, label, n, t)))
+
+
+def map_gnp_trials(label: str, seed: int, n: int, p: float, trials: int,
+                   workers: int, fn) -> list:
+    """``fn`` of the ``GnpDraw`` of each trial t, drawn from substream
+    (seed, label, n, t), in trial order."""
+    return map_trials(partial(_gnp_trial, label, seed, n, p, fn), trials,
+                      workers)
+
+
+def _sampled_rows(config: ExperimentConfig, workers: int, fn):
+    """Yield (n, p, rows, seconds) for each n of the config: ``fn``'s row of
+    every trial at p = p(n), under the substream label ``config.kind``."""
+    for n in config.n_list:
+        p = schedule_p(config.schedule, n)
+        t0 = time.perf_counter()
+        rows = map_gnp_trials(config.kind, config.seed, n, p, config.trials,
+                              workers, fn)
+        yield n, p, rows, time.perf_counter() - t0
 
 
 # ---------------------------------------------------------------------------
@@ -327,27 +362,12 @@ def _threshold_verdicts(draw: GnpDraw, pred_names) -> list[bool]:
     return verdicts
 
 
-def _threshold_chunk(task):
-    seed, n, p, pred_names, lo, hi = task
-    counts = [0] * len(pred_names)
-    for t in range(lo, hi):
-        draw = draw_gnp(n, p, substream_seed(seed, "threshold", n, t))
-        for i, hit in enumerate(_threshold_verdicts(draw, pred_names)):
-            counts[i] += hit
-    return counts
-
-
 def run_threshold(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     cells = []
-    for n in config.n_list:
-        p = schedule_p(config.schedule, n)
-        t0 = time.perf_counter()
-        tasks = [(config.seed, n, p, config.predicates, lo, hi)
-                 for lo, hi in _trial_chunks(config.trials, workers)]
-        partials = run_chunked(_threshold_chunk, tasks, workers)
-        elapsed = time.perf_counter() - t0
+    verdicts = partial(_threshold_verdicts, pred_names=config.predicates)
+    for n, p, rows, elapsed in _sampled_rows(config, workers, verdicts):
         for i, name in enumerate(config.predicates):
-            hits = sum(part[i] for part in partials)
+            hits = sum(row[i] for row in rows)
             est = hits / config.trials
             lo_ci, hi_ci = wilson_interval(hits, config.trials)
             theory = _threshold_theory(config.schedule, name)
@@ -374,17 +394,12 @@ def _threshold_theory(schedule: ParamSchedule, predicate: str) -> float | None:
 # gw_limit
 # ---------------------------------------------------------------------------
 
-def _componentwise_chunk(task):
-    """(reg*, pd, censored components, components) of each G(n, p) trial of
-    experiment `kind`, from one componentwise dispatch per graph."""
-    seed, kind, n, p, betti_guard, lo, hi = task
-    rows = []
-    for t in range(lo, hi):
-        g = sample_gnp(n, p, substream_seed(seed, kind, n, t))
-        reg, pd = reg_pd_componentwise(g, betti_guard=betti_guard)
-        rows.append((reg.value, pd.value, reg.censored_components,
-                     reg.total_components))
-    return rows
+def _componentwise_row(draw: GnpDraw, betti_guard: int) -> tuple:
+    """(reg*, pd, censored components, components) of the drawn graph, from
+    one componentwise dispatch."""
+    reg, pd = reg_pd_componentwise(draw.graph(), betti_guard=betti_guard)
+    return (reg.value, pd.value, reg.censored_components,
+            reg.total_components)
 
 
 def run_gw_limit(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
@@ -402,14 +417,8 @@ def run_gw_limit(config: ExperimentConfig, workers: int = 1) -> ExperimentReport
                           0, est.trials, tree_seconds,
                           extra={"stderr": est.stderr,
                                  "censor_fraction": est.censor_fraction}))
-    for n in config.n_list:
-        p = schedule_p(config.schedule, n)
-        t0 = time.perf_counter()
-        tasks = [(config.seed, "gw_limit", n, p, config.betti_guard, lo, hi)
-                 for lo, hi in _trial_chunks(config.trials, workers)]
-        rows = [row for part in run_chunked(_componentwise_chunk, tasks,
-                                            workers) for row in part]
-        elapsed = time.perf_counter() - t0
+    row = partial(_componentwise_row, betti_guard=config.betti_guard)
+    for n, _p, rows, elapsed in _sampled_rows(config, workers, row):
         columns = (("reg_star", "induced_matching", [r[0] / n for r in rows]),
                    ("pd", "pd", [r[1] / n for r in rows]),
                    ("depth", "depth", [(n - r[1]) / n for r in rows]))
@@ -436,34 +445,22 @@ def run_gw_limit(config: ExperimentConfig, workers: int = 1) -> ExperimentReport
 # unmixed_scan
 # ---------------------------------------------------------------------------
 
-def _unmixed_chunk(task):
-    seed, n, p, budget, lo, hi = task
-    unmixed = 0
-    counted = 0
-    trips = 0
-    for t in range(lo, hi):
-        g = sample_gnp(n, p, substream_seed(seed, "unmixed_scan", n, t))
-        try:
-            if cover_profile(g, budget).unmixed:
-                unmixed += 1
-            counted += 1
-        except BudgetExceededError:
-            trips += 1
-    return unmixed, counted, trips
+def _unmixed_verdict(draw: GnpDraw, budget: int) -> bool | None:
+    """Whether the drawn graph is unmixed; None when its cover enumeration
+    trips the budget."""
+    try:
+        return cover_profile(draw.graph(), budget).unmixed
+    except BudgetExceededError:
+        return None
 
 
 def run_unmixed_scan(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     cells = []
-    for n in config.n_list:
-        p = schedule_p(config.schedule, n)
-        t0 = time.perf_counter()
-        tasks = [(config.seed, n, p, config.mis_budget, lo, hi)
-                 for lo, hi in _trial_chunks(config.trials, workers)]
-        parts = run_chunked(_unmixed_chunk, tasks, workers)
-        elapsed = time.perf_counter() - t0
-        unmixed = sum(x[0] for x in parts)
-        counted = sum(x[1] for x in parts)
-        trips = sum(x[2] for x in parts)
+    verdict = partial(_unmixed_verdict, budget=config.mis_budget)
+    for n, p, rows, elapsed in _sampled_rows(config, workers, verdict):
+        verdicts = [row for row in rows if row is not None]
+        unmixed, counted = sum(verdicts), len(verdicts)
+        trips = len(rows) - counted
         est = unmixed / counted if counted else float("nan")
         lo_ci, hi_ci = wilson_interval(unmixed, counted) if counted else (None,
                                                                           None)
@@ -478,37 +475,23 @@ def run_unmixed_scan(config: ExperimentConfig, workers: int = 1) -> ExperimentRe
 # cycle_calibration
 # ---------------------------------------------------------------------------
 
-def _cycle_chunk(task):
-    seed, n, p, k_max, want_k3, lo, hi = task
-    sums = {k: 0 for k in range(4, k_max + 1)}
-    sq_sums = {k: 0 for k in range(4, k_max + 1)}
-    triangles = []
-    for t in range(lo, hi):
-        g = sample_gnp(n, p, substream_seed(seed, "cycle_calibration", n, t))
-        counts = count_chordless_cycles(g, k_max).by_length
-        for k in sums:
-            c = counts.get(k, 0)
-            sums[k] += c
-            sq_sums[k] += c * c
-        if want_k3:
-            triangles.append(count_triangles(g))
-    return sums, sq_sums, triangles
+def _cycle_row(draw: GnpDraw, k_max: int, want_k3: bool) -> tuple:
+    """(chordless cycle counts by length, triangle count or None) of the
+    drawn graph."""
+    g = draw.graph()
+    return (count_chordless_cycles(g, k_max).by_length,
+            count_triangles(g) if want_k3 else None)
 
 
 def run_cycle_calibration(config: ExperimentConfig,
                           workers: int = 1) -> ExperimentReport:
     cells = []
-    for n in config.n_list:
-        p = schedule_p(config.schedule, n)
-        t0 = time.perf_counter()
-        tasks = [(config.seed, n, p, config.k_max, config.poisson_k3, lo, hi)
-                 for lo, hi in _trial_chunks(config.trials, workers)]
-        parts = run_chunked(_cycle_chunk, tasks, workers)
-        elapsed = time.perf_counter() - t0
+    row = partial(_cycle_row, k_max=config.k_max, want_k3=config.poisson_k3)
+    for n, p, rows, elapsed in _sampled_rows(config, workers, row):
         trials = config.trials
         for k in range(4, config.k_max + 1):
-            total = sum(part[0][k] for part in parts)
-            total_sq = sum(part[1][k] for part in parts)
+            total = sum(counts[k] for counts, _ in rows)
+            total_sq = sum(counts[k] ** 2 for counts, _ in rows)
             mean = total / trials
             var = (total_sq - trials * mean * mean) / (trials - 1)
             se = math.sqrt(max(var, 0.0) / trials)
@@ -520,7 +503,7 @@ def run_cycle_calibration(config: ExperimentConfig,
                               theory, 0, 0, trials, elapsed / config.k_max,
                               extra={"stderr": se, "gap_se": gap, "p": p}))
         if config.poisson_k3:
-            triangle_counts = [x for part in parts for x in part[2]]
+            triangle_counts = [triangles for _, triangles in rows]
             lam3 = (n * p) ** 3 / 6.0
             tv = _tv_distance_poisson(triangle_counts, lam3)
             cells.append(Cell("cycle_calibration", n, "triangle_poisson_tv",
@@ -551,75 +534,69 @@ def _tv_distance_poisson(counts: list[int], lam: float) -> float:
 # lipschitz_audit (vertex-deletion bounds + component additivity)
 # ---------------------------------------------------------------------------
 
-def _lipschitz_chunk(task):
-    seed, lo, hi = task
+def _lipschitz_trial(seed: int, t: int) -> list[dict]:
+    rng_seed = substream_seed(seed, "lipschitz_audit", t)
+    rng = rng_for(rng_seed)
+    n = int(rng.integers(2, 11))
+    p = float(rng.uniform(0.05, 0.95))
+    g = sample_gnp(n, p, substream_seed(rng_seed, "g"))
+    v = int(rng.integers(0, n))
+    full = (1 << n) - 1
+    # G - v's table from G's engine: its subsets are the submasks of
+    # V minus v, which G's table has already memoized.
+    table_g, table_h = induced_betti_tables(g, (full, full & ~(1 << v)))
+    reg_g = table_g.regularity_quotient()
+    reg_h = table_h.regularity_quotient()
+    pd_g = table_g.projective_dimension()
+    pd_h = table_h.projective_dimension()
     violations = []
-    for t in range(lo, hi):
-        rng_seed = substream_seed(seed, "lipschitz_audit", t)
-        rng = rng_for(rng_seed)
-        n = int(rng.integers(2, 11))
-        p = float(rng.uniform(0.05, 0.95))
-        g = sample_gnp(n, p, substream_seed(rng_seed, "g"))
-        v = int(rng.integers(0, n))
-        full = (1 << n) - 1
-        # G - v's table from G's engine: its subsets are the submasks of
-        # V minus v, which G's table has already memoized.
-        table_g, table_h = induced_betti_tables(g, (full, full & ~(1 << v)))
-        reg_g = table_g.regularity_quotient()
-        reg_h = table_h.regularity_quotient()
-        pd_g = table_g.projective_dimension()
-        pd_h = table_h.projective_dimension()
-        if abs(reg_g - reg_h) > 1:
-            violations.append({"kind": "reg", "graph": to_hex_dump(g).strip(),
-                               "vertex": v, "delta": reg_g - reg_h})
-        if abs(pd_g - pd_h) > max_degree(g) + 1:
-            violations.append({"kind": "pd", "graph": to_hex_dump(g).strip(),
-                               "vertex": v, "delta": pd_g - pd_h})
+    if abs(reg_g - reg_h) > 1:
+        violations.append({"kind": "reg", "graph": to_hex_dump(g).strip(),
+                           "vertex": v, "delta": reg_g - reg_h})
+    if abs(pd_g - pd_h) > max_degree(g) + 1:
+        violations.append({"kind": "pd", "graph": to_hex_dump(g).strip(),
+                           "vertex": v, "delta": pd_g - pd_h})
     return violations
 
 
-def _additivity_chunk(task):
-    seed, lo, hi = task
+def _additivity_trial(seed: int, t: int) -> list[dict]:
+    rng_seed = substream_seed(seed, "additivity_audit", t)
+    rng = rng_for(rng_seed)
+    n1 = int(rng.integers(2, 7))
+    n2 = int(rng.integers(2, 7))
+    a = sample_gnp(n1, float(rng.uniform(0.1, 0.9)),
+                   substream_seed(rng_seed, "a"))
+    b = sample_gnp(n2, float(rng.uniform(0.1, 0.9)),
+                   substream_seed(rng_seed, "b"))
+    g = disjoint_union(a, b)
+    # a holds the low a.n vertices of a + b, b the rest.
+    full, low = (1 << g.n) - 1, (1 << a.n) - 1
+    table, table_a, table_b = induced_betti_tables(
+        g, (full, low, full & ~low))
+    reg_sum = (table_a.regularity_quotient()
+               + table_b.regularity_quotient())
+    pd_sum = (table_a.projective_dimension()
+              + table_b.projective_dimension())
     violations = []
-    for t in range(lo, hi):
-        rng_seed = substream_seed(seed, "additivity_audit", t)
-        rng = rng_for(rng_seed)
-        n1 = int(rng.integers(2, 7))
-        n2 = int(rng.integers(2, 7))
-        a = sample_gnp(n1, float(rng.uniform(0.1, 0.9)),
-                       substream_seed(rng_seed, "a"))
-        b = sample_gnp(n2, float(rng.uniform(0.1, 0.9)),
-                       substream_seed(rng_seed, "b"))
-        g = disjoint_union(a, b)
-        # a holds the low a.n vertices of a + b, b the rest.
-        full, low = (1 << g.n) - 1, (1 << a.n) - 1
-        table, table_a, table_b = induced_betti_tables(
-            g, (full, low, full & ~low))
-        reg_sum = (table_a.regularity_quotient()
-                   + table_b.regularity_quotient())
-        pd_sum = (table_a.projective_dimension()
-                  + table_b.projective_dimension())
-        if table.regularity_quotient() != reg_sum:
-            violations.append({"kind": "reg_additivity",
-                               "graph": to_hex_dump(g).strip()})
-        if table.projective_dimension() != pd_sum:
-            violations.append({"kind": "pd_additivity",
-                               "graph": to_hex_dump(g).strip()})
+    if table.regularity_quotient() != reg_sum:
+        violations.append({"kind": "reg_additivity",
+                           "graph": to_hex_dump(g).strip()})
+    if table.projective_dimension() != pd_sum:
+        violations.append({"kind": "pd_additivity",
+                           "graph": to_hex_dump(g).strip()})
     return violations
 
 
 def run_lipschitz_audit(config: ExperimentConfig,
                         workers: int = 1) -> ExperimentReport:
     t0 = time.perf_counter()
-    tasks = [(config.seed, lo, hi)
-             for lo, hi in _trial_chunks(config.trials, workers)]
-    lip_violations = [v for part in run_chunked(_lipschitz_chunk, tasks,
-                                                workers) for v in part]
+    lip_violations = [v for trial in map_trials(
+        partial(_lipschitz_trial, config.seed), config.trials, workers)
+        for v in trial]
     add_trials = max(200, config.trials // 5)
-    tasks = [(config.seed, lo, hi)
-             for lo, hi in _trial_chunks(add_trials, workers)]
-    add_violations = [v for part in run_chunked(_additivity_chunk, tasks,
-                                                workers) for v in part]
+    add_violations = [v for trial in map_trials(
+        partial(_additivity_trial, config.seed), add_trials, workers)
+        for v in trial]
     elapsed = time.perf_counter() - t0
     cells = [
         Cell("lipschitz_audit", None, "vertex_deletion_violations",
@@ -645,14 +622,9 @@ def run_variance_audit(config: ExperimentConfig,
     0 to its trial's reg*, and the report does not count them.
     """
     cells = []
-    for n in config.n_list:
-        p = schedule_p(config.schedule, n)
-        t0 = time.perf_counter()
-        tasks = [(config.seed, "variance_audit", n, p, config.betti_guard,
-                  lo, hi) for lo, hi in _trial_chunks(config.trials, workers)]
-        vals = [row[0] for part in run_chunked(_componentwise_chunk, tasks,
-                                               workers) for row in part]
-        elapsed = time.perf_counter() - t0
+    row = partial(_componentwise_row, betti_guard=config.betti_guard)
+    for n, _p, rows, elapsed in _sampled_rows(config, workers, row):
+        vals = [r[0] for r in rows]
         mean = sum(vals) / len(vals)
         var = sum((v - mean) ** 2 for v in vals) / (len(vals) - 1)
         cells.append(Cell("variance_audit", n, "reg_star_variance_over_n",

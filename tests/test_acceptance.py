@@ -7,6 +7,7 @@ pin the measured values to independently-derived finite-size references so
 the implementation itself stays under test either way.
 """
 
+import dataclasses
 import math
 import os
 
@@ -85,6 +86,30 @@ def test_criterion_08_cycle_calibration():
     result = _run(battery.criterion_cycle_calibration)
     assert result.numbers["exact_equality"] is True
     assert result.passed, result.summary
+
+
+def test_criterion_08_exact_check_counts_each_graph_once(monkeypatch):
+    from eideal import chordality, experiments
+
+    calls = []
+    count = chordality.count_chordless_cycles
+
+    def counted(g, k_max):
+        calls.append(g)
+        return count(g, k_max)
+
+    def short_run(config, workers):
+        # The sampled half calls the experiments module's own binding of
+        # count_chordless_cycles, so only the exact check reaches the
+        # counter; criterion 8's own test runs it at full size.
+        return experiments.run_cycle_calibration(
+            dataclasses.replace(config, trials=50), workers)
+
+    monkeypatch.setattr(chordality, "count_chordless_cycles", counted)
+    monkeypatch.setattr(battery, "run_cycle_calibration", short_run)
+    result = battery.criterion_cycle_calibration(seed=SEED, workers=1)
+    assert result.numbers["exact_equality"] is True
+    assert len(calls) == 2 ** 6 + 2 ** 10  # every graph on 4 and 5 vertices
 
 
 def test_criterion_09_gw_limit_agreement():

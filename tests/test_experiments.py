@@ -1,5 +1,7 @@
 import json
 import math
+import operator
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,16 +9,17 @@ import pytest
 from eideal import betti, experiments
 from eideal.chordality import is_locally_4_cochordal, is_locally_cochordal
 from eideal.experiments import (CSV_COLUMNS, ConfigError, ExperimentConfig,
-                                _additivity_chunk, _lipschitz_chunk,
+                                _additivity_trial, _lipschitz_trial,
                                 _threshold_verdicts, _tv_distance_poisson,
+                                map_gnp_trials, map_trials,
                                 run_cycle_calibration,
                                 run_experiment, run_gw_limit,
                                 run_lipschitz_audit, run_threshold,
                                 run_unmixed_scan, run_variance_audit,
                                 wilson_interval)
 from eideal.graph_core import complement, induced_subgraph_mask
-from eideal.random_models import (ParamSchedule, draw_gnp, schedule_p,
-                                  substream_seed)
+from eideal.random_models import (GnpDraw, ParamSchedule, draw_gnp,
+                                  sample_gnp, schedule_p, substream_seed)
 
 from oracles import (elimination_is_chordal, naive_has_induced_c4,
                      naive_is_chordal, pair_scan_has_induced_c4)
@@ -235,6 +238,68 @@ def test_threshold_determinism_across_workers():
         assert len(blobs) == 2  # one JSON, one CSV
 
 
+REPLAY_CONFIGS = (
+    ExperimentConfig(kind="gw_limit", seed=13, trials=10, n_list=(200,),
+                     schedule=ParamSchedule.sparse(0.5), gw_trials=200,
+                     gw_cap=1000),
+    ExperimentConfig(kind="variance_audit", seed=14, trials=10,
+                     n_list=(60, 120), schedule=ParamSchedule.sparse(1.0)),
+    # At n = 10 this budget trips on some trials, and of the others some
+    # graphs are unmixed; at n = 16 every trial trips.
+    ExperimentConfig(kind="unmixed_scan", seed=15, trials=14, n_list=(10, 16),
+                     schedule=ParamSchedule.constant(0.15), mis_budget=8),
+    ExperimentConfig(kind="cycle_calibration", seed=16, trials=30,
+                     n_list=(15,), schedule=ParamSchedule.constant(0.2),
+                     k_max=5, poisson_k3=True),
+    ExperimentConfig(kind="lipschitz_audit", seed=17, trials=20),
+)
+
+
+@pytest.mark.parametrize("config", REPLAY_CONFIGS, ids=lambda c: c.kind)
+def test_mapped_kinds_replay_across_workers(config):
+    blobs = {run_experiment(config, workers).to_json(include_timing=False)
+             for workers in (1, 2, 3)}
+    assert len(blobs) == 1
+
+
+@pytest.mark.parametrize("trials, workers", [(5, 2), (1, 3), (1, 1),
+                                             (13, 3)])
+def test_map_trials_keeps_trial_order(trials, workers):
+    assert (map_trials(partial(operator.mul, 3), trials, workers)
+            == [3 * t for t in range(trials)])
+
+
+# Every substream label a G(n, p) trial loop draws under: the sampled
+# runners use their kind, the battery's sandwich criterion its own label.
+GNP_LABELS = experiments.SAMPLED_KINDS + ("sandwich",)
+
+
+def _label_mismatches(label):
+    """(p, t) of each mapped trial whose draw is not ``sample_gnp`` of the
+    trial's substream; p covers the sparse, kept-pairs and non-edge forms."""
+    n, seed, trials = 30, 23, 6
+    bad = []
+    for p in (0.02, 0.5, 0.97):
+        graphs = map_gnp_trials(label, seed, n, p, trials, 2, GnpDraw.graph)
+        bad += [(p, t) for t, g in enumerate(graphs)
+                if g != sample_gnp(n, p, substream_seed(seed, label, n, t))]
+    return bad
+
+
+@pytest.mark.parametrize("label", GNP_LABELS)
+def test_mapped_draws_follow_the_trial_substream(label):
+    assert _label_mismatches(label) == []
+
+
+def test_planted_trial_index_shift_is_caught(monkeypatch):
+    def next_trial(*parts):
+        return substream_seed(*parts[:-1], parts[-1] + 1)
+
+    monkeypatch.setattr(experiments, "substream_seed", next_trial)
+    for label in GNP_LABELS:
+        assert len(_label_mismatches(label)) == 18
+
+
 MIXED_PREDICATES = ("is_locally_cochordal", "is_cochordal",
                     "is_locally_4_cochordal", "is_4_cochordal")
 
@@ -367,10 +432,10 @@ def test_lipschitz_trials_build_one_engine_each(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(betti, "HomologyEngine", CountingEngine)
-    assert _lipschitz_chunk((3, 0, 20)) == []
+    assert map_trials(partial(_lipschitz_trial, 3), 20, 1) == [[]] * 20
     assert len(built) == 20
     built.clear()
-    assert _additivity_chunk((3, 0, 20)) == []
+    assert map_trials(partial(_additivity_trial, 3), 20, 1) == [[]] * 20
     assert len(built) == 20
 
 
@@ -386,12 +451,12 @@ def test_trial_tables_read_the_right_subgraphs(monkeypatch):
         return tables
 
     monkeypatch.setattr(experiments, "induced_betti_tables", checked)
-    _lipschitz_chunk((3, 0, 10))
+    map_trials(partial(_lipschitz_trial, 3), 10, 1)
     for full, (whole, minus_v) in grounds_seen:
         assert whole == full and minus_v & ~full == 0
         assert (full ^ minus_v).bit_count() == 1
     grounds_seen.clear()
-    _additivity_chunk((3, 0, 10))
+    map_trials(partial(_additivity_trial, 3), 10, 1)
     for full, (whole, a, b) in grounds_seen:
         assert whole == full and a & b == 0 and a | b == full
         assert a & (a + 1) == 0 and 2 <= a.bit_count() <= 6  # the low a.n
