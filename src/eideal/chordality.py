@@ -11,10 +11,12 @@ lemmas let both shrink their input without changing the verdict:
   a universal vertex is adjacent to every other cycle vertex, an isolated
   one to none.
 * A vertex of degree <= 1 lies on no cycle at all, so peeling such vertices
-  until none is left, down to the 2-core, keeps both verdicts.  ``two_core``
-  does this on an edge list: in the dense critical window the sampler's
-  listed non-edges are the complement's edges, and the trials run
-  ``is_chordal``/``has_induced_c4`` on the complement's 2-core alone.
+  until none is left, down to the 2-core, keeps both verdicts and every
+  cycle count.  ``two_core_pairs`` does this on an edge list: in the dense
+  critical window the sampler's listed non-edges are the complement's
+  edges, and the trials run ``is_chordal``/``has_induced_c4`` on the
+  complement's 2-core alone (``two_core``); every cycle count runs on the
+  2-core of the graph it counts.
 
 ``is_cochordal`` and ``is_4_cochordal`` apply both on the complement's side
 without building the complement: a vertex with an empty row in g is
@@ -26,6 +28,14 @@ quotient's complement rows are built, so the nearly-empty and
 nearly-complete graphs of the critical windows never pay for an n x n
 complement; graphs under 24 vertices, or with nothing to drop, take the
 plain complement.
+
+Induced 4-cycles and triangles are counted together, exactly, from the
+codegrees of the vertex pairs (``induced_c4_and_triangles``): a dense graph
+takes them from the product of its 0/1 adjacency matrix with itself, a
+sparse one from its wedges.  ``cycle_counts_from_pairs`` runs that count,
+and a DFS for the lengths >= 5, on the 2-core of an edge list; the
+cycle-calibration trials hand it the sampler's pairs, so no row is built,
+and ``count_chordless_cycles`` hands it g's edges.
 """
 
 from __future__ import annotations
@@ -199,10 +209,12 @@ def _complement_twin_reduced(g: Graph) -> Graph:
     return Graph(len(keep), tuple(adj))
 
 
-def two_core(us: np.ndarray, vs: np.ndarray) -> Graph:
-    """The 2-core of the graph with edges (us[i], vs[i]), its vertices
-    relabelled 0..k-1 in increasing order; by the leaf lemma of the module
-    docstring it is chordal (and induced-C4-free) iff that graph is."""
+def two_core_pairs(us: np.ndarray,
+                   vs: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """(k, us', vs'): the 2-core of the graph with edges (us[i], vs[i]), its
+    k vertices relabelled 0..k-1 in increasing order.  Edges at a vertex of
+    degree 1 are cut until none is left; by the leaf lemma of the module
+    docstring every cycle survives."""
     size = int(max(us.max(), vs.max())) + 1 if len(us) else 0
     while True:
         deg = (np.bincount(us, minlength=size)
@@ -213,8 +225,15 @@ def two_core(us: np.ndarray, vs: np.ndarray) -> Graph:
             break
         keep = ~cut
         us, vs = us[keep], vs[keep]
-    core, ends = np.unique(np.concatenate((us, vs)), return_inverse=True)
-    return graph_from_pairs(len(core), ends[:len(us)], ends[len(us):])
+    alive = deg > 0
+    label = np.cumsum(alive) - 1
+    return int(np.count_nonzero(alive)), label[us], label[vs]
+
+
+def two_core(us: np.ndarray, vs: np.ndarray) -> Graph:
+    """The graph of ``two_core_pairs``: chordal (and induced-C4-free) iff
+    the graph with edges (us[i], vs[i]) is."""
+    return graph_from_pairs(*two_core_pairs(us, vs))
 
 
 # From _REDUCE_MIN_VERTICES up the quotient has no true twins left, so the
@@ -252,24 +271,42 @@ class ChordlessCycleCount:
 
 
 def count_chordless_cycles(g: Graph, k_max: int) -> ChordlessCycleCount:
-    """Exact chordless (induced) cycle counts by length, each counted once.
+    """Exact chordless (induced) cycle counts by length, each counted once,
+    by ``cycle_counts_from_pairs`` on g's edges."""
+    us, vs = np.array([*g.edges()], dtype=np.int64).reshape(-1, 2).T
+    return ChordlessCycleCount(cycle_counts_from_pairs(us, vs, k_max)[0],
+                               k_max)
 
-    Length 4 comes from codegrees: an induced 4-cycle is a non-adjacent pair
-    {a, c} (a diagonal) plus two non-adjacent common neighbors, so the pair
-    contributes C(|com|, 2) - e(com) with com = N(a) & N(c), and each cycle
-    is seen once per diagonal, twice in all.  Lengths 5..k_max come from a
-    DFS over induced paths with canonical start: the cycle's smallest vertex
-    first, and the smaller of its two cycle-neighbors as the second vertex;
-    it does not run when k_max is 4.
+
+def cycle_counts_from_pairs(us: np.ndarray, vs: np.ndarray,
+                            k_max: int) -> tuple[dict[int, int], int]:
+    """(chordless cycle counts by length 4..k_max, triangle count) of the
+    graph with edges (us[i], vs[i]), each listed once.
+
+    Every cycle lies in the 2-core, so both counts run there.  Length 4 and
+    the triangles come from codegrees, by ``induced_c4_and_triangles``;
+    lengths 5..k_max from a DFS over induced paths, which does not run when
+    k_max is 4.
     """
     if k_max < 4:
         raise ValueError("k_max must be >= 4")
-    counts = {k: 0 for k in range(4, k_max + 1)}
-    counts[4] = _count_induced_c4(g)
-    if k_max == 4:
-        return ChordlessCycleCount(counts, k_max)
-    adj = g.adj
+    k, us, vs = two_core_pairs(us, vs)
+    counts = {length: 0 for length in range(4, k_max + 1)}
+    counts[4], triangles = induced_c4_and_triangles(k, us, vs)
+    if k_max > 4:
+        _count_long_chordless_cycles(graph_from_pairs(k, us, vs), counts)
+    return counts, triangles
 
+
+def _count_long_chordless_cycles(g: Graph, counts: dict[int, int]) -> None:
+    """Add g's chordless cycles of every length 5..max(counts) to counts.
+
+    The DFS runs over induced paths with canonical start: the cycle's
+    smallest vertex first, and the smaller of its two cycle-neighbors as the
+    second vertex.
+    """
+    k_max = max(counts)
+    adj = g.adj
     for s in range(g.n):
         sn = adj[s]
         above = -1 << (s + 1)  # vertices > s
@@ -297,31 +334,114 @@ def count_chordless_cycles(g: Graph, k_max: int) -> ChordlessCycleCount:
                     elif length + 2 <= k_max:
                         stack.append((path + (u,),
                                       cand & ~adj[last] & ~(1 << u)))
-    return ChordlessCycleCount(counts, k_max)
 
 
-def _count_induced_c4(g: Graph) -> int:
-    """Induced 4-cycles by the codegree rule of ``count_chordless_cycles``."""
-    adj = g.adj
-    per_diagonal = 0
-    for a in range(g.n):
-        ra = adj[a]
-        if ra & (ra - 1) == 0:  # fewer than two neighbors
-            continue
-        once = twice = 0  # vertices with >= 1 and >= 2 neighbors in N(a)
-        for b in bits(ra):
-            rb = adj[b]
-            twice |= once & rb
-            once |= rb
-        # Diagonal partners c > a, non-adjacent to a, with codegree >= 2.
-        for c in bits(twice & ~ra & (-1 << (a + 1))):
-            com = ra & adj[c]
-            size = com.bit_count()
-            inner = 0  # twice the edges inside com
-            for x in bits(com):
-                inner += (adj[x] & com).bit_count()
-            per_diagonal += size * (size - 1) // 2 - inner // 2
-    return per_diagonal // 2
+# The matrix route costs about k^3 multiply-adds, the wedge route about as
+# much per wedge (a vertex and two of its neighbors) as this many of them:
+# measured crossovers on G(n, p) 2-cores fall at k^3 / wedges of 700 to 2000.
+_WEDGE_COST = 1000
+
+# Entries (pairs x vertices) per block of ``_common_edges``: its float64
+# temporaries stay near 8 MB however many pairs a graph has.
+_BLOCK_ENTRIES = 1 << 20
+
+
+def induced_c4_and_triangles(k: int, us: np.ndarray,
+                             vs: np.ndarray) -> tuple[int, int]:
+    """(induced 4-cycles, triangles) of the graph on k vertices with edges
+    (us[i], vs[i]), each listed once, from the codegrees c of its vertex
+    pairs (Alon, Yuster & Zwick, Algorithmica 1997).
+
+    A 4-set spanning a 4-cycle is an induced C4, a diamond or a K4.  Over
+    the non-adjacent pairs, the sum S_non of C(c, 2) counts each induced C4
+    twice (once per diagonal) and each diamond once (its missing pair), and
+    the sum E_non of the edges among the pair's common neighbors counts
+    each diamond once; so I4 = (S_non - E_non) / 2.  Every (pair, edge inside
+    its common neighborhood) is also a (pair inside the edge's common
+    neighborhood, edge), so E_non = S_adj - E_adj, the same two sums over
+    the edges, and I4 = (S_all - 2 S_adj + E_adj) / 2 with S_all the sum of
+    C(c, 2) over every pair; only an edge with c >= 2 adds to S_adj and
+    E_adj.  Triangles are the edges' codegrees summed, over 3.  Dense graphs
+    take the codegrees from the product of the 0/1 matrix with itself,
+    sparse ones from their wedges, with no k x k matrix.
+    """
+    deg = np.bincount(us, minlength=k) + np.bincount(vs, minlength=k)
+    if _WEDGE_COST * int((deg * (deg - 1)).sum() // 2) < k ** 3:
+        s_all, codeg, e_adj = _wedge_sums(k, us, vs)
+    else:
+        s_all, codeg, e_adj = _matrix_sums(k, us, vs)
+    s_adj = int((codeg * (codeg - 1) // 2).sum())
+    return (s_all - 2 * s_adj + e_adj) // 2, int(codeg.sum()) // 3
+
+
+def _matrix_sums(k: int, us: np.ndarray,
+                 vs: np.ndarray) -> tuple[int, np.ndarray, int]:
+    """(the sum of C(c, 2) over all vertex pairs, each edge's codegree c,
+    E_adj) of ``induced_c4_and_triangles``, from c = a @ a with a the 0/1
+    float64 adjacency matrix."""
+    a = np.zeros((k, k))
+    a[us, vs] = a[vs, us] = 1.0
+    c = (a @ a).astype(np.int64)
+    deg = c.diagonal()
+    # Over the ordered pairs u != v, c (c - 1) sums to 4 S_all.
+    s_all = (int(np.vdot(c, c)) - int(c.sum())
+             - int(deg @ (deg - 1))) // 4
+    codeg = c[us, vs]
+    busy = codeg >= 2
+    return s_all, codeg, _common_edges(a, us[busy], vs[busy])
+
+
+def _common_edges(a: np.ndarray, us: np.ndarray, vs: np.ndarray) -> int:
+    """Sum over the pairs (us[i], vs[i]) of the number of edges among the
+    pair's common neighbors."""
+    step = max(1, _BLOCK_ENTRIES // max(1, len(a)))
+    twice = 0
+    for lo in range(0, len(us), step):
+        w = a[us[lo:lo + step]] * a[vs[lo:lo + step]]
+        twice += int(((w @ a) * w).sum(axis=1).astype(np.int64).sum())
+    return twice // 2
+
+
+def _wedge_sums(k: int, us: np.ndarray,
+                vs: np.ndarray) -> tuple[int, np.ndarray, int]:
+    """``_matrix_sums`` from the wedges: a pair's codegree is the number of
+    vertices that have both as neighbors, and an edge's common neighbors
+    are those wedges' centers.  Costs about the wedge count plus S_adj."""
+    edge_keys = np.minimum(us, vs) * k + np.maximum(us, vs)
+    centers, ends = np.divmod(np.sort(np.concatenate((us * k + vs,
+                                                      vs * k + us))), k)
+    first, second = _pairs_within(np.bincount(centers, minlength=k))
+    # Wedges by (end pair, center); ends ascend within a center.
+    keys, centers = np.divmod(np.sort((ends[first] * k + ends[second]) * k
+                                      + centers[first]), k)
+    # A pair of codegree c is a run of c equal keys: C(c, 2) earlier-equal.
+    s_all = int((np.arange(len(keys)) - np.searchsorted(keys, keys)).sum())
+    lo = np.searchsorted(keys, edge_keys)
+    codeg = np.searchsorted(keys, edge_keys, side="right") - lo
+    busy = codeg >= 2
+    common = centers[_ranges(lo[busy], codeg[busy])]
+    x, y = _pairs_within(codeg[busy])
+    x, y = common[x], common[y]
+    inner = np.minimum(x, y) * k + np.maximum(x, y)
+    edge_keys = np.sort(edge_keys)
+    found = np.searchsorted(edge_keys, inner)
+    hits = edge_keys[np.minimum(found, len(edge_keys) - 1)] == inner
+    return s_all, codeg, int(np.count_nonzero(hits))
+
+
+def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The concatenation of np.arange(s, s + z) over zip(starts, sizes)."""
+    offsets = np.cumsum(sizes) - sizes
+    return (np.arange(int(sizes.sum()), dtype=np.int64)
+            + np.repeat(starts - offsets, sizes))
+
+
+def _pairs_within(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j): every index pair i < j inside one run of a sequence cut into
+    consecutive runs of the given sizes."""
+    idx = np.arange(int(sizes.sum()), dtype=np.int64)
+    later = np.repeat(np.cumsum(sizes), sizes) - idx - 1
+    return np.repeat(idx, later), _ranges(idx + 1, later)
 
 
 def count_triangles(g: Graph) -> int:

@@ -22,10 +22,10 @@ from .asymptotics import (expected_chordless_cycles, gw_limit_estimate,
                           prob_lr_sparse_window)
 from .betti import (DEFAULT_BETTI_GUARD, induced_betti_tables,
                     reg_pd_componentwise)
-from .chordality import (count_chordless_cycles, count_triangles,
-                         has_induced_c4, is_4_cochordal, is_chordal,
-                         is_cochordal, is_locally_4_cochordal,
-                         is_locally_cochordal, two_core)
+from .chordality import (cycle_counts_from_pairs, has_induced_c4,
+                         is_4_cochordal, is_chordal, is_cochordal,
+                         is_locally_4_cochordal, is_locally_cochordal,
+                         two_core)
 from .comb_invariants import (DEFAULT_MIS_BUDGET, BudgetExceededError,
                               cover_profile)
 from .graph_core import disjoint_union, max_degree, to_hex_dump
@@ -477,16 +477,17 @@ def run_unmixed_scan(config: ExperimentConfig, workers: int = 1) -> ExperimentRe
 
 def _cycle_row(draw: GnpDraw, k_max: int, want_k3: bool) -> tuple:
     """(chordless cycle counts by length, triangle count or None) of the
-    drawn graph."""
-    g = draw.graph()
-    return (count_chordless_cycles(g, k_max).by_length,
-            count_triangles(g) if want_k3 else None)
+    drawn graph, counted from the draw's pairs without building its rows."""
+    by_length, triangles = cycle_counts_from_pairs(*draw.edge_pairs(), k_max)
+    return by_length, triangles if want_k3 else None
 
 
 def run_cycle_calibration(config: ExperimentConfig,
                           workers: int = 1) -> ExperimentReport:
     cells = []
     row = partial(_cycle_row, k_max=config.k_max, want_k3=config.poisson_k3)
+    # Each n's seconds are split evenly over the cells it emits.
+    per_n = config.k_max - 3 + config.poisson_k3
     for n, p, rows, elapsed in _sampled_rows(config, workers, row):
         trials = config.trials
         for k in range(4, config.k_max + 1):
@@ -500,14 +501,15 @@ def run_cycle_calibration(config: ExperimentConfig,
                 0.0 if mean == theory else math.inf)
             cells.append(Cell("cycle_calibration", n, f"mean_chordless_{k}",
                               mean, mean - WILSON_Z * se, mean + WILSON_Z * se,
-                              theory, 0, 0, trials, elapsed / config.k_max,
+                              theory, 0, 0, trials, elapsed / per_n,
                               extra={"stderr": se, "gap_se": gap, "p": p}))
         if config.poisson_k3:
             triangle_counts = [triangles for _, triangles in rows]
             lam3 = (n * p) ** 3 / 6.0
             tv = _tv_distance_poisson(triangle_counts, lam3)
             cells.append(Cell("cycle_calibration", n, "triangle_poisson_tv",
-                              tv, None, None, 0.0, 0, 0, trials, 0.0,
+                              tv, None, None, 0.0, 0, 0, trials,
+                              elapsed / per_n,
                               extra={"poisson_mean": lam3}))
     return ExperimentReport("cycle_calibration", config.to_json(), cells)
 

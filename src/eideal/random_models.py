@@ -187,6 +187,21 @@ class GnpDraw:
         return Graph(n, tuple(int.from_bytes(packed[v].tobytes(), "little")
                               for v in range(n)))
 
+    def edge_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The drawn edges as endpoint arrays (u, v), u < v, in
+        lexicographic pair order, from whichever form the draw holds."""
+        if self.edges is not None:
+            return self.edges
+        kept = self.kept
+        if kept is None:
+            n = self.n
+            us, vs = self.non_edges
+            kept = np.ones(n * (n - 1) // 2, dtype=bool)
+            # Each non-edge's flat pair index, as ``_pair_endpoints`` reads it.
+            kept[us * n - us * (us + 1) // 2 + vs - us - 1] = False
+        us, vs = _upper_triangle(self.n)
+        return us[kept], vs[kept]
+
 
 _NO_PAIRS = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
 

@@ -1,8 +1,11 @@
 import random
+from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from eideal import chordality
 from eideal.chordality import (count_chordless_cycles, count_triangles,
                                has_induced_c4, is_4_cochordal, is_chordal,
                                is_cochordal, is_locally_4_cochordal,
@@ -11,12 +14,13 @@ from eideal.graph_core import (Graph, build_graph, complement, complete_graph,
                                cycle_graph, disjoint_union, empty_graph,
                                enumerate_graphs, graph_from_edge_mask,
                                path_graph)
-from eideal.experiments import _threshold_verdicts
-from eideal.random_models import GnpDraw, sample_gnp
+from eideal.experiments import _cycle_row, _threshold_verdicts
+from eideal.random_models import GnpDraw, draw_gnp, sample_gnp
 
-from oracles import (elimination_is_chordal, naive_chordless_cycle_counts,
-                     naive_has_induced_c4, naive_is_chordal,
-                     pair_scan_has_induced_c4, trace_identity_induced_c4)
+from oracles import (diagonal_scan_induced_c4, elimination_is_chordal,
+                     naive_chordless_cycle_counts, naive_has_induced_c4,
+                     naive_is_chordal, pair_scan_has_induced_c4,
+                     trace_identity_induced_c4)
 
 
 def test_chordal_basics():
@@ -208,15 +212,156 @@ def test_count_chordless_cycles_random_vs_oracle():
             naive_chordless_cycle_counts(g, n)
 
 
+@lru_cache(maxsize=1)
+def _small_graph_counts():
+    """(g, induced C4 count, triangle count, ``_draw_forms(g)``) for every
+    graph on <= 6 vertices, from the 4-set oracle and ``count_triangles``."""
+    return [(g, naive_chordless_cycle_counts(g, 4)[4], count_triangles(g),
+             _draw_forms(g)) for n in range(7) for g in enumerate_graphs(n)]
+
+
 def test_count_induced_c4_exhaustive_n6():
     # k_max = 4 takes the codegree count alone, with no DFS.  The identity
     # oracle is checked against the subset scan on the smaller graphs.
-    for n in range(7):
-        for g in enumerate_graphs(n):
-            expected = naive_chordless_cycle_counts(g, 4)
-            assert count_chordless_cycles(g, 4).by_length == expected, g.adj
-            if n <= 5:
-                assert trace_identity_induced_c4(g) == expected[4], g.adj
+    for g, c4, _, _ in _small_graph_counts():
+        expected = {4: c4}
+        assert count_chordless_cycles(g, 4).by_length == expected, g.adj
+        if g.n <= 5:
+            assert trace_identity_induced_c4(g) == expected[4], g.adj
+
+
+def _draw_forms(g: Graph) -> list[GnpDraw]:
+    """g as a draw: its listed edges padded with an isolated vertex (n), a
+    pendant vertex and a pendant path, which the 2-core peel must strip;
+    below 6 vertices also its kept pairs and its listed non-edges."""
+    n = g.n
+    us, vs = np.triu_indices(n, k=1)
+    kept = np.array([g.adj[u] >> v & 1 for u, v in zip(us.tolist(),
+                                                        vs.tolist())],
+                    dtype=bool)
+    padded = sorted([*zip(us[kept].tolist(), vs[kept].tolist()),
+                     (0, n + 1), (max(n - 1, 0), n + 2), (n + 2, n + 3)])
+    pu, pv = np.array(padded, dtype=np.int64).T
+    forms = [GnpDraw(n + 4, edges=(pu, pv))]
+    if n < 6:
+        forms += [GnpDraw(n, kept=kept),
+                  GnpDraw(n, non_edges=(us[~kept], vs[~kept]))]
+    return forms
+
+
+def _small_graph_disagreements() -> list:
+    """The first graph on <= 6 vertices whose (induced C4, triangle) counts
+    on one of its draw forms, through either codegree route, differ from
+    the oracles'; empty when there is none."""
+    for route in (chordality._matrix_sums, chordality._wedge_sums):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(chordality, "_matrix_sums", route)
+            m.setattr(chordality, "_wedge_sums", route)
+            for g, c4, triangles, forms in _small_graph_counts():
+                for draw in forms:
+                    if _cycle_row(draw, 4, True) != ({4: c4}, triangles):
+                        return [(route, g.adj, draw)]
+    return []
+
+
+def test_c4_and_triangles_exhaustive_n6_every_draw_form():
+    assert _small_graph_disagreements() == []
+
+
+def _with_e_adj(sums, fault):
+    """The route ``sums`` with ``fault`` applied to the E_adj it returns."""
+    def faulty(k, us, vs):
+        s_all, codeg, e_adj = sums(k, us, vs)
+        return s_all, codeg, fault(e_adj)
+    return faulty
+
+
+def test_planted_counter_faults_are_caught(monkeypatch):
+    # Each fault edits the E_adj both routes hand to the shared identity
+    # I4 = (S_non - S_adj + E_adj) / 2.
+    for fault in (lambda e_adj: 0,  # drops the diamond term
+                  lambda e_adj: -e_adj):  # swaps the sign of E_adj
+        with monkeypatch.context() as m:
+            for name in ("_matrix_sums", "_wedge_sums"):
+                m.setattr(chordality, name,
+                          _with_e_adj(getattr(chordality, name), fault))
+            assert _small_graph_disagreements()
+    two_core_pairs = chordality.two_core_pairs
+
+    def peel_degree_two(us, vs):
+        # Also peels vertices of degree 2, which can lie on a chordless cycle.
+        size = int(max(us.max(), vs.max())) + 1 if len(us) else 0
+        while True:
+            deg = (np.bincount(us, minlength=size)
+                   + np.bincount(vs, minlength=size))
+            low = (deg >= 1) & (deg <= 2)
+            cut = low[us] | low[vs]
+            if not cut.any():
+                break
+            us, vs = us[~cut], vs[~cut]
+        return two_core_pairs(us, vs)
+
+    monkeypatch.setattr(chordality, "two_core_pairs", peel_degree_two)
+    assert _small_graph_disagreements()
+
+
+# (n, p, trials): kept draws, near-complete draws that list their non-edges,
+# and sparse draws that list their edges, with cores of 5 to 800 vertices
+# that take either codegree route.
+CYCLE_COUNT_REGIMES = [(12, 0.5, 60), (30, 0.3, 40), (60, 0.1, 40),
+                       (12, 0.9, 60), (40, 0.97, 20), (40, 0.999, 20),
+                       (500, 0.002, 60), (100, 0.045, 10), (200, 0.02, 10),
+                       (1000, 0.003, 2)]
+
+
+def test_draw_cycle_rows_vs_oracles(monkeypatch):
+    routes = Counter()
+
+    def counted(name):
+        sums = getattr(chordality, name)
+
+        def run(k, us, vs):
+            routes[name] += 1
+            return sums(k, us, vs)
+        return run
+
+    for name in ("_matrix_sums", "_wedge_sums"):
+        monkeypatch.setattr(chordality, name, counted(name))
+    forms = {}
+    for n, p, trials in CYCLE_COUNT_REGIMES:
+        for t in range(trials):
+            draw = draw_gnp(n, p, seed=8300 + 101 * n + t)
+            form = ("kept" if draw.kept is not None else
+                    "non_edges" if draw.non_edges is not None else "edges")
+            g = draw.graph()
+            # Lengths >= 5 from the DFS on the unpeeled graph.
+            expected = {4: diagonal_scan_induced_c4(g), 5: 0}
+            chordality._count_long_chordless_cycles(g, expected)
+            if n <= 12:
+                assert expected == naive_chordless_cycle_counts(g, 5)
+            row = _cycle_row(draw, 5, True)
+            assert row == (expected, count_triangles(g)), (n, p, t)
+            assert _cycle_row(draw, 4, False) == ({4: expected[4]}, None)
+            forms[form] = forms.get(form, 0) + expected[4]
+    # Every form is drawn, and holds induced C4s; both routes run.
+    assert len(forms) == 3 and min(forms.values()) > 0, forms
+    assert min(routes.values()) > 10, routes
+
+
+def test_large_sparse_core_counts_without_a_matrix(monkeypatch):
+    # A supercritical sparse draw (mean degree 2) whose 2-core has thousands
+    # of vertices: a k x k float64 matrix of it would take over 100 MB.
+    draw = draw_gnp(10_000, 2e-4, seed=8317)
+    assert chordality.two_core_pairs(*draw.edges)[0] > 3_000
+    g = draw.graph()
+    expected = {4: diagonal_scan_induced_c4(g), 5: 0}
+    chordality._count_long_chordless_cycles(g, expected)
+
+    def no_matrix(k, us, vs):
+        raise AssertionError(f"a {k} x {k} matrix")
+
+    monkeypatch.setattr(chordality, "_matrix_sums", no_matrix)
+    assert _cycle_row(draw, 5, True) == (expected, count_triangles(g))
 
 
 def test_count_induced_c4_vs_trace_identity():

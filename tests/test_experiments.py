@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from eideal import betti, experiments
-from eideal.chordality import is_locally_4_cochordal, is_locally_cochordal
+from eideal.chordality import (count_chordless_cycles, count_triangles,
+                               is_locally_4_cochordal, is_locally_cochordal)
 from eideal.experiments import (CSV_COLUMNS, ConfigError, ExperimentConfig,
                                 _additivity_trial, _lipschitz_trial,
                                 _threshold_verdicts, _tv_distance_poisson,
@@ -407,6 +408,59 @@ def test_cycle_calibration_small():
     tv_cell = next(c for c in report.cells
                    if c.cell_id == "triangle_poisson_tv")
     assert 0 <= tv_cell.estimate <= 1
+
+
+def _graph_cycle_row(draw, k_max, want_k3):
+    """The cycle row counted on the built graph's edges, not on the draw's
+    pairs."""
+    g = draw.graph()
+    return (count_chordless_cycles(g, k_max).by_length,
+            count_triangles(g) if want_k3 else None)
+
+
+@pytest.mark.parametrize("form, n, schedule", [
+    ("kept", 60, ParamSchedule.constant(0.1)),
+    ("non_edges", 40, ParamSchedule.constant(0.99)),
+    ("edges", 500, ParamSchedule.sparse(1.0))],
+    ids=("kept", "non_edges", "edges"))
+def test_cycle_calibration_pair_route_matches_graph_route(monkeypatch, form,
+                                                          n, schedule):
+    cfg = ExperimentConfig(kind="cycle_calibration", seed=47, trials=120,
+                           n_list=(n,), schedule=schedule, k_max=4,
+                           poisson_k3=True)
+    draw = draw_gnp(n, schedule_p(schedule, n),
+                    substream_seed(47, "cycle_calibration", n, 0))
+    assert getattr(draw, form) is not None
+    reports = [run_cycle_calibration(cfg, workers).to_json(
+        include_timing=False) for workers in (1, 2)]
+    monkeypatch.setattr(experiments, "_cycle_row", _graph_cycle_row)
+    expected = run_cycle_calibration(cfg, 1).to_json(include_timing=False)
+    assert reports == [expected, expected]
+
+
+@pytest.mark.parametrize("k_max", [4, 6])
+@pytest.mark.parametrize("poisson_k3", [False, True])
+def test_cycle_calibration_seconds_sum_to_elapsed(monkeypatch, k_max,
+                                                  poisson_k3):
+    elapsed = {}
+    sampled_rows = experiments._sampled_rows
+
+    def recorded(config, workers, fn):
+        for n, p, rows, seconds in sampled_rows(config, workers, fn):
+            elapsed[n] = seconds
+            yield n, p, rows, seconds
+
+    monkeypatch.setattr(experiments, "_sampled_rows", recorded)
+    cfg = ExperimentConfig(kind="cycle_calibration", seed=5, trials=30,
+                           n_list=(8, 12),
+                           schedule=ParamSchedule.constant(0.4),
+                           k_max=k_max, poisson_k3=poisson_k3)
+    report = run_cycle_calibration(cfg)
+    for n in (8, 12):
+        cells = [c for c in report.cells if c.n == n]
+        assert len(cells) == k_max - 3 + poisson_k3
+        assert math.fsum(c.seconds for c in cells) == pytest.approx(
+            elapsed[n], rel=1e-12)
 
 
 def test_tv_distance_poisson():
