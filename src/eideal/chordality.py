@@ -1,33 +1,25 @@
 """Chordality-family predicates and chordless cycle counting.
 
 ``is_chordal`` runs maximum cardinality search and verifies the elimination
-order; ``has_induced_c4`` scans induced 3-paths for a closing vertex.  Two
-lemmas let both shrink their input without changing the verdict:
+order; ``has_induced_c4`` scans induced 3-paths for a closing vertex.  Both
+run on the graph as given.  MCS and its check take time linear in the size
+of the graph (Tarjan & Yannakakis, SIAM J. Comput. 1984), so no reduction
+run beforehand can pay for its own pass.  Two lemmas shrink inputs where
+the shrinking is free or already done:
 
-* True twins collapse: two vertices with equal closed neighborhoods are
-  adjacent, so a cycle of length >= 4 through both has a chord, and either
-  one can stand in for the other on any chordless cycle.
 * A universal or isolated vertex lies on no chordless cycle of length >= 4:
   a universal vertex is adjacent to every other cycle vertex, an isolated
-  one to none.
+  one to none.  ``is_cochordal`` and ``is_4_cochordal`` therefore drop g's
+  isolated vertices, universal in the complement, before they complement
+  the rest, so a sparse graph pays only for the complement on the ends of
+  its edges.
 * A vertex of degree <= 1 lies on no cycle at all, so peeling such vertices
   until none is left, down to the 2-core, keeps both verdicts and every
   cycle count.  ``two_core_pairs`` does this on an edge list: in the dense
   critical window the sampler's listed non-edges are the complement's
-  edges, and the trials run ``is_chordal``/``has_induced_c4`` on the
-  complement's 2-core alone (``two_core``); every cycle count runs on the
-  2-core of the graph it counts.
-
-``is_cochordal`` and ``is_4_cochordal`` apply both on the complement's side
-without building the complement: a vertex with an empty row in g is
-universal in the complement, one with a full row is isolated there, and
-equal open neighborhoods in g are equal closed neighborhoods in the
-complement.  A class that makes up a whole component of the complement
-collapses to an isolated vertex and is dropped as well.  Only the
-quotient's complement rows are built, so the nearly-empty and
-nearly-complete graphs of the critical windows never pay for an n x n
-complement; graphs under 24 vertices, or with nothing to drop, take the
-plain complement.
+  edges, and the trials hand ``is_chordal``/``has_induced_c4`` the
+  complement's 2-core (``two_core``), already peeled; every cycle count
+  runs on the 2-core of the graph it counts.
 
 Induced 4-cycles and triangles are counted together, exactly, from the
 codegrees of the vertex pairs (``induced_c4_and_triangles``): a dense graph
@@ -40,50 +32,12 @@ and ``count_chordless_cycles`` hands it g's edges.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph_core import (Graph, bits, complement, delete_closed_neighborhood,
-                         graph_from_pairs)
-
-# Twin collapsing costs a hash pass; below this size MCS wins outright.
-_REDUCE_MIN_VERTICES = 24
-
-
-def _true_twin_reduced(g: Graph) -> Graph:
-    """Keep one vertex per closed-neighborhood class, drop isolated vertices.
-
-    A chordless cycle of length >= 4 never contains two true twins, so the
-    reduced graph is chordal (and induced-C4-free) iff g is.
-    """
-    while True:
-        classes: dict[int, int] = {}
-        keep = []
-        for v in range(g.n):
-            row = g.adj[v]
-            if row == 0:
-                continue
-            closed = row | (1 << v)
-            if closed not in classes:
-                classes[closed] = v
-                keep.append(v)
-        if len(keep) == g.n:
-            return g
-        index = {v: i for i, v in enumerate(keep)}
-        adj = [0] * len(keep)
-        for i, v in enumerate(keep):
-            row = g.adj[v]
-            acc = 0
-            for u in bits(row):
-                j = index.get(u)
-                if j is not None:
-                    acc |= 1 << j
-            adj[i] = acc & ~(1 << i)
-        g = Graph(len(keep), tuple(adj))
-        if g.n < _REDUCE_MIN_VERTICES:
-            return g
+                         graph_from_pairs, induced_subgraph)
 
 
 def _mcs_order(g: Graph) -> list[int]:
@@ -136,12 +90,6 @@ def _verify_mcs_order(g: Graph, order: list[int]) -> bool:
 
 def is_chordal(g: Graph) -> bool:
     """True iff every cycle of length >= 4 has a chord."""
-    if g.n >= _REDUCE_MIN_VERTICES:
-        g = _true_twin_reduced(g)
-    return _is_chordal_core(g)
-
-
-def _is_chordal_core(g: Graph) -> bool:
     if g.n <= 3:
         return True
     return _verify_mcs_order(g, _mcs_order(g))
@@ -149,12 +97,6 @@ def _is_chordal_core(g: Graph) -> bool:
 
 def has_induced_c4(g: Graph) -> bool:
     """True iff some four vertices induce exactly a 4-cycle."""
-    if g.n >= _REDUCE_MIN_VERTICES:
-        g = _true_twin_reduced(g)
-    return _has_induced_c4_core(g)
-
-
-def _has_induced_c4_core(g: Graph) -> bool:
     if g.n < 4:
         return False
     # An induced C4 is a path u-v-w (u,w non-adjacent) plus a common
@@ -172,41 +114,6 @@ def _has_induced_c4_core(g: Graph) -> bool:
                 if au & g.adj[w] & ~block:
                     return True
     return False
-
-
-def _complement_twin_reduced(g: Graph) -> Graph:
-    """The complement of g with one vertex kept per closed-neighborhood
-    class, minus universal and isolated vertices; built from g's rows.
-
-    By the two lemmas in the module docstring the result is chordal (and
-    induced-C4-free) iff the complement of g is.
-    """
-    if g.n < _REDUCE_MIN_VERTICES:
-        return complement(g)
-    sizes = Counter(filter(None, g.adj))
-    keep = []
-    keep_mask = 0
-    for v, row in enumerate(g.adj):
-        # Drop universal vertices (empty row in g), later members of a class,
-        # and classes whose closed neighborhood in the complement (n - |row|
-        # vertices) is the class itself: they collapse to an isolated vertex.
-        if row == 0:
-            continue
-        size = sizes.pop(row, 0)
-        if size == 0 or size == g.n - row.bit_count():
-            continue
-        keep.append(v)
-        keep_mask |= 1 << v
-    if len(keep) == g.n:
-        return complement(g)
-    index = {v: i for i, v in enumerate(keep)}
-    adj = []
-    for v in keep:
-        acc = 0
-        for u in bits(~g.adj[v] & keep_mask & ~(1 << v)):
-            acc |= 1 << index[u]
-        adj.append(acc)
-    return Graph(len(keep), tuple(adj))
 
 
 def two_core_pairs(us: np.ndarray,
@@ -236,16 +143,20 @@ def two_core(us: np.ndarray, vs: np.ndarray) -> Graph:
     return graph_from_pairs(*two_core_pairs(us, vs))
 
 
-# From _REDUCE_MIN_VERTICES up the quotient has no true twins left, so the
-# cochordal predicates call the cores and skip a second twin pass.
+def _live_complement(g: Graph) -> Graph:
+    """The complement of g without g's isolated vertices: universal in the
+    complement, they lie on no chordless cycle of length >= 4."""
+    live = [v for v, row in enumerate(g.adj) if row]
+    return complement(induced_subgraph(g, live) if len(live) < g.n else g)
+
 
 def is_cochordal(g: Graph) -> bool:
-    return _is_chordal_core(_complement_twin_reduced(g))
+    return is_chordal(_live_complement(g))
 
 
 def is_4_cochordal(g: Graph) -> bool:
     """Equivalent to gap-freeness of g."""
-    return not _has_induced_c4_core(_complement_twin_reduced(g))
+    return not has_induced_c4(_live_complement(g))
 
 
 def is_locally_cochordal(g: Graph) -> bool:

@@ -54,12 +54,14 @@ def test_chordal_random_midsize_vs_oracle():
         assert is_chordal(g) == naive_is_chordal(g)
 
 
-def test_chordal_large_twin_reduction_path():
-    # Nearly complete graphs exercise the true-twin collapse.
+def test_chordal_near_complete_40_vertices():
+    # K40 minus two disjoint edges holds the induced C4 0-2-1-3; K40 minus
+    # one edge is chordal.
     g = complement(build_graph(40, [(0, 1), (2, 3)]))
-    assert naive_has_induced_c4(g) or True  # documenting the witness shape
-    assert not is_chordal(g)  # induced C4 on 0-2-1-3
+    assert pair_scan_has_induced_c4(g)
+    assert not is_chordal(g)
     h = complement(build_graph(40, [(0, 1)]))
+    assert not pair_scan_has_induced_c4(h)
     assert is_chordal(h)
 
 
@@ -104,8 +106,9 @@ def _listing_draw(n, pairs):
 
 def test_cochordal_exhaustive_n6_vs_oracle():
     # Each graph also runs padded to 24 vertices with isolated or with
-    # universal vertices, which do not change either verdict and send it
-    # through the quotient built for large graphs.  The loop also checks the
+    # universal vertices, which do not change either verdict; the isolated
+    # ones are dropped before the complement is built, the universal ones
+    # become isolated vertices of the complement.  The loop also checks the
     # polynomial oracles used below for graphs too large for the subset
     # scans (g runs over all graphs, and so does its complement).
     pad = 18
@@ -150,7 +153,7 @@ def test_cochordal_exhaustive_n6_vs_oracle():
 
 
 def test_cochordal_midsize_vs_oracle():
-    # 24-60 vertices: the quotient reaches is_chordal's own twin reduction.
+    # 24-60 vertices, checked against the polynomial oracles.
     # At p = 0.01 most vertices of g are isolated (universal in the
     # complement), at p = 0.99 most are universal (isolated there).
     graphs = [sample_gnp(24 + 3 * trial, p, seed=4100 + trial)
@@ -188,6 +191,25 @@ def test_cochordal_large_sparse_and_dense_cases():
     # vertices, hence chordal.
     path = build_graph(n, [(5, 1900), (1900, 1999)])
     assert is_cochordal(path) and is_4_cochordal(path)
+
+
+def test_cochordal_predicates_drop_isolated_vertices(monkeypatch):
+    # A path on three of 2,000 vertices: the predicates complement only the
+    # path, so MCS and the C4 scan never see the 1,997 isolated vertices.
+    calls = []
+
+    def spy(real):
+        def call(h):
+            assert h == complement(path_graph(3)), h
+            calls.append(real.__name__)
+            return real(h)
+        return call
+
+    for name in ("is_chordal", "has_induced_c4"):
+        monkeypatch.setattr(chordality, name, spy(getattr(chordality, name)))
+    g = build_graph(2000, [(5, 1900), (1900, 1999)])
+    assert is_cochordal(g) and is_4_cochordal(g)
+    assert calls == ["is_chordal", "has_induced_c4"]
 
 
 def test_count_chordless_cycles_basics():
