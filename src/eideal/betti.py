@@ -1,22 +1,31 @@
 """Graded Betti numbers of S/I(G) via homology of independence complexes.
 
-The (i, j) table entry is the total rank contributed by induced subgraphs on
-j vertices whose independence complex has reduced homology in degree j-i-1;
-regularity, projective dimension and depth read off the table support.
+By Hochster's formula the (i, j) table entry is the total rank contributed
+by induced subgraphs on j vertices whose independence complex has reduced
+homology in degree j-i-1; regularity, projective dimension and depth read
+off the table support.
 
-The homology engine works per vertex-subset with three homotopy-safe
-reductions before any linear algebra:
+Three homotopy-safe reductions decide most vertex subsets W before any
+linear algebra:
   * an isolated vertex makes the complex a cone (all reduced homology 0);
-  * a disconnected subgraph makes the complex a join, so homology is the
-    shifted convolution of the components' homology (Kunneth over a field);
   * a vertex y whose neighborhood contains another vertex's neighborhood
-    (N(x) subseteq N(y), x != y) can be deleted without changing homotopy
-    type (elementary collapse of the pairs F <-> F + {x} among faces
-    containing y).
-Only irreducible cores reach boundary-matrix ranks: bitset elimination over
-GF(2), fraction-free integer elimination for Q, dense elimination mod p
-otherwise.  The reductions are homotopy-level, hence field-independent;
-tests validate them against a reduction-free oracle on exhaustive corpora.
+    (N(x) subseteq N(y), x != y) can be deleted without changing the
+    homotopy type (Engstrom's fold lemma);
+  * a disconnected subgraph makes the complex a join, so homology is the
+    shifted convolution of the components' homology (Kunneth over a field).
+
+A table is one lattice scan (induced_betti_tables): the cone-free subsets
+are generated in numpy, each gets its fold target W - y from one vectorized
+rule (fold_vertex, shared with the exhaustive audit), and pointer jumping
+runs every fold chain to an irreducible subset or to a cone.  Homology runs
+only on the distinct irreducible targets, through HomologyEngine, which also
+serves single subsets with the same rule applied one vertex at a time.  A
+connected irreducible core that is a clique K_k is k points, {0: k-1} over
+any field; only the other cores reach boundary-matrix ranks: bitset
+elimination over GF(2), fraction-free integer elimination for Q, dense
+elimination mod p otherwise.  The reductions are homotopy-level, hence
+field-independent; tests validate them against a reduction-free oracle on
+exhaustive corpora.
 """
 
 from __future__ import annotations
@@ -25,10 +34,13 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .comb_invariants import (forest_dp, independence_number,
                               maximal_independent_sets,
                               tree_min_maximal_independent_set)
-from .graph_core import Graph, component_masks, connected_components
+from .graph_core import (Graph, bits, component_masks,
+                         connected_components)
 
 DEFAULT_BETTI_GUARD = 18
 MAX_HOMOLOGY_GROUND = 24
@@ -269,9 +281,9 @@ class HomologyEngine:
         # Fold loop: bail to a cone on any isolated vertex, else strip one
         # dominated-neighborhood vertex.  The y with N(x) subseteq N(y) are
         # the live common neighbors of N(x), minus x itself; the lowest such
-        # y of the lowest x that has one goes.  Bits are walked inline, not
-        # through bits(): this runs once per subset, and the generator cost
-        # about 10% of a small graph's table.
+        # y of the lowest x that has one goes (fold_vertex's rule).  Bits are
+        # walked inline, not through bits(): this runs once per subset, and
+        # the generator cost about 10% of a small graph's table.
         while True:
             rows = {}
             rest = live
@@ -296,8 +308,12 @@ class HomologyEngine:
                 break
             if live in self.memo:
                 return self.memo[live]
-        # Split into connected components -> join convolution.
-        comps = component_masks(adj, live)
+        return self.irreducible_dims(live)
+
+    def irreducible_dims(self, w: int) -> dict[int, int]:
+        """dims of a nonempty W with no isolated vertex and no fold: the
+        join convolution of its connected components' homology."""
+        comps = component_masks(self.adj, w)
         dims = self._core_dims(next(comps))
         for cm in comps:
             dims = _join_convolve(dims, self._core_dims(cm))
@@ -309,9 +325,19 @@ class HomologyEngine:
         cached = self.memo.get(w)
         if cached is not None:
             return cached
-        faces = self._independent_sets(w)
-        dims = _homology_from_faces(faces, self.field)
-        dims.pop(-1, None)  # cores are nonempty complexes
+        adj = self.adj
+        rest = w
+        while rest:
+            low = rest & -rest
+            if adj[low.bit_length() - 1] & w != w ^ low:
+                faces = self._independent_sets(w)
+                dims = _homology_from_faces(faces, self.field)
+                dims.pop(-1, None)  # cores are nonempty complexes
+                break
+            rest ^= low
+        else:
+            # A clique K_k: Ind(K_k) is k points over any field.
+            dims = {0: w.bit_count() - 1}
         self.memo[w] = dims
         return dims
 
@@ -339,6 +365,32 @@ def _join_convolve(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
         for db, rb in b.items():
             d = da + db + 1
             out[d] = out.get(d, 0) + ra * rb
+    return out
+
+
+def fold_vertex(rows, live) -> np.ndarray:
+    """The vertex that HomologyEngine's fold rule deletes from each live
+    set: the y of the first ordered pair (x, y) of distinct live vertices
+    with N(x) & live subseteq N(y), or -1 if there is none.
+
+    ``rows[v]`` is v's neighbor row, either one numpy integer for every
+    entry or an array with a row per entry; ``live`` is a mask or an array
+    of masks.  Answers hold for live sets with no isolated vertex.  On
+    those, adjacent x and y never fold (y is in N(x) but not in N(y)), and
+    neither do x and y with no common neighbor: such a pair is skipped, or
+    masked out of the entries that rule it out."""
+    n = len(rows)
+    out = np.full(np.broadcast(live, rows[0]).shape, -1, dtype=np.int8)
+    # Pairs go last to first, so the first pair that folds writes last.
+    for x in reversed(range(n)):
+        for y in reversed(range(n)):
+            if y == x:
+                continue
+            can = ((rows[x] & rows[y]) != 0) & ((rows[x] >> y & 1) == 0)
+            if not can.any():
+                continue
+            both = 1 << x | 1 << y
+            out[((live & (both | (rows[x] & ~rows[y]))) == both) & can] = y
     return out
 
 
@@ -400,17 +452,6 @@ def _engine(g: Graph, field: str, max_vertices: int) -> HomologyEngine:
     return HomologyEngine(g, field)
 
 
-def _submasks(u: int):
-    """The nonempty submasks of u in increasing order; for u = 2**n - 1
-    that is range(1, 2**n)."""
-    w = 0
-    while True:
-        w = (w - u) & u
-        if not w:
-            return
-        yield w
-
-
 def linearity(positions) -> tuple[bool, bool]:
     """(linear resolution, linear presentation) from ((i, j), rank) pairs
     of nonzero beta_{i,j}(S/I).
@@ -430,7 +471,8 @@ def linearity(positions) -> tuple[bool, bool]:
 
 def betti_table(g: Graph, field: str = "q",
                 max_vertices: int = DEFAULT_BETTI_GUARD) -> BettiTable:
-    """Exact table: the sum of every vertex subset's contributions."""
+    """Exact table: Hochster's sum over the vertex subsets, by one lattice
+    scan (see induced_betti_tables)."""
     return induced_betti_tables(g, ((1 << g.n) - 1,), field, max_vertices)[0]
 
 
@@ -438,16 +480,76 @@ def induced_betti_tables(g: Graph, grounds, field: str = "q",
                          max_vertices: int = DEFAULT_BETTI_GUARD
                          ) -> list[BettiTable]:
     """Exact tables of the induced subgraphs G[U], one per vertex mask U in
-    `grounds`, from one HomologyEngine over g: every subset of U is a
-    subset of g, so after the first table the memo serves the rest."""
+    `grounds`, from one lattice scan over the submasks of their union.
+
+    Every W of the scan is classified in numpy before any homology runs:
+      * a cone (G[W] has an isolated vertex) adds nothing and is never
+        generated (_cone_free_submasks);
+      * a W with a fold points at W - y (fold_vertex); a W - y that is a
+        cone is not in the array, so W adds nothing either;
+      * pointer jumping runs every fold chain to its end, an irreducible
+        subset whose homology W shares.
+    Each ground then counts its W by (irreducible target, |W|) in one
+    np.unique, and homology runs once per distinct target, through the
+    engine's component split, join convolution, clique closed form and core
+    memo; every subset of U is a subset of g, so one HomologyEngine serves
+    all the grounds."""
     engine = _engine(g, field, max_vertices)
+    union = 0
+    for u in grounds:
+        union |= u
+    ws = _cone_free_submasks(engine.adj, union)
+    m = len(ws)
+    if m == 0:
+        return [BettiTable(u.bit_count(), field, {}) for u in grounds]
+    y = fold_vertex(np.array(engine.adj, dtype=np.int64), ws)
+    folds = np.flatnonzero(y >= 0)
+    target = ws[folds] ^ (1 << y[folds].astype(np.int64))
+    at = np.searchsorted(ws, target)
+    # step[i]: where W = ws[i] points, itself if irreducible; index m
+    # stands for a cone and points at itself.
+    step = np.arange(m + 1)
+    step[folds] = np.where(ws[np.minimum(at, m - 1)] == target, at, m)
+    while True:
+        jumped = step[step]
+        if np.array_equal(jumped, step):
+            break
+        step = jumped
+    root = step[:m]
+    span = union.bit_count() + 1
+    key = root * span + np.bitwise_count(ws)
+    homology: dict[int, dict[int, int]] = {}
     tables = []
     for u in grounds:
+        inside = (root < m) & ((ws & ~u) == 0)
+        keys, counts = np.unique(key[inside], return_counts=True)
         entries: dict[tuple[int, int], int] = {}
-        for key, rank in subset_positions(engine, _submasks(u)):
-            entries[key] = entries.get(key, 0) + rank
+        for k, count in zip(keys.tolist(), counts.tolist()):
+            r, j = divmod(k, span)
+            dims = homology.get(r)
+            if dims is None:
+                dims = homology[r] = engine.irreducible_dims(int(ws[r]))
+            for d, rank in dims.items():
+                pos = (j - d - 1, j)
+                entries[pos] = entries.get(pos, 0) + rank * count
         tables.append(BettiTable(u.bit_count(), field, entries))
     return tables
+
+
+def _cone_free_submasks(adj, u: int) -> np.ndarray:
+    """The nonempty submasks W of u with no isolated vertex in G[W], in
+    increasing order.  Vertices of u join from the lowest, each doubling
+    the array; once v and all its neighbors in u have joined, the sets
+    holding v and none of them are dropped for good."""
+    closes: dict[int, list[int]] = {}
+    for v in bits(u):
+        closes.setdefault(max(v, (adj[v] & u).bit_length() - 1), []).append(v)
+    ws = np.zeros(1, dtype=np.int64)
+    for v in bits(u):
+        ws = np.concatenate((ws, ws | 1 << v))
+        for c in closes.get(v, ()):
+            ws = ws[(ws & (1 << c | adj[c])) != 1 << c]
+    return ws[1:]
 
 
 def linear_flags(g: Graph, field: str = "q",

@@ -15,11 +15,11 @@ Python runs:
 * cone: a vertex with an empty neighbor row makes the independence complex
   a cone, with no homology, so the top set breaks neither flag;
 * fold: otherwise the first ordered pair (x, y) with N(x) subseteq N(y),
-  the homology engine's own rule, lets y go without changing the homotopy
-  type, and G - y is looked up in the (n-1)-vertex tables.  Homology in
-  degree d of an n-vertex top set sits at Betti position
-  (n - d - 1, n): degree >= 1 breaks resolution, and degree n - 3 breaks
-  presentation.  The first reads the same on G - y (``lr_break``).  The
+  the homology engine's own rule (``betti.fold_vertex``), lets y go
+  without changing the homotopy type, and G - y is looked up in the
+  (n-1)-vertex tables.  Homology in degree d of an n-vertex top set sits
+  at Betti position (n - d - 1, n): degree >= 1 breaks resolution, and
+  degree n - 3 breaks presentation.  The first reads the same on G - y (``lr_break``).  The
   second is degree (n-1) - 2 there, which sits at beta_{1,n-1} of G - y,
   and an edge ideal has generators in degree 2 only: a fold never breaks
   presentation, and the tests pin this;
@@ -44,7 +44,8 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .betti import HomologyEngine, linear_flags, linearity, subset_positions
+from .betti import (HomologyEngine, fold_vertex, linear_flags, linearity,
+                    subset_positions)
 from .chordality import has_induced_c4, is_chordal
 from .experiments import _chunk_ranges, run_chunked
 from .graph_core import complement, graph_from_edge_mask, pair_index, pair_list
@@ -154,18 +155,6 @@ def _vertex_rows(n: int, masks: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _fold_vertex(rows: np.ndarray) -> np.ndarray:
-    """Per graph, the y of the first ordered pair (x, y), x != y, with
-    N(x) subseteq N(y), which HomologyEngine would delete; -1 if none."""
-    n = len(rows)
-    out = np.full(rows.shape[1], -1, dtype=np.int8)
-    for x in range(n):
-        for y in range(n):
-            if y != x:
-                out[(out < 0) & (rows[x] & ~rows[y] == 0)] = y
-    return out
-
-
 def _top_set_routes(n: int, masks: np.ndarray) -> tuple[np.ndarray, ...]:
     """(lr, lp, route) of each graph's top set alone, as _top_set_flags
     reads it, by the cone, fold and engine routes of the module docstring;
@@ -174,9 +163,9 @@ def _top_set_routes(n: int, masks: np.ndarray) -> tuple[np.ndarray, ...]:
     route = np.full(len(masks), ENGINE, dtype=np.uint8)
     if n - 1 in _TABLE_SIZES:
         rows = _vertex_rows(n, masks)
-        fold_y = _fold_vertex(rows)
+        fold_y = fold_vertex(rows, (1 << n) - 1)
         route[fold_y >= 0] = FOLD
-        # After the folds: an empty row is contained in every other row.
+        # Cones override: fold_vertex answers only graphs with no empty row.
         route[(rows == 0).any(axis=0)] = CONE
         lr_break = flag_tables(n - 1)[0]
         # lp stays True on a fold: it would take homology of G - y in degree

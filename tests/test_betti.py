@@ -1,7 +1,9 @@
 import random
 
+import numpy as np
 import pytest
 
+from eideal import betti
 from eideal.betti import (BettiTable, HomologyEngine, SizeGuardExceeded,
                           betti_table, forest_pd, has_linear_presentation,
                           has_linear_resolution, independence_complex,
@@ -9,14 +11,15 @@ from eideal.betti import (BettiTable, HomologyEngine, SizeGuardExceeded,
                           parse_field,
                           pd_componentwise,
                           reduced_homology_dims, reg_pd_componentwise,
-                          regularity_componentwise, SimplicialComplex)
+                          regularity_componentwise, SimplicialComplex,
+                          subset_positions)
 from eideal.chordality import is_4_cochordal, is_cochordal
 from eideal.comb_invariants import tree_induced_matching
 from eideal.graph_core import (bits, build_graph, complete_graph,
                                connected_components, cycle_graph,
                                disjoint_union, empty_graph, enumerate_graphs,
                                graph_from_edge_mask, induced_subgraph,
-                               path_graph)
+                               induced_subgraph_mask, path_graph)
 from eideal.random_models import sample_gnp
 
 from oracles import (naive_betti_table, naive_homology_of_faces,
@@ -360,3 +363,143 @@ def test_table_json_round_trip():
     table = betti_table(cycle_graph(5))
     again = BettiTable.from_json(table.to_json())
     assert again == table
+
+
+def _per_subset_entries(g, field):
+    """g's table by the per-subset walk: engine.dims summed over every
+    nonempty vertex subset."""
+    engine = HomologyEngine(g, field)
+    entries = {}
+    for key, rank in subset_positions(engine, range(1, 1 << g.n)):
+        entries[key] = entries.get(key, 0) + rank
+    return entries
+
+
+def _lattice_mismatches(graphs, field, naive=False):
+    """Yield the graphs whose lattice-scan table differs from the per-subset
+    sum, or from the reduction-free oracle when naive is set."""
+    for g in graphs:
+        expected = (naive_betti_table(g, field) if naive
+                    else _per_subset_entries(g, field))
+        if betti_table(g, field).entries != expected:
+            yield g.adj
+
+
+def _sparse_cyclic_components(lo, hi, count, seed):
+    """Seeded cyclic components on lo..hi vertices from G(n, 1/n) draws."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.choice((100, 200, 400))
+        g = sample_gnp(n, 1.0 / n, seed=rng.randrange(10 ** 9))
+        for comp in connected_components(g).split_trees()[1]:
+            if lo <= comp.n <= hi and len(out) < count:
+                out.append(comp)
+    return out
+
+
+def test_cone_free_submasks_equal_the_filtered_walk():
+    def filtered(g, u):
+        return [w for w in range(1, u + 1) if w & ~u == 0
+                and all(g.adj[v] & w for v in bits(w))]
+
+    rng = random.Random(43)
+    graphs = [(g, (1 << g.n) - 1)
+              for n in range(6) for g in enumerate_graphs(n)]
+    for _ in range(200):
+        g = graph_from_edge_mask(7, rng.randrange(1 << 21))
+        graphs.append((g, rng.randrange(1 << 7)))
+    for g, u in graphs:
+        assert betti._cone_free_submasks(g.adj, u).tolist() == filtered(
+            g, u), (g.adj, u)
+
+
+def test_lattice_scan_matches_per_subset_sum_and_naive_n6():
+    graphs = [g for n in range(6) for g in enumerate_graphs(n)]
+    atlas = _atlas(6)
+    for field in ("q", "f2"):
+        assert list(_lattice_mismatches(graphs, field)) == [], field
+        assert list(_lattice_mismatches(atlas, field)) == [], field
+        assert list(_lattice_mismatches(atlas, field, naive=True)) == [], field
+
+
+def test_lattice_scan_multi_ground_matches_relabelled_tables():
+    rng = random.Random(41)
+    for _ in range(100):
+        n = rng.randint(1, 12)
+        g = graph_from_edge_mask(n, rng.randrange(1 << (n * (n - 1) // 2)))
+        grounds = [rng.randrange(1 << n) for _ in range(rng.randint(1, 4))]
+        for u, table in zip(grounds, induced_betti_tables(g, grounds)):
+            assert table == betti_table(induced_subgraph_mask(g, u)), (
+                g.adj, u)
+
+
+def test_lattice_scan_matches_per_subset_sum_sparse_cyclic():
+    comps = _sparse_cyclic_components(12, 18, 6, seed=2024)
+    assert max(c.n for c in comps) >= 16
+    assert list(_lattice_mismatches(comps, "q")) == []
+
+
+def _leak_one_cone(real):
+    """A cone filter that lets through the sets where u's top vertex is
+    isolated."""
+    def leaky(adj, u):
+        ws = real(adj, u)
+        if not u:
+            return ws
+        top = 1 << (u.bit_length() - 1)
+        cones = [w | top for w in ws.tolist() + [0]
+                 if not w & (top | adj[top.bit_length() - 1])]
+        return np.union1d(ws, np.array(cones, dtype=np.int64))
+    return leaky
+
+
+def _closed_fold(rows, live):
+    """The fold rule tested against N[y] in place of N(y)."""
+    out = np.full(np.shape(live), -1, dtype=np.int8)
+    for x in reversed(range(len(rows))):
+        for y in reversed(range(len(rows))):
+            if y != x:
+                both = 1 << x | 1 << y
+                closed_y = rows[y] | 1 << y
+                out[((live & both) == both)
+                    & ((live & rows[x] & ~closed_y) == 0)] = y
+    return out
+
+
+class _CliqueOffByOne(HomologyEngine):
+    def _core_dims(self, w):
+        dims = super()._core_dims(w)
+        if all(self.adj[v] & w == w & ~(1 << v) for v in bits(w)):
+            return {0: w.bit_count()}
+        return dims
+
+
+@pytest.mark.parametrize("name, fault", [
+    ("_cone_free_submasks", _leak_one_cone(betti._cone_free_submasks)),
+    ("fold_vertex", _closed_fold),
+    ("HomologyEngine", _CliqueOffByOne)])
+def test_planted_lattice_fault_is_caught(monkeypatch, name, fault):
+    monkeypatch.setattr(betti, name, fault)
+    graphs = [g for n in range(6) for g in enumerate_graphs(n)]
+    assert next(_lattice_mismatches(graphs, "f2", naive=True), None)
+
+
+def test_clique_core_closed_form():
+    for field in ("q", "f2", "f5"):
+        for k in range(2, 11):
+            expected = naive_homology_of_faces(
+                naive_independent_sets(complete_graph(k)), field)
+            expected = {d: r for d, r in expected.items() if r}
+            assert expected == {0: k - 1}
+            engine = HomologyEngine(complete_graph(k), field)
+            assert engine.dims((1 << k) - 1) == expected, (k, field)
+            # K_k plus a vertex z joined to all of it but vertex 0: z and 0
+            # have equal neighborhoods, a fold deletes one, and the core
+            # left is a clique.
+            g = build_graph(k + 1, [(u, v) for u in range(k)
+                                    for v in range(u + 1, k)]
+                            + [(k, v) for v in range(1, k)])
+            engine = HomologyEngine(g, field)
+            assert engine.dims((1 << (k + 1)) - 1) == expected, (k, field)
+            assert engine.memo[(1 << k) - 1] == expected, (k, field)

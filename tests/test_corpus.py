@@ -125,7 +125,7 @@ def test_top_set_has_no_homology_in_degree_k_minus_2():
 
 
 def test_planted_fold_direction_fault_is_caught(monkeypatch):
-    def delete_x(rows):
+    def delete_x(rows, live):
         # The first pair's x, whose neighborhood is the smaller one.
         n = len(rows)
         out = np.full(rows.shape[1], -1, dtype=np.int8)
@@ -135,7 +135,7 @@ def test_planted_fold_direction_fault_is_caught(monkeypatch):
                     out[(out < 0) & (rows[x] & ~rows[y] == 0)] = x
         return out
 
-    monkeypatch.setattr(corpus, "_fold_vertex", delete_x)
+    monkeypatch.setattr(corpus, "fold_vertex", delete_x)
     assert _top_set_disagreements(5)
 
 
