@@ -20,7 +20,7 @@ from .comb_invariants import (BudgetExceededError, CoverProfile,
                               induced_matching_number, matching_number,
                               tree_induced_matching)
 from .betti import (BettiTable, InvariantBundle, SimplicialComplex,
-                    SizeGuardExceeded, betti_table, forest_pd,
+                    SizeGuardExceeded, betti_table,
                     has_linear_presentation, has_linear_resolution,
                     independence_complex, induced_betti_tables, invariants,
                     linear_flags, pd_componentwise, reduced_homology_dims,

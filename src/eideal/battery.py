@@ -313,9 +313,7 @@ def _sandwich_row(draw: GnpDraw) -> tuple:
     g = draw.graph()
     parts = connected_components(g)
     reg = regularity_componentwise(g, parts=parts)
-    comp_count = len(parts)
-    nontrivial = len(parts.masks)
-    nu = induced_matching_number(g)
+    nu = induced_matching_number(g, parts=parts)
     match = matching_number(g)
     # Censored components carry reg* somewhere in [nu, M]; accumulating
     # those envelopes keeps both inequality checks conservative.
@@ -324,8 +322,8 @@ def _sandwich_row(draw: GnpDraw) -> tuple:
     for comp in reg.censored:
         cens_lo += induced_matching_number(comp)
         cens_hi += matching_number(comp)
-    return (reg.value, comp_count, nontrivial, nu, match, cens_lo, cens_hi,
-            reg.censored_components)
+    return (reg.value, len(parts), len(parts.masks), nu, match, cens_lo,
+            cens_hi, reg.censored_components)
 
 
 @_timed

@@ -36,9 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comb_invariants import (forest_dp, independence_number,
-                              maximal_independent_sets,
-                              tree_min_maximal_independent_set)
+from .comb_invariants import (forest_fold, independence_number,
+                              maximal_independent_sets)
 from .graph_core import (Graph, bits, component_masks,
                          connected_components)
 
@@ -602,18 +601,6 @@ def has_linear_presentation(g: Graph, field: str = "q",
 # Componentwise regularity / projective dimension with censoring
 # ---------------------------------------------------------------------------
 
-def forest_pd(g: Graph) -> int:
-    """pd(S/I) of a forest: vertex count minus the independent domination
-    number (smallest maximal independent set).
-
-    Promoted fast path: forests are sequentially Cohen-Macaulay, where depth
-    equals 1 + the smallest facet dimension of the independence complex; the
-    test suite validates the formula against the subset-homology table on
-    exhaustive and random forests before anything relies on it.
-    """
-    return g.n - tree_min_maximal_independent_set(g)
-
-
 @dataclass(frozen=True)
 class ComponentwiseResult:
     """Sum of a per-component invariant with explicit censoring: the
@@ -634,15 +621,18 @@ def reg_pd_componentwise(g: Graph, field: str = "q",
     """reg*(I) = reg(I) - 1 and pd(S/I) summed over components, with one
     censoring record shared by both results.
 
-    The tree components take the induced matching identity and the forest
-    pd formula from one forest DP over the union of their vertex masks, with
-    no relabeling.  Only the cyclic components are relabeled: one on at most
-    betti_guard vertices takes both values from one exact Betti table; the
-    rest are censored and add to neither sum."""
+    The tree components take both values from one fold of the forest
+    recorded in ``parts``, unrelabeled: reg* is the induced matching number
+    and pd the vertex count minus the smallest maximal independent set (a
+    forest is sequentially Cohen-Macaulay, so depth is 1 + the smallest
+    facet dimension of its independence complex).  Only the cyclic
+    components are relabeled: one on at most betti_guard vertices takes both
+    values from one exact Betti table; the rest are censored and add to
+    neither sum."""
     if parts is None:
         parts = connected_components(g)
     trees, cyclic = parts.split_trees()
-    reg, mmis = forest_dp(g, trees)
+    reg, mmis = forest_fold(parts.parent)
     pd = trees.bit_count() - mmis
     censored = tuple(comp for comp in cyclic if comp.n > betti_guard)
     for comp in cyclic:

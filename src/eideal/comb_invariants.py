@@ -1,13 +1,14 @@
 """Exact combinatorial invariants: induced matching, matching, independence,
 vertex-cover extremes and unmixedness.
 
-One unchecked post-order DP, ``forest_dp``, gives induced matching and
-independent domination of the forest on a vertex mask, read in place: callers
-pass all their tree components (or a branching leaf) at once, unrelabeled.
-Only the public ``tree_*`` wrappers check ``is_forest``.  Induced matching is
-additive over components; a cyclic one branches on a 2-core vertex.
-Matching peels leaves (always optimal) and hands what is left to blossom.
-Independence and cover extremes search with an explicit node budget.
+One unchecked fold, ``forest_fold``, gives induced matching and independent
+domination of a forest recorded by one graph walk: the componentwise solvers
+fold the tree components' forest from ``connected_components``, so a sample
+is walked once, and ``forest_dp`` walks any vertex mask in place first.  Only
+``tree_induced_matching`` checks ``is_forest``.  Induced matching is additive
+over components; a cyclic one branches on a 2-core vertex.  Matching peels
+leaves (always optimal) and hands what is left to blossom.  Independence and
+cover extremes search with an explicit node budget.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from .graph_core import Graph, bits, complement, connected_components
+from .graph_core import (Graph, bits, complement, connected_components,
+                         walk_components)
 
 DEFAULT_MIS_BUDGET = 10 ** 7
 DEFAULT_NODE_BUDGET = 10 ** 7
@@ -30,41 +32,25 @@ def is_forest(g: Graph) -> bool:
     return g.edge_count == g.n - len(connected_components(g))
 
 
-NEG = float("-inf")
-
-
-def forest_dp(g: Graph, vertices: int) -> tuple[int, int]:
+def forest_fold(parent) -> tuple[int, int]:
     """(induced matching number, minimum maximal independent set size) of
-    the forest G[vertices], unchecked, read in place (neighbors are
-    ``adj[v] & vertices``), from one post-order per tree rooted at its
-    smallest vertex: each vertex folds its values into its parent's sums.
+    the forest in which position i has parent position ``parent[i]`` < i, or
+    -1 for a root: in reverse order each vertex folds into its parent's sums.
 
     Induced matching: a = best with v matched to a child, m = best with v
     unmatched, p = best with v unmatched and no child matched (v available
     to its parent).  Independent domination: s = v in the set, d = v out
     and dominated by a child, f = v out and left to its parent.
     """
-    parent = [None] * g.n
-    order = []
-    for root in bits(vertices):
-        if parent[root] is None:
-            parent[root] = -1
-            stack = [root]
-            while stack:
-                v = stack.pop()
-                order.append(v)
-                for u in bits(g.adj[v] & vertices):
-                    if parent[u] is None:
-                        parent[u] = v
-                        stack.append(u)
+    k = len(parent)
     # Over finished children: sums of m (= p), max(a, m), f and min(s, d)
     # (= f), the best p - m swap, and the cheapest child forced into the set.
-    sum_m, sum_best, sum_f, sum_min = ([0] * g.n for _ in range(4))
-    swap = [NEG] * g.n
-    force = [float("inf")] * g.n
+    sum_m, sum_best, sum_f, sum_min = ([0] * k for _ in range(4))
+    swap = [float("-inf")] * k
+    force = [float("inf")] * k
     nu = mmis = 0
     # Conditional expressions, not min/max: the calls cost a fifth of a DP.
-    for v in reversed(order):
+    for v in range(k - 1, -1, -1):
         a = 1 + sum_m[v] + swap[v]  # -inf for a leaf
         m = sum_best[v]
         top = a if a > m else m
@@ -85,6 +71,11 @@ def forest_dp(g: Graph, vertices: int) -> tuple[int, int]:
         if s - best < force[u]:
             force[u] = s - best
     return nu, mmis
+
+
+def forest_dp(g: Graph, vertices: int) -> tuple[int, int]:
+    """``forest_fold`` of the forest G[vertices], unchecked, walked in place."""
+    return forest_fold(walk_components(g.adj, vertices)[3])
 
 
 def tree_induced_matching(g: Graph) -> int:
@@ -114,17 +105,20 @@ def _find_cycle_vertex(g: Graph, active: int) -> int | None:
     return max(bits(alive), key=lambda v: (g.adj[v] & alive).bit_count())
 
 
-def induced_matching_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> int:
+def induced_matching_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET,
+                            parts=None) -> int:
     """Exact induced matching number.
 
-    Additive over components: the tree components take one forest DP over
-    the union of their masks, and each cyclic component is branched on a
-    2-core vertex v (v unmatched, or v matched to each neighbor in turn)
-    until the forest DP applies.
+    Additive over components: the tree components take one fold of the
+    forest recorded in ``parts`` (g's components), and each cyclic one is
+    branched on a 2-core vertex v (v unmatched, or v matched to each
+    neighbor in turn) until the forest DP applies.
     """
-    trees, cyclic = connected_components(g).split_trees()
-    return forest_dp(g, trees)[0] + sum(
-        _induced_matching_cyclic(comp, budget) for comp in cyclic)
+    if parts is None:
+        parts = connected_components(g)
+    return forest_fold(parts.parent)[0] + sum(
+        _induced_matching_cyclic(comp, budget)
+        for comp in parts.split_trees()[1])
 
 
 def _induced_matching_cyclic(g: Graph, budget: int) -> int:
@@ -288,10 +282,3 @@ def cover_profile(g: Graph, budget: int = DEFAULT_MIS_BUDGET) -> CoverProfile:
         if lo != hi:
             unmixed = False
     return CoverProfile(min_cover, max_minimal, unmixed)
-
-
-def tree_min_maximal_independent_set(g: Graph) -> int:
-    """Minimum maximal (= independent dominating) set size on a forest."""
-    if not is_forest(g):
-        raise ValueError("requires a forest")
-    return forest_dp(g, (1 << g.n) - 1)[1]

@@ -45,17 +45,19 @@ class Graph:
 
 @dataclass(frozen=True)
 class ComponentPartition:
-    """Connected components of ``graph``, ordered by smallest vertex.
-
-    ``masks`` holds the vertex masks of the components with an edge;
-    isolated vertices are only counted, in ``count`` (= ``len()``), which
-    covers every component.  ``component_subgraphs`` relabels the ``masks``
-    components lazily, and ``split_trees`` relabels only the cyclic ones.
-    """
+    """Connected components of ``graph`` by smallest vertex, from one
+    ``walk_components``: ``masks`` of the components with an edge, ``count``
+    (= ``len()``) of all, isolated vertices included, and the union ``trees``
+    of the tree components' masks with their forest ``order``/``parent``.
+    ``component_subgraphs`` relabels the ``masks`` components lazily, and
+    ``split_trees`` relabels only the cyclic ones."""
 
     graph: Graph = field(repr=False)
     masks: tuple[int, ...] = field(repr=False)
     count: int
+    trees: int = field(repr=False)
+    order: list[int] = field(repr=False)
+    parent: list[int] = field(repr=False)
 
     def subgraph(self, mask: int) -> Graph:
         """The component on ``mask`` relabeled, or ``graph`` if it spans."""
@@ -70,24 +72,11 @@ class ComponentPartition:
 
     def split_trees(self) -> tuple[int, list[Graph]]:
         """(union of the tree components' masks, the cyclic subgraphs)."""
-        trees = 0
-        cyclic = []
-        for mask in self.masks:
-            if spans_tree(self.graph.adj, mask):
-                trees |= mask
-            else:
-                cyclic.append(self.subgraph(mask))
-        return trees, cyclic
+        return self.trees, [self.subgraph(mask) for mask in self.masks
+                            if not mask & self.trees]
 
     def __len__(self) -> int:
         return self.count
-
-
-def spans_tree(adj, mask: int) -> bool:
-    """Whether the connected component on ``mask`` is a tree: k vertices
-    whose rows hold 2(k - 1) edge ends."""
-    return (sum(adj[v].bit_count() for v in bits(mask))
-            == 2 * (mask.bit_count() - 1))
 
 
 def bits(mask: int):
@@ -176,13 +165,49 @@ def component_masks(adj, w: int):
         yield comp
 
 
+def walk_components(adj, w: int):
+    """(component masks by smallest vertex, union of the tree components'
+    masks, order, parent) of G[w] from one walk, ``order`` doubling as the
+    queue.  k vertices whose rows hold 2(k - 1) ends in ``w`` are a tree;
+    only trees stay in the record, ``parent[i]`` being the position of the
+    parent of ``order[i]`` (below i) or -1 for a root."""
+    masks, order, parent = [], [], []
+    cyclic, rest = 0, w
+    while rest:
+        before = rest
+        low = rest & -rest
+        rest ^= low
+        start = i = len(order)
+        order.append(low.bit_length() - 1)
+        parent.append(-1)
+        ends = 0
+        while i < len(order):
+            row = adj[order[i]] & w
+            ends += row.bit_count()
+            new = row & rest
+            rest ^= new
+            while new:
+                low = new & -new
+                order.append(low.bit_length() - 1)
+                parent.append(i)
+                new ^= low
+            i += 1
+        masks.append(before ^ rest)
+        if ends != 2 * (i - start - 1):
+            cyclic |= masks[-1]
+            del order[start:], parent[start:]
+    return masks, w ^ cyclic, order, parent
+
+
 def connected_components(g: Graph) -> ComponentPartition:
-    """Components ordered by smallest vertex.  The BFS runs over the mask of
-    non-isolated vertices only; the isolated ones are counted, not built."""
+    """Components and tree forest from one walk over the mask of
+    non-isolated vertices; the isolated ones are counted, not built."""
     flags = "".join("1" if row else "0" for row in reversed(g.adj))
     live = int("0" + flags, 2)
-    masks = tuple(component_masks(g.adj, live))
-    return ComponentPartition(g, masks, g.n - live.bit_count() + len(masks))
+    masks, trees, order, parent = walk_components(g.adj, live)
+    return ComponentPartition(g, tuple(masks),
+                              g.n - live.bit_count() + len(masks),
+                              trees, order, parent)
 
 
 def max_degree(g: Graph) -> int:

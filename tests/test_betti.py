@@ -5,7 +5,7 @@ import pytest
 
 from eideal import betti
 from eideal.betti import (BettiTable, HomologyEngine, SizeGuardExceeded,
-                          betti_table, forest_pd, has_linear_presentation,
+                          betti_table, has_linear_presentation,
                           has_linear_resolution, independence_complex,
                           induced_betti_tables, invariants, linear_flags,
                           parse_field,
@@ -14,7 +14,7 @@ from eideal.betti import (BettiTable, HomologyEngine, SizeGuardExceeded,
                           regularity_componentwise, SimplicialComplex,
                           subset_positions)
 from eideal.chordality import is_4_cochordal, is_cochordal
-from eideal.comb_invariants import tree_induced_matching
+from eideal.comb_invariants import forest_dp, tree_induced_matching
 from eideal.graph_core import (bits, build_graph, complete_graph,
                                connected_components, cycle_graph,
                                disjoint_union, empty_graph, enumerate_graphs,
@@ -240,8 +240,11 @@ def test_forest_regularity_identity():
 
 
 def test_forest_pd_formula_vs_table():
-    # Validation mandated before the fast path may be used: the formula
-    # must agree with the subset-homology table on forests.
+    # Validation mandated before the fast path may be used: pd is the vertex
+    # count minus the smallest maximal independent set on forests.
+    def forest_pd(f):
+        return f.n - forest_dp(f, (1 << f.n) - 1)[1]
+
     rng = random.Random(77)
     for g in enumerate_graphs(5):
         from eideal.comb_invariants import is_forest
@@ -307,14 +310,18 @@ def test_componentwise_matches_whole_graph_table():
 
 def test_planted_tree_test_fault_is_caught(monkeypatch):
     # Counting 2k edge ends for k vertices, not 2(k - 1), sends every
-    # unicyclic component to the forest DP and every tree to a table.
+    # unicyclic component to the forest fold and every tree to a table.
+    import inspect
+
     import eideal.graph_core as graph_core
 
-    def unicyclic_as_tree(adj, mask):
-        return (sum(adj[v].bit_count() for v in bits(mask))
-                == 2 * mask.bit_count())
-
-    monkeypatch.setattr(graph_core, "spans_tree", unicyclic_as_tree)
+    source = inspect.getsource(graph_core.walk_components)
+    tree_test = "ends != 2 * (i - start - 1)"
+    assert source.count(tree_test) == 1
+    namespace = dict(vars(graph_core))
+    exec(source.replace(tree_test, "ends != 2 * (i - start)"), namespace)
+    monkeypatch.setattr(graph_core, "walk_components",
+                        namespace["walk_components"])
     with pytest.raises(AssertionError):
         test_componentwise_matches_whole_graph_table()
 

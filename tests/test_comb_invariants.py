@@ -3,12 +3,12 @@ import random
 import pytest
 
 from eideal.asymptotics import gw_limit_estimate
-from eideal.betti import betti_table, forest_pd, reg_pd_componentwise
+from eideal.betti import betti_table, reg_pd_componentwise
 from eideal.comb_invariants import (BudgetExceededError, cover_profile,
-                                    forest_dp, independence_number,
+                                    forest_dp, forest_fold,
+                                    independence_number,
                                     induced_matching_number, is_forest,
-                                    matching_number, tree_induced_matching,
-                                    tree_min_maximal_independent_set)
+                                    matching_number, tree_induced_matching)
 from eideal.graph_core import (bits, build_graph, complete_graph,
                                connected_components, cycle_graph,
                                disjoint_union, empty_graph, enumerate_graphs,
@@ -165,10 +165,30 @@ def _relabel_route(g):
 
 
 def _assert_forest_dp_in_place(g):
+    """The forest that connected_components records, and forest_dp on its
+    tree mask, against the union-find relabel route: the tree/cyclic split
+    is the oracle's, every vertex's parent is a neighbor placed before it,
+    the parent edges are all the forest's edges, and both folds give the
+    relabeled trees' values."""
     trees, expected = _relabel_route(g)
-    split, cyclic = connected_components(g).split_trees()
-    assert split == trees
+    parts = connected_components(g)
+    split, cyclic = parts.split_trees()
+    assert split == parts.trees == trees
     assert all(comp.edge_count >= comp.n for comp in cyclic)
+    assert len(cyclic) == len(parts.masks) - sum(
+        mask & trees == mask for mask in parts.masks)
+    order, parent = parts.order, parts.parent
+    assert len(order) == len(parent) == trees.bit_count()
+    assert sum(1 << v for v in order) == trees
+    roots = 0
+    for i, (v, up) in enumerate(zip(order, parent)):
+        if up < 0:
+            roots += 1
+        else:
+            assert up < i and g.has_edge(order[up], v)
+    edges = sum((g.adj[v] & trees).bit_count() for v in bits(trees)) // 2
+    assert len(order) - roots == edges
+    assert forest_fold(parent) == expected
     assert forest_dp(g, trees) == expected
 
 
@@ -198,6 +218,47 @@ def test_forest_dp_on_a_mask_matches_relabeled_trees_gnp():
     assert leaves >= 20
 
 
+def test_recorded_forest_matches_union_find_sparse_gnp():
+    for n in (1, 2, 17, 300, 2000):
+        for lam in (0.5, 1.0, 4.0):
+            for seed in range(3):
+                _assert_forest_dp_in_place(
+                    sample_gnp(n, min(1.0, lam / n), seed))
+    _assert_forest_dp_in_place(empty_graph(10 ** 4))
+
+
+def test_each_solver_walks_a_sparse_sample_once(monkeypatch):
+    import eideal.comb_invariants as comb_invariants
+    import eideal.graph_core as graph_core
+    from eideal.battery import _sandwich_row
+    from eideal.random_models import draw_gnp
+
+    walk = graph_core.walk_components
+    walked = []
+
+    def counted(adj, w):
+        walked.append(len(adj))
+        return walk(adj, w)
+
+    monkeypatch.setattr(graph_core, "walk_components", counted)
+    monkeypatch.setattr(comb_invariants, "walk_components", counted)
+    n = 2000
+    for seed in range(3):
+        g = disjoint_union(sample_gnp(n - 9, 0.5 / n, seed),
+                           disjoint_union(cycle_graph(5), path_graph(4)))
+        walked.clear()
+        reg_pd_componentwise(g)
+        assert walked == [n]
+        walked.clear()
+        induced_matching_number(g)
+        # One walk of the sample; the 5-cycle's branch leaves walk its
+        # relabeled copy.
+        assert walked.count(n) == 1 and 5 in walked
+        walked.clear()
+        _sandwich_row(draw_gnp(n, 1.0 / n, seed))
+        assert walked.count(n) == 1
+
+
 def test_no_tree_component_is_relabeled(monkeypatch):
     import eideal.graph_core as graph_core
 
@@ -213,7 +274,8 @@ def test_no_tree_component_is_relabeled(monkeypatch):
         g = disjoint_union(sample_gnp(400, 1.0 / 400, seed),
                            disjoint_union(cycle_graph(5), path_graph(4)))
         parts = connected_components(g)
-        cyclic = sum(not graph_core.spans_tree(g.adj, m) for m in parts.masks)
+        cyclic = sum(comp.edge_count >= comp.n
+                     for comp in union_find_components(g)[3])
         assert cyclic >= 1 and len(parts.masks) > cyclic
         relabeled.clear()
         reg, pd = reg_pd_componentwise(g, parts=parts)
@@ -230,10 +292,9 @@ def test_no_tree_component_is_relabeled(monkeypatch):
 
 
 def test_forest_wrappers_reject_cycles():
-    for wrapper in (tree_induced_matching, tree_min_maximal_independent_set,
-                    forest_pd):
+    for g in (cycle_graph(4), disjoint_union(path_graph(3), cycle_graph(3))):
         with pytest.raises(ValueError):
-            wrapper(cycle_graph(4))
+            tree_induced_matching(g)
 
 
 def test_tree_callers_skip_the_forest_check(monkeypatch):
@@ -365,12 +426,15 @@ def test_component_additivity():
 
 
 def test_tree_min_maximal_independent_set():
-    assert tree_min_maximal_independent_set(path_graph(3)) == 1
-    assert tree_min_maximal_independent_set(path_graph(4)) == 2
-    assert tree_min_maximal_independent_set(star_graph(4)) == 1
+    def mmis(f):
+        return forest_dp(f, (1 << f.n) - 1)[1]
+
+    assert mmis(path_graph(3)) == 1
+    assert mmis(path_graph(4)) == 2
+    assert mmis(star_graph(4)) == 1
     rng = random.Random(9)
     for _ in range(120):
         n = rng.randint(1, 13)
         f = random_forest(n, rng)
         sizes = [s.bit_count() for s in naive_maximal_independent_sets(f)]
-        assert tree_min_maximal_independent_set(f) == min(sizes)
+        assert mmis(f) == min(sizes)
