@@ -19,12 +19,11 @@ from .comb_invariants import (BudgetExceededError, CoverProfile,
                               cover_profile, independence_number,
                               induced_matching_number, matching_number,
                               tree_induced_matching)
-from .betti import (BettiTable, InvariantBundle, SimplicialComplex,
-                    SizeGuardExceeded, betti_table,
-                    has_linear_presentation, has_linear_resolution,
-                    independence_complex, induced_betti_tables, invariants,
-                    linear_flags, pd_componentwise, reduced_homology_dims,
-                    reg_pd_componentwise, regularity_componentwise)
+from .betti import (BettiTable, InvariantBundle, SizeGuardExceeded,
+                    betti_table, has_linear_presentation,
+                    has_linear_resolution, induced_betti_tables, invariants,
+                    linear_flags, pd_componentwise, reg_pd_componentwise,
+                    regularity_componentwise)
 from .asymptotics import (TheoryValue, expected_chordless_cycles,
                           expected_local_cycles, gw_limit_estimate,
                           karp_sipser_upper, mcdiarmid_tail,

@@ -14,18 +14,19 @@ linear algebra:
   * a disconnected subgraph makes the complex a join, so homology is the
     shifted convolution of the components' homology (Kunneth over a field).
 
-A table is one lattice scan (induced_betti_tables): the cone-free subsets
-are generated in numpy, each gets its fold target W - y from one vectorized
-rule (fold_vertex, shared with the exhaustive audit), and pointer jumping
-runs every fold chain to an irreducible subset or to a cone.  Homology runs
-only on the distinct irreducible targets, through HomologyEngine, which also
-serves single subsets with the same rule applied one vertex at a time.  A
-connected irreducible core that is a clique K_k is k points, {0: k-1} over
-any field; only the other cores reach boundary-matrix ranks: bitset
-elimination over GF(2), fraction-free integer elimination for Q, dense
-elimination mod p otherwise.  The reductions are homotopy-level, hence
-field-independent; tests validate them against a reduction-free oracle on
-exhaustive corpora.
+Every homology question goes through one lattice scan
+(_irreducible_targets): the cone-free subsets are generated in numpy, each
+gets its fold target W - y from one vectorized rule (fold_vertex, shared
+with the exhaustive audit), and pointer jumping runs every fold chain to an
+irreducible subset or to a cone.  Homology runs only on the distinct
+irreducible targets, through HomologyEngine: a table counts every target
+(induced_betti_tables), and linear_flags reads them by increasing |W| until
+linear presentation breaks.  A connected irreducible core that is a clique
+K_k is k points, {0: k-1} over any field; only the other cores reach
+boundary-matrix ranks: bitset elimination over GF(2), fraction-free integer
+elimination for Q, dense elimination mod p otherwise.  The reductions are
+homotopy-level, hence field-independent; tests validate them against a
+reduction-free oracle on exhaustive corpora.
 """
 
 from __future__ import annotations
@@ -36,13 +37,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .comb_invariants import (forest_fold, independence_number,
-                              maximal_independent_sets)
+from .comb_invariants import forest_fold, independence_number
 from .graph_core import (Graph, bits, component_masks,
                          connected_components)
 
 DEFAULT_BETTI_GUARD = 18
-MAX_HOMOLOGY_GROUND = 24
 
 
 class SizeGuardExceeded(RuntimeError):
@@ -63,48 +62,8 @@ def parse_field(field: str) -> tuple[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# Simplicial complexes and direct homology
+# Direct homology of a face set
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SimplicialComplex:
-    """Facet representation; facets=() is the void complex, facets=(0,) the
-    empty complex {emptyset}."""
-
-    ground: int
-    facets: tuple[int, ...]
-
-    @property
-    def is_void(self) -> bool:
-        return len(self.facets) == 0
-
-    def dim(self) -> int:
-        if self.is_void:
-            return -2
-        return max(f.bit_count() for f in self.facets) - 1
-
-
-def independence_complex(g: Graph) -> SimplicialComplex:
-    """Facets are the maximal independent sets of g."""
-    return SimplicialComplex(g.n, tuple(sorted(maximal_independent_sets(g))))
-
-
-def _faces_from_facets(c: SimplicialComplex) -> set[int]:
-    faces: set[int] = set()
-    for facet in c.facets:
-        stack = [facet]
-        while stack:
-            f = stack.pop()
-            if f in faces:
-                continue
-            faces.add(f)
-            sub = f
-            while sub:
-                low = sub & -sub
-                stack.append(f ^ low)
-                sub ^= low
-    return faces
-
 
 def _rank_gf2(columns: list[int]) -> int:
     pivots: dict[int, int] = {}
@@ -235,79 +194,18 @@ def _homology_from_faces(faces, field: tuple[str, int]) -> dict[int, int]:
     return dims
 
 
-def reduced_homology_dims(c: SimplicialComplex, field: str = "q") -> list[int]:
-    """dim H~_d for d = -1..dim(c); the void complex yields an empty list."""
-    if c.ground > MAX_HOMOLOGY_GROUND:
-        raise SizeGuardExceeded(
-            f"ground set {c.ground} exceeds {MAX_HOMOLOGY_GROUND}")
-    if c.is_void:
-        return []
-    faces = _faces_from_facets(c)
-    dims = _homology_from_faces(faces, parse_field(field))
-    return [dims.get(d, 0) for d in range(-1, c.dim() + 1)]
-
-
 # ---------------------------------------------------------------------------
-# Subset homology engine with reductions
+# Homology of irreducible subsets
 # ---------------------------------------------------------------------------
 
 class HomologyEngine:
-    """Memoized reduced-homology dims of Ind(G[W]) over vertex masks W."""
+    """Reduced-homology dims of Ind(G[W]) over irreducible vertex masks W,
+    with the connected cores memoized."""
 
     def __init__(self, g: Graph, field: str = "q"):
-        self.g = g
         self.adj = g.adj
         self.field = parse_field(field)
         self.memo: dict[int, dict[int, int]] = {}
-
-    def dims(self, w: int) -> dict[int, int]:
-        """Sparse map degree -> dim H~_degree(Ind(G[W])); {} if contractible.
-
-        W = 0 gives {-1: 1} (the empty complex).
-        """
-        if w == 0:
-            return {-1: 1}
-        cached = self.memo.get(w)
-        if cached is not None:
-            return cached
-        result = self._compute(w)
-        self.memo[w] = result
-        return result
-
-    def _compute(self, w: int) -> dict[int, int]:
-        adj = self.adj
-        live = w
-        # Fold loop: bail to a cone on any isolated vertex, else strip one
-        # dominated-neighborhood vertex.  The y with N(x) subseteq N(y) are
-        # the live common neighbors of N(x), minus x itself; the lowest such
-        # y of the lowest x that has one goes (fold_vertex's rule).  Bits are
-        # walked inline, not through bits(): this runs once per subset, and
-        # the generator cost about 10% of a small graph's table.
-        while True:
-            rows = {}
-            rest = live
-            while rest:
-                low = rest & -rest
-                v = low.bit_length() - 1
-                row = adj[v] & live
-                if row == 0:
-                    return {}
-                rows[v] = row
-                rest ^= low
-            for x, row in rows.items():
-                partners = live ^ (1 << x)
-                while row and partners:
-                    low = row & -row
-                    partners &= rows[low.bit_length() - 1]
-                    row ^= low
-                if partners:
-                    live ^= partners & -partners
-                    break
-            else:
-                break
-            if live in self.memo:
-                return self.memo[live]
-        return self.irreducible_dims(live)
 
     def irreducible_dims(self, w: int) -> dict[int, int]:
         """dims of a nonempty W with no isolated vertex and no fold: the
@@ -368,16 +266,16 @@ def _join_convolve(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
 
 
 def fold_vertex(rows, live) -> np.ndarray:
-    """The vertex that HomologyEngine's fold rule deletes from each live
-    set: the y of the first ordered pair (x, y) of distinct live vertices
-    with N(x) & live subseteq N(y), or -1 if there is none.
+    """The vertex that the fold rule deletes from each live set: the y of
+    the first ordered pair (x, y) of distinct live vertices with
+    N(x) & live subseteq N(y), or -1 if there is none.
 
-    ``rows[v]`` is v's neighbor row, either one numpy integer for every
-    entry or an array with a row per entry; ``live`` is a mask or an array
-    of masks.  Answers hold for live sets with no isolated vertex.  On
-    those, adjacent x and y never fold (y is in N(x) but not in N(y)), and
-    neither do x and y with no common neighbor: such a pair is skipped, or
-    masked out of the entries that rule it out."""
+    ``rows[v]`` is v's neighbor row: a Python int, or a numpy array with a
+    row per entry; ``live`` is a mask or an array of masks.  Answers hold
+    for live sets with no isolated vertex.  On those, adjacent x and y never
+    fold (y is in N(x) but not in N(y)), and neither do x and y with no
+    common neighbor.  With Python-int rows such a pair is skipped at once;
+    with array rows it is masked out of the entries that rule it out."""
     n = len(rows)
     out = np.full(np.broadcast(live, rows[0]).shape, -1, dtype=np.int8)
     # Pairs go last to first, so the first pair that folds writes last.
@@ -386,7 +284,7 @@ def fold_vertex(rows, live) -> np.ndarray:
             if y == x:
                 continue
             can = ((rows[x] & rows[y]) != 0) & ((rows[x] >> y & 1) == 0)
-            if not can.any():
+            if can is False:
                 continue
             both = 1 << x | 1 << y
             out[((live & (both | (rows[x] & ~rows[y]))) == both) & can] = y
@@ -430,19 +328,6 @@ class BettiTable:
         return cls(int(obj["n"]), obj["field"], entries)
 
 
-def subset_positions(engine: HomologyEngine, subsets):
-    """((i, j), rank) that each vertex subset W in `subsets` adds to the
-    table: by beta_{i,j}(S/I) = sum over |W|=j of dim H~_{j-i-1}(Ind(G[W])),
-    homology in degree d lands at i = j - d - 1, and a nonempty W has
-    0 <= d <= j - 2, so i >= 1."""
-    for w in subsets:
-        dims = engine.dims(w)
-        if dims:
-            j = w.bit_count()
-            for d, rank in dims.items():
-                yield (j - d - 1, j), rank
-
-
 def _engine(g: Graph, field: str, max_vertices: int) -> HomologyEngine:
     """A HomologyEngine over g, once g passes the size guard."""
     if g.n > max_vertices:
@@ -479,29 +364,49 @@ def induced_betti_tables(g: Graph, grounds, field: str = "q",
                          max_vertices: int = DEFAULT_BETTI_GUARD
                          ) -> list[BettiTable]:
     """Exact tables of the induced subgraphs G[U], one per vertex mask U in
-    `grounds`, from one lattice scan over the submasks of their union.
+    `grounds`, from one lattice scan over the submasks of their union
+    (_irreducible_targets).  Each ground counts its W by (|W|, irreducible
+    target) in one np.unique, and homology runs once per distinct target,
+    through the engine's component split, join convolution, clique closed
+    form and core memo; every subset of U is a subset of g, so one
+    HomologyEngine serves all the grounds."""
+    engine = _engine(g, field, max_vertices)
+    union = 0
+    for u in grounds:
+        union |= u
+    ws, root = _irreducible_targets(engine.adj, union)
+    m = len(ws)
+    key = np.bitwise_count(ws).astype(np.int64) * (m + 1) + root
+    homology: dict[int, dict[int, int]] = {}
+    tables = []
+    for u in grounds:
+        inside = (root < m) & ((ws & ~u) == 0)
+        keys, counts = np.unique(key[inside], return_counts=True)
+        entries: dict[tuple[int, int], int] = {}
+        for pos, rank in _positions(engine, ws, keys.tolist(),
+                                    counts.tolist(), homology):
+            entries[pos] = entries.get(pos, 0) + rank
+        tables.append(BettiTable(u.bit_count(), field, entries))
+    return tables
 
-    Every W of the scan is classified in numpy before any homology runs:
+
+def _irreducible_targets(adj, union: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ws, root): the cone-free submasks W of `union` in increasing order,
+    and for each the index in ws of the irreducible subset its fold chain
+    ends at, or len(ws) if the chain ends at a cone.
+
+    Every W is classified in numpy before any homology runs:
       * a cone (G[W] has an isolated vertex) adds nothing and is never
         generated (_cone_free_submasks);
       * a W with a fold points at W - y (fold_vertex); a W - y that is a
         cone is not in the array, so W adds nothing either;
       * pointer jumping runs every fold chain to its end, an irreducible
-        subset whose homology W shares.
-    Each ground then counts its W by (irreducible target, |W|) in one
-    np.unique, and homology runs once per distinct target, through the
-    engine's component split, join convolution, clique closed form and core
-    memo; every subset of U is a subset of g, so one HomologyEngine serves
-    all the grounds."""
-    engine = _engine(g, field, max_vertices)
-    union = 0
-    for u in grounds:
-        union |= u
-    ws = _cone_free_submasks(engine.adj, union)
+        subset whose homology W shares."""
+    ws = _cone_free_submasks(adj, union)
     m = len(ws)
     if m == 0:
-        return [BettiTable(u.bit_count(), field, {}) for u in grounds]
-    y = fold_vertex(np.array(engine.adj, dtype=np.int64), ws)
+        return ws, ws
+    y = fold_vertex(adj, ws)
     folds = np.flatnonzero(y >= 0)
     target = ws[folds] ^ (1 << y[folds].astype(np.int64))
     at = np.searchsorted(ws, target)
@@ -512,27 +417,24 @@ def induced_betti_tables(g: Graph, grounds, field: str = "q",
     while True:
         jumped = step[step]
         if np.array_equal(jumped, step):
-            break
+            return ws, step[:m]
         step = jumped
-    root = step[:m]
-    span = union.bit_count() + 1
-    key = root * span + np.bitwise_count(ws)
-    homology: dict[int, dict[int, int]] = {}
-    tables = []
-    for u in grounds:
-        inside = (root < m) & ((ws & ~u) == 0)
-        keys, counts = np.unique(key[inside], return_counts=True)
-        entries: dict[tuple[int, int], int] = {}
-        for k, count in zip(keys.tolist(), counts.tolist()):
-            r, j = divmod(k, span)
-            dims = homology.get(r)
-            if dims is None:
-                dims = homology[r] = engine.irreducible_dims(int(ws[r]))
-            for d, rank in dims.items():
-                pos = (j - d - 1, j)
-                entries[pos] = entries.get(pos, 0) + rank * count
-        tables.append(BettiTable(u.bit_count(), field, entries))
-    return tables
+
+
+def _positions(engine: HomologyEngine, ws: np.ndarray, keys, counts,
+               homology: dict[int, dict[int, int]]):
+    """((i, j), rank) that `count` subsets W add to the table, for each key
+    |W| * (len(ws) + 1) + r of W whose fold chain ends at the irreducible
+    ws[r]: by beta_{i,j}(S/I) = sum over |W| = j of dim H~_{j-i-1}(Ind(G[W])),
+    homology in degree d lands at i = j - d - 1.  `homology` memoizes the
+    dims of each r."""
+    for key, count in zip(keys, counts):
+        j, r = divmod(key, len(ws) + 1)
+        dims = homology.get(r)
+        if dims is None:
+            dims = homology[r] = engine.irreducible_dims(int(ws[r]))
+        for d, rank in dims.items():
+            yield (j - d - 1, j), rank * count
 
 
 def _cone_free_submasks(adj, u: int) -> np.ndarray:
@@ -553,13 +455,17 @@ def _cone_free_submasks(adj, u: int) -> np.ndarray:
 
 def linear_flags(g: Graph, field: str = "q",
                  max_vertices: int = DEFAULT_BETTI_GUARD) -> tuple[bool, bool]:
-    """(linear resolution, linear presentation) of S/I(G) from one subset
-    scan that stops at the first break of linear presentation; both hold
-    vacuously for edgeless graphs."""
+    """(linear resolution, linear presentation) of S/I(G); both hold
+    vacuously for edgeless graphs.  The lattice scan's distinct irreducible
+    targets are read in order of increasing |W| (the key order), and
+    homology stops at the first break of linear presentation."""
     engine = _engine(g, field, max_vertices)
-    if g.edge_count == 0:
-        return True, True
-    return linearity(subset_positions(engine, range(1, 1 << g.n)))
+    ws, root = _irreducible_targets(engine.adj, (1 << g.n) - 1)
+    live = root < len(ws)
+    keys, counts = np.unique(np.bitwise_count(ws[live]).astype(np.int64)
+                             * (len(ws) + 1) + root[live], return_counts=True)
+    return linearity(_positions(engine, ws, keys.tolist(), counts.tolist(),
+                                {}))
 
 
 @dataclass(frozen=True)

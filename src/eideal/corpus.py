@@ -10,21 +10,24 @@ Betti positions the top set contributes.
 
 The top set of a graph the proper subsets leave undecided takes one of
 three routes, all decided for the whole mask array before any per-graph
-Python runs:
+Python runs; the flag tables are the same routes run on every mask:
 
 * cone: a vertex with an empty neighbor row makes the independence complex
   a cone, with no homology, so the top set breaks neither flag;
 * fold: otherwise the first ordered pair (x, y) with N(x) subseteq N(y),
-  the homology engine's own rule (``betti.fold_vertex``), lets y go
-  without changing the homotopy type, and G - y is looked up in the
-  (n-1)-vertex tables.  Homology in degree d of an n-vertex top set sits
-  at Betti position (n - d - 1, n): degree >= 1 breaks resolution, and
-  degree n - 3 breaks presentation.  The first reads the same on G - y (``lr_break``).  The
-  second is degree (n-1) - 2 there, which sits at beta_{1,n-1} of G - y,
-  and an edge ideal has generators in degree 2 only: a fold never breaks
-  presentation, and the tests pin this;
-* engine: the rest, and every graph with n <= 4, run one
-  ``HomologyEngine`` on the top set.
+  the lattice scan's own rule (``betti.fold_vertex``), lets y go without
+  changing the homotopy type, and G - y is looked up in the (n-1)-vertex
+  tables.  Homology in degree d of an n-vertex top set sits at Betti
+  position (n - d - 1, n): degree >= 1 breaks resolution, and degree n - 3
+  breaks presentation.  The first reads the same on G - y (``lr_break``).
+  The second is degree (n-1) - 2 there, which sits at beta_{1,n-1} of
+  G - y, and an edge ideal has generators in degree 2 only: a fold never
+  breaks presentation, and the tests pin this;
+* engine: the rest have an irreducible top set, with no isolated vertex
+  and no fold, and ``HomologyEngine.irreducible_dims`` takes its homology.
+
+The 0-vertex graph's top set is the empty complex, whose H~_{-1} sits at
+beta_{0,0} and breaks neither flag.
 
 The third table marks graphs whose complement is a chordless k-cycle, set
 from the labeled complement-C_k masks listed directly: the complement of a
@@ -44,8 +47,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .betti import (HomologyEngine, fold_vertex, linear_flags, linearity,
-                    subset_positions)
+from .betti import HomologyEngine, fold_vertex, linear_flags, linearity
 from .chordality import has_induced_c4, is_chordal
 from .experiments import _chunk_ranges, run_chunked
 from .graph_core import complement, graph_from_edge_mask, pair_index, pair_list
@@ -74,23 +76,12 @@ def flag_tables(k: int) -> tuple[np.ndarray, ...]:
     cached = _tables.get(k)
     if cached is not None:
         return cached
-    pairs = pair_list(k)
-    size = 1 << len(pairs)
-    lr_break, lp_break, cycle = np.zeros((3, size), dtype=bool)
-    for mask in range(size):
-        lr, lp = _top_set_flags(graph_from_edge_mask(k, mask, pairs))
-        lr_break[mask] = not lr
-        lp_break[mask] = not lp
+    masks = np.arange(1 << (k * (k - 1) // 2), dtype=np.uint32)
+    lr, lp, _ = _top_set_routes(k, masks)
+    cycle = np.zeros(len(masks), dtype=bool)
     cycle[_complement_cycle_masks(k)] = True
-    _tables[k] = (lr_break, lp_break, cycle)
+    _tables[k] = (~lr, ~lp, cycle)
     return _tables[k]
-
-
-def _top_set_flags(g) -> tuple[bool, bool]:
-    """(linear resolution, linear presentation) as far as the Betti
-    positions contributed by g's full vertex set alone decide them."""
-    engine = HomologyEngine(g, _AUDIT_FIELD)
-    return linearity(subset_positions(engine, ((1 << g.n) - 1,)))
 
 
 def _complement_cycle_masks(n: int) -> np.ndarray:
@@ -156,29 +147,35 @@ def _vertex_rows(n: int, masks: np.ndarray) -> np.ndarray:
 
 
 def _top_set_routes(n: int, masks: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(lr, lp, route) of each graph's top set alone, as _top_set_flags
-    reads it, by the cone, fold and engine routes of the module docstring;
-    with no (n-1)-vertex table every graph takes the engine."""
+    """(lr, lp, route) of each graph's top set alone: whether the Betti
+    positions its full vertex set contributes keep linear resolution and
+    linear presentation, by the cone, fold and engine routes of the module
+    docstring."""
     lr, lp = np.ones((2, len(masks)), dtype=bool)
     route = np.full(len(masks), ENGINE, dtype=np.uint8)
-    if n - 1 in _TABLE_SIZES:
-        rows = _vertex_rows(n, masks)
-        fold_y = fold_vertex(rows, (1 << n) - 1)
-        route[fold_y >= 0] = FOLD
-        # Cones override: fold_vertex answers only graphs with no empty row.
-        route[(rows == 0).any(axis=0)] = CONE
+    if n == 0:
+        return lr, lp, route
+    rows = _vertex_rows(n, masks)
+    fold_y = fold_vertex(rows, (1 << n) - 1)
+    route[fold_y >= 0] = FOLD
+    # Cones override: fold_vertex answers only graphs with no empty row.
+    route[(rows == 0).any(axis=0)] = CONE
+    # lp stays True on a fold: it would take homology of G - y in degree
+    # (n-1) - 2, at beta_{1,n-1}, and an edge ideal has no generator of
+    # degree above 2.
+    folds = route == FOLD
+    if folds.any():
         lr_break = flag_tables(n - 1)[0]
-        # lp stays True on a fold: it would take homology of G - y in degree
-        # (n-1) - 2, at beta_{1,n-1}, and an edge ideal has no generator of
-        # degree above 2.
         for y in range(n):
-            sel = np.flatnonzero((route == FOLD) & (fold_y == y))
+            sel = np.flatnonzero(folds & (fold_y == y))
             rest = tuple(v for v in range(n) if v != y)
             lr[sel] = ~lr_break[_induced_masks(n, masks[sel], rest)]
     pairs = pair_list(n)
     for i in np.flatnonzero(route == ENGINE):
-        lr[i], lp[i] = _top_set_flags(graph_from_edge_mask(n, int(masks[i]),
-                                                           pairs))
+        g = graph_from_edge_mask(n, int(masks[i]), pairs)
+        dims = HomologyEngine(g, _AUDIT_FIELD).irreducible_dims((1 << n) - 1)
+        lr[i], lp[i] = linearity(((n - d - 1, n), rank)
+                                 for d, rank in dims.items())
     return lr, lp, route
 
 
@@ -236,9 +233,8 @@ def exhaustive_flag_audit(n: int, workers: int = 1):
     if n > MAX_EXHAUSTIVE_N:
         raise ValueError(f"exhaustive audit is for n <= {MAX_EXHAUSTIVE_N}, "
                          f"got {n}")
-    for k in _TABLE_SIZES:
-        if k < n:
-            flag_tables(k)  # build pre-fork so workers share the tables
+    for k in range(n):
+        flag_tables(k)  # build pre-fork so workers share the tables
     total = 1 << (n * (n - 1) // 2)
     tasks = [(n, lo, hi) for lo, hi in _chunk_ranges(total, workers * 4)]
     results = run_chunked(_audit_chunk, tasks, workers)

@@ -2,7 +2,9 @@
 
 Each oracle mirrors a definition as directly as possible (subset brute
 force, naive matrix homology, cycle enumeration) so the production code is
-checked against an independent route.
+checked against an independent route.  The one exception is
+per_subset_dims, a second route to the lattice scan's Hochster sum: it
+applies the same reductions one subset at a time, in scalar Python.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
+from eideal.betti import HomologyEngine
 from eideal.graph_core import (Graph, bits, build_graph, enumerate_graphs,
                                induced_subgraph)
 
@@ -360,3 +363,64 @@ def naive_regularity_quotient(g: Graph, field: str = "q") -> int:
 
 def naive_pd_quotient(g: Graph, field: str = "q") -> int:
     return max((i for i, j in naive_betti_table(g, field)), default=0)
+
+
+def is_irreducible(adj, w: int) -> bool:
+    """W is nonempty, and G[W] has no isolated vertex and no pair x != y
+    with N(x) subseteq N(y): the sets HomologyEngine.irreducible_dims
+    takes."""
+    rows = {v: adj[v] & w for v in bits(w)}
+    return w != 0 and all(rows.values()) and not any(
+        rows[x] & ~rows[y] == 0 for x in rows for y in rows if x != y)
+
+
+_last_walk: list = [None, None, None, None]
+
+
+def per_subset_dims(g: Graph, w: int, field: str = "q") -> dict[int, int]:
+    """Sparse map degree -> dim H~_degree(Ind(G[W])), {} if contractible and
+    {-1: 1} for W = 0 (the empty complex), by the per-subset walk: bail to a
+    cone on an isolated vertex, else delete the y of the first ordered pair
+    (x, y) with N(x) & W subseteq N(y), until W is irreducible; then the
+    engine's component split, clique form and face homology.  Consecutive
+    calls on the same graph object and field share one memo."""
+    if w == 0:
+        return {-1: 1}
+    if _last_walk[0] is not g or _last_walk[1] != field:
+        _last_walk[:] = [g, field, HomologyEngine(g, field), {}]
+    engine, memo = _last_walk[2], _last_walk[3]
+    adj = engine.adj
+    path = []
+    live = w
+    while live not in memo:
+        path.append(live)
+        rows = {}
+        rest = live
+        while rest:
+            low = rest & -rest
+            row = adj[low.bit_length() - 1] & live
+            if row == 0:
+                break
+            rows[low.bit_length() - 1] = row
+            rest ^= low
+        if rest:
+            dims = {}
+            break
+        for x, row in rows.items():
+            # The y with N(x) subseteq N(y): live common neighbors of N(x).
+            partners = live ^ (1 << x)
+            while row and partners:
+                low = row & -row
+                partners &= rows[low.bit_length() - 1]
+                row ^= low
+            if partners:
+                live ^= partners & -partners
+                break
+        else:
+            dims = engine.irreducible_dims(live)
+            break
+    else:
+        dims = memo[live]
+    for seen in path:
+        memo[seen] = dims
+    return dims

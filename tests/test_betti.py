@@ -5,26 +5,25 @@ import pytest
 
 from eideal import betti
 from eideal.betti import (BettiTable, HomologyEngine, SizeGuardExceeded,
-                          betti_table, has_linear_presentation,
-                          has_linear_resolution, independence_complex,
+                          _homology_from_faces, betti_table,
+                          has_linear_presentation, has_linear_resolution,
                           induced_betti_tables, invariants, linear_flags,
-                          parse_field,
-                          pd_componentwise,
-                          reduced_homology_dims, reg_pd_componentwise,
-                          regularity_componentwise, SimplicialComplex,
-                          subset_positions)
+                          parse_field, pd_componentwise, reg_pd_componentwise,
+                          regularity_componentwise)
 from eideal.chordality import is_4_cochordal, is_cochordal
 from eideal.comb_invariants import forest_dp, tree_induced_matching
-from eideal.graph_core import (bits, build_graph, complete_graph,
-                               connected_components, cycle_graph,
-                               disjoint_union, empty_graph, enumerate_graphs,
-                               graph_from_edge_mask, induced_subgraph,
-                               induced_subgraph_mask, path_graph)
-from eideal.random_models import sample_gnp
+from eideal.graph_core import (bits, build_graph, complement,
+                               complete_graph, connected_components,
+                               cycle_graph, disjoint_union, empty_graph,
+                               enumerate_graphs, graph_from_edge_mask,
+                               induced_subgraph, induced_subgraph_mask,
+                               pair_list, path_graph)
+from eideal.random_models import rng_for, sample_gnp
 
-from oracles import (naive_betti_table, naive_homology_of_faces,
-                     naive_independent_sets, naive_pd_quotient,
-                     naive_regularity_quotient)
+from oracles import (is_irreducible, naive_betti_table,
+                     naive_homology_of_faces, naive_independent_sets,
+                     naive_pd_quotient, naive_regularity_quotient,
+                     per_subset_dims)
 
 
 def random_forest(n, rng, drop=0.25):
@@ -35,46 +34,60 @@ def random_forest(n, rng, drop=0.25):
     return build_graph(n, edges)
 
 
+def _faces(*facets):
+    """Every face of the complex with these facets."""
+    return {f for facet in facets for f in range(facet + 1)
+            if f & ~facet == 0}
+
+
+def _homology(faces, field="q"):
+    return _homology_from_faces(faces, parse_field(field))
+
+
 def test_independence_complex_cases():
-    k3 = independence_complex(complete_graph(3))
-    assert sorted(k3.facets) == [1, 2, 4]
-    full = independence_complex(empty_graph(3))
-    assert full.facets == (7,)
-    c5 = independence_complex(cycle_graph(5))
-    assert len(c5.facets) == 5
-    assert all(f.bit_count() == 2 for f in c5.facets)
+    k3 = naive_independent_sets(complete_graph(3))
+    assert sorted(k3) == [0, 1, 2, 4]
+    assert _homology(k3) == {0: 2}  # three points
+    full = naive_independent_sets(empty_graph(3))
+    assert set(full) == _faces(7)
+    assert _homology(full) == {}  # a simplex
+    c5 = naive_independent_sets(cycle_graph(5))
+    facets = [f for f in c5 if not any(f != h and f & ~h == 0 for h in c5)]
+    assert len(facets) == 5
+    assert all(f.bit_count() == 2 for f in facets)
+    assert _homology(c5) == {1: 1}  # a pentagon
 
 
 def test_reduced_homology_triangle_boundary():
     # Boundary of a triangle: three edges, no filled face -> a circle.
-    circle = SimplicialComplex(3, (0b011, 0b101, 0b110))
-    assert reduced_homology_dims(circle, "q") == [0, 0, 1]
-    assert reduced_homology_dims(circle, "f2") == [0, 0, 1]
+    circle = _faces(0b011, 0b101, 0b110)
+    assert _homology(circle, "q") == {1: 1}
+    assert _homology(circle, "f2") == {1: 1}
 
 
 def test_reduced_homology_full_simplex_and_points():
-    simplex = SimplicialComplex(3, (0b111,))
-    assert reduced_homology_dims(simplex, "q") == [0, 0, 0, 0]
-    two_points = SimplicialComplex(2, (0b01, 0b10))
-    assert reduced_homology_dims(two_points, "q") == [0, 1]
-    empty = SimplicialComplex(0, (0,))
-    assert reduced_homology_dims(empty, "q") == [1]
-    void = SimplicialComplex(0, ())
-    assert reduced_homology_dims(void, "q") == []
+    assert _homology(_faces(0b111), "q") == {}
+    assert _homology(_faces(0b01, 0b10), "q") == {0: 1}
+    assert _homology(_faces(0), "q") == {-1: 1}  # the empty complex
+    assert _homology(set(), "q") == {}  # the void complex
 
 
 def test_engine_matches_naive_homology_exhaustive_n5():
+    # The per-subset walk on every subset; the engine on the irreducible ones.
     for field in ("q", "f2"):
         for g in enumerate_graphs(5):
             engine = HomologyEngine(g, field)
             for w in range(1 << 5):
                 verts = [v for v in range(5) if w >> v & 1]
-                from eideal.graph_core import induced_subgraph
                 sub = induced_subgraph(g, verts)
                 faces = naive_independent_sets(sub)
                 expected = naive_homology_of_faces(faces, field)
                 expected = {d: r for d, r in expected.items() if r}
-                assert engine.dims(w) == expected, (tuple(g.adj), w, field)
+                assert per_subset_dims(g, w, field) == expected, (
+                    tuple(g.adj), w, field)
+                if is_irreducible(g.adj, w):
+                    assert engine.irreducible_dims(w) == expected, (
+                        tuple(g.adj), w, field)
 
 
 def test_engine_matches_naive_homology_random_n7():
@@ -83,13 +96,14 @@ def test_engine_matches_naive_homology_random_n7():
         for _ in range(60):
             mask = rng.randrange(1 << 21)
             g = graph_from_edge_mask(7, mask)
-            engine = HomologyEngine(g, field)
             w = (1 << 7) - 1
             faces = naive_independent_sets(g)
             expected = {d: r
                         for d, r in naive_homology_of_faces(faces, field).items()
                         if r}
-            assert engine.dims(w) == expected
+            assert per_subset_dims(g, w, field) == expected
+            if is_irreducible(g.adj, w):
+                assert HomologyEngine(g, field).irreducible_dims(w) == expected
 
 
 def test_betti_table_c5_worked_example():
@@ -220,6 +234,65 @@ def test_linear_flags_vs_naive_table_atlas_n6():
         g = build_graph(h.number_of_nodes(), h.edges())
         assert linear_flags(g) == _flags_by_definition(
             naive_betti_table(g, "q")), sorted(h.edges())
+
+
+def _linear_flags_mismatches(graphs, field):
+    """Yield the graphs on which linear_flags or the table reader differs
+    from the flags of the per-subset walk's table."""
+    for g in graphs:
+        expected = _flags_by_definition(_per_subset_entries(g, field))
+        if (linear_flags(g, field) != expected
+                or betti_table(g, field).linear_flags() != expected):
+            yield g.adj
+
+
+def _named_families(max_n):
+    """Complements of P_n, P_n and C_n for n <= max_n."""
+    return ([complement(path_graph(n)) for n in range(1, max_n + 1)]
+            + [path_graph(n) for n in range(1, max_n + 1)]
+            + [cycle_graph(n) for n in range(3, max_n + 1)])
+
+
+def _froberg_random_graphs():
+    """Criterion 1's random-audit graphs: 120 at n = 8 and 60 at n = 9,
+    drawn as random_flag_audit draws them at the battery's seed."""
+    graphs = []
+    for n, count in ((8, 120), (9, 60)):
+        rng = rng_for(1729, "random_flag_audit", n)
+        pairs = pair_list(n)
+        for _ in range(count):
+            mask = int(rng.integers(0, 1 << len(pairs), dtype=np.uint64))
+            graphs.append(graph_from_edge_mask(n, mask, pairs))
+    return graphs
+
+
+def test_linear_flags_vs_table_and_walk_named_families_n16():
+    # GF(2): a long cycle's irreducible top set is slow over Q, and the
+    # field-independence tests cover the choice.
+    assert list(_linear_flags_mismatches(_named_families(16), "f2")) == []
+
+
+def test_linear_flags_vs_table_and_walk_random():
+    graphs = _froberg_random_graphs()
+    assert [g.n for g in graphs] == [8] * 120 + [9] * 60
+    assert list(_linear_flags_mismatches(graphs, "q")) == []
+    # Over Q this graph's table takes seconds; its flags do not.
+    g = sample_gnp(16, 0.2, 5)
+    assert list(_linear_flags_mismatches([g], "f2")) == []
+    assert linear_flags(g, "q") == linear_flags(g, "f2")
+
+
+def test_planted_resolution_exit_fault_is_caught(monkeypatch):
+    def exit_at_resolution(positions):
+        # Stops at the first break of linear resolution, before the check
+        # for a break of presentation.
+        for (i, j), _ in positions:
+            if j - i >= 2:
+                return False, True
+        return True, True
+
+    monkeypatch.setattr(betti, "linearity", exit_at_resolution)
+    assert next(_linear_flags_mismatches(_named_families(8), "f2"), None)
 
 
 def test_froberg_equivalences_random_n7():
@@ -373,12 +446,13 @@ def test_table_json_round_trip():
 
 
 def _per_subset_entries(g, field):
-    """g's table by the per-subset walk: engine.dims summed over every
-    nonempty vertex subset."""
-    engine = HomologyEngine(g, field)
+    """g's table by the per-subset walk, summed over every nonempty vertex
+    subset W: homology in degree d lands at (|W| - d - 1, |W|)."""
     entries = {}
-    for key, rank in subset_positions(engine, range(1, 1 << g.n)):
-        entries[key] = entries.get(key, 0) + rank
+    for w in range(1, 1 << g.n):
+        j = w.bit_count()
+        for d, rank in per_subset_dims(g, w, field).items():
+            entries[j - d - 1, j] = entries.get((j - d - 1, j), 0) + rank
     return entries
 
 
@@ -500,13 +574,19 @@ def test_clique_core_closed_form():
             expected = {d: r for d, r in expected.items() if r}
             assert expected == {0: k - 1}
             engine = HomologyEngine(complete_graph(k), field)
-            assert engine.dims((1 << k) - 1) == expected, (k, field)
+            assert engine.irreducible_dims((1 << k) - 1) == expected, (
+                k, field)
             # K_k plus a vertex z joined to all of it but vertex 0: z and 0
             # have equal neighborhoods, a fold deletes one, and the core
             # left is a clique.
             g = build_graph(k + 1, [(u, v) for u in range(k)
                                     for v in range(u + 1, k)]
                             + [(k, v) for v in range(1, k)])
+            full = (1 << (k + 1)) - 1
+            assert per_subset_dims(g, full, field) == expected, (k, field)
+            ws, root = betti._irreducible_targets(g.adj, full)
+            assert ws[-1] == full and ws[root[-1]] == (1 << k) - 1, (k, field)
             engine = HomologyEngine(g, field)
-            assert engine.dims((1 << (k + 1)) - 1) == expected, (k, field)
+            assert engine.irreducible_dims((1 << k) - 1) == expected, (
+                k, field)
             assert engine.memo[(1 << k) - 1] == expected, (k, field)

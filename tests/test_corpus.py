@@ -4,25 +4,24 @@ import numpy as np
 import pytest
 
 from eideal import betti, corpus
+from eideal.betti import linearity
 from eideal.corpus import (CONE, CROSS_CHECK_STRIDE, ENGINE, FOLD,
                            _complement_cycle_masks, _subset_flags,
-                           _top_set_flags, _top_set_routes,
-                           exhaustive_flag_audit, flag_tables,
-                           random_flag_audit)
+                           _top_set_routes, exhaustive_flag_audit,
+                           flag_tables, random_flag_audit)
 from eideal.graph_core import (build_graph, complement, edge_mask,
                                enumerate_graphs)
 
-from oracles import naive_chordless_cycle_counts
+from oracles import (is_irreducible, naive_chordless_cycle_counts,
+                     per_subset_dims)
 
 
 def test_exhaustive_audit_up_to_n6():
     # Up to four vertices the top set alone decides both sides.
-    for n in range(1, 5):
-        assert exhaustive_flag_audit(n) == (1 << (n * (n - 1) // 2), [])
-    assert exhaustive_flag_audit(5) == (1024, [])
-    serial = exhaustive_flag_audit(6)
-    assert serial == (32768, [])
-    assert exhaustive_flag_audit(6, workers=2) == serial
+    for n in range(7):
+        serial = exhaustive_flag_audit(n)
+        assert serial == (1 << (n * (n - 1) // 2), []), n
+        assert exhaustive_flag_audit(n, workers=2) == serial, n
 
 
 def test_random_audit_builds_one_engine_per_graph(monkeypatch):
@@ -91,18 +90,56 @@ def test_cross_check_disagreement_is_a_mismatch(monkeypatch):
         assert flags["linear_resolution"] != flags["cochordal"], mask
 
 
+def _oracle_top_set_flags(g):
+    """(linear resolution, linear presentation) as far as the Betti
+    positions of g's full vertex set alone decide them, by the per-subset
+    walk."""
+    dims = per_subset_dims(g, (1 << g.n) - 1, "f2")
+    return linearity(((g.n - d - 1, g.n), rank) for d, rank in dims.items())
+
+
 def _top_set_disagreements(n):
-    """Masks where the bulk top-set routes and the per-graph engine read
+    """Masks where the bulk top-set routes and the per-subset walk read
     (linear resolution, linear presentation) differently."""
     masks = np.arange(1 << (n * (n - 1) // 2), dtype=np.uint32)
     lr, lp, _ = corpus._top_set_routes(n, masks)
     return [mask for mask, g in enumerate(enumerate_graphs(n))
-            if (lr[mask], lp[mask]) != _top_set_flags(g)]
+            if (lr[mask], lp[mask]) != _oracle_top_set_flags(g)]
 
 
 def test_top_set_routes_match_engine_n5_n6():
     for n in (5, 6):
         assert _top_set_disagreements(n) == [], n
+
+
+def test_flag_tables_match_per_subset_walk_k1_to_k6(monkeypatch):
+    # An empty cache: every fold reads tables this test builds.
+    monkeypatch.setattr(corpus, "_tables", {})
+    for k in range(1, 7):
+        lr_break, lp_break, _ = flag_tables(k)
+        for mask, g in enumerate(enumerate_graphs(k)):
+            assert (not lr_break[mask], not lp_break[mask]) == \
+                _oracle_top_set_flags(g), (k, mask)
+
+
+def test_engine_route_gets_irreducible_top_sets_only(monkeypatch):
+    # Every set handed to irreducible_dims, by the tables and by the audit's
+    # top sets, has no isolated vertex and no pair x != y with
+    # N(x) subseteq N(y); a lone vertex would read {0: 0}.
+    handed = []
+    real = betti.HomologyEngine.irreducible_dims
+
+    def recording(engine, w):
+        handed.append((engine.adj, w))
+        return real(engine, w)
+
+    monkeypatch.setattr(betti.HomologyEngine, "irreducible_dims", recording)
+    monkeypatch.setattr(corpus, "_tables", {})
+    flag_tables(6)
+    assert exhaustive_flag_audit(6) == (32768, [])
+    assert handed
+    for adj, w in handed:
+        assert is_irreducible(adj, w), (adj, w)
 
 
 def test_top_set_route_census_n6():
@@ -120,7 +157,7 @@ def test_top_set_has_no_homology_in_degree_k_minus_2():
     # never breaks presentation.
     for k in (4, 5):
         for g in enumerate_graphs(k):
-            dims = betti.HomologyEngine(g, "f2").dims((1 << k) - 1)
+            dims = per_subset_dims(g, (1 << k) - 1, "f2")
             assert k - 2 not in dims, g.adj
 
 
