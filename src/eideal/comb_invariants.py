@@ -7,15 +7,15 @@ fold the tree components' forest from ``connected_components``, so a sample
 is walked once, and ``forest_dp`` walks any vertex mask in place first.  Only
 ``tree_induced_matching`` checks ``is_forest``.  Induced matching is additive
 over components; a cyclic one branches on a 2-core vertex.  Matching peels
-leaves (always optimal) and hands what is left to blossom.  Independence and
-cover extremes search with an explicit node budget.
+leaves (always optimal) and matches what is left with Edmonds' blossom
+algorithm on bit rows, ``max_matching``.  Independence and cover extremes
+search with an explicit node budget.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from itertools import compress
 
 from .graph_core import (Graph, bits, complement, connected_components,
                          walk_components)
@@ -144,12 +144,82 @@ def _induced_matching_cyclic(g: Graph, budget: int) -> int:
     return solve((1 << g.n) - 1)
 
 
+def max_matching(rows) -> list[int]:
+    """A maximum matching of the graph whose vertex i is adjacent to the set
+    bits of ``rows[i]``, as each vertex's mate (-1 if unmatched).
+
+    Edmonds' blossom algorithm in Gabow's O(V^3) form: ``_augment`` grows
+    one alternating tree from each vertex still free when its turn comes (a
+    vertex no tree from it could augment stays free for good).
+    """
+    mate = [-1] * len(rows)
+    for root in range(len(rows)):
+        if mate[root] < 0:
+            _augment(rows, mate, root)
+    return mate
+
+
+def _augment(rows, mate, root: int) -> None:
+    """Grow an alternating tree from the free vertex ``root`` by BFS and flip
+    the first augmenting path it finds.  Two outer vertices meeting close an
+    odd cycle, which is contracted to its base (their lowest common
+    ancestor), and its inner vertices turn outer."""
+    n = len(rows)
+    base = list(range(n))
+    # An inner vertex's tree parent; along a contracted cycle, an outer
+    # vertex's link back across the closing edge.
+    parent = [-1] * n
+    outer = 1 << root
+    queue = [root]
+    for v in queue:
+        for u in bits(rows[v]):
+            if base[u] == base[v] or mate[v] == u:
+                continue
+            if outer >> u & 1:  # odd cycle: contract it to base b
+                seen = 0
+                a = v
+                while True:
+                    a = base[a]
+                    seen |= 1 << a
+                    if mate[a] < 0:
+                        break
+                    a = parent[mate[a]]
+                b = base[u]
+                while not seen >> b & 1:
+                    b = base[parent[mate[b]]]
+                blossom = 0
+                for x, child in ((v, u), (u, v)):
+                    while base[x] != b:
+                        blossom |= 1 << base[x] | 1 << base[mate[x]]
+                        parent[x] = child
+                        child = mate[x]
+                        x = parent[child]
+                for x in range(n):
+                    if blossom >> base[x] & 1:
+                        base[x] = b
+                        if not outer >> x & 1:
+                            outer |= 1 << x
+                            queue.append(x)
+            elif parent[u] < 0:
+                parent[u] = v
+                if mate[u] < 0:  # augmenting path: flip it to the root
+                    while u >= 0:
+                        v = parent[u]
+                        w = mate[v]
+                        mate[u], mate[v] = v, u
+                        u = w
+                    return
+                outer |= 1 << mate[u]
+                queue.append(mate[u])
+
+
 def matching_number(g: Graph) -> int:
     """Maximum matching size, exact on general graphs.
 
     Matching a degree-1 vertex to its only neighbor is always optimal
-    (Karp-Sipser), so leaves are peeled off the whole graph first and
-    networkx's blossom implementation matches whatever is left.
+    (Karp-Sipser), so leaves are peeled off the whole graph first; the
+    vertices left with edges are renumbered and ``max_matching`` (Edmonds'
+    blossom on bit rows) matches them.
     """
     adj = list(g.adj)
     leaves = [v for v in range(g.n) if adj[v].bit_count() == 1]
@@ -166,9 +236,10 @@ def matching_number(g: Graph) -> int:
                 if adj[w].bit_count() == 1:
                     leaves.append(w)
             adj[x] = 0
-    h = nx.Graph()
-    h.add_edges_from((v, u) for v in range(g.n) for u in bits(adj[v]) if u > v)
-    return size + len(nx.max_weight_matching(h, maxcardinality=True))
+    core = list(compress(range(g.n), adj))
+    index = {v: i for i, v in enumerate(core)}
+    rows = [sum(1 << index[u] for u in bits(adj[v])) for v in core]
+    return size + (len(core) - max_matching(rows).count(-1)) // 2
 
 
 def independence_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> int:

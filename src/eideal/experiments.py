@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing as mp
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -293,6 +292,10 @@ def run_chunked(fn, tasks: list, workers: int) -> list:
     (pool.map preserves ordering), so merges are worker-count independent."""
     if workers <= 1 or len(tasks) <= 1:
         return [fn(task) for task in tasks]
+    # Imported here: multiprocessing (socket and all) costs about 17 ms,
+    # which a serial run need not pay.
+    import multiprocessing as mp
+
     ctx = mp.get_context("fork")
     with ctx.Pool(processes=workers) as pool:
         return pool.map(fn, tasks)

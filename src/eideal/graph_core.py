@@ -199,11 +199,14 @@ def walk_components(adj, w: int):
     return masks, w ^ cyclic, order, parent
 
 
+# Byte 0/1 to ASCII "0"/"1": the live mask is read as one base-2 numeral.
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
 def connected_components(g: Graph) -> ComponentPartition:
     """Components and tree forest from one walk over the mask of
     non-isolated vertices; the isolated ones are counted, not built."""
-    flags = "".join("1" if row else "0" for row in reversed(g.adj))
-    live = int("0" + flags, 2)
+    live = int(b"0" + bytes(map(bool, reversed(g.adj))).translate(_DIGITS), 2)
     masks, trees, order, parent = walk_components(g.adj, live)
     return ComponentPartition(g, tuple(masks),
                               g.n - live.bit_count() + len(masks),

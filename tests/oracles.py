@@ -10,6 +10,7 @@ applies the same reductions one subset at a time, in scalar Python.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -67,6 +68,13 @@ def padded_graphs(max_n: int):
             for place, size in zip(paddings, sizes):
                 yield build_graph(size, [(place[u], place[v])
                                          for u, v in g.edges()])
+
+
+@lru_cache(maxsize=1)
+def padded_partitions():
+    """(g, ``union_find_components(g)``) for every g of ``padded_graphs(6)``,
+    computed once per session for the tests that share the corpus."""
+    return [(g, union_find_components(g)) for g in padded_graphs(6)]
 
 
 def naive_is_chordal(g: Graph) -> bool:
@@ -229,6 +237,14 @@ def naive_matching_number(g: Graph) -> int:
         return best
 
     return rec(0, 0)
+
+
+@lru_cache(maxsize=1)
+def small_matching_numbers():
+    """(g, ``naive_matching_number(g)``) for every graph on <= 6 vertices,
+    computed once per session."""
+    return [(g, naive_matching_number(g)) for n in range(7)
+            for g in enumerate_graphs(n)]
 
 
 def naive_independence_number(g: Graph) -> int:

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 
+import networkx as nx
 import pytest
 
 from eideal.asymptotics import gw_limit_estimate
@@ -8,7 +12,8 @@ from eideal.comb_invariants import (BudgetExceededError, cover_profile,
                                     forest_dp, forest_fold,
                                     independence_number,
                                     induced_matching_number, is_forest,
-                                    matching_number, tree_induced_matching)
+                                    matching_number, max_matching,
+                                    tree_induced_matching)
 from eideal.graph_core import (bits, build_graph, complete_graph,
                                connected_components, cycle_graph,
                                disjoint_union, empty_graph, enumerate_graphs,
@@ -19,7 +24,8 @@ from eideal.random_models import sample_gnp, sample_gw_tree
 from oracles import (naive_cover_sizes, naive_independence_number,
                      naive_induced_matching_number,
                      naive_maximal_independent_sets, naive_matching_number,
-                     padded_graphs, union_find_components)
+                     padded_partitions, small_matching_numbers,
+                     union_find_components)
 
 
 def random_tree(n, rng):
@@ -71,11 +77,14 @@ def test_tree_dp_matches_branch_and_bound_on_forests():
         assert tree_induced_matching(f) == induced_matching_number(f)
 
 
-def shuffled_forest(n, rng):
-    f = random_forest(n, rng)
-    place = list(range(n))
+def _relabeled(g, rng):
+    place = list(range(g.n))
     rng.shuffle(place)
-    return build_graph(n, [(place[u], place[v]) for u, v in f.edges()])
+    return build_graph(g.n, [(place[u], place[v]) for u, v in g.edges()])
+
+
+def shuffled_forest(n, rng):
+    return _relabeled(random_forest(n, rng), rng)
 
 
 def test_forest_dp_matches_betti_table():
@@ -151,10 +160,11 @@ def test_forest_dp_matches_separate_dps():
                                 _old_min_maximal_independent_set(g))
 
 
-def _relabel_route(g):
-    """The union of g's tree components (by union-find), and their summed
-    (nu, mmis), each tree relabeled and solved by the separate DPs."""
-    _, _, vertex_sets, subgraphs = union_find_components(g)
+def _relabel_route(found):
+    """The union of g's tree components (by ``found``, g's union-find
+    split), and their summed (nu, mmis), each tree relabeled and solved by
+    the separate DPs."""
+    _, _, vertex_sets, subgraphs = found
     trees = nu = mmis = 0
     for vs, comp in zip([vs for vs in vertex_sets if len(vs) > 1], subgraphs):
         if comp.edge_count == comp.n - 1:
@@ -164,13 +174,13 @@ def _relabel_route(g):
     return trees, (nu, mmis)
 
 
-def _assert_forest_dp_in_place(g):
+def _assert_forest_dp_in_place(g, found):
     """The forest that connected_components records, and forest_dp on its
-    tree mask, against the union-find relabel route: the tree/cyclic split
-    is the oracle's, every vertex's parent is a neighbor placed before it,
-    the parent edges are all the forest's edges, and both folds give the
-    relabeled trees' values."""
-    trees, expected = _relabel_route(g)
+    tree mask, against the union-find relabel route over ``found`` (g's
+    union-find split): the tree/cyclic split is the oracle's, every vertex's
+    parent is a neighbor placed before it, the parent edges are all the
+    forest's edges, and both folds give the relabeled trees' values."""
+    trees, expected = _relabel_route(found)
     parts = connected_components(g)
     split, cyclic = parts.split_trees()
     assert split == parts.trees == trees
@@ -193,8 +203,8 @@ def _assert_forest_dp_in_place(g):
 
 
 def test_forest_dp_on_a_mask_matches_relabeled_trees_padded():
-    for g in padded_graphs(6):
-        _assert_forest_dp_in_place(g)
+    for g, found in padded_partitions():
+        _assert_forest_dp_in_place(g, found)
 
 
 def test_forest_dp_on_a_mask_matches_relabeled_trees_gnp():
@@ -204,7 +214,7 @@ def test_forest_dp_on_a_mask_matches_relabeled_trees_gnp():
         for lam in (0.5, 1.0, 4.0):
             for seed in range(3):
                 g = sample_gnp(n, min(1.0, lam / n), 500 + seed)
-                _assert_forest_dp_in_place(g)
+                _assert_forest_dp_in_place(g, union_find_components(g))
                 # A vertex set that is not a union of components, as the
                 # branching leaves of the matching solver pass: its rows
                 # reach vertices outside it.
@@ -222,9 +232,10 @@ def test_recorded_forest_matches_union_find_sparse_gnp():
     for n in (1, 2, 17, 300, 2000):
         for lam in (0.5, 1.0, 4.0):
             for seed in range(3):
-                _assert_forest_dp_in_place(
-                    sample_gnp(n, min(1.0, lam / n), seed))
-    _assert_forest_dp_in_place(empty_graph(10 ** 4))
+                g = sample_gnp(n, min(1.0, lam / n), seed)
+                _assert_forest_dp_in_place(g, union_find_components(g))
+    g = empty_graph(10 ** 4)
+    _assert_forest_dp_in_place(g, union_find_components(g))
 
 
 def test_each_solver_walks_a_sparse_sample_once(monkeypatch):
@@ -324,15 +335,95 @@ def test_matching_number_cases():
 
 
 def test_matching_number_exhaustive_n5():
-    for n in (5, 6):
-        for g in enumerate_graphs(n):
-            assert matching_number(g) == naive_matching_number(g)
+    for g, nu in small_matching_numbers():
+        if g.n in (5, 6):
+            assert matching_number(g) == nu
 
 
 def test_matching_number_random_vs_oracle():
     for trial in range(60):
         g = sample_gnp(8, 0.15 + 0.08 * (trial % 7), seed=880 + trial)
         assert matching_number(g) == naive_matching_number(g)
+
+
+def _blossom_size(g):
+    """max_matching on g's own rows, unpeeled, checked to be a matching of
+    g; its size."""
+    mate = max_matching(list(g.adj))
+    assert len(mate) == g.n
+    for v, u in enumerate(mate):
+        assert u < 0 or (mate[u] == v and g.has_edge(u, v)), (g.adj, mate)
+    return (g.n - mate.count(-1)) // 2
+
+
+def _networkx_size(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return len(nx.max_weight_matching(h, maxcardinality=True))
+
+
+def test_blossom_exhaustive_n6():
+    # Every labeled graph on <= 6 vertices against the edge-subset oracle,
+    # networkx on every labeled graph on <= 5 vertices, and networkx on
+    # every graph on 6 vertices up to isomorphism (the atlas).
+    for g, nu in small_matching_numbers():
+        assert _blossom_size(g) == nu, g.adj
+        if g.n <= 5:
+            assert _networkx_size(g) == nu, g.adj
+    atlas = [h for h in nx.graph_atlas_g() if h.number_of_nodes() == 6]
+    assert len(atlas) == 156
+    for h in atlas:
+        g = build_graph(6, h.edges())
+        assert _blossom_size(g) == _networkx_size(g), g.adj
+
+
+def test_blossom_gnp_vs_networkx():
+    for n in (10, 30, 80, 200):
+        for p in (0.02, 0.05, 0.1, 0.3, 0.6):
+            for seed in range(2):
+                g = sample_gnp(n, p, seed=4400 + seed)
+                expected = _networkx_size(g)
+                assert _blossom_size(g) == expected, (n, p, seed)
+                assert matching_number(g) == expected, (n, p, seed)
+
+
+def _hang(k, h):
+    """A k-cycle with a copy of h hung on each cycle vertex by h's vertex 0;
+    hanging odd cycles on odd cycles nests blossoms inside blossoms."""
+    edges = [(i * h.n, (i + 1) % k * h.n) for i in range(k)]
+    edges += [(i * h.n + u, i * h.n + v) for i in range(k)
+              for u, v in h.edges()]
+    return build_graph(k * h.n, edges)
+
+
+def test_blossom_nested_odd_cycles_vs_networkx():
+    rng = random.Random(17)
+    triangle = complete_graph(3)
+    nests = [_hang(3, triangle), _hang(5, triangle),
+             _hang(7, _hang(3, triangle)), _hang(5, _hang(5, triangle)),
+             _hang(3, _hang(5, _hang(3, triangle)))]
+    # A pendant vertex on the outer cycle: the peel then cuts into it.
+    nests += [build_graph(g.n + 1, list(g.edges()) + [(0, g.n)])
+              for g in nests]
+    assert max(g.n for g in nests) == 136
+    for g in nests:
+        for _ in range(4):
+            h = _relabeled(g, rng)
+            expected = _networkx_size(h)
+            assert _blossom_size(h) == expected
+            assert matching_number(h) == expected
+
+
+def test_import_leaves_networkx_out():
+    # A fresh interpreter: pytest's own process has imported networkx.
+    import eideal
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(eideal.__file__)))
+    code = (f"import sys; sys.path.insert(0, {src!r}); "
+            "import eideal, eideal.cli; "
+            "assert 'networkx' not in sys.modules, 'networkx imported'")
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 def test_independence_number_cases():

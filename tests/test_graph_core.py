@@ -10,7 +10,7 @@ from eideal.graph_core import (build_graph, complement, complete_graph,
                                induced_subgraph, max_degree, path_graph,
                                star_graph, to_edge_list_text, to_hex_dump)
 from eideal.random_models import sample_gnp
-from oracles import padded_graphs, union_find_components
+from oracles import padded_partitions, union_find_components
 
 
 def random_graph_strategy(max_n=9):
@@ -107,9 +107,10 @@ def test_component_labels_by_smallest_vertex():
     assert len(parts) == 3  # {0, 4}, {1, 3} and the isolated vertex 2
 
 
-def _assert_matches_union_find(g):
+def _assert_matches_union_find(g, found):
+    """connected_components(g) against ``found``, g's union-find split."""
     parts = connected_components(g)
-    _, sizes, vertex_sets, subgraphs = union_find_components(g)
+    _, sizes, vertex_sets, subgraphs = found
     assert len(parts) == len(sizes)
     assert parts.masks == tuple(sum(1 << v for v in vs) for vs in vertex_sets
                                 if len(vs) > 1)
@@ -117,17 +118,18 @@ def _assert_matches_union_find(g):
 
 
 def test_components_match_union_find_exhaustive_padded():
-    for g in padded_graphs(6):
-        _assert_matches_union_find(g)
+    for g, found in padded_partitions():
+        _assert_matches_union_find(g, found)
 
 
 def test_components_match_union_find_sparse_gnp():
     for n in (1, 2, 17, 300, 2000):
         for lam in (0.5, 1.0, 4.0):
             for seed in range(3):
-                _assert_matches_union_find(sample_gnp(n, min(1.0, lam / n),
-                                                      seed))
-    _assert_matches_union_find(empty_graph(10 ** 4))
+                g = sample_gnp(n, min(1.0, lam / n), seed)
+                _assert_matches_union_find(g, union_find_components(g))
+    g = empty_graph(10 ** 4)
+    _assert_matches_union_find(g, union_find_components(g))
 
 
 def test_spanning_component_is_the_graph_itself():
