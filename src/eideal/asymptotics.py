@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .comb_invariants import forest_dp
+from .comb_invariants import forest_fold
 from .random_models import sample_gw_tree, substream_seed
 
 
@@ -162,9 +162,10 @@ def gw_limit_estimate(lam: float, trials: int, cap: int,
     each X in GW_INVARIANTS, keyed by name, all from one pass over `trials`
     trees.
 
-    Each tree is sampled once; one forest DP gives its induced matching
-    number nu and its smallest maximal independent set i, so pd = |T| - i
-    and depth = i, and the per-tree values are nu/|T|, pd/|T| and i/|T|.
+    Each tree is sampled once as its parent list, whose ``forest_fold``
+    (no Graph built) gives its induced matching number nu and smallest
+    maximal independent set i: pd = |T| - i and depth = i, and the per-tree
+    values are nu/|T|, pd/|T| and i/|T|.
     Trees that hit `cap` are censored: excluded from every estimate and
     counted in its censor_fraction.
     """
@@ -182,7 +183,7 @@ def gw_limit_estimate(lam: float, trials: int, cap: int,
             censored += 1
             continue
         size = s.size
-        nu, mmis = forest_dp(s.tree, (1 << size) - 1)
+        nu, mmis = forest_fold(s.parents)
         values = (nu / size, (size - mmis) / size, mmis / size)
         for which, value in zip(GW_INVARIANTS, values):
             total[which] += value

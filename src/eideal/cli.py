@@ -144,12 +144,17 @@ def cmd_invariants(args) -> int:
 def _print_invariants_table(out: dict):
     print(f"graph: {out['n']} vertices, {out['m']} edges, "
           f"{out['components']} components, max degree {out['max_degree']}")
-    if "induced_matching" in out:
-        print(f"induced matching {out['induced_matching']}  "
-              f"matching {out['matching']}  independence {out['independence']}")
+    # A budget trip leaves only the values computed before it.
+    sizes = [f"{key.replace('_', ' ')} {out[key]}" for key in
+             ("induced_matching", "matching", "independence") if key in out]
+    if sizes:
+        print("  ".join(sizes))
+    if "min_cover" in out:
         print(f"covers: min {out['min_cover']}, largest minimal "
               f"{out['max_minimal_cover']}, unmixed {out['unmixed']}  "
               f"krull dim {out['krull_dim']}")
+    if "combinatorial_censored" in out:
+        print(f"combinatorial: censored ({out['combinatorial_censored']})")
     betti = out["betti"]
     if betti["censored"]:
         print(f"betti: censored ({betti['reason']})")

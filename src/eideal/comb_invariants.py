@@ -2,14 +2,13 @@
 vertex-cover extremes and unmixedness.
 
 One unchecked fold, ``forest_fold``, gives induced matching and independent
-domination of a forest recorded by one graph walk: the componentwise solvers
-fold the tree components' forest from ``connected_components``, so a sample
-is walked once, and ``forest_dp`` walks any vertex mask in place first.  Only
-``tree_induced_matching`` checks ``is_forest``.  Induced matching is additive
-over components; a cyclic one branches on a 2-core vertex.  Matching peels
-leaves (always optimal) and matches what is left with Edmonds' blossom
-algorithm on bit rows, ``max_matching``.  Independence and cover extremes
-search with an explicit node budget.
+domination of a forest from the parent list that a graph walk records
+(``walk_components``) or a Galton-Watson sampler draws, so no tree is walked
+twice.  Induced matching folds a walk's trees and branches on its cyclic
+components, walking each branch once.  Matching peels leaves (always
+optimal) and matches what is left with Edmonds' blossom algorithm on bit
+rows, ``max_matching``.  Independence and cover extremes search with an
+explicit node budget.
 """
 
 from __future__ import annotations
@@ -73,75 +72,68 @@ def forest_fold(parent) -> tuple[int, int]:
     return nu, mmis
 
 
-def forest_dp(g: Graph, vertices: int) -> tuple[int, int]:
-    """``forest_fold`` of the forest G[vertices], unchecked, walked in place."""
-    return forest_fold(walk_components(g.adj, vertices)[3])
-
-
 def tree_induced_matching(g: Graph) -> int:
     """Induced matching number of a forest; errors on non-forests."""
-    if not is_forest(g):
+    parts = connected_components(g)
+    if any(mask & ~parts.trees for mask in parts.masks):
         raise ValueError("tree_induced_matching requires a forest")
-    return forest_dp(g, (1 << g.n) - 1)[0]
+    return forest_fold(parts.parent)[0]
 
 
-def _find_cycle_vertex(g: Graph, active: int) -> int | None:
-    """Some vertex lying on a cycle of the induced subgraph, or None."""
-    # Peel degree-<=1 vertices; anything left is in the 2-core.
-    deg = {v: (g.adj[v] & active).bit_count() for v in bits(active)}
+def _core_vertex(adj, comp: int) -> int:
+    """A vertex of largest degree in the 2-core of the cyclic component
+    ``comp``: vertices of degree <= 1 are peeled until none is left."""
+    deg = {v: (adj[v] & comp).bit_count() for v in bits(comp)}
     queue = [v for v, d in deg.items() if d <= 1]
-    alive = active
+    alive = comp
     while queue:
         v = queue.pop()
         if not alive >> v & 1:
             continue
         alive &= ~(1 << v)
-        for u in bits(g.adj[v] & alive):
+        for u in bits(adj[v] & alive):
             deg[u] -= 1
             if deg[u] == 1:
                 queue.append(u)
-    if alive == 0:
-        return None
-    return max(bits(alive), key=lambda v: (g.adj[v] & alive).bit_count())
+    return max(bits(alive), key=lambda v: (adj[v] & alive).bit_count())
 
 
 def induced_matching_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET,
                             parts=None) -> int:
-    """Exact induced matching number.
+    """Exact induced matching number, additive over components.
 
-    Additive over components: the tree components take one fold of the
-    forest recorded in ``parts`` (g's components), and each cyclic one is
-    branched on a 2-core vertex v (v unmatched, or v matched to each
-    neighbor in turn) until the forest DP applies.
+    Searched over ``walk_components`` records on g's own rows, ``parts``
+    (g's components) the first: a record's trees take one fold of its
+    forest, and each cyclic component branches on a 2-core vertex v of
+    largest degree (v unmatched, or matched to a neighbor u, N[v] and N[u]
+    removed), each branch walked again.  ``budget`` caps the branchings.
     """
     if parts is None:
         parts = connected_components(g)
-    return forest_fold(parts.parent)[0] + sum(
-        _induced_matching_cyclic(comp, budget)
-        for comp in parts.split_trees()[1])
+    return _induced_matching(g.adj, [budget], parts.masks, parts.trees,
+                             parts.order, parts.parent)
 
 
-def _induced_matching_cyclic(g: Graph, budget: int) -> int:
-    nodes = 0
-
-    def solve(active: int) -> int:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
+def _induced_matching(adj, budget, masks, trees, order, parent) -> int:
+    # Module level, not a closure over adj: a self-referencing closure is a
+    # reference cycle that keeps the rows alive until the cyclic GC runs.
+    total = forest_fold(parent)[0]
+    for comp in masks:
+        if comp & trees:
+            continue
+        budget[0] -= 1
+        if budget[0] < 0:
             raise BudgetExceededError(
-                f"induced matching search exceeded {budget} nodes")
-        v = _find_cycle_vertex(g, active)
-        if v is None:  # G[active] is a forest, isolated vertices and all
-            return forest_dp(g, active)[0]
-        best = solve(active & ~(1 << v))
-        for u in bits(g.adj[v] & active):
-            rest = active & ~(g.adj[v] | g.adj[u] | (1 << v) | (1 << u))
-            cand = 1 + solve(rest)
-            if cand > best:
-                best = cand
-        return best
-
-    return solve((1 << g.n) - 1)
+                "induced matching search exceeded its branching budget")
+        v = _core_vertex(adj, comp)
+        best = _induced_matching(adj, budget,
+                                 *walk_components(adj, comp & ~(1 << v)))
+        for u in bits(adj[v] & comp):
+            rest = comp & ~(adj[v] | adj[u])
+            best = max(best, 1 + _induced_matching(
+                adj, budget, *walk_components(adj, rest)))
+        total += best
+    return total
 
 
 def max_matching(rows) -> list[int]:

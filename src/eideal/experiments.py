@@ -112,17 +112,18 @@ class ExperimentConfig:
         if kind not in EXPERIMENT_KINDS:
             raise ConfigError(
                 f"kind: got {kind!r}, expected one of {EXPERIMENT_KINDS}")
-        if "seed" not in obj or not isinstance(obj["seed"], int):
+        # type() is int, not isinstance: JSON's true is a Python int.
+        if type(obj.get("seed")) is not int:
             raise ConfigError("seed: a 64-bit integer seed is required")
         kwargs: dict = {"kind": kind, "seed": obj["seed"]}
         if "trials" in obj:
-            if not isinstance(obj["trials"], int) or obj["trials"] < 1:
+            if type(obj["trials"]) is not int or obj["trials"] < 1:
                 raise ConfigError("trials: must be an integer >= 1")
             kwargs["trials"] = obj["trials"]
         if "n_list" in obj:
             nl = obj["n_list"]
             if (not isinstance(nl, list) or not nl
-                    or any(not isinstance(x, int) or x < 1 for x in nl)):
+                    or any(type(x) is not int or x < 1 for x in nl)):
                 raise ConfigError("n_list: must be a non-empty list of n >= 1")
             kwargs["n_list"] = tuple(nl)
         if "schedule" in obj:
@@ -145,7 +146,7 @@ class ExperimentConfig:
         for key in ("k_max", "betti_guard", "mis_budget", "gw_cap",
                     "gw_trials", "exhaustive_n"):
             if key in obj:
-                if not isinstance(obj[key], int) or obj[key] < 1:
+                if type(obj[key]) is not int or obj[key] < 1:
                     raise ConfigError(f"{key}: must be an integer >= 1")
                 kwargs[key] = obj[key]
         if "poisson_k3" in obj:
@@ -153,12 +154,12 @@ class ExperimentConfig:
                 raise ConfigError("poisson_k3: must be a boolean")
             kwargs["poisson_k3"] = obj["poisson_k3"]
         if "random_audit" in obj:
-            try:
-                kwargs["random_audit"] = tuple(
-                    (int(n), int(c)) for n, c in obj["random_audit"])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError("random_audit: expected [[n, count], ...]"
-                                  ) from exc
+            entries = obj["random_audit"]
+            if not isinstance(entries, list) or any(
+                    not isinstance(e, list) or list(map(type, e)) != [int, int]
+                    for e in entries):
+                raise ConfigError("random_audit: expected [[n, count], ...]")
+            kwargs["random_audit"] = tuple(map(tuple, entries))
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg

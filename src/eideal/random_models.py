@@ -10,11 +10,11 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .graph_core import Graph, complement, graph_from_pairs
+from .graph_core import Graph, build_graph, complement, graph_from_pairs
 
 # JSON parameter names of each schedule kind; "lambda" is stored as `lam`.
 SCHEDULE_PARAMS = {"sparse": ("lambda",), "power": ("c", "alpha"),
@@ -256,14 +256,21 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
 
 @dataclass(frozen=True)
 class GwSample:
-    """A sampled Galton-Watson tree; censored when the size cap was hit."""
+    """A sampled Galton-Watson tree as its breadth-first parent list:
+    ``parents[i]`` is the parent of vertex i (below i), -1 for the root 0.
+    Censored when the size cap was hit.  ``tree`` builds the Graph on first
+    use; ``forest_fold(parents)`` needs none."""
 
-    tree: Graph
+    parents: tuple[int, ...]
     censored: bool
 
     @property
     def size(self) -> int:
-        return self.tree.n
+        return len(self.parents)
+
+    @cached_property
+    def tree(self) -> Graph:
+        return build_graph(self.size, enumerate(self.parents[1:], 1))
 
 
 def sample_gw_tree(lam: float, cap: int, seed: int) -> GwSample:
@@ -271,15 +278,15 @@ def sample_gw_tree(lam: float, cap: int, seed: int) -> GwSample:
 
     Generation stops at extinction or when adding a child would exceed
     ``cap`` vertices; the latter sets the censored flag and consumers must
-    exclude (and count) the sample.
+    exclude (and count) the sample.  Vertices are numbered in the order they
+    are drawn, so every parent comes before its children.
     """
     if lam < 0:
         raise ValueError("offspring rate must be >= 0")
     if cap < 1:
         raise ValueError("cap must be >= 1")
     rng = rng_for(seed)
-    parents = [0]  # parent of vertex i (root's entry unused)
-    count = 1
+    parents = [-1]
     frontier = [0]
     censored = False
     while frontier and not censored:
@@ -287,18 +294,12 @@ def sample_gw_tree(lam: float, cap: int, seed: int) -> GwSample:
         next_frontier = []
         for v, k in zip(frontier, offspring.tolist()):
             for _ in range(k):
-                if count >= cap:
+                if len(parents) >= cap:
                     censored = True
                     break
+                next_frontier.append(len(parents))
                 parents.append(v)
-                next_frontier.append(count)
-                count += 1
             if censored:
                 break
         frontier = next_frontier
-    adj = [0] * count
-    for child in range(1, count):
-        par = parents[child]
-        adj[child] |= 1 << par
-        adj[par] |= 1 << child
-    return GwSample(Graph(count, tuple(adj)), censored)
+    return GwSample(tuple(parents), censored)

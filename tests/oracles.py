@@ -16,8 +16,8 @@ from itertools import combinations
 import numpy as np
 
 from eideal.betti import HomologyEngine
-from eideal.graph_core import (Graph, bits, build_graph, enumerate_graphs,
-                               induced_subgraph)
+from eideal.graph_core import (Graph, bits, build_graph, edge_mask,
+                               enumerate_graphs, induced_subgraph)
 
 
 def naive_independent_sets(g: Graph) -> list[int]:
@@ -150,6 +150,19 @@ def naive_chordless_cycle_counts(g: Graph, k_max: int) -> dict[int, int]:
             if _subset_is_chordless_cycle(g, combo):
                 counts[size] += 1
     return counts
+
+
+@lru_cache(maxsize=1)
+def _small_cycle_counts() -> list[list[dict[int, int]]]:
+    return [[naive_chordless_cycle_counts(g, 6) for g in enumerate_graphs(n)]
+            for n in range(7)]
+
+
+def small_cycle_counts(g: Graph) -> dict[int, int]:
+    """``naive_chordless_cycle_counts(g, 6)`` of a graph on at most 6
+    vertices, read from a table of every such graph built once per session
+    (``enumerate_graphs`` yields them in edge-mask order)."""
+    return _small_cycle_counts()[g.n][edge_mask(g)]
 
 
 def diagonal_scan_induced_c4(g: Graph) -> int:

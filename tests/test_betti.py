@@ -11,13 +11,13 @@ from eideal.betti import (BettiTable, HomologyEngine, SizeGuardExceeded,
                           parse_field, pd_componentwise, reg_pd_componentwise,
                           regularity_componentwise)
 from eideal.chordality import is_4_cochordal, is_cochordal
-from eideal.comb_invariants import forest_dp, tree_induced_matching
+from eideal.comb_invariants import forest_fold, tree_induced_matching
 from eideal.graph_core import (bits, build_graph, complement,
                                complete_graph, connected_components,
                                cycle_graph, disjoint_union, empty_graph,
                                enumerate_graphs, graph_from_edge_mask,
                                induced_subgraph, induced_subgraph_mask,
-                               pair_list, path_graph)
+                               pair_list, path_graph, walk_components)
 from eideal.random_models import rng_for, sample_gnp
 
 from oracles import (is_irreducible, naive_betti_table,
@@ -316,7 +316,7 @@ def test_forest_pd_formula_vs_table():
     # Validation mandated before the fast path may be used: pd is the vertex
     # count minus the smallest maximal independent set on forests.
     def forest_pd(f):
-        return f.n - forest_dp(f, (1 << f.n) - 1)[1]
+        return f.n - forest_fold(walk_components(f.adj, (1 << f.n) - 1)[3])[1]
 
     rng = random.Random(77)
     for g in enumerate_graphs(5):

@@ -20,7 +20,7 @@ from eideal.random_models import GnpDraw, draw_gnp, sample_gnp
 from oracles import (diagonal_scan_induced_c4, elimination_is_chordal,
                      naive_chordless_cycle_counts, naive_has_induced_c4,
                      naive_is_chordal, pair_scan_has_induced_c4,
-                     trace_identity_induced_c4)
+                     small_cycle_counts, trace_identity_induced_c4)
 
 
 def test_chordal_basics():
@@ -104,6 +104,16 @@ def _listing_draw(n, pairs):
     return GnpDraw(n, non_edges=(ends[:, 0], ends[:, 1]))
 
 
+def test_subset_scan_oracles_agree_n5():
+    # The n = 6 checks read chordality and induced C4s off the cycle-count
+    # table; the two direct scans agree with it on every smaller graph.
+    for n in range(6):
+        for g in enumerate_graphs(n):
+            counts = small_cycle_counts(g)
+            assert naive_is_chordal(g) == (not any(counts.values())), g.adj
+            assert naive_has_induced_c4(g) == (counts[4] > 0), g.adj
+
+
 def test_cochordal_exhaustive_n6_vs_oracle():
     # Each graph also runs padded to 24 vertices with isolated or with
     # universal vertices, which do not change either verdict; the isolated
@@ -118,8 +128,9 @@ def test_cochordal_exhaustive_n6_vs_oracle():
     both = ("is_cochordal", "is_4_cochordal")
     for mask, g in enumerate(enumerate_graphs(6)):
         h = complement(g)
-        chordal = naive_is_chordal(h)
-        c4 = naive_has_induced_c4(h)
+        counts = small_cycle_counts(h)
+        chordal = not any(counts.values())
+        c4 = counts[4] > 0
         padded = (g, Graph(6 + pad, g.adj + (0,) * pad),
                   Graph(6 + pad, tuple(row | high for row in g.adj)
                         + universal_rows))
@@ -237,8 +248,9 @@ def test_count_chordless_cycles_random_vs_oracle():
 @lru_cache(maxsize=1)
 def _small_graph_counts():
     """(g, induced C4 count, triangle count, ``_draw_forms(g)``) for every
-    graph on <= 6 vertices, from the 4-set oracle and ``count_triangles``."""
-    return [(g, naive_chordless_cycle_counts(g, 4)[4], count_triangles(g),
+    graph on <= 6 vertices, from the subset-scan oracle's table and
+    ``count_triangles``."""
+    return [(g, small_cycle_counts(g)[4], count_triangles(g),
              _draw_forms(g)) for n in range(7) for g in enumerate_graphs(n)]
 
 

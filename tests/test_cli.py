@@ -102,6 +102,27 @@ def test_invariants_large_graph_censors_betti(tmp_path, capsys):
     assert payload["unmixed"] is True
 
 
+@pytest.mark.parametrize("solver", ["cover_profile", "independence_number"])
+def test_invariants_text_reports_a_budget_trip(c5_file, capsys, monkeypatch,
+                                               solver):
+    from eideal.comb_invariants import BudgetExceededError
+
+    def tripped(g, *args, **kwargs):
+        raise BudgetExceededError(f"{solver} budget exhausted")
+
+    monkeypatch.setattr(cli, solver, tripped)
+    assert run_cli(["invariants", "--in", c5_file]) == 0
+    out = capsys.readouterr().out
+    assert "induced matching 1  matching 2" in out
+    assert f"combinatorial: censored ({solver} budget exhausted)" in out
+    assert ("independence 2" in out) == (solver == "cover_profile")
+    assert "covers:" not in out
+    assert "reg(I) 3" in out
+    assert run_cli(["invariants", "--in", c5_file, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["combinatorial_censored"] == f"{solver} budget exhausted"
+
+
 def test_invariants_field_f3(c5_file, capsys):
     assert run_cli(["invariants", "--in", c5_file, "--json"]) == 0
     over_q = json.loads(capsys.readouterr().out)

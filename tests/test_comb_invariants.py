@@ -9,7 +9,7 @@ import pytest
 from eideal.asymptotics import gw_limit_estimate
 from eideal.betti import betti_table, reg_pd_componentwise
 from eideal.comb_invariants import (BudgetExceededError, cover_profile,
-                                    forest_dp, forest_fold,
+                                    forest_fold,
                                     independence_number,
                                     induced_matching_number, is_forest,
                                     matching_number, max_matching,
@@ -18,7 +18,7 @@ from eideal.graph_core import (bits, build_graph, complete_graph,
                                connected_components, cycle_graph,
                                disjoint_union, empty_graph, enumerate_graphs,
                                induced_subgraph, induced_subgraph_mask,
-                               path_graph, star_graph)
+                               path_graph, star_graph, walk_components)
 from eideal.random_models import sample_gnp, sample_gw_tree
 
 from oracles import (naive_cover_sizes, naive_independence_number,
@@ -59,6 +59,105 @@ def test_induced_matching_random_vs_oracle():
         assert induced_matching_number(g) == naive_induced_matching_number(g)
 
 
+def test_induced_matching_budget_counts_branchings():
+    two = disjoint_union(cycle_graph(5), cycle_graph(5))
+    assert induced_matching_number(two, budget=2) == 2
+    with pytest.raises(BudgetExceededError):
+        induced_matching_number(two, budget=1)
+    with pytest.raises(BudgetExceededError):
+        induced_matching_number(sample_gnp(40, 0.2, 1), budget=5)
+
+
+def _cycle_edges(k, first):
+    return [(first + i, first + (i + 1) % k) for i in range(k)]
+
+
+def _several_cyclic_pieces():
+    """Graphs on which a branch leaves more than one cyclic component."""
+    graphs = [
+        # C5 and C6 joined by a path of four edges.
+        build_graph(14, _cycle_edges(5, 0) + _cycle_edges(6, 8)
+                    + [(0, 5), (5, 6), (6, 7), (7, 8)]),
+        # C5 and C7 sharing vertex 0.
+        build_graph(11, _cycle_edges(5, 0)
+                    + [(0, 5), (5, 6), (6, 7), (7, 8), (8, 9), (9, 10),
+                       (10, 0)]),
+        # Three cycles hung by an edge each on vertex 0.
+        build_graph(14, [(0, 1), (0, 5), (0, 9)] + _cycle_edges(4, 1)
+                    + _cycle_edges(4, 5) + _cycle_edges(5, 9)),
+        # C5 and C7 apart, a pendant tree on the 5-cycle.
+        build_graph(17, _cycle_edges(5, 0) + _cycle_edges(7, 5)
+                    + [(0, 12), (12, 13), (12, 14), (14, 15), (15, 16)]),
+    ]
+    graphs += [sample_gnp(14, 0.25, seed) for seed in range(12)]
+    return graphs
+
+
+def test_induced_matching_sums_several_cyclic_pieces(monkeypatch):
+    import eideal.comb_invariants as comb_invariants
+
+    walk = comb_invariants.walk_components
+    pieces = []
+
+    def counted(adj, w):
+        record = walk(adj, w)
+        pieces.append(sum(not mask & record[1] for mask in record[0]))
+        return record
+
+    monkeypatch.setattr(comb_invariants, "walk_components", counted)
+    for g in _several_cyclic_pieces():
+        assert induced_matching_number(g) == \
+            naive_induced_matching_number(g), g.adj
+    assert max(pieces) >= 2
+
+
+@pytest.mark.parametrize("good, bad", [
+    ("comp & ~(adj[v] | adj[u])", "comp & ~adj[v]"),
+    ("best = max(best, 1 + _induced_matching(",
+     "best = max(best, _induced_matching("),
+    ("total = forest_fold(parent)[0]", "total = 0"),
+], ids=["open_neighborhood", "matched_edge_uncounted", "trees_unfolded"])
+def test_planted_search_fault_is_caught(monkeypatch, good, bad):
+    # Closed neighborhoods of both matched ends, the matched edge itself,
+    # and the branch's own trees.
+    import inspect
+
+    import eideal.comb_invariants as comb_invariants
+
+    source = inspect.getsource(comb_invariants._induced_matching)
+    assert source.count(good) == 1
+    namespace = dict(vars(comb_invariants))
+    exec(source.replace(good, bad), namespace)
+    monkeypatch.setattr(comb_invariants, "_induced_matching",
+                        namespace["_induced_matching"])
+    with pytest.raises(AssertionError):
+        for g in _several_cyclic_pieces():
+            assert induced_matching_number(g) == \
+                naive_induced_matching_number(g)
+
+
+def test_gw_parent_list_folds_like_its_tree(monkeypatch):
+    import eideal.asymptotics as asymptotics
+
+    for seed in range(2000):
+        s = sample_gw_tree((0.5, 0.8, 1.0)[seed % 3], 2000, seed)
+        assert s.parents[0] == -1
+        assert all(0 <= up < i for i, up in enumerate(s.parents) if i)
+        assert forest_fold(s.parents) == forest_fold(
+            walk_components(s.tree.adj, (1 << s.size) - 1)[3])
+    sample = asymptotics.sample_gw_tree
+    samples = []
+
+    def recorded(*args):
+        samples.append(sample(*args))
+        return samples[-1]
+
+    monkeypatch.setattr(asymptotics, "sample_gw_tree", recorded)
+    gw_limit_estimate(0.8, 200, 500, 3)
+    assert len(samples) == 200
+    assert not any("tree" in vars(s) for s in samples)
+
+
 def test_tree_induced_matching_cases():
     assert tree_induced_matching(star_graph(5)) == 1
     assert naive_induced_matching_number(path_graph(7)) == 2
@@ -95,7 +194,7 @@ def test_forest_dp_matches_betti_table():
                if is_forest(g)]
     forests += [shuffled_forest(rng.randint(7, 12), rng) for _ in range(30)]
     for f in forests:
-        nu, mmis = forest_dp(f, (1 << f.n) - 1)
+        nu, mmis = forest_fold(walk_components(f.adj, (1 << f.n) - 1)[3])
         table = betti_table(f)
         assert nu == table.regularity_quotient()
         assert f.n - mmis == table.projective_dimension()
@@ -156,8 +255,8 @@ def test_forest_dp_matches_separate_dps():
                for _ in range(2)]
     assert max(g.n for g in graphs) == 2000
     for g in graphs:
-        assert forest_dp(g, (1 << g.n) - 1) == (_old_induced_matching(g),
-                                _old_min_maximal_independent_set(g))
+        assert forest_fold(walk_components(g.adj, (1 << g.n) - 1)[3]) == (
+            _old_induced_matching(g), _old_min_maximal_independent_set(g))
 
 
 def _relabel_route(found):
@@ -175,8 +274,8 @@ def _relabel_route(found):
 
 
 def _assert_forest_dp_in_place(g, found):
-    """The forest that connected_components records, and forest_dp on its
-    tree mask, against the union-find relabel route over ``found`` (g's
+    """The forest that connected_components records, and a walk of its
+    tree mask folded, against the union-find relabel route over ``found`` (g's
     union-find split): the tree/cyclic split is the oracle's, every vertex's
     parent is a neighbor placed before it, the parent edges are all the
     forest's edges, and both folds give the relabeled trees' values."""
@@ -199,7 +298,7 @@ def _assert_forest_dp_in_place(g, found):
     edges = sum((g.adj[v] & trees).bit_count() for v in bits(trees)) // 2
     assert len(order) - roots == edges
     assert forest_fold(parent) == expected
-    assert forest_dp(g, trees) == expected
+    assert forest_fold(walk_components(g.adj, trees)[3]) == expected
 
 
 def test_forest_dp_on_a_mask_matches_relabeled_trees_padded():
@@ -222,7 +321,7 @@ def test_forest_dp_on_a_mask_matches_relabeled_trees_gnp():
                 sub = induced_subgraph_mask(g, mask)
                 if is_forest(sub):
                     leaves += 1
-                    assert forest_dp(g, mask) == (
+                    assert forest_fold(walk_components(g.adj, mask)[3]) == (
                         _old_induced_matching(sub),
                         _old_min_maximal_independent_set(sub))
     assert leaves >= 20
@@ -248,7 +347,7 @@ def test_each_solver_walks_a_sparse_sample_once(monkeypatch):
     walked = []
 
     def counted(adj, w):
-        walked.append(len(adj))
+        walked.append(w.bit_count())
         return walk(adj, w)
 
     monkeypatch.setattr(graph_core, "walk_components", counted)
@@ -257,17 +356,20 @@ def test_each_solver_walks_a_sparse_sample_once(monkeypatch):
     for seed in range(3):
         g = disjoint_union(sample_gnp(n - 9, 0.5 / n, seed),
                            disjoint_union(cycle_graph(5), path_graph(4)))
+        live = sum(row != 0 for row in g.adj)
         walked.clear()
         reg_pd_componentwise(g)
-        assert walked == [n]
+        assert walked == [live]
         walked.clear()
         induced_matching_number(g)
-        # One walk of the sample; the 5-cycle's branch leaves walk its
-        # relabeled copy.
-        assert walked.count(n) == 1 and 5 in walked
+        # One walk of the sample; the 5-cycle's branches walk the path left
+        # when its core vertex goes unmatched, and the vertex left when it
+        # is matched.
+        assert walked.count(live) == 1 and 4 in walked and 1 in walked
         walked.clear()
-        _sandwich_row(draw_gnp(n, 1.0 / n, seed))
-        assert walked.count(n) == 1
+        draw = draw_gnp(n, 1.0 / n, seed)
+        _sandwich_row(draw)
+        assert walked.count(sum(row != 0 for row in draw.graph().adj)) == 1
 
 
 def test_no_tree_component_is_relabeled(monkeypatch):
@@ -292,8 +394,9 @@ def test_no_tree_component_is_relabeled(monkeypatch):
         reg, pd = reg_pd_componentwise(g, parts=parts)
         assert reg.value > 0 and pd.value > 0
         induced_matching_number(g)
-        # Each cyclic component once per solver, and never a tree.
-        assert len(relabeled) == 2 * cyclic
+        # Each cyclic component once, by reg_pd_componentwise; the matching
+        # search relabels nothing, and no tree is ever relabeled.
+        assert len(relabeled) == cyclic
         assert all(h.edge_count >= h.n for h in relabeled)
     # The recorder does see a tree that is relabeled.
     relabeled.clear()
@@ -518,7 +621,7 @@ def test_component_additivity():
 
 def test_tree_min_maximal_independent_set():
     def mmis(f):
-        return forest_dp(f, (1 << f.n) - 1)[1]
+        return forest_fold(walk_components(f.adj, (1 << f.n) - 1)[3])[1]
 
     assert mmis(path_graph(3)) == 1
     assert mmis(path_graph(4)) == 2

@@ -12,8 +12,7 @@ from eideal.corpus import (CONE, CROSS_CHECK_STRIDE, ENGINE, FOLD,
 from eideal.graph_core import (build_graph, complement, edge_mask,
                                enumerate_graphs)
 
-from oracles import (is_irreducible, naive_chordless_cycle_counts,
-                     per_subset_dims)
+from oracles import is_irreducible, per_subset_dims, small_cycle_counts
 
 
 def test_exhaustive_audit_up_to_n6():
@@ -41,7 +40,7 @@ def test_cycle_tables_vs_oracle():
     for k in (4, 5, 6):
         cycle = flag_tables(k)[2]
         for mask, g in enumerate(enumerate_graphs(k)):
-            expected = naive_chordless_cycle_counts(complement(g), k)[k]
+            expected = small_cycle_counts(complement(g))[k]
             assert cycle[mask] == expected, (k, mask)
         # The top-set masks, built by direct enumeration, are the same set.
         top = _complement_cycle_masks(k)

@@ -108,6 +108,22 @@ def test_config_round_trip_and_validation():
                                     "exhaustive_n": 8, "random_audit": []})
 
 
+_INT_FIELDS = {"seed": True, "trials": True, "n_list": [True],
+               "k_max": True, "betti_guard": True, "mis_budget": True,
+               "gw_cap": True, "gw_trials": True, "exhaustive_n": True,
+               "random_audit": [[True, 5]]}
+
+
+@pytest.mark.parametrize("field", sorted(_INT_FIELDS))
+def test_json_booleans_are_not_integers(field):
+    base = {"kind": "froberg_audit", "seed": 1, "trials": 2, "n_list": [7],
+            "k_max": 4, "betti_guard": 10, "mis_budget": 100, "gw_cap": 10,
+            "gw_trials": 3, "exhaustive_n": 4, "random_audit": [[7, 5]]}
+    assert ExperimentConfig.from_json(base).random_audit == ((7, 5),)
+    with pytest.raises(ConfigError, match=f"^{field}: "):
+        ExperimentConfig.from_json({**base, field: _INT_FIELDS[field]})
+
+
 @pytest.mark.parametrize("kind, schedule", [
     ("threshold", "window_dense"), ("threshold", "window_sparse"),
     ("gw_limit", "sparse")])
