@@ -15,7 +15,7 @@ from functools import partial
 
 from .asymptotics import (karp_sipser_upper, prob_lp_dense_window,
                           prob_lr_dense_window, prob_lr_sparse_window)
-from .betti import betti_table, invariants, regularity_componentwise
+from .betti import betti_table, invariants, reg_pd_componentwise
 from .comb_invariants import (induced_matching_number, matching_number,
                               tree_induced_matching)
 from .experiments import (ExperimentConfig, map_gnp_trials, map_trials,
@@ -312,7 +312,7 @@ def criterion_gw_limit(seed: int = DEFAULT_SEED,
 def _sandwich_row(draw: GnpDraw) -> tuple:
     g = draw.graph()
     parts = connected_components(g)
-    reg = regularity_componentwise(g, parts=parts)
+    reg = reg_pd_componentwise(g, parts=parts)[0]
     nu = induced_matching_number(g, parts=parts)
     match = matching_number(g)
     # Censored components carry reg* somewhere in [nu, M]; accumulating

@@ -38,10 +38,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .comb_invariants import forest_fold, independence_number
-from .graph_core import (Graph, bits, component_masks,
-                         connected_components)
+from .graph_core import Graph, bits, connected_components, walk_components
 
 DEFAULT_BETTI_GUARD = 18
+# The lattice scan's int64 submasks hold 63 vertices, whatever the guard.
+MAX_SCAN_VERTICES = 63
 
 
 class SizeGuardExceeded(RuntimeError):
@@ -210,8 +211,8 @@ class HomologyEngine:
     def irreducible_dims(self, w: int) -> dict[int, int]:
         """dims of a nonempty W with no isolated vertex and no fold: the
         join convolution of its connected components' homology."""
-        comps = component_masks(self.adj, w)
-        dims = self._core_dims(next(comps))
+        first, *comps = walk_components(self.adj, w)[0]
+        dims = self._core_dims(first)
         for cm in comps:
             dims = _join_convolve(dims, self._core_dims(cm))
             if not dims:
@@ -329,10 +330,11 @@ class BettiTable:
 
 
 def _engine(g: Graph, field: str, max_vertices: int) -> HomologyEngine:
-    """A HomologyEngine over g, once g passes the size guard."""
-    if g.n > max_vertices:
-        raise SizeGuardExceeded(
-            f"Betti scan guard: {g.n} vertices > {max_vertices}")
+    """A HomologyEngine over g, once g passes the size guard, which never
+    exceeds MAX_SCAN_VERTICES."""
+    limit = min(max_vertices, MAX_SCAN_VERTICES)
+    if g.n > limit:
+        raise SizeGuardExceeded(f"Betti scan guard: {g.n} vertices > {limit}")
     return HomologyEngine(g, field)
 
 
@@ -537,9 +539,10 @@ def reg_pd_componentwise(g: Graph, field: str = "q",
     neither sum."""
     if parts is None:
         parts = connected_components(g)
-    trees, cyclic = parts.split_trees()
+    cyclic = [parts.subgraph(mask) for mask in parts.masks
+              if not mask & parts.trees]
     reg, mmis = forest_fold(parts.parent)
-    pd = trees.bit_count() - mmis
+    pd = parts.trees.bit_count() - mmis
     censored = tuple(comp for comp in cyclic if comp.n > betti_guard)
     for comp in cyclic:
         if comp.n <= betti_guard:

@@ -32,7 +32,7 @@ from .comb_invariants import (BudgetExceededError, cover_profile,
 from .experiments import ConfigError, ExperimentConfig, run_experiment
 from .graph_core import (connected_components, from_edge_list_text,
                          max_degree, to_edge_list_text)
-from .random_models import sample_gnp, sample_gw_tree
+from .random_models import check_seed, sample_gnp, sample_gw_tree
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -304,6 +304,14 @@ def _field_tag(text: str) -> str:
     return text
 
 
+def _seed(text: str) -> int:
+    """argparse type for --seed: an integer that substream_seed can hash."""
+    try:
+        return check_seed(int(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eideal",
@@ -317,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float)
     p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--cap", type=int, default=10 ** 5)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--out")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sample)
@@ -344,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--quick", action="store_true", default=True)
     mode.add_argument("--full", action="store_true")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--outdir", default="battery_out")
     p.add_argument("--workers", type=int)
     p.set_defaults(func=cmd_battery)

@@ -28,7 +28,9 @@ class BudgetExceededError(RuntimeError):
 
 
 def is_forest(g: Graph) -> bool:
-    return g.edge_count == g.n - len(connected_components(g))
+    """Every component of g is a tree, as its walk record tells."""
+    parts = connected_components(g)
+    return all(mask & parts.trees for mask in parts.masks)
 
 
 def forest_fold(parent) -> tuple[int, int]:
@@ -75,7 +77,7 @@ def forest_fold(parent) -> tuple[int, int]:
 def tree_induced_matching(g: Graph) -> int:
     """Induced matching number of a forest; errors on non-forests."""
     parts = connected_components(g)
-    if any(mask & ~parts.trees for mask in parts.masks):
+    if not all(mask & parts.trees for mask in parts.masks):
         raise ValueError("tree_induced_matching requires a forest")
     return forest_fold(parts.parent)[0]
 
@@ -106,32 +108,37 @@ def induced_matching_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET,
     (g's components) the first: a record's trees take one fold of its
     forest, and each cyclic component branches on a 2-core vertex v of
     largest degree (v unmatched, or matched to a neighbor u, N[v] and N[u]
-    removed), each branch walked again.  ``budget`` caps the branchings.
+    removed), each branch walked again.  A cyclic component met again in
+    another branch is read from a memo keyed by its mask, so ``budget``
+    caps the branchings actually made.
     """
     if parts is None:
         parts = connected_components(g)
-    return _induced_matching(g.adj, [budget], parts.masks, parts.trees,
+    return _induced_matching(g.adj, [budget], {}, parts.masks, parts.trees,
                              parts.order, parts.parent)
 
 
-def _induced_matching(adj, budget, masks, trees, order, parent) -> int:
+def _induced_matching(adj, budget, memo, masks, trees, order, parent) -> int:
     # Module level, not a closure over adj: a self-referencing closure is a
     # reference cycle that keeps the rows alive until the cyclic GC runs.
     total = forest_fold(parent)[0]
     for comp in masks:
         if comp & trees:
             continue
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise BudgetExceededError(
-                "induced matching search exceeded its branching budget")
-        v = _core_vertex(adj, comp)
-        best = _induced_matching(adj, budget,
-                                 *walk_components(adj, comp & ~(1 << v)))
-        for u in bits(adj[v] & comp):
-            rest = comp & ~(adj[v] | adj[u])
-            best = max(best, 1 + _induced_matching(
-                adj, budget, *walk_components(adj, rest)))
+        best = memo.get(comp)
+        if best is None:
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise BudgetExceededError(
+                    "induced matching search exceeded its branching budget")
+            v = _core_vertex(adj, comp)
+            best = _induced_matching(adj, budget, memo,
+                                     *walk_components(adj, comp & ~(1 << v)))
+            for u in bits(adj[v] & comp):
+                rest = comp & ~(adj[v] | adj[u])
+                best = max(best, 1 + _induced_matching(
+                    adj, budget, memo, *walk_components(adj, rest)))
+            memo[comp] = best
         total += best
     return total
 
@@ -329,7 +336,8 @@ def cover_profile(g: Graph, budget: int = DEFAULT_MIS_BUDGET) -> CoverProfile:
     min_cover = 0
     max_minimal = 0
     unmixed = True
-    for comp in connected_components(g).component_subgraphs:
+    parts = connected_components(g)
+    for comp in map(parts.subgraph, parts.masks):
         lo = comp.n + 1
         hi = -1
         for s in maximal_independent_sets(comp):

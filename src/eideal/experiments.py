@@ -12,15 +12,15 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 from . import __version__
 from .asymptotics import (expected_chordless_cycles, gw_limit_estimate,
                           prob_lp_dense_window, prob_lr_dense_window,
                           prob_lr_sparse_window)
-from .betti import (DEFAULT_BETTI_GUARD, induced_betti_tables,
-                    reg_pd_componentwise)
+from .betti import (DEFAULT_BETTI_GUARD, MAX_SCAN_VERTICES,
+                    induced_betti_tables, reg_pd_componentwise)
 from .chordality import (cycle_counts_from_pairs, has_induced_c4,
                          is_4_cochordal, is_chordal, is_cochordal,
                          is_locally_4_cochordal, is_locally_cochordal,
@@ -28,8 +28,8 @@ from .chordality import (cycle_counts_from_pairs, has_induced_c4,
 from .comb_invariants import (DEFAULT_MIS_BUDGET, BudgetExceededError,
                               cover_profile)
 from .graph_core import disjoint_union, max_degree, to_hex_dump
-from .random_models import (GnpDraw, ParamSchedule, draw_gnp, rng_for,
-                            sample_gnp, schedule_p, substream_seed)
+from .random_models import (GnpDraw, ParamSchedule, check_seed, draw_gnp,
+                            rng_for, sample_gnp, schedule_p, substream_seed)
 
 EXPERIMENT_KINDS = ("threshold", "gw_limit", "unmixed_scan",
                     "cycle_calibration", "lipschitz_audit", "variance_audit",
@@ -112,10 +112,14 @@ class ExperimentConfig:
         if kind not in EXPERIMENT_KINDS:
             raise ConfigError(
                 f"kind: got {kind!r}, expected one of {EXPERIMENT_KINDS}")
-        # type() is int, not isinstance: JSON's true is a Python int.
-        if type(obj.get("seed")) is not int:
-            raise ConfigError("seed: a 64-bit integer seed is required")
-        kwargs: dict = {"kind": kind, "seed": obj["seed"]}
+        unknown = sorted(obj.keys() - _CONFIG_KEYS)
+        if unknown:
+            raise ConfigError(f"{unknown[0]}: unknown key, expected one of "
+                              f"{sorted(_CONFIG_KEYS)}")
+        try:
+            kwargs: dict = {"kind": kind, "seed": check_seed(obj.get("seed"))}
+        except ValueError as exc:
+            raise ConfigError(f"seed: {exc}") from None
         if "trials" in obj:
             if type(obj["trials"]) is not int or obj["trials"] < 1:
                 raise ConfigError("trials: must be an integer >= 1")
@@ -165,6 +169,9 @@ class ExperimentConfig:
         return cfg
 
     def validate(self):
+        if self.betti_guard > MAX_SCAN_VERTICES:
+            raise ConfigError(f"betti_guard: must be <= {MAX_SCAN_VERTICES}, "
+                              f"the lattice scan's mask width")
         if self.kind in SAMPLED_KINDS and self.schedule is None:
             raise ConfigError(f"schedule: required for kind {self.kind!r}")
         if self.kind in SAMPLED_KINDS and not self.n_list:
@@ -197,6 +204,9 @@ class ExperimentConfig:
                     raise ConfigError(
                         f"random_audit: entry [{n}, {count}] needs 1 <= n <= "
                         f"{MAX_RANDOM_AUDIT_N} and count >= 1")
+
+
+_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
 
 
 @dataclass

@@ -7,7 +7,6 @@ every graph size; all operations are pure functions on immutable values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -19,9 +18,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
-
-    def degree(self, v: int) -> int:
-        return (self.adj[v]).bit_count()
 
     @property
     def edge_count(self) -> int:
@@ -36,9 +32,6 @@ class Graph:
                 yield (u, v)
                 row &= row - 1
 
-    def neighbors(self, v: int):
-        return bits(self.adj[v])
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
@@ -49,8 +42,7 @@ class ComponentPartition:
     ``walk_components``: ``masks`` of the components with an edge, ``count``
     (= ``len()``) of all, isolated vertices included, and the union ``trees``
     of the tree components' masks with their forest ``order``/``parent``.
-    ``component_subgraphs`` relabels the ``masks`` components lazily, and
-    ``split_trees`` relabels only the cyclic ones."""
+    ``subgraph`` relabels one component."""
 
     graph: Graph = field(repr=False)
     masks: tuple[int, ...] = field(repr=False)
@@ -64,16 +56,6 @@ class ComponentPartition:
         if self.count == 1 and self.graph.n > 1:
             return self.graph
         return induced_subgraph_mask(self.graph, mask)
-
-    @cached_property
-    def component_subgraphs(self) -> tuple[Graph, ...]:
-        """Induced subgraphs of the components with an edge, in order."""
-        return tuple(map(self.subgraph, self.masks))
-
-    def split_trees(self) -> tuple[int, list[Graph]]:
-        """(union of the tree components' masks, the cyclic subgraphs)."""
-        return self.trees, [self.subgraph(mask) for mask in self.masks
-                            if not mask & self.trees]
 
     def __len__(self) -> int:
         return self.count
@@ -147,30 +129,13 @@ def delete_closed_neighborhood(g: Graph, v: int) -> Graph:
     return induced_subgraph_mask(g, keep)
 
 
-def component_masks(adj, w: int):
-    """Yield the vertex masks of the connected components of the subgraph
-    induced on the vertex mask ``w``, ordered by smallest vertex."""
-    rest = w
-    while rest:
-        comp = frontier = rest & -rest
-        rest ^= comp
-        while frontier:
-            grow = 0
-            for v in bits(frontier):
-                grow |= adj[v]
-            frontier = grow & rest
-            if frontier:  # skipped on the last round: keeps singletons cheap
-                rest ^= frontier
-                comp |= frontier
-        yield comp
-
-
 def walk_components(adj, w: int):
     """(component masks by smallest vertex, union of the tree components'
     masks, order, parent) of G[w] from one walk, ``order`` doubling as the
     queue.  k vertices whose rows hold 2(k - 1) ends in ``w`` are a tree;
     only trees stay in the record, ``parent[i]`` being the position of the
-    parent of ``order[i]`` (below i) or -1 for a root."""
+    parent of ``order[i]`` (below i) or -1 for a root.  The one component
+    split: partitions, the matching search and the homology engine read it."""
     masks, order, parent = [], [], []
     cyclic, rest = 0, w
     while rest:

@@ -79,6 +79,11 @@ class ParamSchedule:
         if kind not in SCHEDULE_PARAMS:
             raise ValueError(f"unknown schedule kind {kind!r}; "
                              f"expected one of {tuple(SCHEDULE_PARAMS)}")
+        unknown = sorted(obj.keys() - {"kind", *SCHEDULE_PARAMS[kind]})
+        if unknown:
+            raise ValueError(f"schedule kind {kind!r} has no parameter "
+                             f"{unknown[0]!r}; expected "
+                             f"{SCHEDULE_PARAMS[kind]}")
         params = {}
         for name in SCHEDULE_PARAMS[kind]:
             x = obj.get(name)
@@ -117,6 +122,16 @@ def schedule_p(s: ParamSchedule, n: int) -> float:
     if s.kind == "window_dense":
         return _clamp01(1.0 - s.lam ** 0.25 / n)
     return _clamp01(s.p)
+
+
+def check_seed(seed) -> int:
+    """``seed`` if it is an int in [-2**127, 2**127), the range of the 16
+    signed bytes that substream_seed hashes; ValueError otherwise.  type()
+    is int, not isinstance: JSON's true is a Python int."""
+    if type(seed) is not int or not -(1 << 127) <= seed < 1 << 127:
+        raise ValueError(f"an integer seed in [-2**127, 2**127) is "
+                         f"required, got {seed!r}")
+    return seed
 
 
 def substream_seed(*parts) -> int:

@@ -183,6 +183,19 @@ def test_size_guard():
         has_linear_resolution(empty_graph(25))
 
 
+def test_scan_width_is_a_size_guard():
+    # The lattice scan's int64 masks hold 63 vertices: a raised guard used
+    # to end in a bare OverflowError from 64 vertices on.
+    wide = build_graph(64, [(62, 63)])
+    for call in (lambda: betti_table(wide, max_vertices=100),
+                 lambda: linear_flags(wide, max_vertices=100),
+                 lambda: induced_betti_tables(wide, [3], max_vertices=100)):
+        with pytest.raises(SizeGuardExceeded, match="64 vertices > 63"):
+            call()
+    table = betti_table(build_graph(63, [(61, 62)]), max_vertices=100)
+    assert table.entries == {(1, 2): 1}
+
+
 def test_linear_resolution_cases():
     assert not has_linear_resolution(cycle_graph(5))
     assert has_linear_presentation(cycle_graph(5))
@@ -376,9 +389,10 @@ def test_componentwise_matches_whole_graph_table():
         # censored, in one record shared by both results.
         reg, pd = reg_pd_componentwise(g, betti_guard=3)
         assert reg.censored == pd.censored
+        parts = connected_components(g)
         assert reg.censored_components == sum(
             comp.edge_count >= comp.n > 3
-            for comp in connected_components(g).component_subgraphs)
+            for comp in map(parts.subgraph, parts.masks))
 
 
 def test_planted_tree_test_fault_is_caught(monkeypatch):
@@ -473,9 +487,11 @@ def _sparse_cyclic_components(lo, hi, count, seed):
     while len(out) < count:
         n = rng.choice((100, 200, 400))
         g = sample_gnp(n, 1.0 / n, seed=rng.randrange(10 ** 9))
-        for comp in connected_components(g).split_trees()[1]:
-            if lo <= comp.n <= hi and len(out) < count:
-                out.append(comp)
+        parts = connected_components(g)
+        for mask in parts.masks:
+            if (not mask & parts.trees and lo <= mask.bit_count() <= hi
+                    and len(out) < count):
+                out.append(parts.subgraph(mask))
     return out
 
 
@@ -556,10 +572,18 @@ class _CliqueOffByOne(HomologyEngine):
         return dims
 
 
+def _drop_last_component(adj, w):
+    """walk_components with the last of several component masks dropped:
+    the engine then joins one component too few."""
+    masks, *rest = walk_components(adj, w)
+    return (masks[:-1] if len(masks) > 1 else masks), *rest
+
+
 @pytest.mark.parametrize("name, fault", [
     ("_cone_free_submasks", _leak_one_cone(betti._cone_free_submasks)),
     ("fold_vertex", _closed_fold),
-    ("HomologyEngine", _CliqueOffByOne)])
+    ("HomologyEngine", _CliqueOffByOne),
+    ("walk_components", _drop_last_component)])
 def test_planted_lattice_fault_is_caught(monkeypatch, name, fault):
     monkeypatch.setattr(betti, name, fault)
     graphs = [g for n in range(6) for g in enumerate_graphs(n)]

@@ -62,6 +62,20 @@ def test_sample_bad_params(capsys):
     assert "cap must be >= 1" in capsys.readouterr().err
 
 
+def test_seed_beyond_the_hash_is_a_usage_error(monkeypatch, capsys):
+    # substream_seed hashes 16 signed bytes; 2**128 used to end in an
+    # OverflowError traceback.
+    monkeypatch.setattr(cli, "run_battery", None)  # never reached
+    for argv in (["sample", "--model", "gnp", "--n", "5", "--p", "0.5"],
+                 ["battery"]):
+        for seed in (2 ** 128, 2 ** 127, -2 ** 127 - 1):
+            assert run_cli(argv + ["--seed", str(seed)]) == 2
+            assert "[-2**127, 2**127)" in capsys.readouterr().err
+    for seed in (2 ** 127 - 1, -2 ** 127):
+        assert run_cli(["sample", "--model", "gnp", "--n", "5", "--p", "0.5",
+                        "--seed", str(seed)]) == 0
+
+
 def test_invariants_c5_json_golden(c5_file, capsys):
     assert run_cli(["invariants", "--in", c5_file, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

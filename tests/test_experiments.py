@@ -108,6 +108,62 @@ def test_config_round_trip_and_validation():
                                     "exhaustive_n": 8, "random_audit": []})
 
 
+def test_unknown_config_keys_are_rejected():
+    base = {"kind": "threshold", "seed": 1, "trials": 2, "n_list": [5],
+            "schedule": {"kind": "constant", "p": 0.5},
+            "predicates": ["is_cochordal"]}
+    assert ExperimentConfig.from_json(base).trials == 2
+    # "trails" used to be ignored, and the run took the default 100 trials.
+    with pytest.raises(ConfigError, match="^trails: unknown key"):
+        ExperimentConfig.from_json({**base, "trails": 5})
+    for schedule in ({"kind": "constant", "p": 0.5, "lambda": 1.0},
+                     {"kind": "sparse", "lambda": 1.0, "alpha": 2.0}):
+        with pytest.raises(ConfigError, match="^schedule: .*'(lambda|alpha)'"):
+            ExperimentConfig.from_json({**base, "schedule": schedule})
+
+
+def test_every_written_config_loads_again():
+    # to_json round-trips for every kind once unknown keys are errors.
+    configs = [
+        ExperimentConfig(kind="threshold", seed=1, trials=3, n_list=(6,),
+                         schedule=ParamSchedule.window_sparse(2.0),
+                         predicates=("is_cochordal",)),
+        ExperimentConfig(kind="gw_limit", seed=2, trials=3, n_list=(6,),
+                         schedule=ParamSchedule.sparse(0.5), gw_cap=7),
+        ExperimentConfig(kind="unmixed_scan", seed=3, n_list=(6,),
+                         schedule=ParamSchedule.power(1.0, 1.5)),
+        ExperimentConfig(kind="cycle_calibration", seed=4, n_list=(6,),
+                         schedule=ParamSchedule.constant(0.3), k_max=5,
+                         poisson_k3=True),
+        ExperimentConfig(kind="lipschitz_audit", seed=5, betti_guard=63),
+        ExperimentConfig(kind="variance_audit", seed=6, n_list=(6,),
+                         schedule=ParamSchedule.sparse(1.0)),
+        ExperimentConfig(kind="froberg_audit", seed=7, exhaustive_n=4,
+                         random_audit=((8, 3),)),
+    ]
+    assert {cfg.kind for cfg in configs} == set(experiments.EXPERIMENT_KINDS)
+    for cfg in configs:
+        assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+
+
+def test_seed_range_is_the_hash_range():
+    base = {"kind": "lipschitz_audit", "trials": 2}
+    for seed in (2 ** 127 - 1, -2 ** 127, 0):
+        assert ExperimentConfig.from_json({**base, "seed": seed}).seed == seed
+    # A seed of 2**127 or more used to pass and then overflow the 16-byte
+    # signed encoding of substream_seed.
+    for seed in (2 ** 128, 2 ** 127, -2 ** 127 - 1):
+        with pytest.raises(ConfigError, match=r"^seed: .*\[-2\*\*127, "):
+            ExperimentConfig.from_json({**base, "seed": seed})
+
+
+def test_betti_guard_stays_within_the_scan_width():
+    base = {"kind": "lipschitz_audit", "seed": 1, "trials": 2}
+    assert ExperimentConfig.from_json({**base, "betti_guard": 63})
+    with pytest.raises(ConfigError, match="^betti_guard: must be <= 63"):
+        ExperimentConfig.from_json({**base, "betti_guard": 64})
+
+
 _INT_FIELDS = {"seed": True, "trials": True, "n_list": [True],
                "k_max": True, "betti_guard": True, "mis_budget": True,
                "gw_cap": True, "gw_trials": True, "exhaustive_n": True,
@@ -584,8 +640,9 @@ def test_gw_limit_computes_each_value_once(monkeypatch):
     cyclic = 0
     for t in range(cfg.trials):
         g = sample_gnp(150, 1.0 / 150, substream_seed(8, "gw_limit", 150, t))
+        parts = connected_components(g)
         cyclic += sum(comp.edge_count >= comp.n and comp.n <= cfg.betti_guard
-                      for comp in connected_components(g).component_subgraphs)
+                      for comp in map(parts.subgraph, parts.masks))
     assert cyclic > 0
     assert len(tables) == cyclic
 

@@ -94,8 +94,9 @@ def test_connected_components():
     assert len(connected_components(cycle_graph(5))) == 1
     assert connected_components(cycle_graph(5)).masks == (0b11111,)
     assert len(connected_components(empty_graph(3))) == 3
-    assert connected_components(empty_graph(3)).masks == ()
-    assert connected_components(empty_graph(3)).component_subgraphs == ()
+    edgeless = connected_components(empty_graph(3))
+    assert edgeless.masks == ()
+    assert tuple(map(edgeless.subgraph, edgeless.masks)) == ()
     assert len(connected_components(empty_graph(0))) == 0
     assert sum(m.bit_count() for m in parts.masks) == g.n
 
@@ -114,7 +115,7 @@ def _assert_matches_union_find(g, found):
     assert len(parts) == len(sizes)
     assert parts.masks == tuple(sum(1 << v for v in vs) for vs in vertex_sets
                                 if len(vs) > 1)
-    assert parts.component_subgraphs == subgraphs
+    assert tuple(map(parts.subgraph, parts.masks)) == subgraphs
 
 
 def test_components_match_union_find_exhaustive_padded():
@@ -134,9 +135,11 @@ def test_components_match_union_find_sparse_gnp():
 
 def test_spanning_component_is_the_graph_itself():
     g = cycle_graph(6)
-    assert connected_components(g).component_subgraphs[0] is g
+    parts = connected_components(g)
+    assert parts.subgraph(parts.masks[0]) is g
     h = disjoint_union(path_graph(3), empty_graph(1))
-    assert connected_components(h).component_subgraphs == (path_graph(3),)
+    parts = connected_components(h)
+    assert tuple(map(parts.subgraph, parts.masks)) == (path_graph(3),)
 
 
 def test_max_degree():
@@ -178,7 +181,7 @@ def test_induced_commutes_with_complement(g, mask):
 @given(random_graph_strategy())
 def test_components_induce_connected_subgraphs(g):
     parts = connected_components(g)
-    for sub in parts.component_subgraphs:
+    for sub in map(parts.subgraph, parts.masks):
         assert len(connected_components(sub)) == 1
 
 
