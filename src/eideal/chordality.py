@@ -16,9 +16,9 @@ the shrinking is free or already done:
 * A vertex of degree <= 1 lies on no cycle at all, so peeling such vertices
   until none is left, down to the 2-core, keeps both verdicts and every
   cycle count.  ``two_core_pairs`` does this on an edge list: in the dense
-  critical window the sampler's listed non-edges are the complement's
-  edges, and the trials hand ``is_chordal``/``has_induced_c4`` the
-  complement's 2-core (``two_core``), already peeled; every cycle count
+  critical window a draw lists its non-edges, complemented, which are the
+  complement's edges, and the trials hand ``is_chordal``/``has_induced_c4``
+  the complement's 2-core (``two_core``), already peeled; every cycle count
   runs on the 2-core of the graph it counts.
 
 Induced 4-cycles and triangles are counted together, exactly, from the

@@ -355,7 +355,7 @@ def _sampled_rows(config: ExperimentConfig, workers: int, fn):
 def _threshold_verdicts(draw: GnpDraw, pred_names) -> list[bool]:
     """Each named predicate on the drawn graph.
 
-    A draw that lists its non-edges lists the complement's edges, so the two
+    A complemented draw lists the complement's edges, so the two
     cochordal predicates run ``is_chordal``/``has_induced_c4`` on the
     complement's 2-core and never build g; any other draw or predicate reads
     g, built once.
@@ -363,10 +363,9 @@ def _threshold_verdicts(draw: GnpDraw, pred_names) -> list[bool]:
     core = g = None
     verdicts = []
     for name in pred_names:
-        if draw.non_edges is not None and name in ("is_cochordal",
-                                                   "is_4_cochordal"):
+        if draw.complemented and name in ("is_cochordal", "is_4_cochordal"):
             if core is None:
-                core = two_core(*draw.non_edges)
+                core = two_core(draw.us, draw.vs)
             verdicts.append(is_chordal(core) if name == "is_cochordal"
                             else not has_induced_c4(core))
         else:

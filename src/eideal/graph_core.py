@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -86,12 +88,25 @@ def build_graph(n: int, edges) -> Graph:
 
 def graph_from_pairs(n: int, us, vs) -> Graph:
     """Graph on n vertices with edges (us[i], vs[i]) from two numpy endpoint
-    arrays; unlike ``build_graph`` nothing is checked."""
-    adj = [0] * n
-    for u, v in zip(us.tolist(), vs.tolist()):
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return Graph(n, tuple(adj))
+    arrays, unchecked.  Over 4 pairs per vertex, where it is faster, the
+    rows are packed from an n x n bool matrix, else set bit by bit."""
+    if len(us) <= 4 * n:
+        adj = [0] * n
+        for u, v in zip(us.tolist(), vs.tolist()):
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        return Graph(n, tuple(adj))
+    mat = np.zeros((n, n), dtype=bool)
+    mat[us, vs] = True
+    mat[vs, us] = True
+    return _packed_graph(mat)
+
+
+def _packed_graph(mat) -> Graph:
+    """The graph of the symmetric n x n bool adjacency matrix ``mat``."""
+    packed = np.packbits(mat, axis=1, bitorder="little")
+    return Graph(len(mat), tuple(int.from_bytes(row.tobytes(), "little")
+                                 for row in packed))
 
 
 def complement(g: Graph) -> Graph:
@@ -182,13 +197,28 @@ def max_degree(g: Graph) -> int:
     return max((row.bit_count() for row in g.adj), default=0)
 
 
-# Pair indexing for edge masks: pair (u, v), u < v, gets index in
-# lexicographic order, so (0,1)=0, (0,2)=1, ..., (1,2)=n-1, ...
+# The pair order, known to this module alone: pair (u, v), u < v, gets its
+# index in lexicographic order, so (0,1)=0, (0,2)=1, ..., (1,2)=n-1, ...
 
-def pair_index(n: int, u: int, v: int) -> int:
-    if u > v:
+def pair_index(n: int, u, v):
+    """Index of the pair of ints u, v, in either order, or the indices of
+    the pairs of two numpy endpoint arrays with u < v."""
+    if not isinstance(u, np.ndarray) and u > v:
         u, v = v, u
     return u * n - u * (u + 1) // 2 + (v - u - 1)
+
+
+def pair_endpoints(n: int, idx) -> tuple:
+    """(us, vs) of the pairs at the sorted numpy index array ``idx``, the
+    inverse of ``pair_index``: row u holds the n-1-u pairs (u, v), v > u,
+    so each u spans a run of idx, found by n searches, not one per index."""
+    ends = np.arange(n - 1, -1, -1).cumsum()  # where each row's pairs end
+    stop = idx.searchsorted(ends)
+    runs = stop.copy()
+    runs[1:] -= stop[:-1]
+    vs = (ends - n).repeat(runs)  # v = idx - ends[u] + n
+    np.subtract(idx, vs, out=vs)  # in place: one array less per dense draw
+    return np.arange(n).repeat(runs), vs
 
 
 def pair_list(n: int) -> list[tuple[int, int]]:
@@ -298,4 +328,7 @@ def from_hex_dump(text: str) -> Graph:
     mask = int(parts[1], 16)
     if mask >> (n * (n - 1) // 2):
         raise ValueError("hex mask has bits beyond the n-vertex pair range")
-    return graph_from_edge_mask(n, mask)
+    # Only the set bits are decoded: a pair list of n = 3000 takes 0.5 GB.
+    raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    flags = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    return graph_from_pairs(n, *pair_endpoints(n, flags.nonzero()[0]))

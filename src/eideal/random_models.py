@@ -10,11 +10,12 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from .graph_core import Graph, build_graph, complement, graph_from_pairs
+from .graph_core import (Graph, build_graph, complement, graph_from_pairs,
+                         pair_endpoints, pair_index)
 
 # JSON parameter names of each schedule kind; "lambda" is stored as `lam`.
 SCHEDULE_PARAMS = {"sparse": ("lambda",), "power": ("c", "alpha"),
@@ -143,7 +144,11 @@ def substream_seed(*parts) -> int:
         elif isinstance(part, float) and not part.is_integer():
             h.update(b"f" + part.hex().encode())
         else:
-            h.update(b"i" + int(part).to_bytes(16, "little", signed=True))
+            try:
+                h.update(b"i" + int(part).to_bytes(16, "little", signed=True))
+            except OverflowError:
+                raise ValueError(f"an int part in [-2**127, 2**127) is "
+                                 f"required, got {part!r}") from None
     return int.from_bytes(h.digest(), "little")
 
 
@@ -154,68 +159,29 @@ def rng_for(*parts) -> np.random.Generator:
 _SPARSE_GNP_THRESHOLD = 0.05
 
 
-def _pair_endpoints(n: int, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Row offsets of the lexicographic pair order: offset(u) = u*n - u(u+1)/2.
-    us = np.arange(n, dtype=np.int64)
-    offsets = us * n - us * (us + 1) // 2
-    u = np.searchsorted(offsets, idx, side="right") - 1
-    v = idx - offsets[u] + u + 1
-    return u, v
-
-
-@lru_cache(maxsize=4)
-def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.triu_indices(n, k=1)``, built once per n and shared read-only."""
-    iu = np.triu_indices(n, k=1)
-    for a in iu:
-        a.setflags(write=False)
-    return iu
-
-
 @dataclass(frozen=True, eq=False)
 class GnpDraw:
-    """One seeded G(n, p) draw before any row is built.
-
-    Exactly one form is set.  ``edges`` and ``non_edges`` are endpoint
-    arrays (u, v), u < v, in lexicographic pair order: the pairs kept by the
-    sparse path (none at p = 0), or the pairs dropped by a dense draw that
-    dropped at most 2n of them (none at p = 1).  ``kept`` is any other dense
-    draw, one Bernoulli outcome per pair in lexicographic pair order.
-    """
+    """One seeded G(n, p) draw before any row is built: endpoint arrays
+    ``us``, ``vs``, u < v, in lexicographic pair order, of the drawn edges,
+    or of the drawn non-edges when ``complemented``."""
 
     n: int
-    edges: tuple[np.ndarray, np.ndarray] | None = None
-    non_edges: tuple[np.ndarray, np.ndarray] | None = None
-    kept: np.ndarray | None = None
+    us: np.ndarray
+    vs: np.ndarray
+    complemented: bool = False
 
     def graph(self) -> Graph:
-        """The sampled graph, built from whichever form the draw holds."""
-        n = self.n
-        if self.edges is not None:
-            return graph_from_pairs(n, *self.edges)
-        if self.non_edges is not None:
-            return complement(graph_from_pairs(n, *self.non_edges))
-        mat = np.zeros((n, n), dtype=bool)
-        mat[_upper_triangle(n)] = self.kept
-        mat |= mat.T
-        packed = np.packbits(mat, axis=1, bitorder="little")
-        return Graph(n, tuple(int.from_bytes(packed[v].tobytes(), "little")
-                              for v in range(n)))
+        g = graph_from_pairs(self.n, self.us, self.vs)
+        return complement(g) if self.complemented else g
 
     def edge_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The drawn edges as endpoint arrays (u, v), u < v, in
-        lexicographic pair order, from whichever form the draw holds."""
-        if self.edges is not None:
-            return self.edges
-        kept = self.kept
-        if kept is None:
-            n = self.n
-            us, vs = self.non_edges
-            kept = np.ones(n * (n - 1) // 2, dtype=bool)
-            # Each non-edge's flat pair index, as ``_pair_endpoints`` reads it.
-            kept[us * n - us * (us + 1) // 2 + vs - us - 1] = False
-        us, vs = _upper_triangle(self.n)
-        return us[kept], vs[kept]
+        """The drawn edges as endpoint arrays, in lexicographic pair order."""
+        if not self.complemented:
+            return self.us, self.vs
+        n = self.n
+        kept = np.ones(n * (n - 1) // 2, dtype=bool)
+        kept[pair_index(n, self.us, self.vs)] = False
+        return pair_endpoints(n, kept.nonzero()[0])
 
 
 _NO_PAIRS = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
@@ -230,9 +196,9 @@ def draw_gnp(n: int, p: float, seed: int) -> GnpDraw:
     rng = rng_for(seed)
     m = n * (n - 1) // 2
     if m == 0 or p == 0.0:
-        return GnpDraw(n, edges=_NO_PAIRS)
+        return GnpDraw(n, *_NO_PAIRS)
     if p == 1.0:
-        return GnpDraw(n, non_edges=_NO_PAIRS)
+        return GnpDraw(n, *_NO_PAIRS, complemented=True)
     if p < _SPARSE_GNP_THRESHOLD:
         chunks = []
         pos = -1
@@ -245,11 +211,12 @@ def draw_gnp(n: int, p: float, seed: int) -> GnpDraw:
             if len(keep) < len(idx):
                 break
             pos = int(idx[-1])
-        return GnpDraw(n, edges=_pair_endpoints(n, np.concatenate(chunks)))
+        return GnpDraw(n, *pair_endpoints(n, np.concatenate(chunks)))
     flat = rng.random(m) < p
     if m - np.count_nonzero(flat) <= 2 * n:
-        return GnpDraw(n, non_edges=_pair_endpoints(n, np.flatnonzero(~flat)))
-    return GnpDraw(n, kept=flat)
+        return GnpDraw(n, *pair_endpoints(n, (~flat).nonzero()[0]),
+                       complemented=True)
+    return GnpDraw(n, *pair_endpoints(n, flat.nonzero()[0]))
 
 
 def sample_gnp(n: int, p: float, seed: int) -> Graph:
@@ -257,14 +224,10 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
 
     Sparse p uses geometric index skipping, dense p one Bernoulli draw per
     pair in lexicographic pair order; the two paths realize the same
-    distribution, not the same stream.  The sample is two steps:
-    ``draw_gnp`` makes the seeded draw and ``GnpDraw.graph`` builds the
-    rows.  A dense draw is kept in one of two forms, chosen by the number of
-    non-edges drawn: at most 2n of them are listed, and the build
-    complements the graph they form; more keep the per-pair outcomes,
-    packed from an n x n bool matrix.  Both forms give the same graph from
-    the same draw, and callers that read a draw's listed pairs directly (the
-    dense critical-window trials) see the same stream as every other caller.
+    distribution, not the same stream.  ``draw_gnp`` lists the drawn pairs
+    as a ``GnpDraw`` (a dense draw that drops at most 2n pairs lists those,
+    complemented), and ``GnpDraw.graph`` builds the rows; callers that read
+    a draw's pairs (the dense critical-window trials) see the same stream.
     """
     return draw_gnp(n, p, seed).graph()
 

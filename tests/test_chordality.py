@@ -15,7 +15,8 @@ from eideal.graph_core import (Graph, build_graph, complement, complete_graph,
                                enumerate_graphs, graph_from_edge_mask,
                                path_graph)
 from eideal.experiments import _cycle_row, _threshold_verdicts
-from eideal.random_models import GnpDraw, draw_gnp, sample_gnp
+from eideal.random_models import (_SPARSE_GNP_THRESHOLD, GnpDraw, draw_gnp,
+                                  sample_gnp)
 
 from oracles import (diagonal_scan_induced_c4, elimination_is_chordal,
                      naive_chordless_cycle_counts, naive_has_induced_c4,
@@ -101,7 +102,7 @@ def test_cochordal_small_cases():
 def _listing_draw(n, pairs):
     """A draw that lists `pairs` as its non-edges, the complement's edges."""
     ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    return GnpDraw(n, non_edges=(ends[:, 0], ends[:, 1]))
+    return GnpDraw(n, ends[:, 0], ends[:, 1], complemented=True)
 
 
 def test_subset_scan_oracles_agree_n5():
@@ -267,7 +268,8 @@ def test_count_induced_c4_exhaustive_n6():
 def _draw_forms(g: Graph) -> list[GnpDraw]:
     """g as a draw: its listed edges padded with an isolated vertex (n), a
     pendant vertex and a pendant path, which the 2-core peel must strip;
-    below 6 vertices also its kept pairs and its listed non-edges."""
+    below 6 vertices also its listed edges unpadded and its listed
+    non-edges."""
     n = g.n
     us, vs = np.triu_indices(n, k=1)
     kept = np.array([g.adj[u] >> v & 1 for u, v in zip(us.tolist(),
@@ -276,10 +278,10 @@ def _draw_forms(g: Graph) -> list[GnpDraw]:
     padded = sorted([*zip(us[kept].tolist(), vs[kept].tolist()),
                      (0, n + 1), (max(n - 1, 0), n + 2), (n + 2, n + 3)])
     pu, pv = np.array(padded, dtype=np.int64).T
-    forms = [GnpDraw(n + 4, edges=(pu, pv))]
+    forms = [GnpDraw(n + 4, pu, pv)]
     if n < 6:
-        forms += [GnpDraw(n, kept=kept),
-                  GnpDraw(n, non_edges=(us[~kept], vs[~kept]))]
+        forms += [GnpDraw(n, us[kept], vs[kept]),
+                  GnpDraw(n, us[~kept], vs[~kept], complemented=True)]
     return forms
 
 
@@ -339,8 +341,8 @@ def test_planted_counter_faults_are_caught(monkeypatch):
     assert _small_graph_disagreements()
 
 
-# (n, p, trials): kept draws, near-complete draws that list their non-edges,
-# and sparse draws that list their edges, with cores of 5 to 800 vertices
+# (n, p, trials): dense draws that list their edges, near-complete draws
+# that list their non-edges, and sparse draws, with cores of 5 to 800 vertices
 # that take either codegree route.
 CYCLE_COUNT_REGIMES = [(12, 0.5, 60), (30, 0.3, 40), (60, 0.1, 40),
                        (12, 0.9, 60), (40, 0.97, 20), (40, 0.999, 20),
@@ -365,8 +367,8 @@ def test_draw_cycle_rows_vs_oracles(monkeypatch):
     for n, p, trials in CYCLE_COUNT_REGIMES:
         for t in range(trials):
             draw = draw_gnp(n, p, seed=8300 + 101 * n + t)
-            form = ("kept" if draw.kept is not None else
-                    "non_edges" if draw.non_edges is not None else "edges")
+            form = ("non_edges" if draw.complemented else
+                    "sparse" if p < _SPARSE_GNP_THRESHOLD else "dense")
             g = draw.graph()
             # Lengths >= 5 from the DFS on the unpeeled graph.
             expected = {4: diagonal_scan_induced_c4(g), 5: 0}
@@ -386,7 +388,8 @@ def test_large_sparse_core_counts_without_a_matrix(monkeypatch):
     # A supercritical sparse draw (mean degree 2) whose 2-core has thousands
     # of vertices: a k x k float64 matrix of it would take over 100 MB.
     draw = draw_gnp(10_000, 2e-4, seed=8317)
-    assert chordality.two_core_pairs(*draw.edges)[0] > 3_000
+    assert not draw.complemented
+    assert chordality.two_core_pairs(draw.us, draw.vs)[0] > 3_000
     g = draw.graph()
     expected = {4: diagonal_scan_induced_c4(g), 5: 0}
     chordality._count_long_chordless_cycles(g, expected)

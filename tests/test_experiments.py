@@ -19,8 +19,9 @@ from eideal.experiments import (CSV_COLUMNS, ConfigError, ExperimentConfig,
                                 run_unmixed_scan, run_variance_audit,
                                 wilson_interval)
 from eideal.graph_core import complement, induced_subgraph_mask
-from eideal.random_models import (GnpDraw, ParamSchedule, draw_gnp,
-                                  sample_gnp, schedule_p, substream_seed)
+from eideal.random_models import (_SPARSE_GNP_THRESHOLD, GnpDraw,
+                                  ParamSchedule, draw_gnp, sample_gnp,
+                                  schedule_p, substream_seed)
 
 from oracles import (elimination_is_chordal, naive_has_induced_c4,
                      naive_is_chordal, pair_scan_has_induced_c4)
@@ -349,7 +350,7 @@ GNP_LABELS = experiments.SAMPLED_KINDS + ("sandwich",)
 
 def _label_mismatches(label):
     """(p, t) of each mapped trial whose draw is not ``sample_gnp`` of the
-    trial's substream; p covers the sparse, kept-pairs and non-edge forms."""
+    trial's substream; p covers the sparse, dense and non-edge forms."""
     n, seed, trials = 30, 23, 6
     bad = []
     for p in (0.02, 0.5, 0.97):
@@ -387,7 +388,7 @@ def _dense_draw_disagreements():
             p = schedule_p(ParamSchedule.window_dense(lam), n)
             for t in range(10):
                 draw = draw_gnp(n, p, substream_seed(31, n, lam, t))
-                if draw.non_edges is None:
+                if not draw.complemented:
                     continue
                 listed += 1
                 g = draw.graph()
@@ -491,18 +492,19 @@ def _graph_cycle_row(draw, k_max, want_k3):
 
 
 @pytest.mark.parametrize("form, n, schedule", [
-    ("kept", 60, ParamSchedule.constant(0.1)),
+    ("dense", 60, ParamSchedule.constant(0.1)),
     ("non_edges", 40, ParamSchedule.constant(0.99)),
-    ("edges", 500, ParamSchedule.sparse(1.0))],
-    ids=("kept", "non_edges", "edges"))
+    ("sparse", 500, ParamSchedule.sparse(1.0))],
+    ids=("dense", "non_edges", "sparse"))
 def test_cycle_calibration_pair_route_matches_graph_route(monkeypatch, form,
                                                           n, schedule):
     cfg = ExperimentConfig(kind="cycle_calibration", seed=47, trials=120,
                            n_list=(n,), schedule=schedule, k_max=4,
                            poisson_k3=True)
-    draw = draw_gnp(n, schedule_p(schedule, n),
-                    substream_seed(47, "cycle_calibration", n, 0))
-    assert getattr(draw, form) is not None
+    p = schedule_p(schedule, n)
+    draw = draw_gnp(n, p, substream_seed(47, "cycle_calibration", n, 0))
+    assert form == ("non_edges" if draw.complemented else
+                    "sparse" if p < _SPARSE_GNP_THRESHOLD else "dense")
     reports = [run_cycle_calibration(cfg, workers).to_json(
         include_timing=False) for workers in (1, 2)]
     monkeypatch.setattr(experiments, "_cycle_row", _graph_cycle_row)

@@ -1,14 +1,18 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eideal import graph_core
 from eideal.graph_core import (build_graph, complement, complete_graph,
                                connected_components, cycle_graph,
                                delete_closed_neighborhood, disjoint_union,
                                empty_graph, enumerate_graphs,
                                from_edge_list_text, from_hex_dump,
-                               induced_subgraph, max_degree, path_graph,
-                               star_graph, to_edge_list_text, to_hex_dump)
+                               graph_from_pairs, induced_subgraph, max_degree,
+                               pair_endpoints, pair_index, pair_list,
+                               path_graph, star_graph, to_edge_list_text,
+                               to_hex_dump)
 from eideal.random_models import sample_gnp
 from oracles import padded_partitions, union_find_components
 
@@ -190,6 +194,64 @@ def test_components_induce_connected_subgraphs(g):
 def test_serialization_round_trips(g):
     assert from_edge_list_text(to_edge_list_text(g)) == g
     assert from_hex_dump(to_hex_dump(g)) == g
+
+
+def test_hex_dump_decodes_only_the_set_bits(monkeypatch):
+    def no_pair_list(n):
+        raise AssertionError(f"a pair list of {n} vertices")
+
+    monkeypatch.setattr(graph_core, "pair_list", no_pair_list)
+    for g in (build_graph(3000, [(0, 2999), (1500, 1501)]),
+              sample_gnp(100, 0.5, seed=3)):
+        assert from_hex_dump(to_hex_dump(g)) == g
+
+
+def test_pair_endpoints_inverts_pair_index():
+    for n in (2, 3, 10, 65):
+        pairs = pair_list(n)
+        us, vs = pair_endpoints(n, np.arange(len(pairs)))
+        assert [*zip(us.tolist(), vs.tolist())] == pairs
+        assert pair_index(n, us, vs).tolist() == [*range(len(pairs))]
+        assert [pair_index(n, v, u) for u, v in pairs] == [*range(len(pairs))]
+
+
+def _pair_lists():
+    """(n, us, vs): empty lists, and random lists up to K_n on n < 64 and
+    n >= 64 vertices, picked from ``np.triu_indices``."""
+    rng = np.random.default_rng(5)
+    for n in (0, 1, 2, 9, 40, 63, 64, 100, 300):
+        us, vs = np.triu_indices(n, k=1)
+        for p in (0.0, 0.02, 0.1, 0.5, 1.0):
+            keep = rng.random(len(us)) < p
+            yield n, us[keep], vs[keep]
+
+
+def _pairs_build_mismatches() -> list:
+    """(n, pairs) of each list on which ``graph_from_pairs`` differs from
+    ``build_graph``."""
+    return [(n, len(us)) for n, us, vs in _pair_lists()
+            if graph_from_pairs(n, us, vs)
+            != build_graph(n, zip(us.tolist(), vs.tolist()))]
+
+
+def test_graph_from_pairs_matches_build_graph(monkeypatch):
+    packed = []
+    packed_graph = graph_core._packed_graph
+    monkeypatch.setattr(graph_core, "_packed_graph",
+                        lambda mat: packed.append(len(mat))
+                        or packed_graph(mat))
+    assert _pairs_build_mismatches() == []
+    # Both sides of the cut run, the matrix also on n >= 64.
+    assert 0 < len(packed) < len(list(_pair_lists())) and max(packed) >= 64
+
+
+def test_planted_matrix_half_write_is_caught(monkeypatch):
+    # The matrix build without its mat[vs, us] write: with u < v, only the
+    # upper triangle would be set.
+    packed_graph = graph_core._packed_graph
+    monkeypatch.setattr(graph_core, "_packed_graph",
+                        lambda mat: packed_graph(np.triu(mat)))
+    assert _pairs_build_mismatches()
 
 
 def test_edge_list_parse_errors():

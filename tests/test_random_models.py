@@ -7,9 +7,9 @@ import pytest
 from eideal.comb_invariants import is_forest
 from eideal.graph_core import (Graph, complement, complete_graph, edge_mask,
                                empty_graph, graph_from_pairs)
-from eideal.random_models import (ParamSchedule, draw_gnp, rng_for,
-                                  sample_gnp, sample_gw_tree, schedule_p,
-                                  substream_seed)
+from eideal.random_models import (_SPARSE_GNP_THRESHOLD, ParamSchedule,
+                                  draw_gnp, rng_for, sample_gnp,
+                                  sample_gw_tree, schedule_p, substream_seed)
 
 
 def test_schedule_values():
@@ -53,6 +53,16 @@ def test_substream_seed_stability():
     assert substream_seed(0) == 13379413122819086221
 
 
+def test_substream_parts_beyond_the_hash_range_are_value_errors():
+    # The 16 signed bytes each int part is hashed as; the bounds still hash.
+    substream_seed(2 ** 127 - 1, -2 ** 127)
+    for part in (2 ** 127, -2 ** 127 - 1, 2 ** 128, 1e40):
+        with pytest.raises(ValueError, match=r"\[-2\*\*127, 2\*\*127\)"):
+            substream_seed(3, part)
+    with pytest.raises(ValueError, match=r"\[-2\*\*127, 2\*\*127\)"):
+        sample_gnp(5, 0.5, 2 ** 128)
+
+
 def test_gnp_extremes():
     assert sample_gnp(10, 0.0, seed=5) == empty_graph(10)
     assert sample_gnp(10, 1.0, seed=5) == complete_graph(10)
@@ -78,9 +88,9 @@ def _packed_gnp(n, p, seed):
 
 
 def test_gnp_dense_builds_match_packed_reference():
-    # Both row builds of the dense path reproduce the packed matrix of the
-    # same draw; the cutoff between them is 2n non-edges, and a draw below
-    # it lists its non-edges: the complement's edges.
+    # Both forms of a dense draw reproduce the packed matrix of the same
+    # draw; the cutoff between them is 2n non-edges, and a draw below it
+    # lists its non-edges, complemented: the complement's edges.
     sides = set()
     for n in (5, 60, 400):
         for p in (0.06, 0.5, 0.9, 0.995, 0.9999):
@@ -89,16 +99,16 @@ def test_gnp_dense_builds_match_packed_reference():
                 assert g == _packed_gnp(n, p, seed), (n, p, seed)
                 listed = n * (n - 1) // 2 - g.edge_count <= 2 * n
                 draw = draw_gnp(n, p, seed)
-                assert (draw.non_edges is not None) == listed
+                assert draw.complemented == listed
                 if listed:
-                    h = graph_from_pairs(n, *draw.non_edges)
+                    h = graph_from_pairs(n, draw.us, draw.vs)
                     assert h == complement(g), (n, p, seed)
                 sides.add(listed)
     assert sides == {True, False}
 
 
 # sha256 of the edge mask, as little-endian bytes, of seeded draws on each
-# path: geometric skipping, listed non-edges (at most 2n), packed matrix.
+# path: geometric skipping, listed non-edges (at most 2n), listed dense edges.
 # Any change to the sampled stream changes these.
 STREAM_PINS = {
     (200, 0.01, 7):
@@ -120,13 +130,13 @@ def test_gnp_stream_pins():
     forms = set()
     for (n, p, seed), digest in STREAM_PINS.items():
         draw = draw_gnp(n, p, seed)
-        forms.add("edges" if draw.edges is not None else
-                  "non_edges" if draw.non_edges is not None else "kept")
+        forms.add("non_edges" if draw.complemented else
+                  "sparse" if p < _SPARSE_GNP_THRESHOLD else "dense")
         m = n * (n - 1) // 2
         raw = edge_mask(sample_gnp(n, p, seed)).to_bytes((m + 7) // 8,
                                                          "little")
         assert hashlib.sha256(raw).hexdigest() == digest, (n, p, seed)
-    assert forms == {"edges", "non_edges", "kept"}
+    assert forms == {"sparse", "non_edges", "dense"}
 
 
 def test_gnp_symmetry_no_loops():
