@@ -12,22 +12,27 @@ the shrinking is free or already done:
   one to none.  ``is_cochordal`` and ``is_4_cochordal`` therefore drop g's
   isolated vertices, universal in the complement, before they complement
   the rest, so a sparse graph pays only for the complement on the ends of
-  its edges.
+  its edges.  ``live_pairs`` does the same on an edge list: the threshold
+  trials relabel the pairs of a draw that lists its edges onto the vertices
+  that carry one, and run ``is_chordal`` and ``has_induced_c4`` on the
+  complement of that small graph, never on n rows.
 * A vertex of degree <= 1 lies on no cycle at all, so peeling such vertices
   until none is left, down to the 2-core, keeps both verdicts and every
   cycle count.  ``two_core_pairs`` does this on an edge list: in the dense
   critical window a draw lists its non-edges, complemented, which are the
-  complement's edges, and the trials hand ``is_chordal``/``has_induced_c4``
-  the complement's 2-core (``two_core``), already peeled; every cycle count
-  runs on the 2-core of the graph it counts.
+  complement's edges, and the trials hand ``is_chordal`` the complement's
+  2-core (``two_core``), already peeled; every cycle count runs on the
+  2-core of the graph it counts.
 
 Induced 4-cycles and triangles are counted together, exactly, from the
 codegrees of the vertex pairs (``induced_c4_and_triangles``): a dense graph
 takes them from the product of its 0/1 adjacency matrix with itself, a
-sparse one from its wedges.  ``cycle_counts_from_pairs`` runs that count,
-and a DFS for the lengths >= 5, on the 2-core of an edge list; the
-cycle-calibration trials hand it the sampler's pairs, so no row is built,
-and ``count_chordless_cycles`` hands it g's edges.
+sparse one from its wedges.  The dense-window trials read gap-freeness as
+a zero count of induced 4-cycles on the listed non-edges as drawn, with no
+peel and no rows.  ``cycle_counts_from_pairs`` runs that count, and a DFS
+for the lengths >= 5, on the 2-core of an edge list; the cycle-calibration
+trials hand it the sampler's pairs, so no row is built, and
+``count_chordless_cycles`` hands it g's edges.
 """
 
 from __future__ import annotations
@@ -132,6 +137,24 @@ def two_core_pairs(us: np.ndarray,
             break
         keep = ~cut
         us, vs = us[keep], vs[keep]
+    return _relabel_live(deg, us, vs)
+
+
+def live_pairs(us: np.ndarray,
+               vs: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """(k, us', vs'): the graph with edges (us[i], vs[i]) on the k vertices
+    that carry an edge, relabelled 0..k-1 in increasing order.  By the
+    isolated-vertex lemma of the module docstring, its complement and the
+    complement of the whole graph have the same chordless cycles."""
+    size = int(max(us.max(), vs.max())) + 1 if len(us) else 0
+    return _relabel_live(np.bincount(us, minlength=size)
+                         + np.bincount(vs, minlength=size), us, vs)
+
+
+def _relabel_live(deg: np.ndarray, us: np.ndarray,
+                  vs: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """(k, us', vs'): the k vertices of nonzero degree ``deg`` relabelled
+    0..k-1 in increasing order, and the edges (us[i], vs[i]) among them."""
     alive = deg > 0
     label = np.cumsum(alive) - 1
     return int(np.count_nonzero(alive)), label[us], label[vs]

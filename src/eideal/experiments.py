@@ -22,12 +22,13 @@ from .asymptotics import (expected_chordless_cycles, gw_limit_estimate,
 from .betti import (DEFAULT_BETTI_GUARD, MAX_SCAN_VERTICES,
                     induced_betti_tables, reg_pd_componentwise)
 from .chordality import (cycle_counts_from_pairs, has_induced_c4,
-                         is_4_cochordal, is_chordal, is_cochordal,
-                         is_locally_4_cochordal, is_locally_cochordal,
-                         two_core)
+                         induced_c4_and_triangles, is_4_cochordal, is_chordal,
+                         is_cochordal, is_locally_4_cochordal,
+                         is_locally_cochordal, live_pairs, two_core)
 from .comb_invariants import (DEFAULT_MIS_BUDGET, BudgetExceededError,
                               cover_profile)
-from .graph_core import disjoint_union, max_degree, to_hex_dump
+from .graph_core import (complement, disjoint_union, graph_from_pairs,
+                         max_degree, to_hex_dump)
 from .random_models import (GnpDraw, ParamSchedule, check_seed, draw_gnp,
                             rng_for, sample_gnp, schedule_p, substream_seed)
 
@@ -355,23 +356,33 @@ def _sampled_rows(config: ExperimentConfig, workers: int, fn):
 def _threshold_verdicts(draw: GnpDraw, pred_names) -> list[bool]:
     """Each named predicate on the drawn graph.
 
-    A complemented draw lists the complement's edges, so the two
-    cochordal predicates run ``is_chordal``/``has_induced_c4`` on the
-    complement's 2-core and never build g; any other draw or predicate reads
-    g, built once.
+    The two cochordal predicates read the draw's pairs and never build g.
+    A complemented draw lists the complement's edges: ``is_4_cochordal``
+    counts their induced 4-cycles by codegrees
+    (``induced_c4_and_triangles``), and ``is_cochordal`` runs ``is_chordal``
+    on their 2-core (``two_core``).  A plain draw's pairs are relabelled onto
+    the vertices that carry an edge (``live_pairs``), and both predicates
+    read the complement of that small graph, built once.  The local
+    predicates read g, built once.
     """
-    core = g = None
+    g = h = None
     verdicts = []
     for name in pred_names:
-        if draw.complemented and name in ("is_cochordal", "is_4_cochordal"):
-            if core is None:
-                core = two_core(draw.us, draw.vs)
-            verdicts.append(is_chordal(core) if name == "is_cochordal"
-                            else not has_induced_c4(core))
-        else:
+        if name not in ("is_cochordal", "is_4_cochordal"):
             if g is None:
                 g = draw.graph()
             verdicts.append(PREDICATES[name](g))
+        elif draw.complemented and name == "is_4_cochordal":
+            verdicts.append(
+                induced_c4_and_triangles(draw.n, draw.us, draw.vs)[0] == 0)
+        elif draw.complemented:
+            verdicts.append(is_chordal(two_core(draw.us, draw.vs)))
+        else:
+            if h is None:
+                h = complement(graph_from_pairs(*live_pairs(draw.us,
+                                                             draw.vs)))
+            verdicts.append(is_chordal(h) if name == "is_cochordal"
+                            else not has_induced_c4(h))
     return verdicts
 
 

@@ -325,6 +325,8 @@ def from_hex_dump(text: str) -> Graph:
     if len(parts) != 2:
         raise ValueError(f"bad hex dump {text!r}, expected 'n hexmask'")
     n = int(parts[0])
+    if n < 0:
+        raise ValueError(f"vertex count must be non-negative, got {n}")
     mask = int(parts[1], 16)
     if mask >> (n * (n - 1) // 2):
         raise ValueError("hex mask has bits beyond the n-vertex pair range")

@@ -6,7 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from eideal import betti, experiments
+from eideal import betti, chordality, experiments
 from eideal.chordality import (count_chordless_cycles, count_triangles,
                                is_locally_4_cochordal, is_locally_cochordal)
 from eideal.experiments import (CSV_COLUMNS, ConfigError, ExperimentConfig,
@@ -18,7 +18,8 @@ from eideal.experiments import (CSV_COLUMNS, ConfigError, ExperimentConfig,
                                 run_lipschitz_audit, run_threshold,
                                 run_unmixed_scan, run_variance_audit,
                                 wilson_interval)
-from eideal.graph_core import complement, induced_subgraph_mask
+from eideal.graph_core import (complement, graph_from_pairs,
+                               induced_subgraph, induced_subgraph_mask)
 from eideal.random_models import (_SPARSE_GNP_THRESHOLD, GnpDraw,
                                   ParamSchedule, draw_gnp, sample_gnp,
                                   schedule_p, substream_seed)
@@ -414,6 +415,8 @@ def test_dense_draw_verdicts_vs_oracle():
 
 
 def test_planted_peel_fault_is_caught(monkeypatch):
+    # Only is_cochordal reads the peel; is_4_cochordal counts induced
+    # 4-cycles on the listed pairs as drawn.
     two_core = experiments.two_core
 
     def peel_degree_two(us, vs):
@@ -431,6 +434,108 @@ def test_planted_peel_fault_is_caught(monkeypatch):
 
     monkeypatch.setattr(experiments, "two_core", peel_degree_two)
     assert _dense_draw_disagreements()
+
+
+def _triangles_for_c4s(k, us, vs):
+    triangles = chordality.induced_c4_and_triangles(k, us, vs)[1]
+    return triangles, triangles
+
+
+def _without_e_adj(monkeypatch):
+    # I4 = (S_all - 2 S_adj) / 2: diamonds are no longer taken out.
+    for name in ("_wedge_sums", "_matrix_sums"):
+        sums = getattr(chordality, name)
+        monkeypatch.setattr(chordality, name,
+                            lambda k, us, vs, sums=sums: (*sums(k, us, vs)[:2],
+                                                          0))
+
+
+@pytest.mark.parametrize("plant", [
+    lambda mp: mp.setattr(experiments, "induced_c4_and_triangles",
+                          _triangles_for_c4s),
+    _without_e_adj], ids=("triangles", "no_e_adj"))
+def test_planted_codegree_fault_is_caught(monkeypatch, plant):
+    plant(monkeypatch)
+    assert _dense_draw_disagreements()
+
+
+def _edges_draw(n, pairs):
+    ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return GnpDraw(n, ends[:, 0], ends[:, 1])
+
+
+def _plain_draws():
+    """(predicates, draw): seeded draws that list their edges, sparse-window
+    and low p at n = 24, 60 and 2000, plus an empty draw, a one-edge draw, a
+    two-edge matching and a 5-cycle (whose complement is a 5-cycle) at each
+    n.  The local predicates, which delete every closed neighbourhood of g,
+    join the list below 2000 vertices."""
+    cochordal = ("is_4_cochordal", "is_cochordal")
+    for n in (24, 60, 2000):
+        preds = cochordal if n == 2000 else MIXED_PREDICATES
+        schedules = [ParamSchedule.window_sparse(4.0),
+                     ParamSchedule.window_sparse(64.0),
+                     ParamSchedule.power(1.0, 1.5)]
+        if n < 2000:
+            # At n = 2000, p = 1/n leaves a complement of some 1000 live
+            # vertices, whose MCS takes seconds.
+            schedules.append(ParamSchedule.sparse(1.0))
+        for schedule in schedules:
+            p = schedule_p(schedule, n)
+            for t in range(4 if n == 2000 else 8):
+                yield preds, draw_gnp(n, p, substream_seed(37, n, p, t))
+        for pairs in ([], [(5, n - 1)], [(1, 3), (2, n - 2)],
+                      [(0, 1), (1, 2), (2, 3), (3, n - 1), (0, n - 1)]):
+            yield preds, _edges_draw(n, pairs)
+
+
+def test_plain_draw_verdicts_vs_oracle():
+    # Above 60 vertices the oracles run on the complement of g's induced
+    # subgraph on its live vertices and two isolated ones, which stay
+    # universal in the complement: the elimination oracle takes about 2 s
+    # on the complement of a 2000-vertex draw.
+    seen = set()
+    for preds, draw in _plain_draws():
+        assert not draw.complemented
+        g = draw.graph()
+        live = {*draw.us.tolist(), *draw.vs.tolist()}
+        if g.n > 60:
+            isolated = [v for v in range(g.n) if v not in live][:2]
+            g = induced_subgraph(g, [*live, *isolated])
+        h = complement(g)
+        by_name = {"is_cochordal": elimination_is_chordal(h),
+                   "is_4_cochordal": not pair_scan_has_induced_c4(h)}
+        expected = [by_name[name] if name in by_name
+                    else experiments.PREDICATES[name](g) for name in preds]
+        assert [experiments.PREDICATES[name](draw.graph())
+                for name in preds] == expected
+        assert _threshold_verdicts(draw, preds) == expected, (draw.n,
+                                                               len(live))
+        seen.add((by_name["is_cochordal"], by_name["is_4_cochordal"]))
+    assert seen == {(True, True), (False, False), (False, True)}
+
+
+def test_cochordal_verdicts_build_no_n_row_graph(monkeypatch):
+    def no_graph(draw):
+        raise AssertionError(f"rows built for a draw on {draw.n} vertices")
+
+    sizes = []
+
+    def recorded(k, us, vs):
+        sizes.append(k)
+        return graph_from_pairs(k, us, vs)
+
+    draws = [draw_gnp(n, schedule_p(schedule, n), substream_seed(41, n, t))
+             for n, schedule in ((2000, ParamSchedule.window_sparse(64.0)),
+                                 (400, ParamSchedule.window_dense(16.0)))
+             for t in range(5)]
+    monkeypatch.setattr(GnpDraw, "graph", no_graph)
+    monkeypatch.setattr(experiments, "graph_from_pairs", recorded)
+    for draw in draws:
+        _threshold_verdicts(draw, ("is_cochordal", "is_4_cochordal"))
+    assert sizes == [len({*draw.us.tolist(), *draw.vs.tolist()})
+                     for draw in draws if not draw.complemented]
+    assert len(sizes) == 5
 
 
 def test_report_csv_contract():

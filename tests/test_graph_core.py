@@ -206,6 +206,12 @@ def test_hex_dump_decodes_only_the_set_bits(monkeypatch):
         assert from_hex_dump(to_hex_dump(g)) == g
 
 
+@pytest.mark.parametrize("text", ["-1 0", "-3 1", "-2 0\n"])
+def test_hex_dump_rejects_a_negative_vertex_count(text):
+    with pytest.raises(ValueError, match="vertex count"):
+        from_hex_dump(text)
+
+
 def test_pair_endpoints_inverts_pair_index():
     for n in (2, 3, 10, 65):
         pairs = pair_list(n)
