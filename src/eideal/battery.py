@@ -313,15 +313,15 @@ def _sandwich_row(draw: GnpDraw) -> tuple:
     g = draw.graph()
     parts = connected_components(g)
     reg = reg_pd_componentwise(g, parts=parts)[0]
-    nu = induced_matching_number(g, parts=parts)
-    match = matching_number(g)
+    solved = {}
+    nu = induced_matching_number(g, parts=parts, memo=solved)
     # Censored components carry reg* somewhere in [nu, M]; accumulating
-    # those envelopes keeps both inequality checks conservative.
-    cens_lo = 0
-    cens_hi = 0
-    for comp in reg.censored:
-        cens_lo += induced_matching_number(comp)
-        cens_hi += matching_number(comp)
+    # those envelopes keeps both inequality checks conservative.  Their nu
+    # is read from the search's memo, their M from one matching of them all.
+    cens = sum(reg.censored)  # disjoint masks: the sum is the union
+    cens_lo = sum(solved[mask] for mask in reg.censored)
+    cens_hi = matching_number(g, cens)
+    match = matching_number(g, ~cens) + cens_hi
     return (reg.value, len(parts), len(parts.masks), nu, match, cens_lo,
             cens_hi, reg.censored_components)
 

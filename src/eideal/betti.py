@@ -38,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .comb_invariants import forest_fold, independence_number
-from .graph_core import Graph, bits, connected_components, walk_components
+from .graph_core import (Graph, bits, connected_components,
+                         induced_subgraph_mask, walk_components)
 
 DEFAULT_BETTI_GUARD = 18
 # The lattice scan's int64 submasks hold 63 vertices, whatever the guard.
@@ -512,11 +513,11 @@ def has_linear_presentation(g: Graph, field: str = "q",
 @dataclass(frozen=True)
 class ComponentwiseResult:
     """Sum of a per-component invariant with explicit censoring: the
-    components in `censored` add nothing to `value`."""
+    components whose vertex masks are in `censored` add nothing to `value`."""
 
     value: int
     total_components: int
-    censored: tuple[Graph, ...]
+    censored: tuple[int, ...]
 
     @property
     def censored_components(self) -> int:
@@ -533,20 +534,20 @@ def reg_pd_componentwise(g: Graph, field: str = "q",
     recorded in ``parts``, unrelabeled: reg* is the induced matching number
     and pd the vertex count minus the smallest maximal independent set (a
     forest is sequentially Cohen-Macaulay, so depth is 1 + the smallest
-    facet dimension of its independence complex).  Only the cyclic
-    components are relabeled: one on at most betti_guard vertices takes both
-    values from one exact Betti table; the rest are censored and add to
+    facet dimension of its independence complex).  A cyclic component on at
+    most betti_guard vertices is relabeled and takes both values from one
+    exact Betti table; the rest are censored, kept as masks, and add to
     neither sum."""
     if parts is None:
         parts = connected_components(g)
-    cyclic = [parts.subgraph(mask) for mask in parts.masks
-              if not mask & parts.trees]
     reg, mmis = forest_fold(parts.parent)
     pd = parts.trees.bit_count() - mmis
-    censored = tuple(comp for comp in cyclic if comp.n > betti_guard)
-    for comp in cyclic:
-        if comp.n <= betti_guard:
-            table = betti_table(comp, field, betti_guard)
+    cyclic = [mask for mask in parts.masks if not mask & parts.trees]
+    censored = tuple(mask for mask in cyclic if mask.bit_count() > betti_guard)
+    for mask in cyclic:
+        if mask.bit_count() <= betti_guard:
+            table = betti_table(induced_subgraph_mask(g, mask), field,
+                                betti_guard)
             reg += table.regularity_quotient()
             pd += table.projective_dimension()
     return (ComponentwiseResult(reg, len(parts), censored),

@@ -182,15 +182,22 @@ def is_4_cochordal(g: Graph) -> bool:
     return not has_induced_c4(_live_complement(g))
 
 
+def _locally(pred, g: Graph) -> bool:
+    """``pred`` holds after every closed-neighborhood deletion.  Deleting an
+    isolated vertex leaves g minus a vertex universal in the complement, with
+    g's own verdict, so g is judged once for all of them."""
+    live = [v for v, row in enumerate(g.adj) if row]
+    return ((len(live) == g.n or pred(g))
+            and all(pred(delete_closed_neighborhood(g, v)) for v in live))
+
+
 def is_locally_cochordal(g: Graph) -> bool:
     """Every closed-neighborhood deletion leaves a cochordal graph."""
-    return all(is_cochordal(delete_closed_neighborhood(g, v))
-               for v in range(g.n))
+    return _locally(is_cochordal, g)
 
 
 def is_locally_4_cochordal(g: Graph) -> bool:
-    return all(is_4_cochordal(delete_closed_neighborhood(g, v))
-               for v in range(g.n))
+    return _locally(is_4_cochordal, g)
 
 
 @dataclass(frozen=True)

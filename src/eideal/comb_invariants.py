@@ -16,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 
-from .graph_core import (Graph, bits, complement, connected_components,
-                         walk_components)
+from .graph_core import Graph, bits, connected_components, walk_components
 
 DEFAULT_MIS_BUDGET = 10 ** 7
 DEFAULT_NODE_BUDGET = 10 ** 7
@@ -101,7 +100,7 @@ def _core_vertex(adj, comp: int) -> int:
 
 
 def induced_matching_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET,
-                            parts=None) -> int:
+                            parts=None, memo=None) -> int:
     """Exact induced matching number, additive over components.
 
     Searched over ``walk_components`` records on g's own rows, ``parts``
@@ -109,13 +108,14 @@ def induced_matching_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET,
     forest, and each cyclic component branches on a 2-core vertex v of
     largest degree (v unmatched, or matched to a neighbor u, N[v] and N[u]
     removed), each branch walked again.  A cyclic component met again in
-    another branch is read from a memo keyed by its mask, so ``budget``
-    caps the branchings actually made.
+    another branch is read from a memo keyed by its mask (``memo``, if one
+    is passed), so ``budget`` caps the branchings actually made.
     """
     if parts is None:
         parts = connected_components(g)
-    return _induced_matching(g.adj, [budget], {}, parts.masks, parts.trees,
-                             parts.order, parts.parent)
+    return _induced_matching(g.adj, [budget], {} if memo is None else memo,
+                             parts.masks, parts.trees, parts.order,
+                             parts.parent)
 
 
 def _induced_matching(adj, budget, memo, masks, trees, order, parent) -> int:
@@ -212,15 +212,16 @@ def _augment(rows, mate, root: int) -> None:
                 queue.append(mate[u])
 
 
-def matching_number(g: Graph) -> int:
-    """Maximum matching size, exact on general graphs.
+def matching_number(g: Graph, w: int | None = None) -> int:
+    """Maximum matching size of G[w], for ``w`` a union of g's components
+    (all of g by default), exact on general graphs.
 
     Matching a degree-1 vertex to its only neighbor is always optimal
-    (Karp-Sipser), so leaves are peeled off the whole graph first; the
-    vertices left with edges are renumbered and ``max_matching`` (Edmonds'
-    blossom on bit rows) matches them.
+    (Karp-Sipser), so leaves are peeled off G[w] first; the vertices left
+    with edges are renumbered and ``max_matching`` (Edmonds' blossom on bit
+    rows) matches them.
     """
-    adj = list(g.adj)
+    adj = list(g.adj) if w is None else [row & w for row in g.adj]
     leaves = [v for v in range(g.n) if adj[v].bit_count() == 1]
     size = 0
     while leaves:
@@ -242,7 +243,8 @@ def matching_number(g: Graph) -> int:
 
 
 def independence_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> int:
-    """Maximum independent set size by branch and bound."""
+    """Maximum independent set size: the isolated vertices plus a branch
+    and bound on each component's mask, all within one ``budget`` of nodes."""
     nodes = 0
     best = 0
 
@@ -293,8 +295,13 @@ def independence_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> int:
         solve(active & ~(g.adj[v] | (1 << v)), size + 1)
         solve(active & ~(1 << v), size)
 
-    solve((1 << g.n) - 1, 0)
-    return best
+    masks = connected_components(g).masks
+    total = g.n - sum(mask.bit_count() for mask in masks)
+    for comp in masks:
+        best = 0
+        solve(comp, 0)
+        total += best
+    return total
 
 
 @dataclass(frozen=True)
@@ -306,11 +313,11 @@ class CoverProfile:
     unmixed: bool
 
 
-def maximal_independent_sets(g: Graph):
-    """Yield the maximal independent sets of g as vertex masks, by
-    Bron-Kerbosch with pivoting on the complement (cliques there are
-    independent sets here)."""
-    cadj = complement(g).adj
+def maximal_independent_sets(g: Graph, w: int):
+    """Yield the maximal independent sets of G[w] as vertex masks, by
+    Bron-Kerbosch with pivoting on the complement of G[w] (cliques there are
+    independent sets here), read off g's own rows."""
+    cadj = {v: w & ~(g.adj[v] | 1 << v) for v in bits(w)}
 
     def bk(r: int, p: int, x: int):
         if p == 0 and x == 0:
@@ -322,12 +329,12 @@ def maximal_independent_sets(g: Graph):
             p &= ~(1 << v)
             x |= 1 << v
 
-    return bk(0, (1 << g.n) - 1, 0)
+    return bk(0, w, 0)
 
 
 def cover_profile(g: Graph, budget: int = DEFAULT_MIS_BUDGET) -> CoverProfile:
-    """Cover extremes by enumerating maximal independent sets per component;
-    ``budget`` caps the number of sets enumerated over all components.
+    """Cover extremes by enumerating maximal independent sets on each
+    component's mask; ``budget`` caps the sets enumerated over them all.
 
     Isolated vertices sit in every maximal independent set and never in a
     minimal cover, so they contribute nothing; unmixedness of the whole graph
@@ -336,11 +343,11 @@ def cover_profile(g: Graph, budget: int = DEFAULT_MIS_BUDGET) -> CoverProfile:
     min_cover = 0
     max_minimal = 0
     unmixed = True
-    parts = connected_components(g)
-    for comp in map(parts.subgraph, parts.masks):
-        lo = comp.n + 1
+    for comp in connected_components(g).masks:
+        k = comp.bit_count()
+        lo = k + 1
         hi = -1
-        for s in maximal_independent_sets(comp):
+        for s in maximal_independent_sets(g, comp):
             budget -= 1
             if budget < 0:
                 raise BudgetExceededError(
@@ -348,8 +355,8 @@ def cover_profile(g: Graph, budget: int = DEFAULT_MIS_BUDGET) -> CoverProfile:
             size = s.bit_count()
             lo = min(lo, size)
             hi = max(hi, size)
-        min_cover += comp.n - hi
-        max_minimal += comp.n - lo
+        min_cover += k - hi
+        max_minimal += k - lo
         if lo != hi:
             unmixed = False
     return CoverProfile(min_cover, max_minimal, unmixed)

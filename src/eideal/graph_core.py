@@ -40,24 +40,17 @@ class Graph:
 
 @dataclass(frozen=True)
 class ComponentPartition:
-    """Connected components of ``graph`` by smallest vertex, from one
+    """Connected components of a graph by smallest vertex, from one
     ``walk_components``: ``masks`` of the components with an edge, ``count``
     (= ``len()``) of all, isolated vertices included, and the union ``trees``
     of the tree components' masks with their forest ``order``/``parent``.
-    ``subgraph`` relabels one component."""
+    Consumers read each component on the graph's own rows by its mask."""
 
-    graph: Graph = field(repr=False)
     masks: tuple[int, ...] = field(repr=False)
     count: int
     trees: int = field(repr=False)
     order: list[int] = field(repr=False)
     parent: list[int] = field(repr=False)
-
-    def subgraph(self, mask: int) -> Graph:
-        """The component on ``mask`` relabeled, or ``graph`` if it spans."""
-        if self.count == 1 and self.graph.n > 1:
-            return self.graph
-        return induced_subgraph_mask(self.graph, mask)
 
     def __len__(self) -> int:
         return self.count
@@ -188,7 +181,7 @@ def connected_components(g: Graph) -> ComponentPartition:
     non-isolated vertices; the isolated ones are counted, not built."""
     live = int(b"0" + bytes(map(bool, reversed(g.adj))).translate(_DIGITS), 2)
     masks, trees, order, parent = walk_components(g.adj, live)
-    return ComponentPartition(g, tuple(masks),
+    return ComponentPartition(tuple(masks),
                               g.n - live.bit_count() + len(masks),
                               trees, order, parent)
 

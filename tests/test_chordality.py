@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 from collections import Counter
 from functools import lru_cache
 
@@ -11,7 +13,8 @@ from eideal.chordality import (count_chordless_cycles, count_triangles,
                                is_cochordal, is_locally_4_cochordal,
                                is_locally_cochordal)
 from eideal.graph_core import (Graph, build_graph, complement, complete_graph,
-                               cycle_graph, disjoint_union, empty_graph,
+                               cycle_graph, delete_closed_neighborhood,
+                               disjoint_union, empty_graph,
                                enumerate_graphs, graph_from_edge_mask,
                                path_graph)
 from eideal.experiments import _cycle_row, _threshold_verdicts
@@ -429,6 +432,29 @@ def test_locally_cochordal():
     expected = not naive_is_chordal(rest_complement)
     assert expected is True
     assert not is_locally_cochordal(c8)
+
+
+def test_locally_cochordal_judges_isolated_vertices_once():
+    """Against the per-vertex definition on every graph on <= 5 vertices and
+    every 29th on 6, each padded by 0-2 isolated vertices (the whole 6-vertex
+    corpus takes about 19 s)."""
+    def graphs():
+        for n in range(6):
+            yield from enumerate_graphs(n)
+        yield from itertools.islice(enumerate_graphs(6), 0, None, 29)
+
+    for g in graphs():
+        for k in range(3):
+            h = disjoint_union(g, empty_graph(k))
+            for local, pred in ((is_locally_cochordal, is_cochordal),
+                                (is_locally_4_cochordal, is_4_cochordal)):
+                assert local(h) == all(
+                    pred(delete_closed_neighborhood(h, v))
+                    for v in range(h.n)), (h.adj, pred.__name__)
+    g = empty_graph(2000)
+    start = time.perf_counter()
+    assert is_locally_cochordal(g) and is_locally_4_cochordal(g)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_implication_chain_exhaustive_n5():

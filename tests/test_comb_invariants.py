@@ -12,7 +12,8 @@ from eideal.comb_invariants import (BudgetExceededError, cover_profile,
                                     forest_fold,
                                     independence_number,
                                     induced_matching_number, is_forest,
-                                    matching_number, max_matching,
+                                    matching_number,
+                                    maximal_independent_sets, max_matching,
                                     tree_induced_matching)
 from eideal.graph_core import (bits, build_graph, complete_graph,
                                connected_components, cycle_graph,
@@ -305,7 +306,7 @@ def _assert_forest_dp_in_place(g, found):
     forest's edges, and both folds give the relabeled trees' values."""
     trees, expected = _relabel_route(found)
     parts = connected_components(g)
-    cyclic = [parts.subgraph(mask) for mask in parts.masks
+    cyclic = [induced_subgraph_mask(g, mask) for mask in parts.masks
               if not mask & parts.trees]
     assert parts.trees == trees
     assert all(comp.edge_count >= comp.n for comp in cyclic)
@@ -412,23 +413,97 @@ def test_no_tree_component_is_relabeled(monkeypatch):
         g = disjoint_union(sample_gnp(400, 1.0 / 400, seed),
                            disjoint_union(cycle_graph(5), path_graph(4)))
         parts = connected_components(g)
-        cyclic = sum(comp.edge_count >= comp.n
-                     for comp in union_find_components(g)[3])
-        assert cyclic >= 1 and len(parts.masks) > cyclic
-        relabeled.clear()
-        reg, pd = reg_pd_componentwise(g, parts=parts)
-        assert reg.value > 0 and pd.value > 0
-        induced_matching_number(g)
-        # Each cyclic component once, by reg_pd_componentwise; the matching
-        # search relabels nothing, and no tree is ever relabeled.
-        assert len(relabeled) == cyclic
-        assert all(h.edge_count >= h.n for h in relabeled)
+        cyclic = [comp.n for comp in union_find_components(g)[3]
+                  if comp.edge_count >= comp.n]
+        assert cyclic and len(parts.masks) > len(cyclic)
+        # At guard 4 the 5-cycle is over the guard.
+        for guard in (18, 4):
+            relabeled.clear()
+            reg, pd = reg_pd_componentwise(g, betti_guard=guard, parts=parts)
+            assert reg.value > 0 and pd.value > 0
+            induced_matching_number(g)
+            # Each cyclic component within the guard once, by
+            # reg_pd_componentwise; a censored one stays a mask, the
+            # matching search relabels nothing, and no tree is relabeled.
+            within = sum(k <= guard for k in cyclic)
+            assert len(relabeled) == within
+            assert reg.censored_components == len(cyclic) - within
+            assert guard == 18 or reg.censored_components >= 1
+            assert all(h.edge_count >= h.n and h.n <= guard
+                       for h in relabeled)
     # The recorder does see a tree that is relabeled.
     relabeled.clear()
-    parts = connected_components(disjoint_union(path_graph(3),
-                                                empty_graph(1)))
-    parts.subgraph(parts.masks[0])
+    h = disjoint_union(path_graph(3), empty_graph(1))
+    induced_subgraph_mask(h, connected_components(h).masks[0])
     assert relabeled == [path_graph(3)]
+
+
+def test_sandwich_row_solves_each_component_once(monkeypatch):
+    import eideal.battery as battery
+    import eideal.comb_invariants as comb_invariants
+    import eideal.graph_core as graph_core
+    from eideal.random_models import draw_gnp
+
+    core_vertex = comb_invariants._core_vertex
+    blossom = comb_invariants.max_matching
+    matching = comb_invariants.matching_number
+    built = graph_core.induced_subgraph
+    cores, peels, blossom_rows, relabeled = [], [], [], []
+
+    def counted_core(adj, comp):
+        cores.append((len(adj), comp))
+        return core_vertex(adj, comp)
+
+    def counted_blossom(rows):
+        blossom_rows.append(len(rows))
+        return blossom(rows)
+
+    def counted_matching(g, w=None):
+        peels.append((g.n, w))
+        return matching(g, w)
+
+    def counted_relabel(g, vertices):
+        relabeled.append(built(g, vertices))
+        return relabeled[-1]
+
+    monkeypatch.setattr(comb_invariants, "_core_vertex", counted_core)
+    monkeypatch.setattr(comb_invariants, "max_matching", counted_blossom)
+    monkeypatch.setattr(battery, "matching_number", counted_matching)
+    monkeypatch.setattr(graph_core, "induced_subgraph", counted_relabel)
+    n = 2000
+    censored = 0
+    for seed in range(3):
+        draw = draw_gnp(n, 1.0 / n, seed)
+        g = draw.graph()
+        parts = connected_components(g)
+        reg = reg_pd_componentwise(g, parts=parts)[0]
+        cens = sum(reg.censored)
+        censored += reg.censored_components
+        # The row against the re-solve of each censored component relabeled.
+        expected = (sum(induced_matching_number(induced_subgraph_mask(g, m))
+                        for m in reg.censored),
+                    sum(matching_number(induced_subgraph_mask(g, m))
+                        for m in reg.censored))
+        assert matching_number(g, cens) == expected[1]
+        assert matching_number(g, ~cens) + matching_number(g, cens) == (
+            matching_number(g))
+        for log in (cores, peels, blossom_rows, relabeled):
+            log.clear()
+        row = battery._sandwich_row(draw)
+        assert row[5:7] == expected
+        assert row[4] == matching_number(g)
+        # Every search branching on g's own rows, each mask once; one peel
+        # over the censored union and one over the rest, each core vertex
+        # matched by one blossom; only components within the guard relabeled.
+        assert all(k == n for k, _ in cores)
+        assert len({comp for _, comp in cores}) == len(cores)
+        assert set(reg.censored) <= {comp for _, comp in cores}
+        assert peels == [(n, cens), (n, ~cens)]
+        assert sum(blossom_rows) <= sum(row != 0 for row in g.adj)
+        assert all(h.n <= 18 for h in relabeled)
+        assert len(relabeled) == sum(
+            not m & parts.trees and m.bit_count() <= 18 for m in parts.masks)
+    assert censored >= 2
 
 
 def test_forest_wrappers_reject_cycles():
@@ -565,6 +640,46 @@ def test_independence_number_random_vs_oracle():
     for trial in range(50):
         g = sample_gnp(9, 0.2 + 0.08 * (trial % 7), seed=12 + trial)
         assert independence_number(g) == naive_independence_number(g)
+
+
+def _subset_dp_independence_number(g):
+    """Independence number by one DP over every vertex subset of g."""
+    alpha = [0] * (1 << g.n)
+    for s in range(1, 1 << g.n):
+        v = (s & -s).bit_length() - 1
+        alpha[s] = max(alpha[s & ~(1 << v)],
+                       1 + alpha[s & ~(g.adj[v] | 1 << v)])
+    return alpha[-1]
+
+
+def test_independence_number_searches_each_component():
+    for g, _ in small_matching_numbers():
+        assert independence_number(g) == _subset_dp_independence_number(g)
+    # A whole-graph search of this draw tripped a budget of 10^6 nodes.
+    g = sample_gnp(500, 1 / 500, 3)
+    assert independence_number(g, budget=10 ** 4) == (
+        g.n - cover_profile(g).min_cover) == 360
+    # The budget is shared: 3 nodes solve one 5-cycle, not ten.
+    c5 = cycle_graph(5)
+    tens = c5
+    for _ in range(9):
+        tens = disjoint_union(tens, c5)
+    assert independence_number(c5, budget=3) == 2
+    assert independence_number(tens, budget=30) == 20
+    with pytest.raises(BudgetExceededError):
+        independence_number(tens, budget=3)
+
+
+def test_maximal_independent_sets_on_a_mask():
+    rng = random.Random(31)
+    for trial in range(80):
+        g = sample_gnp(8, 0.1 + 0.1 * (trial % 8), seed=3100 + trial)
+        w = rng.getrandbits(8)
+        kept = list(bits(w))
+        expected = sorted(sum(1 << kept[i] for i in bits(s)) for s in
+                          naive_maximal_independent_sets(
+                              induced_subgraph_mask(g, w)))
+        assert sorted(maximal_independent_sets(g, w)) == expected
 
 
 def test_cover_profile_named_cases():
