@@ -40,21 +40,8 @@ class CriterionResult:
         return f"[{tag}] {self.name}: {self.summary}"
 
 
-def _timed(fn):
-    def wrapper(*args, **kwargs) -> CriterionResult:
-        t0 = time.perf_counter()
-        result = fn(*args, **kwargs)
-        result.seconds = time.perf_counter() - t0
-        return result
-
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
-    return wrapper
-
-
 # -- 1 ----------------------------------------------------------------------
 
-@_timed
 def criterion_froberg_exhaustive(seed: int = DEFAULT_SEED,
                                  workers: int = 1) -> CriterionResult:
     """Linear resolution <=> cochordal and linear presentation <=>
@@ -76,7 +63,6 @@ def criterion_froberg_exhaustive(seed: int = DEFAULT_SEED,
 
 # -- 2 ----------------------------------------------------------------------
 
-@_timed
 def criterion_c5_example(seed: int = DEFAULT_SEED,
                          workers: int = 1) -> CriterionResult:
     """Exact table and derived invariants of the 5-cycle."""
@@ -107,7 +93,6 @@ def _forest_reg_mismatch(seed: int, t: int) -> bool:
     return reg_ideal != tree_induced_matching(f) + 1
 
 
-@_timed
 def criterion_forest_regularity(seed: int = DEFAULT_SEED,
                                 workers: int = 1) -> CriterionResult:
     """reg(I) = nu + 1 on 500 random forests with at most 14 vertices,
@@ -122,7 +107,6 @@ def criterion_forest_regularity(seed: int = DEFAULT_SEED,
 
 # -- 4 ----------------------------------------------------------------------
 
-@_timed
 def criterion_lipschitz(seed: int = DEFAULT_SEED,
                         workers: int = 1) -> CriterionResult:
     """Vertex-deletion bounds and component additivity, zero violations."""
@@ -142,7 +126,6 @@ def criterion_lipschitz(seed: int = DEFAULT_SEED,
 
 # -- 5 ----------------------------------------------------------------------
 
-@_timed
 def criterion_dense_window(seed: int = DEFAULT_SEED,
                            workers: int = 1) -> CriterionResult:
     """Dense critical window at n=400, 1e4 trials: presentation probability
@@ -179,7 +162,6 @@ def criterion_dense_window(seed: int = DEFAULT_SEED,
 
 # -- 6 ----------------------------------------------------------------------
 
-@_timed
 def criterion_sparse_window(seed: int = DEFAULT_SEED,
                             workers: int = 1) -> CriterionResult:
     """Sparse critical window at rate 4, n=2000, 1e4 trials: both predicate
@@ -204,7 +186,6 @@ def criterion_sparse_window(seed: int = DEFAULT_SEED,
 
 # -- 7 ----------------------------------------------------------------------
 
-@_timed
 def criterion_endpoints(seed: int = DEFAULT_SEED,
                         workers: int = 1) -> CriterionResult:
     """Double phase transition endpoints at n=500 over 1e3 trials."""
@@ -230,7 +211,6 @@ def criterion_endpoints(seed: int = DEFAULT_SEED,
 
 # -- 8 ----------------------------------------------------------------------
 
-@_timed
 def criterion_cycle_calibration(seed: int = DEFAULT_SEED,
                                 workers: int = 1) -> CriterionResult:
     """Chordless 4-cycle means within 4 sigma of the closed form at
@@ -276,7 +256,6 @@ def criterion_cycle_calibration(seed: int = DEFAULT_SEED,
 
 # -- 9 ----------------------------------------------------------------------
 
-@_timed
 def criterion_gw_limit(seed: int = DEFAULT_SEED,
                        workers: int = 1) -> CriterionResult:
     """Graph-side means at rate 0.5, n=2000 (200 trials) against tree-side
@@ -326,7 +305,6 @@ def _sandwich_row(draw: GnpDraw) -> tuple:
             cens_hi, reg.censored_components)
 
 
-@_timed
 def criterion_sandwich(seed: int = DEFAULT_SEED,
                        workers: int = 1) -> CriterionResult:
     """Growth-rate sandwich at rate 1, n=2000, 200 trials: component-count
@@ -363,7 +341,6 @@ def criterion_sandwich(seed: int = DEFAULT_SEED,
 
 # -- 11 ---------------------------------------------------------------------
 
-@_timed
 def criterion_unmixed_regimes(seed: int = DEFAULT_SEED,
                               workers: int = 1) -> CriterionResult:
     """The five unmixedness regimes at their desk-scale gates."""
@@ -393,7 +370,6 @@ def criterion_unmixed_regimes(seed: int = DEFAULT_SEED,
 
 # -- 12 ---------------------------------------------------------------------
 
-@_timed
 def criterion_variance(seed: int = DEFAULT_SEED,
                        workers: int = 1) -> CriterionResult:
     """Var(reg*)/n <= 8 at rate 1 for n in {100, 200, 400}, 500 trials."""
@@ -410,7 +386,6 @@ def criterion_variance(seed: int = DEFAULT_SEED,
 
 # -- 13 ---------------------------------------------------------------------
 
-@_timed
 def criterion_poisson_triangles(seed: int = DEFAULT_SEED,
                                 workers: int = 1) -> CriterionResult:
     """Triangle-count distribution at rate 1, n=500, 1e4 trials within total
@@ -430,7 +405,6 @@ def criterion_poisson_triangles(seed: int = DEFAULT_SEED,
 
 # -- 14 ---------------------------------------------------------------------
 
-@_timed
 def criterion_determinism(seed: int = DEFAULT_SEED,
                           workers: int = 1) -> CriterionResult:
     """Replaying an experiment must give byte-identical reports at any
@@ -473,19 +447,19 @@ CRITERIA = [
 def run_battery(seed: int = DEFAULT_SEED, workers: int = 1,
                 full: bool = False, echo=print) -> list[CriterionResult]:
     """Run every acceptance criterion, printing one PASS/FAIL line each."""
-    results = []
-    for criterion in CRITERIA:
-        result = criterion(seed=seed, workers=workers)
-        results.append(result)
-        echo(result.line())
+    runs = [partial(c, seed=seed, workers=workers) for c in CRITERIA]
     if full:
-        result = _full_field_sweep(workers)
+        runs.append(partial(_full_field_sweep, workers))
+    results = []
+    for run in runs:
+        t0 = time.perf_counter()
+        result = run()
+        result.seconds = time.perf_counter() - t0
         results.append(result)
         echo(result.line())
     return results
 
 
-@_timed
 def _full_field_sweep(workers: int) -> CriterionResult:
     """Optional deep check: tables over the rationals and GF(2) agree on an
     extended corpus (exhaustive through 6 vertices, heavy random at 7)."""

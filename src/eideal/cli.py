@@ -246,45 +246,30 @@ def cmd_battery(args) -> int:
     return EXIT_OK if not failed else 1
 
 
-_THEORY_FORMULAS = ("lr_sparse", "lp_dense", "lr_dense", "karp_sipser",
-                    "expected_cycles", "local_cycles", "mcdiarmid",
-                    "near_lipschitz")
+# formula -> (function, the flags it reads in argument order).
+_THEORY = {
+    "lr_sparse": (prob_lr_sparse_window, ("lambda",)),
+    "lp_dense": (prob_lp_dense_window, ("lambda",)),
+    "lr_dense": (prob_lr_dense_window, ("lambda", "tol")),
+    "karp_sipser": (karp_sipser_upper, ("lambda",)),
+    "expected_cycles": (expected_chordless_cycles, ("m", "q", "k")),
+    "local_cycles": (expected_local_cycles, ("n", "p", "k")),
+    "mcdiarmid": (mcdiarmid_tail, ("n", "lip", "t")),
+    "near_lipschitz": (near_lipschitz_tail, ("n", "lambda", "lip", "t")),
+}
 
 
 def cmd_theory(args) -> int:
-    def need(name, value):
+    fn, flags = _THEORY[args.formula]
+    values = [getattr(args, "lam" if f == "lambda" else f) for f in flags]
+    for flag, value in zip(flags, values):
         if value is None:
-            raise ConfigError(f"formula {args.formula!r} needs --{name}")
-        return value
-
+            return _fail(f"formula {args.formula!r} needs --{flag}")
     try:
-        if args.formula == "lr_sparse":
-            value = prob_lr_sparse_window(need("lambda", args.lam))
-        elif args.formula == "lp_dense":
-            value = prob_lp_dense_window(need("lambda", args.lam))
-        elif args.formula == "lr_dense":
-            value = prob_lr_dense_window(need("lambda", args.lam), args.tol)
-        elif args.formula == "karp_sipser":
-            lam = need("lambda", args.lam)
-            value = karp_sipser_upper(lam)
-            print(f"t_star = {karp_sipser_root(lam):.12f}")
-        elif args.formula == "expected_cycles":
-            value = expected_chordless_cycles(need("m", args.m),
-                                              need("q", args.q),
-                                              need("k", args.k))
-        elif args.formula == "local_cycles":
-            value = expected_local_cycles(need("n", args.n),
-                                          need("p", args.p),
-                                          need("k", args.k))
-        elif args.formula == "mcdiarmid":
-            value = mcdiarmid_tail(need("n", args.n), need("lip", args.lip),
-                                   need("t", args.t))
-        else:
-            value = near_lipschitz_tail(need("n", args.n),
-                                        need("lambda", args.lam),
-                                        need("lip", args.lip),
-                                        need("t", args.t))
-    except (ConfigError, ValueError) as exc:
+        value = fn(*values)
+        if args.formula == "karp_sipser":
+            print(f"t_star = {karp_sipser_root(values[0]):.12f}")
+    except ValueError as exc:
         return _fail(str(exc))
     if not isinstance(value, TheoryValue):
         print(f"value = {value:.12g}")
@@ -358,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_battery)
 
     p = sub.add_parser("theory", help="evaluate a closed-form value")
-    p.add_argument("--formula", choices=_THEORY_FORMULAS, required=True)
+    p.add_argument("--formula", choices=tuple(_THEORY), required=True)
     p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--m", type=int)

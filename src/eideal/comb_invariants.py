@@ -273,25 +273,27 @@ def independence_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> int:
         if nodes > budget:
             raise BudgetExceededError(
                 f"independence search exceeded {budget} nodes")
-        if size > best:
-            best = size
-        if active == 0:
+        # A vertex of degree <= 1 lies in some maximum independent set:
+        # take it, drop its neighbour, and repeat while degrees fall to 1.
+        degs = {v: (g.adj[v] & active).bit_count() for v in bits(active)}
+        low = [v for v, d in degs.items() if d <= 1]
+        while low:
+            v = low.pop()
+            if not active >> v & 1:
+                continue
+            drop = g.adj[v] & active | 1 << v
+            active &= ~drop
+            size += 1
+            for u in bits(drop):
+                del degs[u]
+                for w in bits(g.adj[u] & active):
+                    degs[w] -= 1
+                    if degs[w] == 1:
+                        low.append(w)
+        best = max(best, size)
+        if active == 0 or size + greedy_color_bound(active) <= best:
             return
-        if size + greedy_color_bound(active) <= best:
-            return
-        degs = [(v, (g.adj[v] & active).bit_count()) for v in bits(active)]
-        v, d = max(degs, key=lambda t: t[1])
-        if d <= 1:
-            # Peeling low-degree vertices greedily is exact.
-            taken = 0
-            rest = active
-            while rest:
-                u = (rest & -rest).bit_length() - 1
-                rest &= ~(g.adj[u] | (1 << u))
-                taken += 1
-            if size + taken > best:
-                best = size + taken
-            return
+        v = max(degs, key=degs.__getitem__)
         solve(active & ~(g.adj[v] | (1 << v)), size + 1)
         solve(active & ~(1 << v), size)
 

@@ -39,6 +39,11 @@ EXPERIMENT_KINDS = ("threshold", "gw_limit", "unmixed_scan",
 SAMPLED_KINDS = ("threshold", "gw_limit", "unmixed_scan", "cycle_calibration",
                  "variance_audit")
 
+# Fields only one kind reads: the others neither write nor accept them.
+KIND_FIELDS = {"cycle_calibration": ("k_max", "poisson_k3"),
+               "gw_limit": ("gw_cap", "gw_trials"),
+               "froberg_audit": ("exhaustive_n", "random_audit")}
+
 PREDICATES = {
     "is_cochordal": is_cochordal,
     "is_4_cochordal": is_4_cochordal,
@@ -92,14 +97,9 @@ class ExperimentConfig:
             obj["schedule"] = self.schedule.to_json()
         if self.predicates:
             obj["predicates"] = list(self.predicates)
-        if self.kind == "cycle_calibration":
-            obj["k_max"] = self.k_max
-            obj["poisson_k3"] = self.poisson_k3
-        if self.kind == "gw_limit":
-            obj["gw_cap"] = self.gw_cap
-            obj["gw_trials"] = self.gw_trials
-        if self.kind == "froberg_audit":
-            obj["exhaustive_n"] = self.exhaustive_n
+        for key in KIND_FIELDS.get(self.kind, ()):
+            obj[key] = getattr(self, key)
+        if "random_audit" in obj:
             obj["random_audit"] = [list(x) for x in self.random_audit]
         obj["betti_guard"] = self.betti_guard
         obj["mis_budget"] = self.mis_budget
@@ -113,18 +113,16 @@ class ExperimentConfig:
         if kind not in EXPERIMENT_KINDS:
             raise ConfigError(
                 f"kind: got {kind!r}, expected one of {EXPERIMENT_KINDS}")
-        unknown = sorted(obj.keys() - _CONFIG_KEYS)
+        allowed = _CONFIG_KEYS.difference(
+            *(keys for other, keys in KIND_FIELDS.items() if other != kind))
+        unknown = sorted(obj.keys() - allowed)
         if unknown:
-            raise ConfigError(f"{unknown[0]}: unknown key, expected one of "
-                              f"{sorted(_CONFIG_KEYS)}")
+            raise ConfigError(f"{unknown[0]}: unknown key for kind {kind!r}, "
+                              f"expected one of {sorted(allowed)}")
         try:
             kwargs: dict = {"kind": kind, "seed": check_seed(obj.get("seed"))}
         except ValueError as exc:
             raise ConfigError(f"seed: {exc}") from None
-        if "trials" in obj:
-            if type(obj["trials"]) is not int or obj["trials"] < 1:
-                raise ConfigError("trials: must be an integer >= 1")
-            kwargs["trials"] = obj["trials"]
         if "n_list" in obj:
             nl = obj["n_list"]
             if (not isinstance(nl, list) or not nl
@@ -148,7 +146,7 @@ class ExperimentConfig:
                         f"predicates: unknown {p!r}, expected "
                         f"{sorted(PREDICATES)}")
             kwargs["predicates"] = tuple(preds)
-        for key in ("k_max", "betti_guard", "mis_budget", "gw_cap",
+        for key in ("trials", "k_max", "betti_guard", "mis_budget", "gw_cap",
                     "gw_trials", "exhaustive_n"):
             if key in obj:
                 if type(obj[key]) is not int or obj[key] < 1:

@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
+from eideal import asymptotics as asy
 from eideal import cli
 from eideal.experiments import ExperimentReport
 from eideal.graph_core import cycle_graph, to_edge_list_text
@@ -192,6 +194,64 @@ def test_theory_missing_param(capsys):
     assert run_cli(["theory", "--formula", "lr_sparse"]) == 2
 
 
+# formula -> (its flags in argument order with a value each, the library's
+# value by keyword).  The values differ, so swapped flags change the answer.
+THEORY_CASES = {
+    "lr_sparse": ({"lambda": 4.0},
+                  lambda: asy.prob_lr_sparse_window(lam=4.0)),
+    "lp_dense": ({"lambda": 2.0}, lambda: asy.prob_lp_dense_window(lam=2.0)),
+    "lr_dense": ({"lambda": 0.5, "tol": 1e-6},
+                 lambda: asy.prob_lr_dense_window(lam=0.5, tol=1e-6)),
+    "karp_sipser": ({"lambda": 1.5}, lambda: asy.karp_sipser_upper(lam=1.5)),
+    "expected_cycles": ({"m": 7, "q": 0.3, "k": 5},
+                        lambda: asy.expected_chordless_cycles(m=7, q=0.3,
+                                                              k=5)),
+    "local_cycles": ({"n": 30, "p": 0.5, "k": 6},
+                     lambda: asy.expected_local_cycles(n=30, p=0.5, k=6)),
+    "mcdiarmid": ({"n": 100, "lip": 2, "t": 40.0},
+                  lambda: asy.mcdiarmid_tail(n=100, m_lip=2, t=40.0)),
+    "near_lipschitz": ({"n": 100, "lambda": 1.5, "lip": 6, "t": 40.0},
+                       lambda: asy.near_lipschitz_tail(n=100, lam=1.5,
+                                                       m_lip=6, t=40.0)),
+}
+
+
+def _theory_argv(formula, flags):
+    argv = ["theory", "--formula", formula]
+    for flag, value in flags.items():
+        argv += [f"--{flag}", str(value)]
+    return argv
+
+
+@pytest.mark.parametrize("formula", sorted(THEORY_CASES))
+def test_every_theory_formula_prints_the_library_value(formula, capsys):
+    flags, library = THEORY_CASES[formula]
+    value = library()
+    if isinstance(value, asy.TheoryValue):
+        lines = [f"value = {value.value:.12f}"]
+        if value.truncation_error:
+            lines.append(f"truncation_error <= {value.truncation_error:.3g}")
+    else:
+        lines = [f"value = {value:.12g}"]
+    if formula == "karp_sipser":
+        lines.insert(0, f"t_star = {asy.karp_sipser_root(1.5):.12f}")
+    assert run_cli(_theory_argv(formula, flags)) == 0
+    assert capsys.readouterr() == ("\n".join(lines) + "\n", "")
+
+
+@pytest.mark.parametrize("formula", sorted(THEORY_CASES))
+def test_theory_names_the_first_missing_flag(formula, capsys):
+    flags, _ = THEORY_CASES[formula]
+    order = [flag for flag in flags if flag != "tol"]  # tol has a default
+    for i, flag in enumerate(order):
+        message = f"error: formula {formula!r} needs --{flag}\n"
+        without_one = {f: v for f, v in flags.items() if f != flag}
+        without_rest = {f: v for f, v in flags.items() if f not in order[i:]}
+        for kept in (without_one, without_rest):
+            assert run_cli(_theory_argv(formula, kept)) == 2
+            assert capsys.readouterr() == ("", message)
+
+
 def test_experiment_end_to_end(tmp_path, capsys):
     config = {"kind": "threshold", "seed": 13, "trials": 30, "n_list": [10],
               "schedule": {"kind": "constant", "p": 1.0},
@@ -271,6 +331,34 @@ def test_battery_failure_exit(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "run_battery", fake_battery)
     assert run_cli(["battery", "--outdir", str(tmp_path / "x")]) == 1
+
+
+def test_run_battery_times_every_criterion(monkeypatch):
+    from eideal import battery
+
+    calls = []
+
+    def stub(name):
+        def criterion(*args, **kwargs):
+            calls.append((name, args, kwargs))
+            time.sleep(0.002)
+            return battery.CriterionResult(name, True, "ok")
+        return criterion
+
+    monkeypatch.setattr(battery, "CRITERIA", [stub("a"), stub("b")])
+    monkeypatch.setattr(battery, "_full_field_sweep", stub("sweep"))
+    for full in (False, True):
+        calls.clear()
+        lines = []
+        results = battery.run_battery(seed=5, workers=3, full=full,
+                                      echo=lines.append)
+        names = ["a", "b", "sweep"] if full else ["a", "b"]
+        assert [r.name for r in results] == names
+        assert all(r.seconds >= 0.002 for r in results)
+        assert lines == [r.line() for r in results]
+        assert calls[:2] == [("a", (), {"seed": 5, "workers": 3}),
+                             ("b", (), {"seed": 5, "workers": 3})]
+        assert calls[2:] == ([("sweep", (3,), {})] if full else [])
 
 
 def test_console_entry_point():

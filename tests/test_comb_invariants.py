@@ -659,6 +659,14 @@ def test_independence_number_searches_each_component():
     g = sample_gnp(500, 1 / 500, 3)
     assert independence_number(g, budget=10 ** 4) == (
         g.n - cover_profile(g).min_cover) == 360
+    # Branching on this draw's giant component tripped a budget of 10^5
+    # nodes after about 50 s; taking the degree <= 1 vertices first leaves
+    # little to branch on.  A maximum matching leaves n - 2 nu vertices
+    # unmatched, and they are independent; each matched edge holds at most
+    # one vertex of an independent set, so alpha <= n - nu.
+    g = sample_gnp(2000, 1.5 / 2000, 9004)
+    nu = matching_number(g)
+    assert g.n - 2 * nu <= independence_number(g, budget=10 ** 3) <= g.n - nu
     # The budget is shared: 3 nodes solve one 5-cycle, not ten.
     c5 = cycle_graph(5)
     tens = c5

@@ -122,6 +122,21 @@ def test_unknown_config_keys_are_rejected():
                      {"kind": "sparse", "lambda": 1.0, "alpha": 2.0}):
         with pytest.raises(ConfigError, match="^schedule: .*'(lambda|alpha)'"):
             ExperimentConfig.from_json({**base, "schedule": schedule})
+    # These three used to load, and to_json dropped them without a word.
+    for key, value in (("k_max", 9), ("gw_cap", 3), ("exhaustive_n", 2)):
+        with pytest.raises(ConfigError, match=f"^{key}: unknown key for "
+                           f"kind 'threshold', expected one of"):
+            ExperimentConfig.from_json({**base, key: value})
+    for kind, keys in experiments.KIND_FIELDS.items():
+        for other in set(experiments.EXPERIMENT_KINDS) - {kind}:
+            for key in keys:
+                with pytest.raises(ConfigError, match=f"^{key}: "):
+                    ExperimentConfig.from_json(
+                        {"kind": other, "seed": 1, key: 4})
+    # Keys that to_json writes for every kind load on any kind.
+    cfg = ExperimentConfig.from_json({**base, "betti_guard": 9,
+                                      "mis_budget": 50})
+    assert set(cfg.to_json()) == {*base, "betti_guard", "mis_budget"}
 
 
 def test_every_written_config_loads_again():
@@ -172,12 +187,23 @@ _INT_FIELDS = {"seed": True, "trials": True, "n_list": [True],
                "random_audit": [[True, 5]]}
 
 
+# Each field sits in a config of a kind that reads it.
+_INT_BASES = [
+    {"kind": "froberg_audit", "seed": 1, "trials": 2, "n_list": [7],
+     "betti_guard": 10, "mis_budget": 100, "exhaustive_n": 4,
+     "random_audit": [[7, 5]]},
+    {"kind": "cycle_calibration", "seed": 1, "trials": 2, "n_list": [7],
+     "schedule": {"kind": "constant", "p": 0.5}, "k_max": 4},
+    {"kind": "gw_limit", "seed": 1, "trials": 2, "n_list": [7],
+     "schedule": {"kind": "sparse", "lambda": 0.5}, "gw_cap": 10,
+     "gw_trials": 3},
+]
+
+
 @pytest.mark.parametrize("field", sorted(_INT_FIELDS))
 def test_json_booleans_are_not_integers(field):
-    base = {"kind": "froberg_audit", "seed": 1, "trials": 2, "n_list": [7],
-            "k_max": 4, "betti_guard": 10, "mis_budget": 100, "gw_cap": 10,
-            "gw_trials": 3, "exhaustive_n": 4, "random_audit": [[7, 5]]}
-    assert ExperimentConfig.from_json(base).random_audit == ((7, 5),)
+    base = next(base for base in _INT_BASES if field in base)
+    assert ExperimentConfig.from_json(base).to_json()[field] == base[field]
     with pytest.raises(ConfigError, match=f"^{field}: "):
         ExperimentConfig.from_json({**base, field: _INT_FIELDS[field]})
 
@@ -189,10 +215,11 @@ def test_negative_lambda_is_a_config_error(kind, schedule):
     # Each used to pass validation and crash in the run: a complex p, a
     # math domain error, a ValueError from the tree sampler.
     obj = {"kind": kind, "seed": 1, "trials": 2, "n_list": [20],
-           "schedule": {"kind": schedule, "lambda": -1.0},
-           "gw_trials": 3, "gw_cap": 10}
+           "schedule": {"kind": schedule, "lambda": -1.0}}
     if kind == "threshold":
         obj["predicates"] = ["is_cochordal"]
+    else:
+        obj.update(gw_trials=3, gw_cap=10)
     with pytest.raises(ConfigError, match="schedule: .*'lambda' >= 0"):
         ExperimentConfig.from_json(obj)
     obj["schedule"]["lambda"] = 0.0
