@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 
 from .comb_invariants import forest_fold
-from .random_models import sample_gw_tree, substream_seed
+from .random_models import grow_gw_tree, rngs_for, substream_seed
 
 
 @dataclass(frozen=True)
@@ -22,7 +22,7 @@ class TheoryValue:
 def prob_lr_sparse_window(lam: float) -> TheoryValue:
     """Limit probability of linear resolution (and presentation) in the
     sparse critical window: exp(-sqrt(lam)/2) * (1 + sqrt(lam)/2)."""
-    if lam < 0:
+    if not lam >= 0:  # NaN fails this too
         raise ValueError("lam must be >= 0")
     r = math.sqrt(lam) / 2.0
     return TheoryValue(math.exp(-r) * (1.0 + r), 0.0, "lr_sparse_window")
@@ -31,7 +31,7 @@ def prob_lr_sparse_window(lam: float) -> TheoryValue:
 def prob_lp_dense_window(lam: float) -> TheoryValue:
     """Limit probability of linear presentation in the dense critical
     window: exp(-lam/8)."""
-    if lam < 0:
+    if not lam >= 0:  # NaN fails this too
         raise ValueError("lam must be >= 0")
     return TheoryValue(math.exp(-lam / 8.0), 0.0, "lp_dense_window")
 
@@ -44,9 +44,9 @@ def prob_lr_dense_window(lam: float, tol: float = 1e-12) -> TheoryValue:
     stops once the certified remainder drops below tol.  For lam >= 1 the
     exponent diverges and the limit is exactly 0.
     """
-    if lam < 0:
+    if not lam >= 0:  # NaN fails this too
         raise ValueError("lam must be >= 0")
-    if tol <= 0:
+    if not tol > 0:  # a NaN tol would never stop the series
         raise ValueError("tol must be > 0")
     if lam == 0:
         return TheoryValue(1.0, 0.0, "lr_dense_window")
@@ -90,8 +90,10 @@ _KS_BISECT_TOL = 1e-12
 def karp_sipser_root(lam: float) -> float:
     """Smallest root in [0,1] of t = exp(-lam * exp(-lam * t)): first sign
     change on a 1e-3 grid, then bisection to 1e-12."""
-    if lam <= 0:
+    if not lam > 0:  # NaN fails this too
         raise ValueError("lam must be > 0")
+    if lam == math.inf:
+        raise ValueError("lam must be finite")
 
     def f(t: float) -> float:
         return t - math.exp(-lam * math.exp(-lam * t))
@@ -177,8 +179,12 @@ def gw_limit_estimate(lam: float, trials: int, cap: int,
     total_sq = dict.fromkeys(GW_INVARIANTS, 0.0)
     used = 0
     censored = 0
-    for t in range(trials):
-        s = sample_gw_tree(lam, cap, substream_seed(seed, "gw", t))
+    # Tree t is sample_gw_tree(lam, cap, substream_seed(seed, "gw", t)):
+    # rng_for hashes its seed once more, and rngs_for seeds it in bulk.
+    tree_seeds = (substream_seed(substream_seed(seed, "gw", t))
+                  for t in range(trials))
+    for rng in rngs_for(tree_seeds):
+        s = grow_gw_tree(lam, cap, rng)
         if s.censored:
             censored += 1
             continue

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -289,6 +290,18 @@ def _field_tag(text: str) -> str:
     return text
 
 
+def _finite(text: str) -> float:
+    """argparse type for the float flags: a number other than nan and inf."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"a finite number is required, "
+                                         f"got {text!r}")
+    return value
+
+
 def _seed(text: str) -> int:
     """argparse type for --seed: an integer that substream_seed can hash."""
     try:
@@ -307,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="sample a random graph or random tree")
     p.add_argument("--model", choices=("gnp", "gw"), required=True)
     p.add_argument("--n", type=int)
-    p.add_argument("--p", type=float)
-    p.add_argument("--lambda", dest="lam", type=float)
+    p.add_argument("--p", type=_finite)
+    p.add_argument("--lambda", dest="lam", type=_finite)
     p.add_argument("--cap", type=int, default=10 ** 5)
     p.add_argument("--seed", type=_seed)
     p.add_argument("--out")
@@ -344,14 +357,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theory", help="evaluate a closed-form value")
     p.add_argument("--formula", choices=tuple(_THEORY), required=True)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--lambda", dest="lam", type=_finite)
+    p.add_argument("--tol", type=_finite, default=1e-12)
     p.add_argument("--m", type=int)
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
-    p.add_argument("--q", type=float)
-    p.add_argument("--p", type=float)
-    p.add_argument("--t", type=float)
+    p.add_argument("--q", type=_finite)
+    p.add_argument("--p", type=_finite)
+    p.add_argument("--t", type=_finite)
     p.add_argument("--lip", type=int)
     p.set_defaults(func=cmd_theory)
     return parser

@@ -3,11 +3,19 @@
 Every sampler is a pure function of (parameters, seed): substream seeds are
 derived by hashing, so parallel trials are order-independent and replays are
 bit-identical on every platform.
+
+A seed's stream is ``np.random.PCG64(substream_seed(*parts))``, which
+``rng_for`` builds with numpy's own constructor.  Loops over many short
+streams (the Galton-Watson trees of ``gw_limit_estimate``) take them from
+``rngs_for`` instead: one reused Generator whose PCG64 is put, seed by seed,
+in the exact state that constructor starts from, derived for a block of
+seeds at once.  The streams are the same; a test pins the states.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -156,6 +164,104 @@ def rng_for(*parts) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(substream_seed(*parts)))
 
 
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx), its pool
+# of 4 words, and the 128-bit LCG multiplier of PCG64 (pcg64.h).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_POOL = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+# Seeds hashed per array pass: large enough to amortize the pass's fixed
+# cost of about 60 numpy calls, and a constant so that the memory in flight
+# does not grow with the number of seeds.
+_SEED_BLOCK = 256
+
+
+def _hash_consts(init: int, mult: int, count: int) -> list:
+    """The (xor, multiply) constant pairs of ``count`` successive hashmix
+    steps: they depend on no data, so every seed of a block shares them."""
+    pairs = []
+    for _ in range(count):
+        nxt = init * mult & 0xFFFFFFFF
+        pairs.append((np.uint32(init), np.uint32(nxt)))
+        init = nxt
+    return pairs
+
+
+# mix_entropy runs 4 + 4*3 hashmix steps, generate_state(4, uint64) 8.
+_MIX_CONSTS = _hash_consts(_INIT_A, _MULT_A, _POOL * _POOL)
+_OUT_CONSTS = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)
+
+
+def _hashmix(value: np.ndarray, xor: np.uint32, mult: np.uint32) -> np.ndarray:
+    value = (value ^ xor) * mult
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> _XSHIFT)
+
+
+def _pcg64_states(seeds: np.ndarray):
+    """Yield the (state, inc) that ``np.random.PCG64(s)`` starts from, for
+    each s of the uint64 array ``seeds``.
+
+    SeedSequence(s) reads s as its little-endian 32-bit words, at most two
+    here, and pads its pool with zero words, which hash as a zero high word
+    does; mix_entropy and generate_state(4, uint64) then run word-wise over
+    the whole block.  pcg64_set_seed's two LCG steps run per seed in
+    Python ints.
+    """
+    consts = iter(_MIX_CONSTS)
+    zero = np.zeros_like(seeds, dtype=np.uint32)
+    words = [(seeds & 0xFFFFFFFF).astype(np.uint32),
+             (seeds >> np.uint64(32)).astype(np.uint32)]
+    words += [zero] * (_POOL - len(words))
+    pool = [_hashmix(w, *next(consts)) for w in words]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst],
+                                 _hashmix(pool[src], *next(consts)))
+    out = [_hashmix(pool[i % _POOL], *c).astype(np.uint64)
+           for i, c in enumerate(_OUT_CONSTS)]
+    # generate_state's uint64 words, little-endian pairs of uint32 words.
+    s_hi, s_lo, i_hi, i_lo = ((out[k] | out[k + 1] << np.uint64(32)).tolist()
+                              for k in range(0, 2 * _POOL, 2))
+    for a, b, c, d in zip(s_hi, s_lo, i_hi, i_lo):
+        # State 0 stepped once is inc; add the initial state, step again.
+        inc = (c << 65 | d << 1 | 1) & _MASK128
+        yield ((inc + (a << 64 | b)) * _PCG64_MULT + inc) & _MASK128, inc
+
+
+def rngs_for(seeds):
+    """Yield one Generator per seed s of the iterable ``seeds``, in order,
+    each time the same object, its PCG64 in the state ``np.random.PCG64(s)``
+    starts from: it draws exactly what ``np.random.Generator(
+    np.random.PCG64(s))`` would.  Use each before taking the next.
+
+    Seeds must be ints in [0, 2**64), a ``substream_seed`` output; so
+    ``rng_for(*parts)``'s stream comes from ``rngs_for([substream_seed(
+    *parts)])``.  They are hashed ``_SEED_BLOCK`` at a time.
+    """
+    bit_gen = np.random.PCG64(0)
+    rng = np.random.Generator(bit_gen)
+    seeds = iter(seeds)
+    while block := list(itertools.islice(seeds, _SEED_BLOCK)):
+        for s in block:
+            if type(s) is not int or not 0 <= s < 1 << 64:
+                raise ValueError(f"a PCG64 seed in [0, 2**64) is required, "
+                                 f"got {s!r}")
+        for state, inc in _pcg64_states(np.array(block, dtype=np.uint64)):
+            bit_gen.state = {"bit_generator": "PCG64",
+                             "state": {"state": state, "inc": inc},
+                             "has_uint32": 0, "uinteger": 0}
+            yield rng
+
+
 _SPARSE_GNP_THRESHOLD = 0.05
 
 
@@ -252,18 +358,23 @@ class GwSample:
 
 
 def sample_gw_tree(lam: float, cap: int, seed: int) -> GwSample:
-    """Breadth-first Galton-Watson tree with Poisson(lam) offspring.
+    """``grow_gw_tree`` on the stream ``rng_for(seed)``."""
+    return grow_gw_tree(lam, cap, rng_for(seed))
+
+
+def grow_gw_tree(lam: float, cap: int, rng: np.random.Generator) -> GwSample:
+    """Breadth-first Galton-Watson tree with Poisson(lam) offspring, drawn
+    from ``rng``.
 
     Generation stops at extinction or when adding a child would exceed
     ``cap`` vertices; the latter sets the censored flag and consumers must
     exclude (and count) the sample.  Vertices are numbered in the order they
     are drawn, so every parent comes before its children.
     """
-    if lam < 0:
+    if not lam >= 0:  # NaN fails this too
         raise ValueError("offspring rate must be >= 0")
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    rng = rng_for(seed)
     parents = [-1]
     frontier = [0]
     censored = False

@@ -11,7 +11,8 @@ from eideal.asymptotics import (GW_INVARIANTS, expected_chordless_cycles,
                                 prob_lr_sparse_window)
 from eideal.chordality import count_chordless_cycles
 from eideal.graph_core import enumerate_graphs
-from eideal.random_models import sample_gnp, substream_seed
+from eideal.comb_invariants import forest_fold
+from eideal.random_models import sample_gnp, sample_gw_tree, substream_seed
 
 
 def test_lr_sparse_window_values():
@@ -174,6 +175,64 @@ def test_gw_limit_depth_pd_complement():
     assert est["pd"].estimate + est["depth"].estimate == pytest.approx(1.0)
 
 
+def test_window_formulas_refuse_nan():
+    # NaN passes `lam < 0`: the window values came out nan, and the dense
+    # series never reached its tolerance.
+    for formula in (prob_lr_sparse_window, prob_lp_dense_window,
+                    prob_lr_dense_window):
+        with pytest.raises(ValueError, match="lam must be >= 0"):
+            formula(math.nan)
+    with pytest.raises(ValueError, match="tol must be > 0"):
+        prob_lr_dense_window(0.5, tol=math.nan)
+
+
 def test_gw_limit_validation():
     with pytest.raises(ValueError):
         gw_limit_estimate(2.0, 10, 100, 0)
+    with pytest.raises(ValueError, match="offspring rate must be >= 0"):
+        gw_limit_estimate(math.nan, 10, 100, 0)
+
+
+def _gw_limit_by_single_trees(lam, trials, cap, seed):
+    """gw_limit_estimate's sums, tree t from sample_gw_tree(lam, cap,
+    substream_seed(seed, "gw", t)): one Generator built per tree."""
+    total = dict.fromkeys(GW_INVARIANTS, 0.0)
+    total_sq = dict.fromkeys(GW_INVARIANTS, 0.0)
+    used = censored = 0
+    for t in range(trials):
+        s = sample_gw_tree(lam, cap, substream_seed(seed, "gw", t))
+        if s.censored:
+            censored += 1
+            continue
+        nu, mmis = forest_fold(s.parents)
+        values = (nu / s.size, (s.size - mmis) / s.size, mmis / s.size)
+        for which, value in zip(GW_INVARIANTS, values):
+            total[which] += value
+            total_sq[which] += value * value
+        used += 1
+    out = {}
+    for which in GW_INVARIANTS:
+        mean = total[which] / used if used else math.nan
+        var = (max(0.0, (total_sq[which] - used * mean * mean) / (used - 1))
+               if used > 1 else math.nan)
+        out[which] = (used, censored / trials, mean, math.sqrt(var / used)
+                      if used else math.nan)
+    return out
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 0.8, 1.0])
+def test_gw_limit_equals_a_loop_of_single_trees(lam):
+    # 300 trees span a seeding block boundary.  Exact equality: the bulk
+    # seeding must give every tree the stream sample_gw_tree gives it.
+    trials = 300
+    for cap in (1, 5, 10 ** 5):
+        for seed in (-7, 0, 2 ** 100):
+            est = gw_limit_estimate(lam, trials, cap, seed)
+            oracle = _gw_limit_by_single_trees(lam, trials, cap, seed)
+            for which, expected in oracle.items():
+                e = est[which]
+                got = (e.trials, e.censor_fraction, e.estimate, e.stderr)
+                # nan where no (or one) tree was kept; equal means ==.
+                assert all(a == b or (math.isnan(a) and math.isnan(b))
+                           for a, b in zip(got, expected, strict=True)), \
+                    (which, cap, seed, got, expected)

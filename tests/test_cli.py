@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import time
@@ -62,6 +63,40 @@ def test_sample_bad_params(capsys):
     assert run_cli(["sample", "--model", "gw", "--lambda", "0.5", "--cap",
                     "0", "--seed", "1"]) == 2
     assert "cap must be >= 1" in capsys.readouterr().err
+
+
+# The float flags of each subcommand, with a value the command accepts.
+FLOAT_FLAG_CASES = [
+    (["sample", "--model", "gnp", "--n", "5", "--seed", "1"], "p"),
+    (["sample", "--model", "gw", "--seed", "1"], "lambda"),
+    (["theory", "--formula", "karp_sipser"], "lambda"),
+    (["theory", "--formula", "lr_sparse"], "lambda"),
+    (["theory", "--formula", "lr_dense", "--lambda", "0.5"], "tol"),
+    (["theory", "--formula", "expected_cycles", "--m", "4", "--k", "4"], "q"),
+    (["theory", "--formula", "local_cycles", "--n", "9", "--k", "4"], "p"),
+    (["theory", "--formula", "mcdiarmid", "--n", "9", "--lip", "1"], "t"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", FLOAT_FLAG_CASES)
+def test_non_finite_float_flags_are_usage_errors(argv, flag, capsys):
+    # karp_sipser used to end in an ArithmeticError traceback, lr_sparse
+    # printed "value = nan", and sample echoed NaN in its config line.
+    for text in ("nan", "inf", "-inf", "NaN", "1e999", "x"):
+        assert run_cli(argv + [f"--{flag}={text}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "config:" not in err
+        assert f"--{flag}: a finite number is required, got {text!r}" in err
+    assert run_cli(argv + [f"--{flag}", "0.25"]) == 0
+    capsys.readouterr()
+
+
+def test_karp_sipser_root_refuses_non_finite_rates():
+    # nan and inf used to reach the grid scan and end in ArithmeticError.
+    for lam, message in ((math.nan, "> 0"), (-math.inf, "> 0"), (0.0, "> 0"),
+                         (math.inf, "finite")):
+        with pytest.raises(ValueError, match=f"lam must be {message}"):
+            asy.karp_sipser_root(lam)
 
 
 def test_seed_beyond_the_hash_is_a_usage_error(monkeypatch, capsys):

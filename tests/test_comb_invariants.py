@@ -170,14 +170,14 @@ def test_gw_parent_list_folds_like_its_tree(monkeypatch):
         assert all(0 <= up < i for i, up in enumerate(s.parents) if i)
         assert forest_fold(s.parents) == forest_fold(
             walk_components(s.tree.adj, (1 << s.size) - 1)[3])
-    sample = asymptotics.sample_gw_tree
+    grow = asymptotics.grow_gw_tree
     samples = []
 
     def recorded(*args):
-        samples.append(sample(*args))
+        samples.append(grow(*args))
         return samples[-1]
 
-    monkeypatch.setattr(asymptotics, "sample_gw_tree", recorded)
+    monkeypatch.setattr(asymptotics, "grow_gw_tree", recorded)
     gw_limit_estimate(0.8, 200, 500, 3)
     assert len(samples) == 200
     assert not any("tree" in vars(s) for s in samples)

@@ -751,20 +751,20 @@ def test_gw_limit_computes_each_value_once(monkeypatch):
     from eideal.graph_core import connected_components
     from eideal.random_models import sample_gnp, substream_seed
 
-    sample_gw_tree = asymptotics.sample_gw_tree
+    grow_gw_tree = asymptotics.grow_gw_tree
     betti_table = betti.betti_table
     trees = []
     tables = []
 
     def counted_tree(*args, **kwargs):
         trees.append(args)
-        return sample_gw_tree(*args, **kwargs)
+        return grow_gw_tree(*args, **kwargs)
 
     def counted_table(g, *args, **kwargs):
         tables.append(g)
         return betti_table(g, *args, **kwargs)
 
-    monkeypatch.setattr(asymptotics, "sample_gw_tree", counted_tree)
+    monkeypatch.setattr(asymptotics, "grow_gw_tree", counted_tree)
     monkeypatch.setattr(betti, "betti_table", counted_table)
     cfg = ExperimentConfig(kind="gw_limit", seed=8, trials=12, n_list=(150,),
                            schedule=ParamSchedule.sparse(1.0), betti_guard=10,

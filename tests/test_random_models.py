@@ -7,9 +7,10 @@ import pytest
 from eideal.comb_invariants import is_forest
 from eideal.graph_core import (Graph, complement, complete_graph, edge_mask,
                                empty_graph, graph_from_pairs)
-from eideal.random_models import (_SPARSE_GNP_THRESHOLD, ParamSchedule,
-                                  draw_gnp, rng_for, sample_gnp,
-                                  sample_gw_tree, schedule_p, substream_seed)
+from eideal.random_models import (_SEED_BLOCK, _SPARSE_GNP_THRESHOLD,
+                                  ParamSchedule, draw_gnp, rng_for, rngs_for,
+                                  sample_gnp, sample_gw_tree, schedule_p,
+                                  substream_seed)
 
 
 def test_schedule_values():
@@ -219,6 +220,58 @@ def test_gw_censor_fraction_subcritical():
         assert censored / trials < 1e-3
 
 
+EDGE_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 63,
+              2 ** 64 - 1]
+
+
+def test_bulk_seeding_reaches_numpys_pcg64_states():
+    rng = np.random.Generator(np.random.PCG64(20240521))
+    seeds = EDGE_SEEDS + rng.integers(0, 2 ** 64, size=10 ** 4,
+                                      dtype=np.uint64).tolist()
+    assert len(seeds) > 2 * _SEED_BLOCK
+    taken = 0
+    for s, bulk in zip(seeds, rngs_for(seeds), strict=True):
+        assert bulk.bit_generator.state == np.random.PCG64(s).state, s
+        taken += 1
+    assert taken == len(seeds)
+
+
+def test_bulk_seeding_crosses_a_block_boundary():
+    # The last seed of one block and the first of the next, and a block
+    # that ends the input part-full.
+    seeds = [substream_seed(5, t) for t in range(2 * _SEED_BLOCK + 3)]
+    states = [r.bit_generator.state["state"] for r in rngs_for(seeds)]
+    assert states == [np.random.PCG64(s).state["state"] for s in seeds]
+
+
+def _draws(rng):
+    """A 32-bit draw first, so a stale half-word would show, then the
+    draws the samplers make, then 32-bit words to an odd count of 5."""
+    return (rng.integers(0, 1 << 31, size=3, dtype=np.uint32).tolist(),
+            rng.poisson(0.8, size=5).tolist(), rng.random(4).tolist(),
+            rng.geometric(0.01, size=4).tolist(),
+            rng.integers(0, 1 << 31, size=2, dtype=np.uint32).tolist())
+
+
+def test_reseeded_draws_equal_fresh_generators():
+    # Each seed's draws leave a half-word buffered (has_uint32 1) in the
+    # reused bit generator; the next seed must start without it.
+    seeds = EDGE_SEEDS + [substream_seed(77, t) for t in range(300)]
+    bulk = [(_draws(r), r.bit_generator.state["has_uint32"])
+            for r in rngs_for(seeds)]
+    fresh = [(_draws(np.random.Generator(np.random.PCG64(s))), 1)
+             for s in seeds]
+    assert bulk == fresh
+    assert [_draws(rng_for(9, t)) for t in range(5)] == [
+        _draws(r) for r in rngs_for(substream_seed(9, t) for t in range(5))]
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 100, 1.0, "1", None])
+def test_bulk_seeding_rejects_seeds_outside_64_bits(seed):
+    with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+        next(rngs_for([3, seed]))
+
+
 def test_gw_determinism():
     a = sample_gw_tree(0.8, cap=1000, seed=123)
     b = sample_gw_tree(0.8, cap=1000, seed=123)
@@ -232,3 +285,9 @@ def test_param_validation():
         sample_gw_tree(-1, cap=5, seed=0)
     with pytest.raises(ValueError):
         sample_gw_tree(1, cap=0, seed=0)
+
+
+def test_gw_sampler_rejects_nan_rate():
+    # nan passes `lam < 0`; the sampler's own check must still refuse it.
+    with pytest.raises(ValueError, match="offspring rate must be >= 0"):
+        sample_gw_tree(math.nan, cap=5, seed=0)
