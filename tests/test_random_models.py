@@ -272,6 +272,82 @@ def test_bulk_seeding_rejects_seeds_outside_64_bits(seed):
         next(rngs_for([3, seed]))
 
 
+# sha256 of repr((parents, censored)) of sample_gw_tree(lam, cap, seed) over
+# GW_PIN_SEEDS, by (lam, cap), from the generation-by-generation grower.
+# Rate 12 takes numpy's PTRS Poisson branch, and every cap-1 tree with a
+# child, every cap-3 tree with more than 2 descendants and the supercritical
+# trees at cap 10**5 are censored.
+GW_PIN_SEEDS = (0, 1, 2, -5, 2 ** 127 - 1)
+GW_STREAM_PINS = {
+    (0, 1): "5b711bb3e01af631ab10e522f426efb469817dab7cfbbd3bd15106c56970818f",
+    (0, 3): "5b711bb3e01af631ab10e522f426efb469817dab7cfbbd3bd15106c56970818f",
+    (0, 10 ** 5):
+        "5b711bb3e01af631ab10e522f426efb469817dab7cfbbd3bd15106c56970818f",
+    (0.5, 1):
+        "060d3765b698e9ca0b28956b2caa908b0ed97a9920fddf90e928bedaed03bb17",
+    (0.5, 3):
+        "c8d0b13422c1a0e6fadda8e8591ae5c39e9bfa89c6c6b103c04947276a4aebb2",
+    (0.5, 10 ** 5):
+        "eaaed31764b12580bdf0df5393f12692dc53344ed5e21ff9aa375898d86b1a32",
+    (1, 1): "060d3765b698e9ca0b28956b2caa908b0ed97a9920fddf90e928bedaed03bb17",
+    (1, 3): "78a6f1f7556f9248af619b3070b53d43cd2bd0afbe6cceb2b3b69c319c7a55dc",
+    (1, 10 ** 5):
+        "e52636b92e788a0f65e1f29ff330cb1384073d1e566411529c40291f42f118b6",
+    (2.5, 1):
+        "985ec524b8ae20860c2bad7f907dc0a4403315067927d3ec518fb0c913cd1025",
+    (2.5, 3):
+        "892efe442cb4ff466c00f92606f8780c63ec99f8fcce546ae97516f59c321025",
+    (2.5, 10 ** 5):
+        "e7158713ef3c4e737f9540e989c7eb458547311ed1ae60030ab7cb32c5ab1fef",
+    (12, 1): "985ec524b8ae20860c2bad7f907dc0a4403315067927d3ec518fb0c913cd1025",
+    (12, 3): "7c78e1dd9acfe2da16524db942d1b48f7a7570126aabac698b71986b38f30a28",
+    (12, 10 ** 5):
+        "623b62074c17d3fa53227a61a58b716b0e148bb6329414a7cf5a4f6b0758bbb5",
+}
+
+
+def test_gw_stream_pins():
+    for (lam, cap), digest in GW_STREAM_PINS.items():
+        h = hashlib.sha256()
+        for seed in GW_PIN_SEEDS:
+            s = sample_gw_tree(lam, cap, seed)
+            h.update(repr((s.parents, s.censored)).encode())
+        assert h.hexdigest() == digest, (lam, cap)
+
+
+def _grow_by_generations(lam, cap, rng):
+    """Reference grower: one Poisson draw per vertex of each generation, a
+    generation at a time, children appended in frontier order."""
+    parents = [-1]
+    frontier = [0]
+    while frontier:
+        offspring = rng.poisson(lam, size=len(frontier)).tolist()
+        next_frontier = []
+        for v, k in zip(frontier, offspring):
+            for _ in range(k):
+                if len(parents) >= cap:
+                    return tuple(parents), True
+                next_frontier.append(len(parents))
+                parents.append(v)
+        frontier = next_frontier
+    return tuple(parents), False
+
+
+def test_gw_trees_equal_the_generation_by_generation_grower():
+    # 2,400 seeded trees over rates on both sides of 1 and of numpy's PTRS
+    # switch at 10, and caps that censor at the root, mid-tree and never.
+    censored = 0
+    for lam in (0.0, 0.3, 0.5, 1.0, 2.5, 12.0):
+        for cap in (1, 3, 50, 10 ** 4):
+            for t in range(100):
+                seed = substream_seed(2024, lam, cap, t)
+                s = sample_gw_tree(lam, cap, seed)
+                expected = _grow_by_generations(lam, cap, rng_for(seed))
+                assert (s.parents, s.censored) == expected, (lam, cap, t)
+                censored += s.censored
+    assert censored > 500
+
+
 def test_gw_determinism():
     a = sample_gw_tree(0.8, cap=1000, seed=123)
     b = sample_gw_tree(0.8, cap=1000, seed=123)
