@@ -7,7 +7,8 @@ import math
 from dataclasses import dataclass
 
 from .comb_invariants import forest_fold
-from .random_models import grow_gw_tree, rngs_for, substream_seed
+from .random_models import (grow_gw_tree, rngs_for, substream_seed,
+                            substream_seeds)
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,8 @@ def expected_chordless_cycles(m: int, q: float, k: int) -> float:
     edge probability q: (k-1)!/2 * C(m,k) * q^k * (1-q)^(C(k,2)-k)."""
     if k < 4 or k > m:
         raise ValueError("need 4 <= k <= m")
+    if not 0 <= q <= 1:  # NaN fails this too
+        raise ValueError("q must be in [0, 1]")
     return (math.factorial(k - 1) / 2.0 * math.comb(m, k)
             * q ** k * (1.0 - q) ** (math.comb(k, 2) - k))
 
@@ -79,6 +82,8 @@ def expected_local_cycles(n: int, p: float, k: int) -> float:
     some vertex with no edge-probability-p connection into the cycle."""
     if k < 4 or k > n:
         raise ValueError("need 4 <= k <= n")
+    if not 0 <= p <= 1:  # NaN fails this too
+        raise ValueError("p must be in [0, 1]")
     isolation = 1.0 - (1.0 - (1.0 - p) ** k) ** (n - k)
     return expected_chordless_cycles(n, 1.0 - p, k) * isolation
 
@@ -133,7 +138,7 @@ def mcdiarmid_tail(n: int, m_lip: int, t: float) -> float:
     raw, values above 1 mean the bound is vacuous."""
     if n < 1 or m_lip < 1:
         raise ValueError("n and M must be >= 1")
-    if t < 0:
+    if not t >= 0:  # NaN fails this too
         raise ValueError("t must be >= 0")
     return 2.0 * math.exp(-t * t / (4.0 * n * m_lip * m_lip))
 
@@ -141,6 +146,8 @@ def mcdiarmid_tail(n: int, m_lip: int, t: float) -> float:
 def near_lipschitz_tail(n: int, lam: float, m_lip: int, t: float) -> float:
     """Deviation bound for degree-Lipschitz functionals:
     2 exp(-t^2/(4nM^2)) + 2 n^2 (lam e / M)^M."""
+    if not lam >= 0:  # NaN fails this too
+        raise ValueError("lam must be >= 0")
     return (mcdiarmid_tail(n, m_lip, t)
             + 2.0 * n * n * (lam * math.e / m_lip) ** m_lip)
 
@@ -164,10 +171,11 @@ def gw_limit_estimate(lam: float, trials: int, cap: int,
     each X in GW_INVARIANTS, keyed by name, all from one pass over `trials`
     trees.
 
-    Each tree is sampled once as its parent list, whose ``forest_fold``
+    Each tree is grown once as its parent list, whose ``forest_fold``
     (no Graph built) gives its induced matching number nu and smallest
     maximal independent set i: pd = |T| - i and depth = i, and the per-tree
-    values are nu/|T|, pd/|T| and i/|T|.
+    values are nu/|T|, pd/|T| and i/|T|, summed in tree order; the seeds
+    share one hash of their (seed, "gw") prefix (``substream_seeds``).
     Trees that hit `cap` are censored: excluded from every estimate and
     counted in its censor_fraction.
     """
@@ -175,14 +183,13 @@ def gw_limit_estimate(lam: float, trials: int, cap: int,
         raise ValueError("the tree limit is only meaningful for lam <= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    total = dict.fromkeys(GW_INVARIANTS, 0.0)
-    total_sq = dict.fromkeys(GW_INVARIANTS, 0.0)
+    s_nu = s_pd = s_dep = q_nu = q_pd = q_dep = 0.0  # sums, sums of squares
     used = 0
     censored = 0
     # Tree t is sample_gw_tree(lam, cap, substream_seed(seed, "gw", t)):
     # rng_for hashes its seed once more, and rngs_for seeds it in bulk.
-    tree_seeds = (substream_seed(substream_seed(seed, "gw", t))
-                  for t in range(trials))
+    tree_seeds = map(substream_seed, substream_seeds(seed, "gw",
+                                                     count=trials))
     for rng in rngs_for(tree_seeds):
         s = grow_gw_tree(lam, cap, rng)
         if s.censored:
@@ -190,16 +197,16 @@ def gw_limit_estimate(lam: float, trials: int, cap: int,
             continue
         size = s.size
         nu, mmis = forest_fold(s.parents)
-        values = (nu / size, (size - mmis) / size, mmis / size)
-        for which, value in zip(GW_INVARIANTS, values):
-            total[which] += value
-            total_sq[which] += value * value
+        nu, pd, dep = nu / size, (size - mmis) / size, mmis / size
+        s_nu, s_pd, s_dep = s_nu + nu, s_pd + pd, s_dep + dep
+        q_nu, q_pd, q_dep = q_nu + nu * nu, q_pd + pd * pd, q_dep + dep * dep
         used += 1
     estimates = {}
-    for which in GW_INVARIANTS:
-        mean = total[which] / used if used else float("nan")
+    for which, total, total_sq in zip(GW_INVARIANTS, (s_nu, s_pd, s_dep),
+                                      (q_nu, q_pd, q_dep)):
+        mean = total / used if used else float("nan")
         if used > 1:
-            var = max(0.0, (total_sq[which] - used * mean * mean) / (used - 1))
+            var = max(0.0, (total_sq - used * mean * mean) / (used - 1))
             stderr = math.sqrt(var / used)
         else:
             stderr = float("nan")

@@ -12,10 +12,10 @@ the shrinking is free or already done:
   one to none.  ``is_cochordal`` and ``is_4_cochordal`` therefore drop g's
   isolated vertices, universal in the complement, before they complement
   the rest, so a sparse graph pays only for the complement on the ends of
-  its edges.  ``live_pairs`` does the same on an edge list: the threshold
-  trials relabel the pairs of a draw that lists its edges onto the vertices
-  that carry one, and run ``is_chordal`` and ``has_induced_c4`` on the
-  complement of that small graph, never on n rows.
+  its edges.  The threshold trials do the same on a draw that lists its
+  edges: ``GnpDraw.live_graph`` builds it on the vertices that carry one
+  (``_relabel_live``), and they run ``is_chordal`` and ``has_induced_c4``
+  on the complement of that small graph, never on n rows.
 * A vertex of degree <= 1 lies on no cycle at all, so peeling such vertices
   until none is left, down to the 2-core, keeps both verdicts and every
   cycle count.  ``two_core_pairs`` does this on an edge list: in the dense
@@ -138,17 +138,6 @@ def two_core_pairs(us: np.ndarray,
         keep = ~cut
         us, vs = us[keep], vs[keep]
     return _relabel_live(deg, us, vs)
-
-
-def live_pairs(us: np.ndarray,
-               vs: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    """(k, us', vs'): the graph with edges (us[i], vs[i]) on the k vertices
-    that carry an edge, relabelled 0..k-1 in increasing order.  By the
-    isolated-vertex lemma of the module docstring, its complement and the
-    complement of the whole graph have the same chordless cycles."""
-    size = int(max(us.max(), vs.max())) + 1 if len(us) else 0
-    return _relabel_live(np.bincount(us, minlength=size)
-                         + np.bincount(vs, minlength=size), us, vs)
 
 
 def _relabel_live(deg: np.ndarray, us: np.ndarray,

@@ -24,11 +24,10 @@ from .betti import (DEFAULT_BETTI_GUARD, MAX_SCAN_VERTICES,
 from .chordality import (cycle_counts_from_pairs, has_induced_c4,
                          induced_c4_and_triangles, is_4_cochordal, is_chordal,
                          is_cochordal, is_locally_4_cochordal,
-                         is_locally_cochordal, live_pairs, two_core)
+                         is_locally_cochordal, two_core)
 from .comb_invariants import (DEFAULT_MIS_BUDGET, BudgetExceededError,
                               cover_profile)
-from .graph_core import (complement, disjoint_union, graph_from_pairs,
-                         max_degree, to_hex_dump)
+from .graph_core import complement, disjoint_union, max_degree, to_hex_dump
 from .random_models import (GnpDraw, ParamSchedule, check_seed, draw_gnp,
                             rng_for, sample_gnp, schedule_p, substream_seed)
 
@@ -358,10 +357,9 @@ def _threshold_verdicts(draw: GnpDraw, pred_names) -> list[bool]:
     A complemented draw lists the complement's edges: ``is_4_cochordal``
     counts their induced 4-cycles by codegrees
     (``induced_c4_and_triangles``), and ``is_cochordal`` runs ``is_chordal``
-    on their 2-core (``two_core``).  A plain draw's pairs are relabelled onto
-    the vertices that carry an edge (``live_pairs``), and both predicates
-    read the complement of that small graph, built once.  The local
-    predicates read g, built once.
+    on their 2-core (``two_core``).  Both predicates read the complement of
+    a plain draw's graph on the vertices with an edge (``live_graph``),
+    built once.  The local predicates read g, built once.
     """
     g = h = None
     verdicts = []
@@ -377,8 +375,7 @@ def _threshold_verdicts(draw: GnpDraw, pred_names) -> list[bool]:
             verdicts.append(is_chordal(two_core(draw.us, draw.vs)))
         else:
             if h is None:
-                h = complement(graph_from_pairs(*live_pairs(draw.us,
-                                                             draw.vs)))
+                h = complement(draw.live_graph())
             verdicts.append(is_chordal(h) if name == "is_cochordal"
                             else not has_induced_c4(h))
     return verdicts
@@ -418,10 +415,12 @@ def _threshold_theory(schedule: ParamSchedule, predicate: str) -> float | None:
 
 def _componentwise_row(draw: GnpDraw, betti_guard: int) -> tuple:
     """(reg*, pd, censored components, components) of the drawn graph, from
-    one componentwise dispatch."""
-    reg, pd = reg_pd_componentwise(draw.graph(), betti_guard=betti_guard)
+    one componentwise dispatch on ``live_graph``: the n - g.n isolated
+    vertices it leaves out add 0 to reg* and pd, and 1 each to the count."""
+    g = draw.live_graph()
+    reg, pd = reg_pd_componentwise(g, betti_guard=betti_guard)
     return (reg.value, pd.value, reg.censored_components,
-            reg.total_components)
+            reg.total_components + draw.n - g.n)
 
 
 def run_gw_limit(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
@@ -469,9 +468,10 @@ def run_gw_limit(config: ExperimentConfig, workers: int = 1) -> ExperimentReport
 
 def _unmixed_verdict(draw: GnpDraw, budget: int) -> bool | None:
     """Whether the drawn graph is unmixed; None when its cover enumeration
-    trips the budget."""
+    trips the budget.  ``live_graph`` decides it: isolated vertices lie in
+    no minimal cover."""
     try:
-        return cover_profile(draw.graph(), budget).unmixed
+        return cover_profile(draw.live_graph(), budget).unmixed
     except BudgetExceededError:
         return None
 
@@ -642,8 +642,9 @@ def run_variance_audit(config: ExperimentConfig,
                        workers: int = 1) -> ExperimentReport:
     """Sample variance of reg*(I) over G(n, p) trials, divided by n.
 
-    A censored component (not a tree, more than betti_guard vertices) adds
-    0 to its trial's reg*, and the report does not count them.
+    Each trial's reg* is ``_componentwise_row``'s, on the live vertices.  A
+    censored component (not a tree, more than betti_guard vertices) adds 0
+    to its trial's reg*, and the report does not count them.
     """
     cells = []
     row = partial(_componentwise_row, betti_guard=config.betti_guard)

@@ -22,6 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .chordality import _relabel_live
 from .graph_core import (Graph, build_graph, complement, graph_from_pairs,
                          pair_endpoints, pair_index)
 
@@ -145,6 +146,21 @@ def check_seed(seed) -> int:
 
 def substream_seed(*parts) -> int:
     """Stable 64-bit substream seed from a mixed tuple of ints/strings."""
+    return int.from_bytes(_hasher(parts).digest(), "little")
+
+
+def substream_seeds(*prefix, count: int):
+    """Yield ``substream_seed(*prefix, t)`` for t in range(count), the
+    prefix hashed once: each t hashes on a copy of that blake2b state."""
+    base = _hasher(prefix)
+    for t in range(count):
+        h = base.copy()
+        h.update(b"i" + t.to_bytes(16, "little", signed=True))
+        yield int.from_bytes(h.digest(), "little")
+
+
+def _hasher(parts):
+    """A blake2b state that has hashed the encoding of each of ``parts``."""
     h = hashlib.blake2b(digest_size=8)
     for part in parts:
         if isinstance(part, str):
@@ -157,7 +173,7 @@ def substream_seed(*parts) -> int:
             except OverflowError:
                 raise ValueError(f"an int part in [-2**127, 2**127) is "
                                  f"required, got {part!r}") from None
-    return int.from_bytes(h.digest(), "little")
+    return h
 
 
 def rng_for(*parts) -> np.random.Generator:
@@ -269,7 +285,8 @@ _SPARSE_GNP_THRESHOLD = 0.05
 class GnpDraw:
     """One seeded G(n, p) draw before any row is built: endpoint arrays
     ``us``, ``vs``, u < v, in lexicographic pair order, of the drawn edges,
-    or of the drawn non-edges when ``complemented``."""
+    or of the drawn non-edges when ``complemented``.  Sparse trials read
+    ``live_graph``, which builds no row for a vertex with no drawn edge."""
 
     n: int
     us: np.ndarray
@@ -279,6 +296,15 @@ class GnpDraw:
     def graph(self) -> Graph:
         g = graph_from_pairs(self.n, self.us, self.vs)
         return complement(g) if self.complemented else g
+
+    def live_graph(self) -> Graph:
+        """The drawn graph on the k vertices that carry a drawn edge,
+        relabelled 0..k-1 in increasing order; ``graph()`` if complemented,
+        or if k = n."""
+        deg = np.bincount(np.concatenate((self.us, self.vs)), minlength=self.n)
+        if self.complemented or deg.all():
+            return self.graph()
+        return graph_from_pairs(*_relabel_live(deg, self.us, self.vs))
 
     def edge_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """The drawn edges as endpoint arrays, in lexicographic pair order."""
@@ -362,33 +388,33 @@ def sample_gw_tree(lam: float, cap: int, seed: int) -> GwSample:
     return grow_gw_tree(lam, cap, rng_for(seed))
 
 
+_GW_BLOCK = 8  # one Poisson call grows most trees at rate 0.5 (mean size 2)
+
+
 def grow_gw_tree(lam: float, cap: int, rng: np.random.Generator) -> GwSample:
     """Breadth-first Galton-Watson tree with Poisson(lam) offspring, drawn
     from ``rng``.
 
-    Generation stops at extinction or when adding a child would exceed
-    ``cap`` vertices; the latter sets the censored flag and consumers must
-    exclude (and count) the sample.  Vertices are numbered in the order they
-    are drawn, so every parent comes before its children.
+    Vertex v, numbered in the order drawn (every parent before its
+    children), has the v-th Poisson value of the stream as its offspring
+    count.  The values come ``_GW_BLOCK`` at a time; any block size grows
+    the same tree, as ``Generator.poisson`` draws one value after another.
+    Growth stops at extinction or when a child would exceed ``cap``
+    vertices; the latter keeps ``cap`` vertices and sets the censored flag,
+    and consumers must exclude (and count) the sample.
     """
     if not lam >= 0:  # NaN fails this too
         raise ValueError("offspring rate must be >= 0")
     if cap < 1:
         raise ValueError("cap must be >= 1")
     parents = [-1]
-    frontier = [0]
-    censored = False
-    while frontier and not censored:
-        offspring = rng.poisson(lam, size=len(frontier))
-        next_frontier = []
-        for v, k in zip(frontier, offspring.tolist()):
-            for _ in range(k):
-                if len(parents) >= cap:
-                    censored = True
-                    break
-                next_frontier.append(len(parents))
-                parents.append(v)
-            if censored:
-                break
-        frontier = next_frontier
-    return GwSample(tuple(parents), censored)
+    v = 0
+    while True:
+        for k in rng.poisson(lam, size=_GW_BLOCK).tolist():
+            if len(parents) + k > cap:
+                parents += [v] * (cap - len(parents))
+                return GwSample(tuple(parents), True)
+            parents += [v] * k
+            v += 1
+            if v == len(parents):
+                return GwSample(tuple(parents), False)

@@ -149,6 +149,25 @@ def test_tail_bounds():
     assert big_m - mcdiarmid_tail(100, 60, 40) < 1e-30
 
 
+@pytest.mark.parametrize("formula, args, message", [
+    (expected_chordless_cycles, (10, 2.0, 4), r"q must be in \[0, 1\]"),
+    (expected_chordless_cycles, (10, -0.1, 4), r"q must be in \[0, 1\]"),
+    (expected_chordless_cycles, (10, math.nan, 4), r"q must be in \[0, 1\]"),
+    (expected_local_cycles, (10, -1.0, 4), r"p must be in \[0, 1\]"),
+    (expected_local_cycles, (10, 1.5, 4), r"p must be in \[0, 1\]"),
+    (expected_local_cycles, (10, math.nan, 4), r"p must be in \[0, 1\]"),
+    (mcdiarmid_tail, (10, 1, math.nan), "t must be >= 0"),
+    (near_lipschitz_tail, (10, -5.0, 1, 1.0), "lam must be >= 0"),
+    (near_lipschitz_tail, (10, math.nan, 1, 1.0), "lam must be >= 0"),
+    (near_lipschitz_tail, (10, 1.0, 1, math.nan), "t must be >= 0"),
+])
+def test_formulas_refuse_out_of_range_inputs(formula, args, message):
+    # These returned negative counts, counts of a "probability" 2, nan,
+    # and negative tail bounds.
+    with pytest.raises(ValueError, match=message):
+        formula(*args)
+
+
 def test_gw_limit_estimate_lambda_zero():
     est = gw_limit_estimate(0.0, trials=200, cap=100, seed=1)
     assert list(est) == list(GW_INVARIANTS)

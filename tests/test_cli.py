@@ -287,6 +287,19 @@ def test_theory_names_the_first_missing_flag(formula, capsys):
             assert capsys.readouterr() == ("", message)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--formula", "local_cycles", "--n", "10", "--p", "-1", "--k", "4"],
+     "p must be in [0, 1]"),
+    (["--formula", "expected_cycles", "--m", "10", "--q", "2", "--k", "4"],
+     "q must be in [0, 1]"),
+    (["--formula", "near_lipschitz", "--n", "10", "--lambda", "-5", "--lip",
+      "1", "--t", "1"], "lam must be >= 0"),
+])
+def test_theory_refuses_out_of_range_inputs(argv, message, capsys):
+    assert run_cli(["theory", *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_experiment_end_to_end(tmp_path, capsys):
     config = {"kind": "threshold", "seed": 13, "trials": 30, "n_list": [10],
               "schedule": {"kind": "constant", "p": 1.0},

@@ -6,12 +6,14 @@ from functools import partial
 import numpy as np
 import pytest
 
-from eideal import betti, chordality, experiments
+from eideal import betti, chordality, experiments, random_models
 from eideal.chordality import (count_chordless_cycles, count_triangles,
                                is_locally_4_cochordal, is_locally_cochordal)
+from eideal.comb_invariants import BudgetExceededError, cover_profile
 from eideal.experiments import (CSV_COLUMNS, ConfigError, ExperimentConfig,
-                                _additivity_trial, _lipschitz_trial,
-                                _threshold_verdicts, _tv_distance_poisson,
+                                _additivity_trial, _componentwise_row,
+                                _lipschitz_trial, _threshold_verdicts,
+                                _tv_distance_poisson, _unmixed_verdict,
                                 map_gnp_trials, map_trials,
                                 run_cycle_calibration,
                                 run_experiment, run_gw_limit,
@@ -557,12 +559,91 @@ def test_cochordal_verdicts_build_no_n_row_graph(monkeypatch):
                                  (400, ParamSchedule.window_dense(16.0)))
              for t in range(5)]
     monkeypatch.setattr(GnpDraw, "graph", no_graph)
-    monkeypatch.setattr(experiments, "graph_from_pairs", recorded)
+    monkeypatch.setattr(random_models, "graph_from_pairs", recorded)
     for draw in draws:
         _threshold_verdicts(draw, ("is_cochordal", "is_4_cochordal"))
     assert sizes == [len({*draw.us.tolist(), *draw.vs.tolist()})
                      for draw in draws if not draw.complemented]
     assert len(sizes) == 5
+
+
+def _live_vertex_draws(big_rates=(0.5, 1.0, 4.0)):
+    """Seeded sparse draws at n in {0, 1, 2, 3, 17} and lambda in {0.5, 1,
+    4}, and at n = 2000 and each of ``big_rates``; a complemented n = 2
+    draw, an edgeless draw, and a complemented draw with an isolated
+    vertex."""
+    draws = [draw_gnp(n, min(lam / max(n, 1), 1.0), substream_seed(61, n, t))
+             for n, rates in ((0, (0.5, 1.0, 4.0)), (1, (0.5, 1.0, 4.0)),
+                              (2, (0.5, 1.0, 4.0)), (3, (0.5, 1.0, 4.0)),
+                              (17, (0.5, 1.0, 4.0)), (2000, big_rates))
+             for lam in rates for t in range(3)]
+    assert draw_gnp(2, 1.0, 5).complemented
+    isolated = GnpDraw(3, np.array([0, 0]), np.array([1, 2]), True)
+    return draws + [draw_gnp(2, 1.0, 5), draw_gnp(40, 0.0, 5), isolated]
+
+
+# A 12-vertex guard keeps the cyclic components' Betti tables cheap; the
+# runners' 18 takes the same route on larger ones.
+@pytest.mark.parametrize("betti_guard", [0, 12])
+def test_componentwise_row_on_live_vertices_equals_the_full_graph(
+        betti_guard):
+    for draw in _live_vertex_draws():
+        reg, pd = betti.reg_pd_componentwise(draw.graph(),
+                                             betti_guard=betti_guard)
+        assert _componentwise_row(draw, betti_guard) == (
+            reg.value, pd.value, reg.censored_components,
+            reg.total_components), (draw.n, len(draw.us))
+
+
+@pytest.mark.parametrize("budget", [5, 2000])
+def test_unmixed_verdict_on_live_vertices_equals_the_full_graph(budget):
+    # Rate 4 at n = 2000 is left out: its giant component trips any budget
+    # only after seconds.
+    verdicts = []
+    for draw in _live_vertex_draws(big_rates=(0.5, 1.0)):
+        try:
+            expected = cover_profile(draw.graph(), budget).unmixed
+        except BudgetExceededError:
+            expected = None
+        verdicts.append(expected)
+        assert _unmixed_verdict(draw, budget) == expected, draw.n
+    assert {True, False, None} <= set(verdicts)
+
+
+def test_no_sparse_runner_builds_n_rows(monkeypatch):
+    def no_graph(draw):
+        raise AssertionError(f"rows built for a draw on {draw.n} vertices")
+
+    sizes = []
+
+    def recorded(k, us, vs):
+        sizes.append(k)
+        return graph_from_pairs(k, us, vs)
+
+    monkeypatch.setattr(GnpDraw, "graph", no_graph)
+    monkeypatch.setattr(random_models, "graph_from_pairs", recorded)
+    n = 2000
+    configs = (
+        ExperimentConfig(kind="gw_limit", seed=3, trials=4, n_list=(n,),
+                         schedule=ParamSchedule.sparse(0.5), gw_trials=20,
+                         gw_cap=100),
+        ExperimentConfig(kind="variance_audit", seed=3, trials=4,
+                         n_list=(n,), schedule=ParamSchedule.sparse(1.0)),
+        ExperimentConfig(kind="unmixed_scan", seed=3, trials=4, n_list=(n,),
+                         schedule=ParamSchedule.sparse(0.5)),
+        ExperimentConfig(kind="threshold", seed=3, trials=4, n_list=(n,),
+                         schedule=ParamSchedule.window_sparse(64.0),
+                         predicates=("is_cochordal", "is_4_cochordal")),
+        ExperimentConfig(kind="cycle_calibration", seed=3, trials=4,
+                         n_list=(n,), schedule=ParamSchedule.sparse(1.0),
+                         k_max=5))
+    for config in configs:
+        before = len(sizes)
+        run_experiment(config, workers=1)
+        built = sizes[before:]
+        if config.kind != "cycle_calibration":  # it reads pairs, no rows
+            assert len(built) == config.trials, config.kind
+        assert all(k < n for k in built), (config.kind, built)
 
 
 def test_report_csv_contract():

@@ -10,7 +10,7 @@ from eideal.graph_core import (Graph, complement, complete_graph, edge_mask,
 from eideal.random_models import (_SEED_BLOCK, _SPARSE_GNP_THRESHOLD,
                                   ParamSchedule, draw_gnp, rng_for, rngs_for,
                                   sample_gnp, sample_gw_tree, schedule_p,
-                                  substream_seed)
+                                  substream_seed, substream_seeds)
 
 
 def test_schedule_values():
@@ -62,6 +62,22 @@ def test_substream_parts_beyond_the_hash_range_are_value_errors():
             substream_seed(3, part)
     with pytest.raises(ValueError, match=r"\[-2\*\*127, 2\*\*127\)"):
         sample_gnp(5, 0.5, 2 ** 128)
+
+
+@pytest.mark.parametrize("seed", [0, -1, 2 ** 127 - 1, -2 ** 127])
+def test_prefix_hashed_seeds_equal_full_hashes(seed):
+    # gw_limit_estimate's tree seeds: the (seed, "gw") prefix hashed once.
+    seeds = list(substream_seeds(seed, "gw", count=300))
+    assert seeds == [substream_seed(seed, "gw", t) for t in range(300)]
+    assert list(map(substream_seed, seeds)) == [
+        substream_seed(substream_seed(seed, "gw", t)) for t in range(300)]
+    assert list(substream_seeds(seed, 0.5, "x", count=3)) == [
+        substream_seed(seed, 0.5, "x", t) for t in range(3)]
+
+
+def test_prefix_hashed_seeds_refuse_parts_beyond_the_hash_range():
+    with pytest.raises(ValueError, match=r"\[-2\*\*127, 2\*\*127\)"):
+        next(substream_seeds(2 ** 127, "gw", count=1))
 
 
 def test_gnp_extremes():
@@ -279,8 +295,10 @@ def test_bulk_seeding_rejects_seeds_outside_64_bits(seed):
 # trees at cap 10**5 are censored.
 GW_PIN_SEEDS = (0, 1, 2, -5, 2 ** 127 - 1)
 GW_STREAM_PINS = {
-    (0, 1): "5b711bb3e01af631ab10e522f426efb469817dab7cfbbd3bd15106c56970818f",
-    (0, 3): "5b711bb3e01af631ab10e522f426efb469817dab7cfbbd3bd15106c56970818f",
+    (0, 1):
+        "5b711bb3e01af631ab10e522f426efb469817dab7cfbbd3bd15106c56970818f",
+    (0, 3):
+        "5b711bb3e01af631ab10e522f426efb469817dab7cfbbd3bd15106c56970818f",
     (0, 10 ** 5):
         "5b711bb3e01af631ab10e522f426efb469817dab7cfbbd3bd15106c56970818f",
     (0.5, 1):
@@ -289,8 +307,10 @@ GW_STREAM_PINS = {
         "c8d0b13422c1a0e6fadda8e8591ae5c39e9bfa89c6c6b103c04947276a4aebb2",
     (0.5, 10 ** 5):
         "eaaed31764b12580bdf0df5393f12692dc53344ed5e21ff9aa375898d86b1a32",
-    (1, 1): "060d3765b698e9ca0b28956b2caa908b0ed97a9920fddf90e928bedaed03bb17",
-    (1, 3): "78a6f1f7556f9248af619b3070b53d43cd2bd0afbe6cceb2b3b69c319c7a55dc",
+    (1, 1):
+        "060d3765b698e9ca0b28956b2caa908b0ed97a9920fddf90e928bedaed03bb17",
+    (1, 3):
+        "78a6f1f7556f9248af619b3070b53d43cd2bd0afbe6cceb2b3b69c319c7a55dc",
     (1, 10 ** 5):
         "e52636b92e788a0f65e1f29ff330cb1384073d1e566411529c40291f42f118b6",
     (2.5, 1):
@@ -299,8 +319,10 @@ GW_STREAM_PINS = {
         "892efe442cb4ff466c00f92606f8780c63ec99f8fcce546ae97516f59c321025",
     (2.5, 10 ** 5):
         "e7158713ef3c4e737f9540e989c7eb458547311ed1ae60030ab7cb32c5ab1fef",
-    (12, 1): "985ec524b8ae20860c2bad7f907dc0a4403315067927d3ec518fb0c913cd1025",
-    (12, 3): "7c78e1dd9acfe2da16524db942d1b48f7a7570126aabac698b71986b38f30a28",
+    (12, 1):
+        "985ec524b8ae20860c2bad7f907dc0a4403315067927d3ec518fb0c913cd1025",
+    (12, 3):
+        "7c78e1dd9acfe2da16524db942d1b48f7a7570126aabac698b71986b38f30a28",
     (12, 10 ** 5):
         "623b62074c17d3fa53227a61a58b716b0e148bb6329414a7cf5a4f6b0758bbb5",
 }
