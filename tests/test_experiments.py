@@ -573,13 +573,13 @@ def _live_vertex_draws(big_rates=(0.5, 1.0, 4.0)):
     draw, an edgeless draw, and a complemented draw with an isolated
     vertex."""
     draws = [draw_gnp(n, min(lam / max(n, 1), 1.0), substream_seed(61, n, t))
-             for n, rates in ((0, (0.5, 1.0, 4.0)), (1, (0.5, 1.0, 4.0)),
-                              (2, (0.5, 1.0, 4.0)), (3, (0.5, 1.0, 4.0)),
-                              (17, (0.5, 1.0, 4.0)), (2000, big_rates))
-             for lam in rates for t in range(3)]
-    assert draw_gnp(2, 1.0, 5).complemented
+             for n in (0, 1, 2, 3, 17, 2000)
+             for lam in (big_rates if n == 2000 else (0.5, 1.0, 4.0))
+             for t in range(3)]
+    complemented = draw_gnp(2, 1.0, 5)
+    assert complemented.complemented
     isolated = GnpDraw(3, np.array([0, 0]), np.array([1, 2]), True)
-    return draws + [draw_gnp(2, 1.0, 5), draw_gnp(40, 0.0, 5), isolated]
+    return draws + [complemented, draw_gnp(40, 0.0, 5), isolated]
 
 
 # A 12-vertex guard keeps the cyclic components' Betti tables cheap; the
