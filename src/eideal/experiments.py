@@ -467,9 +467,8 @@ def run_gw_limit(config: ExperimentConfig, workers: int = 1) -> ExperimentReport
 # ---------------------------------------------------------------------------
 
 def _unmixed_verdict(draw: GnpDraw, budget: int) -> bool | None:
-    """Whether the drawn graph is unmixed; None when its cover enumeration
-    trips the budget.  ``live_graph`` decides it: isolated vertices lie in
-    no minimal cover."""
+    """Whether ``live_graph`` is unmixed (isolated vertices lie in no minimal
+    cover); None when its cover enumeration trips the budget."""
     try:
         return cover_profile(draw.live_graph(), budget).unmixed
     except BudgetExceededError:
@@ -642,9 +641,8 @@ def run_variance_audit(config: ExperimentConfig,
                        workers: int = 1) -> ExperimentReport:
     """Sample variance of reg*(I) over G(n, p) trials, divided by n.
 
-    Each trial's reg* is ``_componentwise_row``'s, on the live vertices.  A
-    censored component (not a tree, more than betti_guard vertices) adds 0
-    to its trial's reg*, and the report does not count them.
+    Each trial's reg* is ``_componentwise_row``'s; a censored component (not
+    a tree, more than betti_guard vertices) adds 0 to it, and goes uncounted.
     """
     cells = []
     row = partial(_componentwise_row, betti_guard=config.betti_guard)

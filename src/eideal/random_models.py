@@ -395,13 +395,12 @@ def grow_gw_tree(lam: float, cap: int, rng: np.random.Generator) -> GwSample:
     """Breadth-first Galton-Watson tree with Poisson(lam) offspring, drawn
     from ``rng``.
 
-    Vertex v, numbered in the order drawn (every parent before its
-    children), has the v-th Poisson value of the stream as its offspring
-    count.  The values come ``_GW_BLOCK`` at a time; any block size grows
-    the same tree, as ``Generator.poisson`` draws one value after another.
-    Growth stops at extinction or when a child would exceed ``cap``
-    vertices; the latter keeps ``cap`` vertices and sets the censored flag,
-    and consumers must exclude (and count) the sample.
+    Vertex v, numbered in the order drawn (parents first), has the v-th
+    Poisson value of the stream as its offspring count, read in blocks of
+    ``_GW_BLOCK`` (``Generator.poisson`` draws one value after another, so
+    any block size grows the same tree).  Growth stops at extinction or
+    when a child would exceed ``cap`` vertices; then the tree keeps ``cap``
+    vertices and is censored, for consumers to exclude (and count).
     """
     if not lam >= 0:  # NaN fails this too
         raise ValueError("offspring rate must be >= 0")
