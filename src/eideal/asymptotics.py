@@ -3,6 +3,7 @@ fixed-point solver that the experiment gates compare against."""
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -42,8 +43,8 @@ def prob_lr_dense_window(lam: float, tol: float = 1e-12) -> TheoryValue:
     exp(-sum_{k>=4} lam^{k/4} / (2k)).
 
     For lam < 1 the series has a geometric tail in lam^{1/4}; truncation
-    stops once the certified remainder drops below tol.  For lam >= 1 the
-    exponent diverges and the limit is exactly 0.
+    stops once the certified remainder drops below tol, or refuses if that
+    takes over 10**6 terms.  For lam >= 1 the limit is exactly 0.
     """
     if not lam >= 0:  # NaN fails this too
         raise ValueError("lam must be >= 0")
@@ -54,6 +55,10 @@ def prob_lr_dense_window(lam: float, tol: float = 1e-12) -> TheoryValue:
     if lam >= 1:
         return TheoryValue(0.0, 0.0, "lr_dense_window")
     q = lam ** 0.25
+    last = 3 + 10 ** 6  # the tail bound below falls with k
+    if q == 1 or q ** (last + 1) / (2 * (last + 1) * (1 - q)) > tol:
+        raise ValueError(f"lam = {lam!r} is too close to 1: the tail needs "
+                         f"over 10**6 terms to reach tol = {tol!r}")
     total = 0.0
     k = 4
     while True:
@@ -68,13 +73,25 @@ def prob_lr_dense_window(lam: float, tol: float = 1e-12) -> TheoryValue:
 
 def expected_chordless_cycles(m: int, q: float, k: int) -> float:
     """Expected chordless k-cycles in a graph on m vertices with independent
-    edge probability q: (k-1)!/2 * C(m,k) * q^k * (1-q)^(C(k,2)-k)."""
+    edge probability q: (k-1)!/2 * C(m,k) * q^k * (1-q)^(C(k,2)-k).  A
+    product that leaves float range is taken again in log space."""
     if k < 4 or k > m:
         raise ValueError("need 4 <= k <= m")
     if not 0 <= q <= 1:  # NaN fails this too
         raise ValueError("q must be in [0, 1]")
-    return (math.factorial(k - 1) / 2.0 * math.comb(m, k)
-            * q ** k * (1.0 - q) ** (math.comb(k, 2) - k))
+    chords = math.comb(k, 2) - k
+    with contextlib.suppress(OverflowError):
+        value = (math.factorial(k - 1) / 2.0 * math.comb(m, k)
+                 * q ** k * (1.0 - q) ** chords)
+        if math.isfinite(value):
+            return value
+    if not 0 < q < 1:  # q^k or (1-q)^chords is 0
+        return 0.0
+    with contextlib.suppress(OverflowError):
+        return math.exp(math.lgamma(m + 1) - math.lgamma(m - k + 1)
+                        - math.log(2 * k) + k * math.log(q)
+                        + chords * math.log1p(-q))
+    return math.inf
 
 
 def expected_local_cycles(n: int, p: float, k: int) -> float:
@@ -145,11 +162,14 @@ def mcdiarmid_tail(n: int, m_lip: int, t: float) -> float:
 
 def near_lipschitz_tail(n: int, lam: float, m_lip: int, t: float) -> float:
     """Deviation bound for degree-Lipschitz functionals:
-    2 exp(-t^2/(4nM^2)) + 2 n^2 (lam e / M)^M."""
+    2 exp(-t^2/(4nM^2)) + 2 n^2 (lam e / M)^M, reported raw (inf past
+    float range)."""
     if not lam >= 0:  # NaN fails this too
         raise ValueError("lam must be >= 0")
-    return (mcdiarmid_tail(n, m_lip, t)
-            + 2.0 * n * n * (lam * math.e / m_lip) ** m_lip)
+    tail = mcdiarmid_tail(n, m_lip, t)
+    with contextlib.suppress(OverflowError):
+        return tail + 2.0 * n * n * (lam * math.e / m_lip) ** m_lip
+    return math.inf
 
 
 GW_INVARIANTS = ("induced_matching", "pd", "depth")

@@ -1,44 +1,33 @@
 """Exhaustive audit of the resolution/presentation equivalences on every
 labeled graph with few vertices.
 
-Both sides are decided from induced subgraphs.  For each k-subset of the
-vertices (k = 4, 5, 6, below n) the induced edge mask is gathered bitwise
-for all graphs at once and looked up in flag tables indexed by labeled
-k-vertex graphs.  Two tables mark top sets whose homology breaks linear
-resolution or linear presentation, by ``betti.linearity`` applied to the
-Betti positions the top set contributes.
+A graph G on n vertices has four flags: linear resolution (lr), linear
+presentation (lp), cochordal and gap-free (4-cochordal).  Each holds iff no
+induced subgraph breaks it, and each proper induced subgraph lies in some
+G - v, so G's flags are the AND of those of its n vertex deletions, read
+from the (n-1)-vertex tables, and of its top set (all n vertices) alone:
 
-The top set of a graph the proper subsets leave undecided takes one of
-three routes, all decided for the whole mask array before any per-graph
-Python runs; the flag tables are the same routes run on every mask:
+* lr, lp: homology of Ind(G) in degree d sits at Betti position
+  (n - d - 1, n), read by ``betti.linearity``.  A cone (an empty row) has
+  none.  A fold (N(x) subseteq N(y), ``betti.fold_vertex``) has Ind(G)
+  homotopic to Ind(G - y), which the deletions cover: degree d >= 1 breaks
+  resolution on G - y too, and degree n - 3 would sit at beta_{1,n-1} of
+  G - y, where an edge ideal, generated in degree 2, has nothing.  So only
+  the irreducible top sets of graphs the deletions leave open go to
+  ``HomologyEngine.irreducible_dims``.  The 0-vertex graph breaks nothing.
+* cochordal, gap-free: the complement is chordal (free of induced C4s) iff
+  no induced subgraph (on 4 vertices) has a chordless cycle as complement.
+  The top set's term is membership in the labeled complement-C_n masks,
+  for gap-free at n = 4 only.
 
-* cone: a vertex with an empty neighbor row makes the independence complex
-  a cone, with no homology, so the top set breaks neither flag;
-* fold: otherwise the first ordered pair (x, y) with N(x) subseteq N(y),
-  the lattice scan's own rule (``betti.fold_vertex``), lets y go without
-  changing the homotopy type, and G - y is looked up in the (n-1)-vertex
-  tables.  Homology in degree d of an n-vertex top set sits at Betti
-  position (n - d - 1, n): degree >= 1 breaks resolution, and degree n - 3
-  breaks presentation.  The first reads the same on G - y (``lr_break``).
-  The second is degree (n-1) - 2 there, which sits at beta_{1,n-1} of
-  G - y, and an edge ideal has generators in degree 2 only: a fold never
-  breaks presentation, and the tests pin this;
-* engine: the rest have an irreducible top set, with no isolated vertex
-  and no fold, and ``HomologyEngine.irreducible_dims`` takes its homology.
-
-The 0-vertex graph's top set is the empty complex, whose H~_{-1} sits at
-beta_{0,0} and breaks neither flag.
-
-The third table marks graphs whose complement is a chordless k-cycle, set
-from the labeled complement-C_k masks listed directly: the complement of a
-graph is chordal iff no subset carries that flag, and free of induced C4s
-iff no 4-subset does.  The top set is tested by membership in the labeled
-complement-C_n masks.  The real ``is_chordal``/``has_induced_c4`` still run
-on every mask divisible by ``CROSS_CHECK_STRIDE``, and any disagreement
-with either side is a mismatch; choosing the sample by mask keeps reports
-equal at any worker count.  Flag tables use GF(2) ranks; at these sizes
-coefficients cannot matter (see the field-independence tests), and the
-kernel itself is validated against the public per-graph functions.
+The audit runs the same recursion on its range of masks and compares lr
+with cochordal and lp with gap-free.  The real ``is_chordal`` and
+``has_induced_c4`` still run on every mask divisible by
+``CROSS_CHECK_STRIDE``, and any disagreement with either side is a
+mismatch; choosing the sample by mask keeps reports equal at any worker
+count.  Flag tables use GF(2) ranks; at these sizes coefficients cannot
+matter (see the field-independence tests), and the kernel itself is
+validated against the public per-graph functions.
 """
 
 from __future__ import annotations
@@ -54,7 +43,6 @@ from .graph_core import complement, graph_from_edge_mask, pair_index, pair_list
 from .random_models import rng_for
 
 _AUDIT_FIELD = "f2"
-_TABLE_SIZES = (4, 5, 6)
 _tables: dict[int, tuple[np.ndarray, ...]] = {}
 # Largest n of the exhaustive audit, which checks 2**21 graphs there.
 MAX_EXHAUSTIVE_N = 7
@@ -64,24 +52,33 @@ MAX_RANDOM_AUDIT_N = 11
 # predicates.  A power of two would sample only graphs missing the lowest
 # pairs; an odd prime ties the sample to no fixed set of pair bits.
 CROSS_CHECK_STRIDE = 29
-# How _top_set_routes decided a top set.
-CONE, FOLD, ENGINE = 0, 1, 2
 
 
 def flag_tables(k: int) -> tuple[np.ndarray, ...]:
-    """(lr_break, lp_break, cycle) over all labeled k-vertex graphs by edge
-    mask: lr_break and lp_break mark a top set whose homology breaks linear
-    resolution and linear presentation, cycle a complement that is a
-    chordless k-cycle."""
-    cached = _tables.get(k)
-    if cached is not None:
-        return cached
-    masks = np.arange(1 << (k * (k - 1) // 2), dtype=np.uint32)
-    lr, lp, _ = _top_set_routes(k, masks)
-    cycle = np.zeros(len(masks), dtype=bool)
-    cycle[_complement_cycle_masks(k)] = True
-    _tables[k] = (~lr, ~lp, cycle)
+    """(lr, lp, cochordal, gap_free) of every labeled k-vertex graph, by
+    edge mask; each flag holds iff no induced subgraph breaks it."""
+    if k not in _tables:
+        _tables[k] = _flags(k, np.arange(1 << (k * (k - 1) // 2),
+                                         dtype=np.uint32))
     return _tables[k]
+
+
+def _flags(n: int, masks: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(lr, lp, cochordal, gap_free) of each n-vertex graph: the AND of the
+    flags of its n vertex deletions and of its top set alone."""
+    top = np.isin(masks, _complement_cycle_masks(n))
+    ones = np.ones(len(masks), dtype=bool)
+    flags = (ones, ones.copy(), ~top, ~top if n == 4 else ones.copy())
+    if n == 0:
+        return flags
+    for v in range(n):
+        ind = _induced_masks(n, masks, tuple(u for u in range(n) if u != v))
+        for flag, table in zip(flags, flag_tables(n - 1)):
+            flag &= table[ind]
+    open_ = np.flatnonzero(flags[0] | flags[1])
+    for flag, top_flag in zip(flags, _top_set_flags(n, masks[open_])):
+        flag[open_] &= top_flag
+    return flags
 
 
 def _complement_cycle_masks(n: int) -> np.ndarray:
@@ -115,27 +112,6 @@ def _induced_masks(n: int, masks: np.ndarray,
     return ind
 
 
-def _subset_flags(n: int, masks: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per-graph flags from proper subsets of size 4..min(6, n-1): some subset
-    breaks linear resolution / linear presentation, or has a complement that
-    is a chordless cycle / a chordless 4-cycle."""
-    lr_viol, lp_viol, chordless, chordless4 = np.zeros((4, len(masks)),
-                                                       dtype=bool)
-    for k in _TABLE_SIZES:
-        if k >= n:
-            continue
-        lr_break, lp_break, cycle = flag_tables(k)
-        for subset in combinations(range(n), k):
-            ind = _induced_masks(n, masks, subset)
-            lr_viol |= lr_break[ind]
-            lp_viol |= lp_break[ind]
-            hits = cycle[ind]
-            chordless |= hits
-            if k == 4:
-                chordless4 |= hits
-    return lr_viol, lp_viol, chordless, chordless4
-
-
 def _vertex_rows(n: int, masks: np.ndarray) -> np.ndarray:
     """(n, len(masks)) neighbor rows of every graph, gathered bitwise."""
     rows = np.zeros((n, len(masks)), dtype=np.uint32)
@@ -146,37 +122,19 @@ def _vertex_rows(n: int, masks: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _top_set_routes(n: int, masks: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(lr, lp, route) of each graph's top set alone: whether the Betti
-    positions its full vertex set contributes keep linear resolution and
-    linear presentation, by the cone, fold and engine routes of the module
-    docstring."""
-    lr, lp = np.ones((2, len(masks)), dtype=bool)
-    route = np.full(len(masks), ENGINE, dtype=np.uint8)
-    if n == 0:
-        return lr, lp, route
+def _top_set_flags(n: int, masks: np.ndarray) -> np.ndarray:
+    """(lr, lp) of each n-vertex graph's top set alone, n >= 1: the engine's
+    on irreducible ones, (True, True) on cones and folds (module docstring)."""
+    flags = np.ones((2, len(masks)), dtype=bool)
+    full = (1 << n) - 1
     rows = _vertex_rows(n, masks)
-    fold_y = fold_vertex(rows, (1 << n) - 1)
-    route[fold_y >= 0] = FOLD
-    # Cones override: fold_vertex answers only graphs with no empty row.
-    route[(rows == 0).any(axis=0)] = CONE
-    # lp stays True on a fold: it would take homology of G - y in degree
-    # (n-1) - 2, at beta_{1,n-1}, and an edge ideal has no generator of
-    # degree above 2.
-    folds = route == FOLD
-    if folds.any():
-        lr_break = flag_tables(n - 1)[0]
-        for y in range(n):
-            sel = np.flatnonzero(folds & (fold_y == y))
-            rest = tuple(v for v in range(n) if v != y)
-            lr[sel] = ~lr_break[_induced_masks(n, masks[sel], rest)]
-    pairs = pair_list(n)
-    for i in np.flatnonzero(route == ENGINE):
-        g = graph_from_edge_mask(n, int(masks[i]), pairs)
-        dims = HomologyEngine(g, _AUDIT_FIELD).irreducible_dims((1 << n) - 1)
-        lr[i], lp[i] = linearity(((n - d - 1, n), rank)
-                                 for d, rank in dims.items())
-    return lr, lp, route
+    irreducible = (rows != 0).all(axis=0) & (fold_vertex(rows, full) < 0)
+    for i in np.flatnonzero(irreducible):
+        g = graph_from_edge_mask(n, int(masks[i]))
+        dims = HomologyEngine(g, _AUDIT_FIELD).irreducible_dims(full)
+        flags[:, i] = linearity(((n - d - 1, n), rank)
+                                for d, rank in dims.items())
+    return flags
 
 
 def _disagreement(g, lr: bool, lp: bool) -> dict | None:
@@ -198,17 +156,7 @@ def _audit_chunk(task):
     n, lo, hi = task
     pairs = pair_list(n)
     masks = np.arange(lo, hi, dtype=np.uint32)
-    lr_viol, lp_viol, chordless, chordless4 = _subset_flags(n, masks)
-    top = np.isin(masks, _complement_cycle_masks(n))
-    cochordal = ~(chordless | top)
-    # At n = 4 the top set is the only 4-subset.
-    gap_free = ~(chordless4 | top) if n == 4 else ~chordless4
-    lr = ~lr_viol
-    lp = ~lp_viol
-    undecided = np.flatnonzero(lr | lp)
-    top_lr, top_lp, _ = _top_set_routes(n, masks[undecided])
-    lr[undecided] &= top_lr
-    lp[undecided] &= top_lp
+    lr, lp, cochordal, gap_free = _flags(n, masks)
     sampled = masks % np.uint32(CROSS_CHECK_STRIDE) == 0
     mismatches = []
     for i in np.flatnonzero((lr != cochordal) | (lp != gap_free) | sampled):
@@ -233,8 +181,8 @@ def exhaustive_flag_audit(n: int, workers: int = 1):
     if n > MAX_EXHAUSTIVE_N:
         raise ValueError(f"exhaustive audit is for n <= {MAX_EXHAUSTIVE_N}, "
                          f"got {n}")
-    for k in range(n):
-        flag_tables(k)  # build pre-fork so workers share the tables
+    # Built pre-fork, with every smaller table, so that workers share them.
+    flag_tables(max(n - 1, 0))
     total = 1 << (n * (n - 1) // 2)
     tasks = [(n, lo, hi) for lo, hi in _chunk_ranges(total, workers * 4)]
     results = run_chunked(_audit_chunk, tasks, workers)

@@ -176,6 +176,12 @@ class ExperimentConfig:
             raise ConfigError(f"n_list: required for kind {self.kind!r}")
         if self.kind == "threshold" and not self.predicates:
             raise ConfigError("predicates: required for kind 'threshold'")
+        if (self.kind == "threshold" and self.schedule.kind == "window_dense"
+                and "is_cochordal" in self.predicates):
+            try:  # the cell's theory, refused here rather than after sampling
+                prob_lr_dense_window(self.schedule.lam)
+            except ValueError as exc:
+                raise ConfigError(f"schedule: {exc}") from None
         if self.kind in ("gw_limit", "variance_audit"):
             if self.schedule.kind != "sparse":
                 raise ConfigError(

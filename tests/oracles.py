@@ -11,13 +11,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
-from eideal.betti import HomologyEngine
-from eideal.graph_core import (Graph, bits, build_graph, edge_mask,
-                               enumerate_graphs, induced_subgraph)
+from eideal.betti import HomologyEngine, linearity
+from eideal.graph_core import (Graph, bits, build_graph, complement,
+                               edge_mask, enumerate_graphs,
+                               graph_from_edge_mask, induced_subgraph,
+                               pair_index, pair_list)
 
 
 def naive_independent_sets(g: Graph) -> list[int]:
@@ -163,6 +165,29 @@ def small_cycle_counts(g: Graph) -> dict[int, int]:
     vertices, read from a table of every such graph built once per session
     (``enumerate_graphs`` yields them in edge-mask order)."""
     return _small_cycle_counts()[g.n][edge_mask(g)]
+
+
+@lru_cache(maxsize=None)
+def cochordal_counts_by_edges(n: int) -> dict[str, list[int]]:
+    """N_m for m = 0..C(n, 2): the labeled n-vertex graphs with m edges
+    whose complement has no chordless cycle ("is_cochordal") or no induced
+    4-cycle ("is_4_cochordal"), n <= 6, read from ``small_cycle_counts``
+    of the complements."""
+    out = {name: [0] * (n * (n - 1) // 2 + 1)
+           for name in ("is_cochordal", "is_4_cochordal")}
+    for g in enumerate_graphs(n):
+        counts = small_cycle_counts(complement(g))
+        out["is_cochordal"][g.edge_count] += not any(counts.values())
+        out["is_4_cochordal"][g.edge_count] += counts[4] == 0
+    return out
+
+
+def exact_gnp_probability(counts: list[int], p: float) -> float:
+    """P_n(p) = sum_m N_m p^m (1 - p)^(C(n,2) - m) of a property whose
+    N_m are ``counts``."""
+    pairs = len(counts) - 1
+    return sum(c * p ** m * (1 - p) ** (pairs - m)
+               for m, c in enumerate(counts))
 
 
 def diagonal_scan_induced_c4(g: Graph) -> int:
@@ -392,6 +417,56 @@ def naive_regularity_quotient(g: Graph, field: str = "q") -> int:
 
 def naive_pd_quotient(g: Graph, field: str = "q") -> int:
     return max((i for i, j in naive_betti_table(g, field)), default=0)
+
+
+def _gather(masks: np.ndarray, moves) -> np.ndarray:
+    """Edge masks with bit src of each input moved to bit dst, for each
+    (src, dst) in moves; bits not moved are dropped."""
+    out = np.zeros_like(masks)
+    for src, dst in moves:
+        out |= ((masks >> src) & 1) << dst
+    return out
+
+
+@lru_cache(maxsize=None)
+def _naive_top_set_flags(k: int) -> np.ndarray:
+    """(len, 2) flags (linear resolution, linear presentation) that the
+    Betti positions (k - d - 1, k) of Ind(G) alone allow, for every labeled
+    k-vertex graph G by edge mask: naive homology of its independent sets,
+    taken once per isomorphism class (the least mask over all
+    relabelings)."""
+    masks = np.arange(1 << (k * (k - 1) // 2), dtype=np.uint32)
+    canon = masks.copy()
+    for perm in permutations(range(k)):
+        np.minimum(canon, _gather(masks, [
+            (pair_index(k, a, b), pair_index(k, perm[a], perm[b]))
+            for a, b in pair_list(k)]), out=canon)
+    classes, inverse = np.unique(canon, return_inverse=True)
+    flags = []
+    for mask in classes.tolist():
+        faces = naive_independent_sets(graph_from_edge_mask(k, mask))
+        dims = naive_homology_of_faces(faces, "f2")
+        flags.append(linearity(((k - d - 1, k), rank)
+                               for d, rank in dims.items()
+                               if d >= 0 and k - d - 1 >= 1))
+    return np.array(flags, dtype=bool).reshape(-1, 2)[inverse]
+
+
+@lru_cache(maxsize=None)
+def naive_linear_flag_table(k: int) -> np.ndarray:
+    """(len, 2) flags ``linearity(naive_betti_table(g, "f2").items())`` of
+    every labeled k-vertex graph g by edge mask, k <= 6: the same sum over
+    every nonempty vertex subset W, in bulk, with G[W] read from
+    ``_naive_top_set_flags``.  Built once per session."""
+    masks = np.arange(1 << (k * (k - 1) // 2), dtype=np.uint32)
+    flags = np.ones((len(masks), 2), dtype=bool)
+    for size in range(1, k + 1):
+        top = _naive_top_set_flags(size)
+        for w in combinations(range(k), size):
+            flags &= top[_gather(masks, [
+                (pair_index(k, w[a], w[b]), pair_index(size, a, b))
+                for a, b in pair_list(size)])]
+    return flags
 
 
 def is_irreducible(adj, w: int) -> bool:

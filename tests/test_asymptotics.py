@@ -12,6 +12,7 @@ from eideal.asymptotics import (GW_INVARIANTS, expected_chordless_cycles,
 from eideal.chordality import count_chordless_cycles
 from eideal.graph_core import enumerate_graphs
 from eideal.comb_invariants import forest_fold
+from eideal.experiments import ConfigError, ExperimentConfig, run_experiment
 from eideal.random_models import sample_gnp, sample_gw_tree, substream_seed
 
 
@@ -54,6 +55,84 @@ def test_expected_chordless_cycles_formula():
     assert expected_chordless_cycles(10, 0.0, 4) == 0
     with pytest.raises(ValueError):
         expected_chordless_cycles(3, 0.5, 4)
+
+
+def _exact_chordless_cycles(m, q, k):
+    return float(Fraction(math.factorial(k - 1), 2) * math.comb(m, k)
+                 * Fraction(q) ** k
+                 * (1 - Fraction(q)) ** (math.comb(k, 2) - k))
+
+
+def test_expected_chordless_cycles_past_float_range():
+    # (k-1)! leaves float range at k = 172: these raised OverflowError, or
+    # read inf * 0 = nan, and now take the product in log space.
+    for m, q, k in ((172, 0.01, 172), (400, 0.01, 172), (2000, 0.01, 172),
+                    (10000, 0.005, 180)):
+        assert expected_chordless_cycles(m, q, k) == pytest.approx(
+            _exact_chordless_cycles(m, q, k), rel=1e-9), (m, q, k)
+    assert expected_chordless_cycles(200, 0.5, 180) == 0.0
+    assert expected_chordless_cycles(2000, 0.5, 170) == 0.0
+    assert expected_chordless_cycles(200, 0.0, 180) == 0.0
+    assert expected_chordless_cycles(200, 1.0, 180) == 0.0
+    assert expected_chordless_cycles(10 ** 6, 0.01, 200) == math.inf
+    assert expected_local_cycles(300, 0.5, 200) == 0.0
+
+
+def test_expected_chordless_cycles_in_range_is_the_direct_product():
+    # The pinned cycle cells' theory: a product that stays finite is the
+    # same float as before.
+    for m, q, k in ((7, 0.3, 5), (400, 0.01, 6), (1000, 0.37, 40),
+                    (300, 0.02, 120), (50, 0.9, 12)):
+        assert expected_chordless_cycles(m, q, k) == (
+            math.factorial(k - 1) / 2.0 * math.comb(m, k) * q ** k
+            * (1.0 - q) ** (math.comb(k, 2) - k)), (m, q, k)
+
+
+def test_cycle_calibration_past_float_range_runs():
+    # This config passes validation; its theory at k >= 172 raised.
+    config = ExperimentConfig.from_json({
+        "kind": "cycle_calibration", "seed": 3, "trials": 2,
+        "n_list": [172], "k_max": 172,
+        "schedule": {"kind": "constant", "p": 0.01}})
+    cells = run_experiment(config).cells
+    assert [c.cell_id for c in cells] == [
+        f"mean_chordless_{k}" for k in range(4, 173)]
+    assert all(math.isfinite(c.theory) for c in cells)
+    assert cells[-1].theory == pytest.approx(
+        _exact_chordless_cycles(172, 0.01, 172), rel=1e-9)
+
+
+def test_near_lipschitz_tail_past_float_range_is_inf():
+    # (lam e / M)^M overflowed: the bound is vacuous, reported raw.
+    assert near_lipschitz_tail(10, 1000.0, 400, 1.0) == math.inf
+    with pytest.raises(ValueError, match="n and M must be >= 1"):
+        near_lipschitz_tail(10, 1000.0, 0, 1.0)
+
+
+def test_lr_dense_window_refuses_an_endless_series():
+    # The tail bound falls like q^k / (1 - q) with q = lam^(1/4): this
+    # looped for minutes, and lam just below 1 for ever.
+    with pytest.raises(ValueError, match=r"over 10\*\*6 terms"):
+        prob_lr_dense_window(0.999999999, tol=1e-300)
+    with pytest.raises(ValueError, match="too close to 1"):
+        prob_lr_dense_window(1 - 2 ** -53)
+    # Near the limit the series still runs, and it agrees with the closed
+    # form exp(-(-log(1 - q) - q - q^2/2 - q^3/3) / 2).
+    q = 0.9999 ** 0.25
+    tv = prob_lr_dense_window(0.9999)
+    closed = math.exp((math.log1p(-q) + q + q * q / 2 + q ** 3 / 3) / 2)
+    assert tv.value == pytest.approx(closed, rel=1e-9)
+    assert tv.truncation_error <= 1e-12
+
+
+def test_window_dense_config_refuses_an_endless_theory():
+    obj = {"kind": "threshold", "seed": 1, "trials": 5, "n_list": [10],
+           "schedule": {"kind": "window_dense", "lambda": 0.999999999},
+           "predicates": ["is_cochordal"]}
+    with pytest.raises(ConfigError, match="schedule: .* too close to 1"):
+        ExperimentConfig.from_json(obj)
+    # The theory is only read for is_cochordal.
+    ExperimentConfig.from_json({**obj, "predicates": ["is_4_cochordal"]})
 
 
 def test_expected_chordless_cycles_exact_exhaustive():

@@ -300,6 +300,32 @@ def test_theory_refuses_out_of_range_inputs(argv, message, capsys):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("flags, printed", [
+    # These raised OverflowError (exit 1 with a traceback) or printed nan.
+    ({"formula": "expected_cycles", "m": 200, "k": 180, "q": 0.5},
+     "value = 0\n"),
+    ({"formula": "expected_cycles", "m": 2000, "k": 170, "q": 0.5},
+     "value = 0\n"),
+    ({"formula": "local_cycles", "n": 300, "k": 200, "p": 0.5},
+     "value = 0\n"),
+    ({"formula": "near_lipschitz", "n": 10, "lambda": 1000, "lip": 400,
+      "t": 1}, "value = inf\n"),
+])
+def test_theory_past_float_range(flags, printed, capsys):
+    argv = ["theory"]
+    for flag, value in flags.items():
+        argv += [f"--{flag}", str(value)]
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out == printed
+
+
+def test_theory_endless_dense_series_is_a_usage_error(capsys):
+    # This had not returned after two minutes.
+    assert run_cli(["theory", "--formula", "lr_dense", "--lambda",
+                    "0.999999999", "--tol", "1e-300"]) == 2
+    assert "over 10**6 terms" in capsys.readouterr().err
+
+
 def test_experiment_end_to_end(tmp_path, capsys):
     config = {"kind": "threshold", "seed": 13, "trials": 30, "n_list": [10],
               "schedule": {"kind": "constant", "p": 1.0},

@@ -10,6 +10,7 @@ from eideal import betti, chordality, experiments, random_models
 from eideal.chordality import (count_chordless_cycles, count_triangles,
                                is_locally_4_cochordal, is_locally_cochordal)
 from eideal.comb_invariants import BudgetExceededError, cover_profile
+from eideal.corpus import flag_tables
 from eideal.experiments import (CSV_COLUMNS, ConfigError, ExperimentConfig,
                                 _additivity_trial, _componentwise_row,
                                 _lipschitz_trial, _threshold_verdicts,
@@ -26,7 +27,8 @@ from eideal.random_models import (_SPARSE_GNP_THRESHOLD, GnpDraw,
                                   ParamSchedule, draw_gnp, sample_gnp,
                                   schedule_p, substream_seed)
 
-from oracles import (elimination_is_chordal, naive_has_induced_c4,
+from oracles import (cochordal_counts_by_edges, elimination_is_chordal,
+                     exact_gnp_probability, naive_has_induced_c4,
                      naive_is_chordal, pair_scan_has_induced_c4)
 
 
@@ -320,6 +322,46 @@ def test_threshold_trivial_schedules():
                            predicates=("is_cochordal",))
     report = run_threshold(cfg)
     assert report.cells[0].estimate == 1.0
+
+
+def test_cochordal_counts_match_flag_tables():
+    # N_m two ways: cycle counts of the complements, and the Froberg
+    # audit's tables by edge count.
+    for n in (5, 6):
+        _, _, cochordal, gap_free = flag_tables(n)
+        edges = np.array([m.bit_count() for m in range(len(cochordal))])
+        counts = cochordal_counts_by_edges(n)
+        for name, flag in (("is_cochordal", cochordal),
+                           ("is_4_cochordal", gap_free)):
+            assert counts[name] == np.bincount(
+                edges[flag], minlength=n * (n - 1) // 2 + 1).tolist(), n
+
+
+EXACT_TRIALS = 3000
+
+
+@pytest.mark.parametrize("n, p, complemented_share", [
+    (5, 0.04, 0.0),   # geometric skips, below the sparse threshold
+    (6, 0.04, 0.0),
+    (6, 0.1, 0.18),   # flat draw kept as edges: at most 2 of 15 pairs drawn
+    (5, 0.5, 1.0),    # flat draw listing its non-edges, complemented
+    (6, 0.6, 1.0),
+])
+def test_threshold_cells_match_exact_probability(n, p, complemented_share):
+    # The whole sampled route (draw, peel, verdict, aggregation) against
+    # P_n(p) = sum_m N_m p^m (1 - p)^(C(n,2) - m), at 4 se.
+    config = ExperimentConfig(kind="threshold", seed=1729,
+                              trials=EXACT_TRIALS, n_list=(n,),
+                              schedule=ParamSchedule.constant(p),
+                              predicates=("is_cochordal", "is_4_cochordal"))
+    shares = map_gnp_trials("threshold", 1729, n, p, EXACT_TRIALS, 1,
+                            operator.attrgetter("complemented"))
+    assert np.mean(shares) == pytest.approx(complemented_share, abs=0.03)
+    for cell in run_experiment(config).cells:
+        exact = exact_gnp_probability(
+            cochordal_counts_by_edges(n)[cell.cell_id], p)
+        se = math.sqrt(exact * (1 - exact) / EXACT_TRIALS)
+        assert abs(cell.estimate - exact) <= 4 * se, (cell.cell_id, exact)
 
 
 def test_threshold_determinism_across_workers():
