@@ -55,7 +55,7 @@ def prob_lr_dense_window(lam: float, tol: float = 1e-12) -> TheoryValue:
     if lam >= 1:
         return TheoryValue(0.0, 0.0, "lr_dense_window")
     q = lam ** 0.25
-    last = 3 + 10 ** 6  # the tail bound below falls with k
+    last = 3 + 10 ** 6  # the 10**6-th term; the tail bound falls with k
     if q == 1 or q ** (last + 1) / (2 * (last + 1) * (1 - q)) > tol:
         raise ValueError(f"lam = {lam!r} is too close to 1: the tail needs "
                          f"over 10**6 terms to reach tol = {tol!r}")

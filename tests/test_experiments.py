@@ -343,7 +343,7 @@ EXACT_TRIALS = 3000
 @pytest.mark.parametrize("n, p, complemented_share", [
     (5, 0.04, 0.0),   # geometric skips, below the sparse threshold
     (6, 0.04, 0.0),
-    (6, 0.1, 0.18),   # flat draw kept as edges: at most 2 of 15 pairs drawn
+    (6, 0.1, 0.18),   # flat draw, kept as edges when at most 2 of 15 drawn
     (5, 0.5, 1.0),    # flat draw listing its non-edges, complemented
     (6, 0.6, 1.0),
 ])
