@@ -9,11 +9,11 @@ from .graph_core import (Graph, build_graph, complement, complete_graph,
                          enumerate_graphs, from_edge_list_text, from_hex_dump,
                          induced_subgraph, max_degree, path_graph, star_graph,
                          to_edge_list_text, to_hex_dump)
-from .random_models import (GwSample, ParamSchedule, sample_gnp,
-                            sample_gw_tree, schedule_p, substream_seed)
-from .chordality import (ChordlessCycleCount, count_chordless_cycles,
-                         count_triangles, has_induced_c4, is_4_cochordal,
-                         is_chordal, is_cochordal, is_locally_4_cochordal,
+from .random_models import (ParamSchedule, sample_gnp, sample_gw_tree,
+                            schedule_p, substream_seed)
+from .chordality import (count_chordless_cycles, count_triangles,
+                         has_induced_c4, is_4_cochordal, is_chordal,
+                         is_cochordal, is_locally_4_cochordal,
                          is_locally_cochordal)
 from .comb_invariants import (BudgetExceededError, CoverProfile,
                               cover_profile, independence_number,

@@ -18,7 +18,6 @@ class TheoryValue:
 
     value: float
     truncation_error: float
-    formula_id: str
 
 
 def prob_lr_sparse_window(lam: float) -> TheoryValue:
@@ -27,7 +26,7 @@ def prob_lr_sparse_window(lam: float) -> TheoryValue:
     if not lam >= 0:  # NaN fails this too
         raise ValueError("lam must be >= 0")
     r = math.sqrt(lam) / 2.0
-    return TheoryValue(math.exp(-r) * (1.0 + r), 0.0, "lr_sparse_window")
+    return TheoryValue(math.exp(-r) * (1.0 + r), 0.0)
 
 
 def prob_lp_dense_window(lam: float) -> TheoryValue:
@@ -35,7 +34,7 @@ def prob_lp_dense_window(lam: float) -> TheoryValue:
     window: exp(-lam/8)."""
     if not lam >= 0:  # NaN fails this too
         raise ValueError("lam must be >= 0")
-    return TheoryValue(math.exp(-lam / 8.0), 0.0, "lp_dense_window")
+    return TheoryValue(math.exp(-lam / 8.0), 0.0)
 
 
 def prob_lr_dense_window(lam: float, tol: float = 1e-12) -> TheoryValue:
@@ -51,9 +50,9 @@ def prob_lr_dense_window(lam: float, tol: float = 1e-12) -> TheoryValue:
     if not tol > 0:  # a NaN tol would never stop the series
         raise ValueError("tol must be > 0")
     if lam == 0:
-        return TheoryValue(1.0, 0.0, "lr_dense_window")
+        return TheoryValue(1.0, 0.0)
     if lam >= 1:
-        return TheoryValue(0.0, 0.0, "lr_dense_window")
+        return TheoryValue(0.0, 0.0)
     q = lam ** 0.25
     last = 3 + 10 ** 6  # the 10**6-th term; the tail bound falls with k
     if q == 1 or q ** (last + 1) / (2 * (last + 1) * (1 - q)) > tol:
@@ -68,7 +67,7 @@ def prob_lr_dense_window(lam: float, tol: float = 1e-12) -> TheoryValue:
         if tail <= tol:
             break
         k += 1
-    return TheoryValue(math.exp(-total), tail, "lr_dense_window")
+    return TheoryValue(math.exp(-total), tail)
 
 
 def expected_chordless_cycles(m: int, q: float, k: int) -> float:
@@ -88,21 +87,41 @@ def expected_chordless_cycles(m: int, q: float, k: int) -> float:
     if not 0 < q < 1:  # q^k or (1-q)^chords is 0
         return 0.0
     with contextlib.suppress(OverflowError):
-        return math.exp(math.lgamma(m + 1) - math.lgamma(m - k + 1)
-                        - math.log(2 * k) + k * math.log(q)
-                        + chords * math.log1p(-q))
+        return math.exp(_log_chordless_cycles(m, k, math.log(q),
+                                              math.log1p(-q)))
     return math.inf
+
+
+def _log_chordless_cycles(m: int, k: int, log_q: float,
+                          log_1mq: float) -> float:
+    """log of ``expected_chordless_cycles(m, q, k)``, from log q, log(1-q)."""
+    return (math.lgamma(m + 1) - math.lgamma(m - k + 1) - math.log(2 * k)
+            + k * log_q + (math.comb(k, 2) - k) * log_1mq)
 
 
 def expected_local_cycles(n: int, p: float, k: int) -> float:
     """Expected chordless k-cycles of the complement that additionally leave
-    some vertex with no edge-probability-p connection into the cycle."""
+    some vertex with no edge-probability-p connection into the cycle:
+    ``expected_chordless_cycles(n, 1 - p, k)`` * (1 - (1 - (1-p)^k)^(n-k)),
+    multiplied in log space (inf past float range, never inf * 0)."""
     if k < 4 or k > n:
         raise ValueError("need 4 <= k <= n")
     if not 0 <= p <= 1:  # NaN fails this too
         raise ValueError("p must be in [0, 1]")
-    isolation = 1.0 - (1.0 - (1.0 - p) ** k) ** (n - k)
-    return expected_chordless_cycles(n, 1.0 - p, k) * isolation
+    if not 0 < p < 1 or n == k:  # no chordless cycle, or no vertex left
+        return 0.0
+    log_q = math.log1p(-p)  # the complement's edge probability, 1 - p
+    log_miss = k * log_q  # a vertex with no edge into the cycle: (1-p)^k
+    if log_miss < -700:  # near underflow: the factor is (n-k)(1-p)^k
+        log_isolation = math.log(n - k) + log_miss
+    else:  # (1-p)^k rounds to 1 only where the factor rounds to 1
+        miss = math.exp(log_miss)
+        log_hit = math.log1p(-miss) if miss < 1 else -math.inf
+        log_isolation = math.log(-math.expm1((n - k) * log_hit))
+    with contextlib.suppress(OverflowError):
+        return math.exp(_log_chordless_cycles(n, k, log_q, math.log(p))
+                        + log_isolation)
+    return math.inf
 
 
 _KS_GRID = 1000
@@ -147,7 +166,7 @@ def karp_sipser_upper(lam: float) -> TheoryValue:
     t = karp_sipser_root(lam)
     e = math.exp(-lam * t)
     bound = 1.0 - (t + e + lam * t * e) / 2.0
-    return TheoryValue(bound, _KS_BISECT_TOL, "karp_sipser_upper")
+    return TheoryValue(bound, _KS_BISECT_TOL)
 
 
 def mcdiarmid_tail(n: int, m_lip: int, t: float) -> float:
@@ -177,8 +196,6 @@ GW_INVARIANTS = ("induced_matching", "pd", "depth")
 
 @dataclass(frozen=True)
 class GwLimitEstimate:
-    invariant: str
-    lam: float
     estimate: float
     stderr: float
     trials: int
@@ -211,12 +228,12 @@ def gw_limit_estimate(lam: float, trials: int, cap: int,
     tree_seeds = map(substream_seed, substream_seeds(seed, "gw",
                                                      count=trials))
     for rng in rngs_for(tree_seeds):
-        s = grow_gw_tree(lam, cap, rng)
-        if s.censored:
+        parents, capped = grow_gw_tree(lam, cap, rng)
+        if capped:
             censored += 1
             continue
-        size = s.size
-        nu, mmis = forest_fold(s.parents)
+        size = len(parents)
+        nu, mmis = forest_fold(parents)
         nu, pd, dep = nu / size, (size - mmis) / size, mmis / size
         s_nu, s_pd, s_dep = s_nu + nu, s_pd + pd, s_dep + dep
         q_nu, q_pd, q_dep = q_nu + nu * nu, q_pd + pd * pd, q_dep + dep * dep
@@ -230,6 +247,6 @@ def gw_limit_estimate(lam: float, trials: int, cap: int,
             stderr = math.sqrt(var / used)
         else:
             stderr = float("nan")
-        estimates[which] = GwLimitEstimate(which, lam, mean, stderr, used,
+        estimates[which] = GwLimitEstimate(mean, stderr, used,
                                            censored / trials)
     return estimates

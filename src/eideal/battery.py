@@ -13,15 +13,18 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 
+from . import chordality
 from .asymptotics import (karp_sipser_upper, prob_lp_dense_window,
                           prob_lr_dense_window, prob_lr_sparse_window)
 from .betti import betti_table, invariants, reg_pd_componentwise
 from .comb_invariants import (induced_matching_number, matching_number,
                               tree_induced_matching)
 from .experiments import (ExperimentConfig, map_gnp_trials, map_trials,
-                          run_cycle_calibration, run_lipschitz_audit,
-                          run_threshold, run_unmixed_scan, run_variance_audit)
-from .graph_core import build_graph, connected_components, cycle_graph
+                          run_cycle_calibration, run_froberg_audit,
+                          run_gw_limit, run_lipschitz_audit, run_threshold,
+                          run_unmixed_scan, run_variance_audit)
+from .graph_core import (build_graph, connected_components, cycle_graph,
+                         enumerate_graphs, graph_from_edge_mask)
 from .random_models import GnpDraw, ParamSchedule, rng_for, substream_seed
 
 DEFAULT_SEED = 1729
@@ -45,20 +48,16 @@ class CriterionResult:
 def criterion_froberg_exhaustive(seed: int = DEFAULT_SEED,
                                  workers: int = 1) -> CriterionResult:
     """Linear resolution <=> cochordal and linear presentation <=>
-    4-cochordal on all 2^21 labeled 7-vertex graphs, plus random 8/9."""
-    from .corpus import exhaustive_flag_audit, random_flag_audit
-
-    checked, mismatches = exhaustive_flag_audit(7, workers)
-    bad8 = random_flag_audit(8, 120, seed)
-    bad9 = random_flag_audit(9, 60, seed)
-    total_bad = len(mismatches) + len(bad8) + len(bad9)
-    ok = checked == 1 << 21 and total_bad == 0
+    4-cochordal on all 2^21 7-vertex graphs plus random 8/9 (froberg_audit)."""
+    report = run_froberg_audit(ExperimentConfig(kind="froberg_audit",
+                                                seed=seed), workers)
+    checked = report.cells[0].trials
     return CriterionResult(
-        "froberg_exhaustive", ok,
+        "froberg_exhaustive", checked == 1 << 21 and not report.witnesses,
         f"{checked} graphs at n=7 plus 180 random at n=8,9; "
-        f"{total_bad} disagreements",
-        {"checked_n7": checked, "mismatches_n7": len(mismatches),
-         "mismatches_n8": len(bad8), "mismatches_n9": len(bad9)})
+        f"{len(report.witnesses)} disagreements",
+        {"checked_n7": checked, **{f"mismatches_n{c.n}": int(c.estimate)
+                                   for c in report.cells}})
 
 
 # -- 2 ----------------------------------------------------------------------
@@ -218,9 +217,6 @@ def criterion_cycle_calibration(seed: int = DEFAULT_SEED,
     exhaustive corpora (m = 4, 5)."""
     from fractions import Fraction
 
-    from .chordality import count_chordless_cycles
-    from .graph_core import enumerate_graphs
-
     gaps = {}
     ok = True
     for n, q in ((60, 0.1), (30, 0.3)):
@@ -236,7 +232,7 @@ def criterion_cycle_calibration(seed: int = DEFAULT_SEED,
     for m in (4, 5):
         pairs = m * (m - 1) // 2
         # One count per graph at k_max = m gives every length k <= m.
-        counted = [(g.edge_count, count_chordless_cycles(g, m).by_length)
+        counted = [(g.edge_count, chordality.count_chordless_cycles(g, m))
                    for g in enumerate_graphs(m)]
         for qf in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
             for k in range(4, m + 1):
@@ -261,8 +257,6 @@ def criterion_gw_limit(seed: int = DEFAULT_SEED,
     """Graph-side means at rate 0.5, n=2000 (200 trials) against tree-side
     estimates (1e5 trees) within 4 combined standard errors, for the
     regularity, projective dimension and depth columns."""
-    from .experiments import run_gw_limit
-
     cfg = ExperimentConfig(kind="gw_limit", seed=seed, trials=200,
                            n_list=(2000,),
                            schedule=ParamSchedule.sparse(0.5),
@@ -463,8 +457,6 @@ def run_battery(seed: int = DEFAULT_SEED, workers: int = 1,
 def _full_field_sweep(workers: int) -> CriterionResult:
     """Optional deep check: tables over the rationals and GF(2) agree on an
     extended corpus (exhaustive through 6 vertices, heavy random at 7)."""
-    from .graph_core import enumerate_graphs, graph_from_edge_mask
-
     bad = 0
     for n in (4, 5, 6):
         for g in enumerate_graphs(n):

@@ -378,16 +378,11 @@ def induced_betti_tables(g: Graph, grounds, field: str = "q",
     for u in grounds:
         union |= u
     ws, root = _irreducible_targets(engine.adj, union)
-    m = len(ws)
-    key = np.bitwise_count(ws).astype(np.int64) * (m + 1) + root
     homology: dict[int, dict[int, int]] = {}
     tables = []
     for u in grounds:
-        inside = (root < m) & ((ws & ~u) == 0)
-        keys, counts = np.unique(key[inside], return_counts=True)
         entries: dict[tuple[int, int], int] = {}
-        for pos, rank in _positions(engine, ws, keys.tolist(),
-                                    counts.tolist(), homology):
+        for pos, rank in _positions(engine, ws, root, u, homology):
             entries[pos] = entries.get(pos, 0) + rank
         tables.append(BettiTable(u.bit_count(), field, entries))
     return tables
@@ -424,15 +419,19 @@ def _irreducible_targets(adj, union: int) -> tuple[np.ndarray, np.ndarray]:
         step = jumped
 
 
-def _positions(engine: HomologyEngine, ws: np.ndarray, keys, counts,
-               homology: dict[int, dict[int, int]]):
-    """((i, j), rank) that `count` subsets W add to the table, for each key
-    |W| * (len(ws) + 1) + r of W whose fold chain ends at the irreducible
-    ws[r]: by beta_{i,j}(S/I) = sum over |W| = j of dim H~_{j-i-1}(Ind(G[W])),
-    homology in degree d lands at i = j - d - 1.  `homology` memoizes the
-    dims of each r."""
-    for key, count in zip(keys, counts):
-        j, r = divmod(key, len(ws) + 1)
+def _positions(engine: HomologyEngine, ws: np.ndarray, root: np.ndarray,
+               ground: int, homology: dict[int, dict[int, int]]):
+    """((i, j), rank) that the W of the scan (ws, root) inside `ground` add
+    to the table of G[ground], by increasing |W|: one np.unique counts them
+    by (|W|, r = root), W's homology being that of ws[r], and by beta_{i,j}
+    = sum over |W| = j of dim H~_{j-i-1}(Ind(G[W])), homology in degree d
+    lands at i = j - d - 1.  `homology` memoizes the dims of each r."""
+    m = len(ws)
+    inside = (root < m) & ((ws & ~ground) == 0)
+    keys, counts = np.unique(np.bitwise_count(ws[inside]).astype(np.int64)
+                             * (m + 1) + root[inside], return_counts=True)
+    for key, count in zip(keys.tolist(), counts.tolist()):
+        j, r = divmod(key, m + 1)
         dims = homology.get(r)
         if dims is None:
             dims = homology[r] = engine.irreducible_dims(int(ws[r]))
@@ -463,12 +462,9 @@ def linear_flags(g: Graph, field: str = "q",
     targets are read in order of increasing |W| (the key order), and
     homology stops at the first break of linear presentation."""
     engine = _engine(g, field, max_vertices)
-    ws, root = _irreducible_targets(engine.adj, (1 << g.n) - 1)
-    live = root < len(ws)
-    keys, counts = np.unique(np.bitwise_count(ws[live]).astype(np.int64)
-                             * (len(ws) + 1) + root[live], return_counts=True)
-    return linearity(_positions(engine, ws, keys.tolist(), counts.tolist(),
-                                {}))
+    ground = (1 << g.n) - 1
+    ws, root = _irreducible_targets(engine.adj, ground)
+    return linearity(_positions(engine, ws, root, ground, {}))
 
 
 @dataclass(frozen=True)

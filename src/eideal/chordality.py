@@ -14,7 +14,7 @@ the shrinking is free or already done:
   the rest, so a sparse graph pays only for the complement on the ends of
   its edges.  The threshold trials do the same on a draw that lists its
   edges: ``GnpDraw.live_graph`` builds it on the vertices that carry one
-  (``_relabel_live``), and they run ``is_chordal`` and ``has_induced_c4``
+  (``relabel_live``), and they run ``is_chordal`` and ``has_induced_c4``
   on the complement of that small graph, never on n rows.
 * A vertex of degree <= 1 lies on no cycle at all, so peeling such vertices
   until none is left, down to the 2-core, keeps both verdicts and every
@@ -32,17 +32,15 @@ a zero count of induced 4-cycles on the listed non-edges as drawn, with no
 peel and no rows.  ``cycle_counts_from_pairs`` runs that count, and a DFS
 for the lengths >= 5, on the 2-core of an edge list; the cycle-calibration
 trials hand it the sampler's pairs, so no row is built, and
-``count_chordless_cycles`` hands it g's edges.
+``count_chordless_cycles`` hands it g's edges and returns its count dict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .graph_core import (Graph, bits, complement, delete_closed_neighborhood,
-                         graph_from_pairs, induced_subgraph)
+                         graph_from_pairs, induced_subgraph, relabel_live)
 
 
 def _mcs_order(g: Graph) -> list[int]:
@@ -137,16 +135,7 @@ def two_core_pairs(us: np.ndarray,
             break
         keep = ~cut
         us, vs = us[keep], vs[keep]
-    return _relabel_live(deg, us, vs)
-
-
-def _relabel_live(deg: np.ndarray, us: np.ndarray,
-                  vs: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    """(k, us', vs'): the k vertices of nonzero degree ``deg`` relabelled
-    0..k-1 in increasing order, and the edges (us[i], vs[i]) among them."""
-    alive = deg > 0
-    label = np.cumsum(alive) - 1
-    return int(np.count_nonzero(alive)), label[us], label[vs]
+    return relabel_live(deg, us, vs)
 
 
 def two_core(us: np.ndarray, vs: np.ndarray) -> Graph:
@@ -189,23 +178,11 @@ def is_locally_4_cochordal(g: Graph) -> bool:
     return _locally(is_4_cochordal, g)
 
 
-@dataclass(frozen=True)
-class ChordlessCycleCount:
-    """Counts of chordless k-cycles for 4 <= k <= truncation_length."""
-
-    by_length: dict[int, int]
-    truncation_length: int
-
-    def total(self) -> int:
-        return sum(self.by_length.values())
-
-
-def count_chordless_cycles(g: Graph, k_max: int) -> ChordlessCycleCount:
-    """Exact chordless (induced) cycle counts by length, each counted once,
-    by ``cycle_counts_from_pairs`` on g's edges."""
+def count_chordless_cycles(g: Graph, k_max: int) -> dict[int, int]:
+    """{length: count} of g's chordless (induced) cycles, each counted once,
+    for lengths 4..k_max: ``cycle_counts_from_pairs`` on g's edges."""
     us, vs = np.array([*g.edges()], dtype=np.int64).reshape(-1, 2).T
-    return ChordlessCycleCount(cycle_counts_from_pairs(us, vs, k_max)[0],
-                               k_max)
+    return cycle_counts_from_pairs(us, vs, k_max)[0]
 
 
 def cycle_counts_from_pairs(us: np.ndarray, vs: np.ndarray,

@@ -31,23 +31,13 @@ from .comb_invariants import (BudgetExceededError, cover_profile,
                               independence_number, induced_matching_number,
                               matching_number)
 from .experiments import ConfigError, ExperimentConfig, run_experiment
-from .graph_core import (connected_components, from_edge_list_text,
-                         max_degree, to_edge_list_text)
+from .graph_core import (build_graph, connected_components,
+                         from_edge_list_text, max_degree, to_edge_list_text)
 from .random_models import check_seed, sample_gnp, sample_gw_tree
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_WITNESS = 3
-
-
-def _default_workers() -> int:
-    env = os.environ.get("EIDEAL_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def _echo_config(args_dict: dict):
@@ -74,8 +64,8 @@ def cmd_sample(args) -> int:
         else:
             if args.lam is None:
                 return _fail("gw sampling needs --lambda")
-            s = sample_gw_tree(args.lam, args.cap, seed)
-            g = s.tree
+            parents, censored = sample_gw_tree(args.lam, args.cap, seed)
+            g = build_graph(len(parents), enumerate(parents[1:], 1))
     except ValueError as exc:  # the samplers reject out-of-range parameters
         return _fail(str(exc))
     text = to_edge_list_text(g)
@@ -87,7 +77,7 @@ def cmd_sample(args) -> int:
     summary = {"n": g.n, "m": g.edge_count, "components": len(parts),
                "max_degree": max_degree(g), "seed": seed}
     if args.model == "gw":
-        summary["censored"] = s.censored
+        summary["censored"] = censored
     if args.json:
         print(json.dumps(summary, sort_keys=True))
     else:
@@ -203,10 +193,9 @@ def cmd_experiment(args) -> int:
         config = ExperimentConfig.from_json(obj)
     except ConfigError as exc:
         return _fail(str(exc))
-    workers = args.workers or _default_workers()
-    _echo_config({"command": "experiment", "workers": workers,
+    _echo_config({"command": "experiment", "workers": args.workers,
                   **config.to_json()})
-    report = run_experiment(config, workers)
+    report = run_experiment(config, args.workers)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     stem = outdir / f"{config.kind}_report"
@@ -221,14 +210,13 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_battery(args) -> int:
-    workers = args.workers or _default_workers()
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     _echo_config({"command": "battery", "mode": "full" if args.full else
-                  "quick", "seed": seed, "workers": workers,
+                  "quick", "seed": seed, "workers": args.workers,
                   "outdir": args.outdir})
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    results = run_battery(seed=seed, workers=workers, full=args.full)
+    results = run_battery(seed=seed, workers=args.workers, full=args.full)
     # Canonical report files carry no wall-clock data so replays are
     # byte-identical; timings go to a sidecar log.
     canon = {"seed": seed, "version": __version__,
@@ -302,6 +290,14 @@ def _finite(text: str) -> float:
     return value
 
 
+def _workers(text: str) -> int:
+    """argparse type for --workers and EIDEAL_WORKERS: an integer >= 1."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"an integer >= 1 is required, "
+                                         f"got {text!r}")
+    return int(text)
+
+
 def _seed(text: str) -> int:
     """argparse type for --seed: an integer that substream_seed can hash."""
     try:
@@ -343,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run one experiment config")
     p.add_argument("--config", required=True)
     p.add_argument("--outdir", default=".")
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=_workers)
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("battery", help="run the acceptance battery")
@@ -352,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--full", action="store_true")
     p.add_argument("--seed", type=_seed)
     p.add_argument("--outdir", default="battery_out")
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=_workers)
     p.set_defaults(func=cmd_battery)
 
     p = sub.add_parser("theory", help="evaluate a closed-form value")
@@ -374,9 +370,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "workers", 1) is None:
+            env = os.environ.get("EIDEAL_WORKERS")
+            args.workers = _workers(env) if env else os.cpu_count() or 1
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize other exits.
         return int(exc.code) if exc.code else EXIT_OK
+    except argparse.ArgumentTypeError as exc:
+        return _fail(f"EIDEAL_WORKERS: {exc}")
     return args.func(args)
 
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from .betti import HomologyEngine, fold_vertex, linear_flags, linearity
 from .chordality import has_induced_c4, is_chordal
-from .experiments import _chunk_ranges, run_chunked
+from .experiments import chunk_ranges, run_chunked
 from .graph_core import complement, graph_from_edge_mask, pair_index, pair_list
 from .random_models import rng_for
 
@@ -184,7 +184,7 @@ def exhaustive_flag_audit(n: int, workers: int = 1):
     # Built pre-fork, with every smaller table, so that workers share them.
     flag_tables(max(n - 1, 0))
     total = 1 << (n * (n - 1) // 2)
-    tasks = [(n, lo, hi) for lo, hi in _chunk_ranges(total, workers * 4)]
+    tasks = [(n, lo, hi) for lo, hi in chunk_ranges(total, workers * 4)]
     results = run_chunked(_audit_chunk, tasks, workers)
     return sum(r[0] for r in results), [m for r in results for m in r[1]]
 

@@ -296,7 +296,8 @@ class ExperimentReport:
 # Deterministic chunked worker pool
 # ---------------------------------------------------------------------------
 
-def _chunk_ranges(total: int, parts: int) -> list[tuple[int, int]]:
+def chunk_ranges(total: int, parts: int) -> list[tuple[int, int]]:
+    """At most ``parts`` consecutive (lo, hi) ranges covering range(total)."""
     parts = max(1, min(parts, total))
     step = (total + parts - 1) // parts
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
@@ -324,7 +325,7 @@ def _map_chunk(task):
 def map_trials(fn, trials: int, workers: int) -> list:
     """``[fn(t) for t in range(trials)]``, run in chunks of trials on the
     pool; ``fn`` and its rows must pickle."""
-    tasks = [(fn, lo, hi) for lo, hi in _chunk_ranges(trials, workers * 4)]
+    tasks = [(fn, lo, hi) for lo, hi in chunk_ranges(trials, workers * 4)]
     return [row for part in run_chunked(_map_chunk, tasks, workers)
             for row in part]
 

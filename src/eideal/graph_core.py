@@ -95,6 +95,15 @@ def graph_from_pairs(n: int, us, vs) -> Graph:
     return _packed_graph(mat)
 
 
+def relabel_live(deg: np.ndarray, us: np.ndarray,
+                 vs: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """(k, us', vs'): the k vertices of nonzero degree ``deg`` relabelled
+    0..k-1 in increasing order, and the edges (us[i], vs[i]) among them."""
+    alive = deg > 0
+    label = np.cumsum(alive) - 1
+    return int(np.count_nonzero(alive)), label[us], label[vs]
+
+
 def _packed_graph(mat) -> Graph:
     """The graph of the symmetric n x n bool adjacency matrix ``mat``."""
     packed = np.packbits(mat, axis=1, bitorder="little")

@@ -9,7 +9,8 @@ A seed's stream is ``np.random.PCG64(substream_seed(*parts))``, which
 streams (the Galton-Watson trees of ``gw_limit_estimate``) take them from
 ``rngs_for`` instead: one reused Generator whose PCG64 is put, seed by seed,
 in the exact state that constructor starts from, derived for a block of
-seeds at once.  The streams are the same; a test pins the states.
+seeds at once.  The streams are the same; a test pins the states.  A
+Galton-Watson tree is a plain ``(parents, censored)`` pair, with no Graph.
 """
 
 from __future__ import annotations
@@ -18,13 +19,11 @@ import hashlib
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .chordality import _relabel_live
-from .graph_core import (Graph, build_graph, complement, graph_from_pairs,
-                         pair_endpoints, pair_index)
+from .graph_core import (Graph, complement, graph_from_pairs, pair_endpoints,
+                         pair_index, relabel_live)
 
 # JSON parameter names of each schedule kind; "lambda" is stored as `lam`.
 SCHEDULE_PARAMS = {"sparse": ("lambda",), "power": ("c", "alpha"),
@@ -304,7 +303,7 @@ class GnpDraw:
         deg = np.bincount(np.concatenate((self.us, self.vs)), minlength=self.n)
         if self.complemented or deg.all():
             return self.graph()
-        return graph_from_pairs(*_relabel_live(deg, self.us, self.vs))
+        return graph_from_pairs(*relabel_live(deg, self.us, self.vs))
 
     def edge_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """The drawn edges as endpoint arrays, in lexicographic pair order."""
@@ -364,26 +363,7 @@ def sample_gnp(n: int, p: float, seed: int) -> Graph:
     return draw_gnp(n, p, seed).graph()
 
 
-@dataclass(frozen=True)
-class GwSample:
-    """A sampled Galton-Watson tree as its breadth-first parent list:
-    ``parents[i]`` is the parent of vertex i (below i), -1 for the root 0.
-    Censored when the size cap was hit.  ``tree`` builds the Graph on first
-    use; ``forest_fold(parents)`` needs none."""
-
-    parents: tuple[int, ...]
-    censored: bool
-
-    @property
-    def size(self) -> int:
-        return len(self.parents)
-
-    @cached_property
-    def tree(self) -> Graph:
-        return build_graph(self.size, enumerate(self.parents[1:], 1))
-
-
-def sample_gw_tree(lam: float, cap: int, seed: int) -> GwSample:
+def sample_gw_tree(lam: float, cap: int, seed: int) -> tuple:
     """``grow_gw_tree`` on the stream ``rng_for(seed)``."""
     return grow_gw_tree(lam, cap, rng_for(seed))
 
@@ -391,9 +371,10 @@ def sample_gw_tree(lam: float, cap: int, seed: int) -> GwSample:
 _GW_BLOCK = 8  # one Poisson call grows most trees at rate 0.5 (mean size 2)
 
 
-def grow_gw_tree(lam: float, cap: int, rng: np.random.Generator) -> GwSample:
-    """Breadth-first Galton-Watson tree with Poisson(lam) offspring, drawn
-    from ``rng``.
+def grow_gw_tree(lam: float, cap: int, rng: np.random.Generator) -> tuple:
+    """(parents, censored): a breadth-first Galton-Watson tree with
+    Poisson(lam) offspring, drawn from ``rng``, as its parent list:
+    ``parents[i]`` is the parent of vertex i (below i), -1 for the root 0.
 
     Vertex v, numbered in the order drawn (parents first), has the v-th
     Poisson value of the stream as its offspring count, read in blocks of
@@ -412,8 +393,8 @@ def grow_gw_tree(lam: float, cap: int, rng: np.random.Generator) -> GwSample:
         for k in rng.poisson(lam, size=_GW_BLOCK).tolist():
             if len(parents) + k > cap:
                 parents += [v] * (cap - len(parents))
-                return GwSample(tuple(parents), True)
+                return tuple(parents), True
             parents += [v] * k
             v += 1
             if v == len(parents):
-                return GwSample(tuple(parents), False)
+                return tuple(parents), False

@@ -147,7 +147,7 @@ def test_expected_chordless_cycles_exact_exhaustive():
                 acc = Fraction(0)
                 for g, edges in graphs:
                     weight = q ** edges * (1 - q) ** (pairs - edges)
-                    acc += weight * count_chordless_cycles(g, k).by_length[k]
+                    acc += weight * count_chordless_cycles(g, k)[k]
                 formula = (Fraction(math.factorial(k - 1), 2)
                            * math.comb(m, k) * q ** k
                            * (1 - q) ** (math.comb(k, 2) - k))
@@ -159,6 +159,41 @@ def test_expected_chordless_cycles_exact_exhaustive():
 def test_expected_local_cycles_edges():
     assert expected_local_cycles(10, 1.0, 4) == 0
     assert expected_local_cycles(10, 0.0, 4) == 0
+    assert expected_local_cycles(10, 0.5, 10) == 0  # no vertex to isolate
+    # (1 - p)^k rounds to 1: the isolation factor is 1 to float precision.
+    assert expected_local_cycles(10, 1e-20, 4) == pytest.approx(
+        630 * 1e-40, rel=1e-9)
+
+
+def _exact_local_cycles(n, p, k):
+    q = 1 - Fraction(p)
+    return float(Fraction(math.factorial(k - 1), 2) * math.comb(n, k)
+                 * q ** k * (1 - q) ** (math.comb(k, 2) - k)
+                 * (1 - (1 - q ** k) ** (n - k)))
+
+
+def test_expected_local_cycles_against_exact_rationals():
+    # (1000, 0.99, 4) lost 5e-9 of its value to 1 - (1 - 1e-8)^996 in
+    # floats; the log-space product keeps it.
+    for n, p, k in ((6, 0.5, 4), (60, 0.9, 4), (30, 0.5, 6),
+                    (1000, 0.99, 4), (200, 0.5, 40), (50, 0.3, 12)):
+        assert expected_local_cycles(n, p, k) == pytest.approx(
+            _exact_local_cycles(n, p, k), rel=1e-9), (n, p, k)
+
+
+def test_expected_local_cycles_past_float_range():
+    # The cycle factor overflows while (1 - p)^k underflows: both read
+    # inf * 0 = nan.  The isolation factor is (n - k)(1 - p)^k to first
+    # order, with relative error below (n - k)(1 - p)^k = 1e-396 here.
+    n, p, k = 10 ** 4, 0.99, 200
+    log_value = (math.lgamma(n + 1) - math.lgamma(n - k + 1)
+                 - math.log(2 * k) + k * math.log1p(-p)
+                 + (math.comb(k, 2) - k) * math.log(p)
+                 + math.log(n - k) + k * math.log1p(-p))
+    assert -196.9 < log_value < -196.7
+    assert expected_local_cycles(n, p, k) == pytest.approx(
+        math.exp(log_value), rel=1e-9)
+    assert expected_local_cycles(10 ** 6, p, k) == math.inf
 
 
 def test_expected_local_cycles_monte_carlo():
@@ -298,12 +333,14 @@ def _gw_limit_by_single_trees(lam, trials, cap, seed):
     total_sq = dict.fromkeys(GW_INVARIANTS, 0.0)
     used = censored = 0
     for t in range(trials):
-        s = sample_gw_tree(lam, cap, substream_seed(seed, "gw", t))
-        if s.censored:
+        parents, capped = sample_gw_tree(lam, cap,
+                                         substream_seed(seed, "gw", t))
+        if capped:
             censored += 1
             continue
-        nu, mmis = forest_fold(s.parents)
-        values = (nu / s.size, (s.size - mmis) / s.size, mmis / s.size)
+        nu, mmis = forest_fold(parents)
+        size = len(parents)
+        values = (nu / size, (size - mmis) / size, mmis / size)
         for which, value in zip(GW_INVARIANTS, values):
             total[which] += value
             total_sq[which] += value * value

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -310,6 +311,8 @@ def test_theory_refuses_out_of_range_inputs(argv, message, capsys):
      "value = 0\n"),
     ({"formula": "near_lipschitz", "n": 10, "lambda": 1000, "lip": 400,
       "t": 1}, "value = inf\n"),
+    ({"formula": "local_cycles", "n": 10 ** 6, "k": 200, "p": 0.99},
+     "value = inf\n"),
 ])
 def test_theory_past_float_range(flags, printed, capsys):
     argv = ["theory"]
@@ -317,6 +320,19 @@ def test_theory_past_float_range(flags, printed, capsys):
         argv += [f"--{flag}", str(value)]
     assert run_cli(argv) == 0
     assert capsys.readouterr().out == printed
+
+
+def test_theory_local_cycles_below_float_range_is_finite(capsys):
+    # This printed nan: the cycle factor overflows, the isolation factor
+    # underflows, and the value is about exp(-196.8).
+    assert run_cli(["theory", "--formula", "local_cycles", "--n", "10000",
+                    "--k", "200", "--p", "0.99"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("value = ")
+    value = float(out.removeprefix("value = "))
+    assert value == pytest.approx(
+        asy.expected_local_cycles(10 ** 4, 0.99, 200), rel=1e-11)
+    assert -196.9 < math.log(value) < -196.7
 
 
 def test_theory_endless_dense_series_is_a_usage_error(capsys):
@@ -405,6 +421,66 @@ def test_battery_failure_exit(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "run_battery", fake_battery)
     assert run_cli(["battery", "--outdir", str(tmp_path / "x")]) == 1
+
+
+def _workers_argv(command, tmp_path):
+    # The config file is never read: the worker count is refused first.
+    argv = [command, "--outdir", str(tmp_path)]
+    if command == "experiment":
+        argv += ["--config", str(tmp_path / "cfg.json")]
+    return argv
+
+
+@pytest.mark.parametrize("command", ["experiment", "battery"])
+@pytest.mark.parametrize("value", ["0", "-2", "abc", "1.5"])
+def test_bad_workers_flag_is_a_usage_error(command, value, tmp_path,
+                                           monkeypatch, capsys):
+    # --workers -2 ran serially and echoed "workers": -2.
+    monkeypatch.delenv("EIDEAL_WORKERS", raising=False)
+    ran = []
+    monkeypatch.setattr(cli, "run_experiment", lambda *a: ran.append(a))
+    monkeypatch.setattr(cli, "run_battery", lambda **k: ran.append(k))
+    argv = _workers_argv(command, tmp_path) + ["--workers", value]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert "--workers" in err and "an integer >= 1 is required" in err
+    assert not ran
+
+
+@pytest.mark.parametrize("command", ["experiment", "battery"])
+@pytest.mark.parametrize("value", ["abc", "0", "-4", "2.0"])
+def test_bad_eideal_workers_is_a_usage_error(command, value, tmp_path,
+                                             monkeypatch, capsys):
+    # "abc" fell back to the CPU count without a word; 0 and -4 became 1.
+    monkeypatch.setenv("EIDEAL_WORKERS", value)
+    ran = []
+    monkeypatch.setattr(cli, "run_experiment", lambda *a: ran.append(a))
+    monkeypatch.setattr(cli, "run_battery", lambda **k: ran.append(k))
+    assert run_cli(_workers_argv(command, tmp_path)) == 2
+    assert capsys.readouterr().err == (
+        f"error: EIDEAL_WORKERS: an integer >= 1 is required, "
+        f"got {value!r}\n")
+    assert not ran
+
+
+def test_workers_come_from_the_flag_then_eideal_workers(tmp_path,
+                                                        monkeypatch):
+    seen = []
+
+    def fake_battery(seed, workers, full, echo=print):
+        seen.append(workers)
+        return []
+
+    monkeypatch.setattr(cli, "run_battery", fake_battery)
+    argv = ["battery", "--outdir", str(tmp_path)]
+    monkeypatch.setenv("EIDEAL_WORKERS", "3")
+    assert run_cli(argv) == 0
+    assert run_cli(argv + ["--workers", "2"]) == 0
+    monkeypatch.setenv("EIDEAL_WORKERS", "abc")  # the flag wins, unread
+    assert run_cli(argv + ["--workers", "2"]) == 0
+    monkeypatch.delenv("EIDEAL_WORKERS")
+    assert run_cli(argv) == 0
+    assert seen == [3, 2, 2, os.cpu_count() or 1]
 
 
 def test_run_battery_times_every_criterion(monkeypatch):

@@ -742,7 +742,7 @@ def _graph_cycle_row(draw, k_max, want_k3):
     """The cycle row counted on the built graph's edges, not on the draw's
     pairs."""
     g = draw.graph()
-    return (count_chordless_cycles(g, k_max).by_length,
+    return (count_chordless_cycles(g, k_max),
             count_triangles(g) if want_k3 else None)
 
 

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from eideal.comb_invariants import is_forest
-from eideal.graph_core import (Graph, complement, complete_graph, edge_mask,
-                               empty_graph, graph_from_pairs)
+from eideal.graph_core import (Graph, build_graph, complement,
+                               complete_graph, edge_mask, empty_graph,
+                               graph_from_pairs)
 from eideal.random_models import (_SEED_BLOCK, _SPARSE_GNP_THRESHOLD,
                                   ParamSchedule, draw_gnp, rng_for, rngs_for,
                                   sample_gnp, sample_gw_tree, schedule_p,
@@ -192,22 +193,23 @@ def test_gnp_edge_count_statistics_sparse_path():
 
 
 def test_gw_extremes():
-    s = sample_gw_tree(0.0, cap=10, seed=1)
-    assert s.tree.n == 1 and not s.censored
-    s = sample_gw_tree(10.0, cap=1, seed=2)
-    assert s.censored == (s.tree.n == 1 and True)
+    parents, censored = sample_gw_tree(0.0, cap=10, seed=1)
+    assert len(parents) == 1 and not censored
+    parents, censored = sample_gw_tree(10.0, cap=1, seed=2)
+    assert censored == (len(parents) == 1 and True)
     # With rate 10 the root draws a child almost surely; sampled seeds where
     # it does must censor at cap 1.
-    censored = [sample_gw_tree(10.0, cap=1, seed=k).censored for k in range(50)]
+    censored = [sample_gw_tree(10.0, cap=1, seed=k)[1] for k in range(50)]
     assert all(censored)
 
 
 def test_gw_trees_are_trees():
     for seed in range(200):
-        s = sample_gw_tree(0.9, cap=500, seed=seed)
-        if not s.censored:
-            assert is_forest(s.tree)
-            assert s.tree.edge_count == s.tree.n - 1
+        parents, censored = sample_gw_tree(0.9, cap=500, seed=seed)
+        if not censored:
+            tree = build_graph(len(parents), enumerate(parents[1:], 1))
+            assert is_forest(tree)
+            assert tree.edge_count == tree.n - 1
 
 
 def test_gw_subcritical_mean_size():
@@ -215,9 +217,10 @@ def test_gw_subcritical_mean_size():
     trials = 10 ** 5
     sizes = []
     for t in range(trials):
-        s = sample_gw_tree(0.5, cap=100000, seed=substream_seed(13, t))
-        assert not s.censored
-        sizes.append(s.size)
+        parents, censored = sample_gw_tree(0.5, cap=100000,
+                                           seed=substream_seed(13, t))
+        assert not censored
+        sizes.append(len(parents))
     mean = sum(sizes) / trials
     sd = np.std(sizes, ddof=1)
     assert abs(mean - 2.0) < 3 * sd / math.sqrt(trials)
@@ -231,7 +234,7 @@ def test_gw_censor_fraction_subcritical():
     for lam in (0.5, 0.9):
         censored = sum(
             sample_gw_tree(lam, cap=100000,
-                           seed=substream_seed(99, lam, t)).censored
+                           seed=substream_seed(99, lam, t))[1]
             for t in range(trials))
         assert censored / trials < 1e-3
 
@@ -332,8 +335,8 @@ def test_gw_stream_pins():
     for (lam, cap), digest in GW_STREAM_PINS.items():
         h = hashlib.sha256()
         for seed in GW_PIN_SEEDS:
-            s = sample_gw_tree(lam, cap, seed)
-            h.update(repr((s.parents, s.censored)).encode())
+            parents, censored = sample_gw_tree(lam, cap, seed)
+            h.update(repr((parents, censored)).encode())
         assert h.hexdigest() == digest, (lam, cap)
 
 
@@ -363,10 +366,10 @@ def test_gw_trees_equal_the_generation_by_generation_grower():
         for cap in (1, 3, 50, 10 ** 4):
             for t in range(100):
                 seed = substream_seed(2024, lam, cap, t)
-                s = sample_gw_tree(lam, cap, seed)
+                tree = sample_gw_tree(lam, cap, seed)
                 expected = _grow_by_generations(lam, cap, rng_for(seed))
-                assert (s.parents, s.censored) == expected, (lam, cap, t)
-                censored += s.censored
+                assert tree == expected, (lam, cap, t)
+                censored += tree[1]
     assert censored > 500
 
 
