@@ -21,12 +21,17 @@ with the exhaustive audit), and pointer jumping runs every fold chain to an
 irreducible subset or to a cone.  Homology runs only on the distinct
 irreducible targets, through HomologyEngine: a table counts every target
 (induced_betti_tables), and linear_flags reads them by increasing |W| until
-linear presentation breaks.  A connected irreducible core that is a clique
-K_k is k points, {0: k-1} over any field; only the other cores reach
-boundary-matrix ranks: bitset elimination over GF(2), fraction-free integer
-elimination for Q, dense elimination mod p otherwise.  The reductions are
-homotopy-level, hence field-independent; tests validate them against a
-reduction-free oracle on exhaustive corpora.
+linear presentation breaks.  A target that is a cluster graph, c disjoint
+cliques K_{k_i}, is a join of c point sets and takes {c - 1: prod(k_i - 1)}
+over any field; this one closed form decides most targets.  The other
+targets split into connected cores whose face homology needs boundary-matrix
+ranks: bitset elimination over GF(2), dense elimination mod p.  Over Q the
+GF(2) dims are a certificate: they are the Q dims unless two consecutive
+degrees d, d + 1 >= 1 both carry GF(2) homology, the only trace 2-torsion in
+integral homology can leave (universal coefficients); only then does
+fraction-free integer elimination run.  The reductions are homotopy-level,
+hence field-independent; tests validate them against a reduction-free
+oracle on exhaustive corpora.
 """
 
 from __future__ import annotations
@@ -137,12 +142,29 @@ def _rank_modp(rows: list[list[int]], p: int) -> int:
     return rank
 
 
+def _certifies_q(dims_f2: dict[int, int]) -> bool:
+    """True if these GF(2) dims are also the Q dims: no two consecutive
+    degrees d, d + 1 >= 1 both carry GF(2) homology.
+
+    By universal coefficients a 2-primary summand of H~_d(Z) adds one GF(2)
+    dimension in each of degrees d and d + 1 and none over Q, odd torsion
+    changes neither count, and H~_0(Z) is free.  Without such a pair H~(Z)
+    has no 2-torsion, so the counts agree."""
+    return not any(d >= 1 and d + 1 in dims_f2 for d in dims_f2)
+
+
 def _homology_from_faces(faces, field: tuple[str, int]) -> dict[int, int]:
     """Reduced homology dims by degree of a face set over a parsed field.
 
     Includes degree -1: the empty-but-nonvoid complex has H~_{-1} = 1.
+    Over Q the GF(2) dims are returned when they certify themselves
+    (_certifies_q); only otherwise does fraction-free elimination run.
     """
     kind, p = field
+    if kind == "q":
+        dims = _homology_from_faces(faces, ("fp", 2))
+        if _certifies_q(dims):
+            return dims
     by_size: dict[int, list[int]] = {}
     for f in faces:
         by_size.setdefault(f.bit_count(), []).append(f)
@@ -201,8 +223,10 @@ def _homology_from_faces(faces, field: tuple[str, int]) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 class HomologyEngine:
-    """Reduced-homology dims of Ind(G[W]) over irreducible vertex masks W,
-    with the connected cores memoized."""
+    """Reduced-homology dims of Ind(G[W]) over irreducible vertex masks W:
+    cluster graphs in closed form, other W by a component split and the
+    face homology of each connected core.  ``memo`` maps the cluster
+    graphs and the cores seen to their dims."""
 
     def __init__(self, g: Graph, field: str = "q"):
         self.adj = g.adj
@@ -210,8 +234,16 @@ class HomologyEngine:
         self.memo: dict[int, dict[int, int]] = {}
 
     def irreducible_dims(self, w: int) -> dict[int, int]:
-        """dims of a nonempty W with no isolated vertex and no fold: the
-        join convolution of its connected components' homology."""
+        """dims of a nonempty W with no isolated vertex and no fold.
+
+        A cluster graph, c disjoint cliques K_{k_i}, is a join of c point
+        sets, {c - 1: prod(k_i - 1)} over any field, memoized under W.  Any
+        other W is the join convolution of its connected components'
+        homology."""
+        dims = _cluster_dims(self.adj, w)
+        if dims is not None:
+            self.memo[w] = dims
+            return dims
         first, *comps = walk_components(self.adj, w)[0]
         dims = self._core_dims(first)
         for cm in comps:
@@ -224,19 +256,8 @@ class HomologyEngine:
         cached = self.memo.get(w)
         if cached is not None:
             return cached
-        adj = self.adj
-        rest = w
-        while rest:
-            low = rest & -rest
-            if adj[low.bit_length() - 1] & w != w ^ low:
-                faces = self._independent_sets(w)
-                dims = _homology_from_faces(faces, self.field)
-                dims.pop(-1, None)  # cores are nonempty complexes
-                break
-            rest ^= low
-        else:
-            # A clique K_k: Ind(K_k) is k points over any field.
-            dims = {0: w.bit_count() - 1}
+        dims = _homology_from_faces(self._independent_sets(w), self.field)
+        dims.pop(-1, None)  # cores are nonempty complexes
         self.memo[w] = dims
         return dims
 
@@ -255,6 +276,28 @@ class HomologyEngine:
             if chosen:
                 out.append(chosen)
         return out
+
+
+def _cluster_dims(adj, w: int) -> dict[int, int] | None:
+    """{c - 1: prod(k_i - 1)} if G[W] is c disjoint cliques K_{k_i}, else
+    None: each vertex's closed neighborhood in W must be its whole clique.
+    A zero product is kept: W has no isolated vertex by contract."""
+    c = 0
+    product = 1
+    rest = w
+    while rest:
+        low = rest & -rest
+        clique = adj[low.bit_length() - 1] & w | low
+        rest ^= clique
+        sub = clique ^ low
+        while sub:
+            bit = sub & -sub
+            if adj[bit.bit_length() - 1] & w | bit != clique:
+                return None
+            sub ^= bit
+        c += 1
+        product *= clique.bit_count() - 1
+    return {c - 1: product}
 
 
 def _join_convolve(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
@@ -370,8 +413,8 @@ def induced_betti_tables(g: Graph, grounds, field: str = "q",
     `grounds`, from one lattice scan over the submasks of their union
     (_irreducible_targets).  Each ground counts its W by (|W|, irreducible
     target) in one np.unique, and homology runs once per distinct target,
-    through the engine's component split, join convolution, clique closed
-    form and core memo; every subset of U is a subset of g, so one
+    through the engine's cluster form, component split, join convolution
+    and core memo; every subset of U is a subset of g, so one
     HomologyEngine serves all the grounds."""
     engine = _engine(g, field, max_vertices)
     union = 0

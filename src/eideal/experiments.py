@@ -299,7 +299,7 @@ class ExperimentReport:
 def chunk_ranges(total: int, parts: int) -> list[tuple[int, int]]:
     """At most ``parts`` consecutive (lo, hi) ranges covering range(total)."""
     parts = max(1, min(parts, total))
-    step = (total + parts - 1) // parts
+    step = max(1, (total + parts - 1) // parts)
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 

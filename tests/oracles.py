@@ -190,6 +190,44 @@ def exact_gnp_probability(counts: list[int], p: float) -> float:
                for m, c in enumerate(counts))
 
 
+@lru_cache(maxsize=None)
+def _class_reg_pd(n: int, edges: tuple) -> tuple[int, int]:
+    table = naive_betti_table(build_graph(n, edges))
+    return (max((j - i for i, j in table), default=0),
+            max((i for i, j in table), default=0))
+
+
+@lru_cache(maxsize=None)
+def _component_reg_pd(g: Graph) -> tuple[int, int]:
+    """(reg*, pd) of a small graph's naive table, computed once per
+    isomorphism class (the least sorted edge list over all relabelings)."""
+    edges = list(g.edges())
+    return _class_reg_pd(g.n, min(
+        tuple(sorted((min(perm[u], perm[v]), max(perm[u], perm[v]))
+                     for u, v in edges))
+        for perm in permutations(range(g.n))))
+
+
+def exact_componentwise_means(n: int, p: float,
+                              guard: int) -> tuple[float, float]:
+    """(E[reg*], E[pd]) of G(n, p) summed over components, as the sparse
+    runners count them: every labeled n-vertex graph weighted by
+    p^m (1 - p)^(C(n,2) - m), each component's reg* and pd read off its
+    naive table, and a cyclic component on more than ``guard`` vertices
+    counted 0."""
+    pairs = n * (n - 1) // 2
+    reg = pd = 0.0
+    for g in enumerate_graphs(n):
+        weight = p ** g.edge_count * (1 - p) ** (pairs - g.edge_count)
+        for comp in union_find_components(g)[3]:
+            if comp.edge_count >= comp.n and comp.n > guard:
+                continue
+            r, d = _component_reg_pd(comp)
+            reg += weight * r
+            pd += weight * d
+    return reg, pd
+
+
 def diagonal_scan_induced_c4(g: Graph) -> int:
     """Induced 4-cycles from their diagonals: a non-adjacent pair {a, c} and
     two non-adjacent common neighbors x, y span the induced C4 a-x-c-y, and
@@ -486,7 +524,7 @@ def per_subset_dims(g: Graph, w: int, field: str = "q") -> dict[int, int]:
     {-1: 1} for W = 0 (the empty complex), by the per-subset walk: bail to a
     cone on an isolated vertex, else delete the y of the first ordered pair
     (x, y) with N(x) & W subseteq N(y), until W is irreducible; then the
-    engine's component split, clique form and face homology.  Consecutive
+    engine's cluster form, component split and face homology.  Consecutive
     calls on the same graph object and field share one memo."""
     if w == 0:
         return {-1: 1}

@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -153,8 +155,11 @@ def test_betti_support_bounds():
 
 
 def test_field_independence_small_corpus():
+    # Q is mostly read off GF(2) (the certificate), so GF(3), which shares
+    # no elimination with either, is the independent third reading.
     for g in enumerate_graphs(5):
-        assert betti_table(g, "q").entries == betti_table(g, "f2").entries
+        assert betti_table(g, "q").entries == betti_table(g, "f2").entries \
+            == betti_table(g, "f3").entries
     rng = random.Random(11)
     for n in (6, 7):
         for _ in range(40):
@@ -162,7 +167,9 @@ def test_field_independence_small_corpus():
             g = graph_from_edge_mask(n, mask)
             tq = betti_table(g, "q").entries
             t2 = betti_table(g, "f2").entries
-            assert tq == t2, f"field disagreement witness: n={n} adj={g.adj}"
+            t3 = betti_table(g, "f3").entries
+            assert tq == t2 == t3, (
+                f"field disagreement witness: n={n} adj={g.adj}")
 
 
 def test_field_tags():
@@ -566,12 +573,12 @@ def _closed_fold(rows, live):
     return out
 
 
-class _CliqueOffByOne(HomologyEngine):
-    def _core_dims(self, w):
-        dims = super()._core_dims(w)
-        if all(self.adj[v] & w == w & ~(1 << v) for v in bits(w)):
-            return {0: w.bit_count()}
-        return dims
+def _cluster_degree_off_by_one(real):
+    """The cluster form with degree c in place of c - 1."""
+    def degree_off_by_one(adj, w):
+        dims = real(adj, w)
+        return None if dims is None else {d + 1: r for d, r in dims.items()}
+    return degree_off_by_one
 
 
 def _drop_last_component(adj, w):
@@ -581,15 +588,27 @@ def _drop_last_component(adj, w):
     return (masks[:-1] if len(masks) > 1 else masks), *rest
 
 
+def _c5_plus_cliques():
+    """C5 + K2, K2 + C5 and C5 + K3.  C5 is the smallest connected
+    irreducible graph that is not a clique, so these are the smallest
+    graphs with a target that is neither a cluster graph nor connected:
+    the walk's faults show there and not below 7 vertices."""
+    c5 = cycle_graph(5)
+    return [disjoint_union(c5, complete_graph(2)),
+            disjoint_union(complete_graph(2), c5),
+            disjoint_union(c5, complete_graph(3))]
+
+
 @pytest.mark.parametrize("name, fault", [
     ("_cone_free_submasks", _leak_one_cone(betti._cone_free_submasks)),
     ("fold_vertex", _closed_fold),
-    ("HomologyEngine", _CliqueOffByOne),
+    ("_cluster_dims", _cluster_degree_off_by_one(betti._cluster_dims)),
     ("walk_components", _drop_last_component)])
 def test_planted_lattice_fault_is_caught(monkeypatch, name, fault):
     monkeypatch.setattr(betti, name, fault)
     graphs = [g for n in range(6) for g in enumerate_graphs(n)]
-    assert next(_lattice_mismatches(graphs, "f2", naive=True), None)
+    assert next(_lattice_mismatches(graphs + _c5_plus_cliques(), "f2",
+                                    naive=True), None)
 
 
 def test_clique_core_closed_form():
@@ -616,3 +635,102 @@ def test_clique_core_closed_form():
             assert engine.irreducible_dims((1 << k) - 1) == expected, (
                 k, field)
             assert engine.memo[(1 << k) - 1] == expected, (k, field)
+
+
+def _cluster_graph(parts, rng):
+    """Disjoint cliques K_k, k in parts, on shuffled vertex labels."""
+    labels = list(range(sum(parts)))
+    rng.shuffle(labels)
+    edges, start = [], 0
+    for k in parts:
+        block = labels[start:start + k]
+        edges += [(u, v) for i, u in enumerate(block) for v in block[i + 1:]]
+        start += k
+    return build_graph(len(labels), edges)
+
+
+def _partitions(n, least=2):
+    """The partitions of n into parts >= least, parts nonincreasing."""
+    if n == 0:
+        return [()]
+    return [(k, *rest) for k in range(n, least - 1, -1)
+            for rest in _partitions(n - k, least) if not rest or rest[0] <= k]
+
+
+def test_cluster_form_matches_naive_homology_n8():
+    rng = random.Random(61)
+    clusters = [_cluster_graph(parts, rng)
+                for n in range(2, 9) for parts in _partitions(n)
+                for _ in range(2)]
+    assert len(clusters) == 2 * 21
+    for field in ("q", "f2", "f5"):
+        for g in clusters:
+            expected = naive_homology_of_faces(naive_independent_sets(g),
+                                               field)
+            expected = {d: r for d, r in expected.items() if r}
+            engine = HomologyEngine(g, field)
+            full = (1 << g.n) - 1
+            assert engine.irreducible_dims(full) == expected, (g.adj, field)
+            assert engine.memo == {full: expected}, (g.adj, field)
+
+
+def _rp2_graph():
+    """The complement of the comparability graph of the face poset of the
+    6-vertex RP^2: Ind of it is the barycentric subdivision of RP^2."""
+    facets = ("123", "134", "145", "156", "162", "235", "346", "452", "563",
+              "624")
+    faces = sorted({frozenset(s) for f in facets for k in (1, 2, 3)
+                    for s in itertools.combinations(f, k)},
+                   key=lambda s: (len(s), sorted(s)))
+    pairs = [(i, j) for i, a in enumerate(faces) for j, b in enumerate(faces)
+             if a < b]
+    return complement(build_graph(len(faces), pairs)), len(pairs)
+
+
+def test_rp2_homology_depends_on_the_field():
+    g, comparable = _rp2_graph()
+    assert (g.n, comparable) == (31, 90)
+    full = (1 << g.n) - 1
+    for field, expected in (("f2", {1: 1, 2: 1}), ("q", {}), ("f3", {})):
+        assert HomologyEngine(g, field)._core_dims(full) == expected, field
+
+
+def _no_bareiss(rows):
+    raise AssertionError("fraction-free elimination ran")
+
+
+def _kozlov_cycle_dims(n):
+    """Reduced homology of Ind(C_n): a wedge of two (k-1)-spheres for
+    n = 3k, one (k-1)-sphere for 3k + 1, one k-sphere for 3k + 2."""
+    k, r = divmod(n, 3)
+    return {0: {k - 1: 2}, 1: {k - 1: 1}, 2: {k: 1}}[r]
+
+
+def _check_cycles_against_kozlov():
+    for n in range(4, 21):
+        engine = HomologyEngine(cycle_graph(n), "q")
+        assert engine.irreducible_dims((1 << n) - 1) == \
+            _kozlov_cycle_dims(n), n
+
+
+def test_cycles_over_q_are_certified_by_gf2(monkeypatch):
+    monkeypatch.setattr(betti, "_rank_bareiss", _no_bareiss)
+    _check_cycles_against_kozlov()
+    t0 = time.perf_counter()
+    table = betti_table(cycle_graph(18), "q")
+    assert time.perf_counter() - t0 < 1.0
+    assert table.entries == betti_table(cycle_graph(18), "f2").entries
+
+
+@pytest.mark.parametrize("verdict", [True, False])
+def test_planted_certificate_fault_is_caught(monkeypatch, verdict):
+    # Always certify: RP^2 over Q reads its GF(2) homology.  Never
+    # certify: the cycles over Q reach fraction-free elimination.
+    monkeypatch.setattr(betti, "_certifies_q", lambda dims: verdict)
+    if verdict:
+        g, _ = _rp2_graph()
+        assert HomologyEngine(g, "q")._core_dims((1 << g.n) - 1) != {}
+    else:
+        monkeypatch.setattr(betti, "_rank_bareiss", _no_bareiss)
+        with pytest.raises(AssertionError, match="fraction-free"):
+            _check_cycles_against_kozlov()

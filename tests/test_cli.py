@@ -175,6 +175,21 @@ def test_invariants_text_reports_a_budget_trip(c5_file, capsys, monkeypatch,
     assert payload["combinatorial_censored"] == f"{solver} budget exhausted"
 
 
+def test_invariants_c18_over_q_equals_f2(tmp_path, capsys):
+    # Ind(C18) has GF(2) homology in one degree only, so the Q table is
+    # read off GF(2) with no fraction-free elimination.
+    path = tmp_path / "c18.txt"
+    path.write_text(to_edge_list_text(cycle_graph(18)))
+    payloads = {}
+    for field in ("q", "f2"):
+        assert run_cli(["invariants", "--in", str(path), "--field", field,
+                        "--json"]) == 0
+        payloads[field] = json.loads(capsys.readouterr().out)
+        assert payloads[field].pop("field") == field
+    assert payloads["q"] == payloads["f2"]
+    assert payloads["q"]["betti"]["censored"] is False
+
+
 def test_invariants_field_f3(c5_file, capsys):
     assert run_cli(["invariants", "--in", c5_file, "--json"]) == 0
     over_q = json.loads(capsys.readouterr().out)

@@ -28,7 +28,8 @@ from eideal.random_models import (_SPARSE_GNP_THRESHOLD, GnpDraw,
                                   schedule_p, substream_seed)
 
 from oracles import (cochordal_counts_by_edges, elimination_is_chordal,
-                     exact_gnp_probability, naive_has_induced_c4,
+                     exact_componentwise_means, exact_gnp_probability,
+                     naive_has_induced_c4,
                      naive_is_chordal, pair_scan_has_induced_c4)
 
 
@@ -364,6 +365,33 @@ def test_threshold_cells_match_exact_probability(n, p, complemented_share):
         assert abs(cell.estimate - exact) <= 4 * se, (cell.cell_id, exact)
 
 
+MEAN_TRIALS = 1500
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0])
+@pytest.mark.parametrize("guard", [betti.DEFAULT_BETTI_GUARD, 2])
+def test_sparse_runner_means_match_exact_values(lam, guard):
+    # E[reg*] and E[pd] of G(5, lambda/5) summed over components, against
+    # every labeled 5-vertex graph's naive tables, at 4 se; at guard 2 each
+    # cyclic component is censored and counts 0.
+    n = 5
+    reg, pd = exact_componentwise_means(n, lam / n, guard)
+    schedule = ParamSchedule.sparse(lam)
+    gw = run_experiment(ExperimentConfig(
+        kind="gw_limit", seed=1729, trials=MEAN_TRIALS, n_list=(n,),
+        schedule=schedule, betti_guard=guard, gw_trials=2, gw_cap=10))
+    cells = {c.cell_id: c for c in gw.cells if c.n == n}
+    for cell_id, exact in (("graph_reg_star", reg), ("graph_pd", pd)):
+        cell = cells[cell_id]
+        assert abs(cell.estimate - exact / n) <= 4 * cell.extra["stderr"], (
+            cell_id, exact / n)
+    audit = run_experiment(ExperimentConfig(
+        kind="variance_audit", seed=1729, trials=MEAN_TRIALS, n_list=(n,),
+        schedule=schedule, betti_guard=guard)).cells[0].extra
+    se = math.sqrt(audit["variance"] / MEAN_TRIALS)
+    assert abs(audit["mean_reg_star"] - reg) <= 4 * se, reg
+
+
 def test_threshold_determinism_across_workers():
     cfg = ExperimentConfig(kind="threshold", seed=11, trials=60, n_list=(25, 40),
                            schedule=ParamSchedule.window_dense(2.0),
@@ -413,6 +441,14 @@ def test_mapped_kinds_replay_across_workers(config):
 def test_map_trials_keeps_trial_order(trials, workers):
     assert (map_trials(partial(operator.mul, 3), trials, workers)
             == [3 * t for t in range(trials)])
+
+
+def test_zero_trials_map_to_nothing():
+    assert experiments.chunk_ranges(0, 4) == []
+    for workers in (1, 3):
+        assert map_trials(abs, 0, workers) == []
+        assert map_gnp_trials("threshold", 1, 5, 0.5, 0, workers,
+                              GnpDraw.graph) == []
 
 
 # Every substream label a G(n, p) trial loop draws under: the sampled
