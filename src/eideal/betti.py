@@ -25,13 +25,15 @@ linear presentation breaks.  A target that is a cluster graph, c disjoint
 cliques K_{k_i}, is a join of c point sets and takes {c - 1: prod(k_i - 1)}
 over any field; this one closed form decides most targets.  The other
 targets split into connected cores whose face homology needs boundary-matrix
-ranks: bitset elimination over GF(2), dense elimination mod p.  Over Q the
-GF(2) dims are a certificate: they are the Q dims unless two consecutive
-degrees d, d + 1 >= 1 both carry GF(2) homology, the only trace 2-torsion in
-integral homology can leave (universal coefficients); only then does
-fraction-free integer elimination run.  The reductions are homotopy-level,
-hence field-independent; tests validate them against a reduction-free
-oracle on exhaustive corpora.
+ranks: bitset elimination over GF(2), else one fraction-free dense
+elimination (_rank_dense).  Over Q the GF(2) dims are a certificate: they
+are the Q dims unless two consecutive degrees d, d + 1 >= 1 both carry GF(2)
+homology, the only trace 2-torsion in integral homology can leave
+(universal coefficients); only then does dense elimination run over Q.  The
+engine keeps one memo by vertex mask, for targets and cores alike, and
+takes a field as its characteristic p, 0 for Q.  The reductions are
+homotopy-level, hence field-independent; tests validate them against a
+reduction-free oracle on exhaustive corpora.
 """
 
 from __future__ import annotations
@@ -55,15 +57,15 @@ class SizeGuardExceeded(RuntimeError):
     """Input too large for a direct exact computation."""
 
 
-def parse_field(field: str) -> tuple[str, int]:
-    """Return ("q", 0) or ("fp", p) for tags like "q", "f2", "f5"."""
+def parse_field(field: str) -> int:
+    """The characteristic of a field tag: 0 for "q", p for "f<p>"."""
     if field == "q":
-        return ("q", 0)
+        return 0
     if field.startswith("f") and field[1:].isdigit():
         p = int(field[1:])
         if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
             raise ValueError(f"field characteristic must be a prime: {field!r}")
-        return ("fp", p)
+        return p
     raise ValueError(f"unknown field tag {field!r}; use 'q' or 'f<p>' "
                      "for a prime p")
 
@@ -87,11 +89,14 @@ def _rank_gf2(columns: list[int]) -> int:
     return rank
 
 
-def _rank_bareiss(rows: list[list[int]]) -> int:
-    """Exact rank over Q by fraction-free Gaussian elimination."""
-    if not rows or not rows[0]:
+def _rank_dense(rows: list[list[int]], p: int) -> int:
+    """Rank over Q (p = 0) or GF(p) by fraction-free elimination: a row
+    below the pivot becomes piv * row - mic * pivot_row, then is divided
+    exactly by the previous pivot over Q (Bareiss; so a row with mic = 0
+    is skipped only if piv equals it) or reduced mod p."""
+    mat = [[x % p for x in row] for row in rows] if p else list(rows)
+    if not mat or not mat[0]:
         return 0
-    mat = [row[:] for row in rows]
     nrows, ncols = len(mat), len(mat[0])
     rank = 0
     prev = 1
@@ -100,42 +105,19 @@ def _rank_bareiss(rows: list[list[int]]) -> int:
         if piv_row is None:
             continue
         mat[rank], mat[piv_row] = mat[piv_row], mat[rank]
-        piv = mat[rank][col]
+        row_r = mat[rank]
+        piv = row_r[col]
         for i in range(rank + 1, nrows):
             mic = mat[i][col]
-            if mic == 0 and piv == prev:
+            if mic == 0 and (p or piv == prev):
                 continue
-            row_i = mat[i]
-            row_r = mat[rank]
-            for j in range(col + 1, ncols):
-                row_i[j] = (piv * row_i[j] - mic * row_r[j]) // prev
-            row_i[col] = 0
+            if p:
+                mat[i] = [(piv * a - mic * b) % p
+                          for a, b in zip(mat[i], row_r)]
+            else:
+                mat[i] = [(piv * a - mic * b) // prev
+                          for a, b in zip(mat[i], row_r)]
         prev = piv
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
-
-
-def _rank_modp(rows: list[list[int]], p: int) -> int:
-    if not rows or not rows[0]:
-        return 0
-    mat = [[x % p for x in row] for row in rows]
-    nrows, ncols = len(mat), len(mat[0])
-    rank = 0
-    for col in range(ncols):
-        piv_row = next((i for i in range(rank, nrows) if mat[i][col]), None)
-        if piv_row is None:
-            continue
-        mat[rank], mat[piv_row] = mat[piv_row], mat[rank]
-        inv = pow(mat[rank][col], -1, p)
-        row_r = [x * inv % p for x in mat[rank]]
-        mat[rank] = row_r
-        for i in range(rank + 1, nrows):
-            f = mat[i][col]
-            if f:
-                row_i = mat[i]
-                mat[i] = [(a - f * b) % p for a, b in zip(row_i, row_r)]
         rank += 1
         if rank == nrows:
             break
@@ -153,16 +135,16 @@ def _certifies_q(dims_f2: dict[int, int]) -> bool:
     return not any(d >= 1 and d + 1 in dims_f2 for d in dims_f2)
 
 
-def _homology_from_faces(faces, field: tuple[str, int]) -> dict[int, int]:
-    """Reduced homology dims by degree of a face set over a parsed field.
+def _homology_from_faces(faces, p: int) -> dict[int, int]:
+    """Reduced homology dims by degree of a face set over the field of
+    characteristic p (0 for Q).
 
     Includes degree -1: the empty-but-nonvoid complex has H~_{-1} = 1.
     Over Q the GF(2) dims are returned when they certify themselves
-    (_certifies_q); only otherwise does fraction-free elimination run.
+    (_certifies_q); only otherwise does the dense elimination run.
     """
-    kind, p = field
-    if kind == "q":
-        dims = _homology_from_faces(faces, ("fp", 2))
+    if p == 0:
+        dims = _homology_from_faces(faces, 2)
         if _certifies_q(dims):
             return dims
     by_size: dict[int, list[int]] = {}
@@ -179,7 +161,7 @@ def _homology_from_faces(faces, field: tuple[str, int]) -> dict[int, int]:
     for s in range(1, top + 1):
         cols_faces = by_size.get(s, [])
         rows_idx = index.get(s - 1, {})
-        if kind == "fp" and p == 2:
+        if p == 2:
             columns = []
             for f in cols_faces:
                 col = 0
@@ -201,20 +183,14 @@ def _homology_from_faces(faces, field: tuple[str, int]) -> dict[int, int]:
                     dense[rows_idx[f ^ low]][ci] = sign
                     sign = -sign
                     sub ^= low
-            if kind == "q":
-                ranks[s - 1] = _rank_bareiss(dense)
-            else:
-                ranks[s - 1] = _rank_modp(dense, p)
+            ranks[s - 1] = _rank_dense(dense, p)
 
     dims: dict[int, int] = {}
-    for s in by_size:
-        d = s - 1
-        n_d = len(by_size[s])
-        boundary_out = ranks.get(d, 0)       # rank of C_d -> C_{d-1}
-        boundary_in = ranks.get(d + 1, 0)    # rank of C_{d+1} -> C_d
-        dim = n_d - boundary_out - boundary_in
+    for s, group in by_size.items():
+        # dim C_d minus the ranks of C_d -> C_{d-1} and C_{d+1} -> C_d
+        dim = len(group) - ranks.get(s - 1, 0) - ranks.get(s, 0)
         if dim:
-            dims[d] = dim
+            dims[s - 1] = dim
     return dims
 
 
@@ -225,40 +201,41 @@ def _homology_from_faces(faces, field: tuple[str, int]) -> dict[int, int]:
 class HomologyEngine:
     """Reduced-homology dims of Ind(G[W]) over irreducible vertex masks W:
     cluster graphs in closed form, other W by a component split and the
-    face homology of each connected core.  ``memo`` maps the cluster
-    graphs and the cores seen to their dims."""
+    face homology of each connected core, over the field of characteristic
+    ``p``.  ``memo`` maps every W answered, target or core, to its dims; a
+    connected target is its own core, so the two agree."""
 
     def __init__(self, g: Graph, field: str = "q"):
         self.adj = g.adj
-        self.field = parse_field(field)
+        self.p = parse_field(field)
         self.memo: dict[int, dict[int, int]] = {}
 
     def irreducible_dims(self, w: int) -> dict[int, int]:
         """dims of a nonempty W with no isolated vertex and no fold.
 
         A cluster graph, c disjoint cliques K_{k_i}, is a join of c point
-        sets, {c - 1: prod(k_i - 1)} over any field, memoized under W.  Any
-        other W is the join convolution of its connected components'
-        homology."""
-        dims = _cluster_dims(self.adj, w)
+        sets, {c - 1: prod(k_i - 1)} over any field.  Any other W is the
+        join convolution of its connected components' homology."""
+        dims = self.memo.get(w)
         if dims is not None:
-            self.memo[w] = dims
             return dims
-        first, *comps = walk_components(self.adj, w)[0]
-        dims = self._core_dims(first)
-        for cm in comps:
-            dims = _join_convolve(dims, self._core_dims(cm))
-            if not dims:
-                return {}
+        dims = _cluster_dims(self.adj, w)
+        if dims is None:
+            first, *comps = walk_components(self.adj, w)[0]
+            dims = self._core_dims(first)
+            for cm in comps:
+                if not dims:
+                    break
+                dims = _join_convolve(dims, self._core_dims(cm))
+        self.memo[w] = dims
         return dims
 
     def _core_dims(self, w: int) -> dict[int, int]:
-        cached = self.memo.get(w)
-        if cached is not None:
-            return cached
-        dims = _homology_from_faces(self._independent_sets(w), self.field)
-        dims.pop(-1, None)  # cores are nonempty complexes
-        self.memo[w] = dims
+        dims = self.memo.get(w)
+        if dims is None:
+            dims = _homology_from_faces(self._independent_sets(w), self.p)
+            dims.pop(-1, None)  # cores are nonempty complexes
+            self.memo[w] = dims
         return dims
 
     def _independent_sets(self, w: int) -> list[int]:
@@ -414,18 +391,17 @@ def induced_betti_tables(g: Graph, grounds, field: str = "q",
     (_irreducible_targets).  Each ground counts its W by (|W|, irreducible
     target) in one np.unique, and homology runs once per distinct target,
     through the engine's cluster form, component split, join convolution
-    and core memo; every subset of U is a subset of g, so one
-    HomologyEngine serves all the grounds."""
+    and memo; every subset of U is a subset of g, so one HomologyEngine
+    serves all the grounds."""
     engine = _engine(g, field, max_vertices)
     union = 0
     for u in grounds:
         union |= u
     ws, root = _irreducible_targets(engine.adj, union)
-    homology: dict[int, dict[int, int]] = {}
     tables = []
     for u in grounds:
         entries: dict[tuple[int, int], int] = {}
-        for pos, rank in _positions(engine, ws, root, u, homology):
+        for pos, rank in _positions(engine, ws, root, u):
             entries[pos] = entries.get(pos, 0) + rank
         tables.append(BettiTable(u.bit_count(), field, entries))
     return tables
@@ -463,22 +439,19 @@ def _irreducible_targets(adj, union: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _positions(engine: HomologyEngine, ws: np.ndarray, root: np.ndarray,
-               ground: int, homology: dict[int, dict[int, int]]):
+               ground: int):
     """((i, j), rank) that the W of the scan (ws, root) inside `ground` add
     to the table of G[ground], by increasing |W|: one np.unique counts them
     by (|W|, r = root), W's homology being that of ws[r], and by beta_{i,j}
     = sum over |W| = j of dim H~_{j-i-1}(Ind(G[W])), homology in degree d
-    lands at i = j - d - 1.  `homology` memoizes the dims of each r."""
+    lands at i = j - d - 1.  The engine memoizes the dims of each ws[r]."""
     m = len(ws)
     inside = (root < m) & ((ws & ~ground) == 0)
     keys, counts = np.unique(np.bitwise_count(ws[inside]).astype(np.int64)
                              * (m + 1) + root[inside], return_counts=True)
     for key, count in zip(keys.tolist(), counts.tolist()):
         j, r = divmod(key, m + 1)
-        dims = homology.get(r)
-        if dims is None:
-            dims = homology[r] = engine.irreducible_dims(int(ws[r]))
-        for d, rank in dims.items():
+        for d, rank in engine.irreducible_dims(ws.item(r)).items():
             yield (j - d - 1, j), rank * count
 
 
@@ -507,7 +480,7 @@ def linear_flags(g: Graph, field: str = "q",
     engine = _engine(g, field, max_vertices)
     ground = (1 << g.n) - 1
     ws, root = _irreducible_targets(engine.adj, ground)
-    return linearity(_positions(engine, ws, root, ground, {}))
+    return linearity(_positions(engine, ws, root, ground))
 
 
 @dataclass(frozen=True)

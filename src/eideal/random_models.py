@@ -122,10 +122,12 @@ def schedule_p(s: ParamSchedule, n: int) -> float:
         raise ValueError("n must be >= 1")
     if s.kind == "sparse":
         return _clamp01(s.lam / n)
-    if s.kind == "power":
-        return _clamp01(s.c * n ** -s.alpha)
-    if s.kind == "complement_power":
-        return _clamp01(1.0 - s.c * n ** -s.alpha)
+    if s.kind in ("power", "complement_power"):
+        try:
+            x = float(s.c * n ** -s.alpha)
+        except OverflowError:  # n**-alpha past float range: take the limit
+            x = math.inf if s.c > 0 else -math.inf
+        return _clamp01(x if s.kind == "power" else 1.0 - x)
     if s.kind == "window_sparse":
         return _clamp01(math.sqrt(s.lam) / n ** 2)
     if s.kind == "window_dense":

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from eideal.graph_core import (bits, build_graph, complement,
                                pair_list, path_graph, walk_components)
 from eideal.random_models import rng_for, sample_gnp
 
-from oracles import (is_irreducible, naive_betti_table,
+from oracles import (_gauss_rank_fraction, _gauss_rank_modp,
+                     is_irreducible, naive_betti_table,
                      naive_homology_of_faces, naive_independent_sets,
                      naive_pd_quotient, naive_regularity_quotient,
                      per_subset_dims)
@@ -173,9 +175,9 @@ def test_field_independence_small_corpus():
 
 
 def test_field_tags():
-    assert parse_field("q") == ("q", 0)
-    assert parse_field("f2") == ("fp", 2)
-    assert parse_field("f7") == ("fp", 7)
+    assert parse_field("q") == 0
+    assert parse_field("f2") == 2
+    assert parse_field("f7") == 7
     for bad in ("f0", "f1", "f4", "f9", "f", "r", "F2"):
         with pytest.raises(ValueError):
             parse_field(bad)
@@ -695,8 +697,10 @@ def test_rp2_homology_depends_on_the_field():
         assert HomologyEngine(g, field)._core_dims(full) == expected, field
 
 
-def _no_bareiss(rows):
-    raise AssertionError("fraction-free elimination ran")
+def _no_bareiss(rows, p, _rank_dense=betti._rank_dense):
+    if p == 0:
+        raise AssertionError("fraction-free elimination ran")
+    return _rank_dense(rows, p)
 
 
 def _kozlov_cycle_dims(n):
@@ -714,7 +718,7 @@ def _check_cycles_against_kozlov():
 
 
 def test_cycles_over_q_are_certified_by_gf2(monkeypatch):
-    monkeypatch.setattr(betti, "_rank_bareiss", _no_bareiss)
+    monkeypatch.setattr(betti, "_rank_dense", _no_bareiss)
     _check_cycles_against_kozlov()
     t0 = time.perf_counter()
     table = betti_table(cycle_graph(18), "q")
@@ -731,6 +735,100 @@ def test_planted_certificate_fault_is_caught(monkeypatch, verdict):
         g, _ = _rp2_graph()
         assert HomologyEngine(g, "q")._core_dims((1 << g.n) - 1) != {}
     else:
-        monkeypatch.setattr(betti, "_rank_bareiss", _no_bareiss)
+        monkeypatch.setattr(betti, "_rank_dense", _no_bareiss)
         with pytest.raises(AssertionError, match="fraction-free"):
             _check_cycles_against_kozlov()
+
+
+def _random_rank_cases(rng, count):
+    """Seeded integer matrices up to 7 x 7: products of random factors
+    through a middle of width up to min(rows, cols) + 1, so many are
+    rank-deficient, with zero rows and zero columns planted, and a few
+    fixed cases whose rank depends on p."""
+    cases = [[], [[]], [[0]], [[2]], [[3, 6], [1, 2]], [[2, 0], [0, 2]],
+             [[5, 0, 5], [0, 5, 5], [1, 1, 2]], [[0, 0], [0, 0], [1, 3]]]
+    for _ in range(count):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        mid = rng.randint(1, min(rows, cols) + 1)
+        left = [[rng.randint(-3, 3) for _ in range(mid)] for _ in range(rows)]
+        right = [[rng.randint(-3, 3) for _ in range(cols)]
+                 for _ in range(mid)]
+        mat = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+               for row in left]
+        if rng.random() < 0.3:
+            mat[rng.randrange(rows)] = [0] * cols
+        if rng.random() < 0.3:
+            j = rng.randrange(cols)
+            for row in mat:
+                row[j] = 0
+        cases.append(mat)
+    return cases
+
+
+def test_rank_dense_matches_oracles():
+    rng = random.Random(29)
+    for mat in _random_rank_cases(rng, 400):
+        before = [row[:] for row in mat]
+        expected = {0: _gauss_rank_fraction([[Fraction(x) for x in row]
+                                             for row in mat])}
+        for p in (2, 3, 5):
+            expected[p] = _gauss_rank_modp(mat, p)
+        for p, rank in expected.items():
+            assert betti._rank_dense(mat, p) == rank, (mat, p)
+            assert mat == before, (mat, p)
+    # The fixed cases tell Q from GF(p): diag(2, 2) has rank 0 over GF(2).
+    assert [betti._rank_dense([[2, 0], [0, 2]], p) for p in (0, 2, 3)] == \
+        [2, 0, 2]
+
+
+def test_engine_memo_computes_each_core_once(monkeypatch):
+    # One memo for targets and cores: over an atlas whose targets share
+    # the core C5, each core's face homology runs at most once per engine,
+    # and asking for a target again computes nothing.
+    computed = []
+    real = betti._homology_from_faces
+
+    def counting(faces, p):
+        if p == engine_p:  # over Q the GF(2) certificate is a nested call
+            union = 0
+            for f in faces:
+                union |= f
+            computed.append(union)
+        return real(faces, p)
+
+    monkeypatch.setattr(betti, "_homology_from_faces", counting)
+    c5 = cycle_graph(5)
+    atlas = _c5_plus_cliques() + [disjoint_union(c5, c5), disjoint_union(
+        disjoint_union(c5, complete_graph(2)), complete_graph(3))]
+    for field in ("q", "f2", "f3"):
+        engine_p = parse_field(field)
+        for g in atlas:
+            full = (1 << g.n) - 1
+            grounds = [full] + [full ^ 1 << v for v in range(g.n)]
+            expected = [t.entries for t in induced_betti_tables(g, grounds,
+                                                                field)]
+            engine = HomologyEngine(g, field)
+            ws, root = betti._irreducible_targets(g.adj, full)
+            computed.clear()
+            assert _tables(engine, ws, root, grounds) == expected
+            assert computed and len(computed) == len(set(computed)), (
+                g.adj, field)
+            cores = {m for m in engine.memo
+                     if len(walk_components(g.adj, m)[0]) == 1}
+            assert set(computed) <= cores, (g.adj, field)
+            done = len(computed)
+            for w, dims in list(engine.memo.items()):
+                assert engine.irreducible_dims(w) is dims, (g.adj, w, field)
+            assert _tables(engine, ws, root, grounds) == expected
+            assert len(computed) == done, (g.adj, field)
+
+
+def _tables(engine, ws, root, grounds):
+    """The entries of each ground's table, summed from _positions."""
+    out = []
+    for u in grounds:
+        entries = {}
+        for pos, rank in betti._positions(engine, ws, root, u):
+            entries[pos] = entries.get(pos, 0) + rank
+        out.append(entries)
+    return out

@@ -249,8 +249,9 @@ def _edge(kind, n_list=None, schedule=None, **extra):
         kind_, value = schedule
         obj["schedule"] = ({"kind": "constant", "p": value}
                            if kind_ == "p" else
-                           {"kind": kind_, "lambda": value} if kind_ != "power"
-                           else {"kind": "power", "c": 1.0, "alpha": value})
+                           {"kind": kind_, "c": 1.0, "alpha": value}
+                           if kind_ in ("power", "complement_power")
+                           else {"kind": kind_, "lambda": value})
     if kind == "threshold":
         obj["predicates"] = ALL_PREDICATES
     return pytest.param(obj, id="-".join(
@@ -280,6 +281,9 @@ EDGE_CONFIGS = [
     _edge("cycle_calibration", [1], ("p", 0.5), k_max=4),
     _edge("cycle_calibration", [2], ("p", 0.5), k_max=4),
     _edge("cycle_calibration", [3], ("power", 0.0)),
+    # n**-alpha overflows a float: p is its limit, 1 or 0.
+    _edge("threshold", [2000], ("power", -1000.0)),
+    _edge("threshold", [2000], ("complement_power", -1000.0)),
     _edge("lipschitz_audit", trials=2),
     _edge("froberg_audit", exhaustive_n=1, random_audit=[[1, 1], [2, 1]]),
     _edge("froberg_audit", exhaustive_n=4, random_audit=[[11, 1]]),
