@@ -19,19 +19,19 @@ Every homology question goes through one lattice scan
 gets its fold target W - y from one vectorized rule (fold_vertex, shared
 with the exhaustive audit), and pointer jumping runs every fold chain to an
 irreducible subset or to a cone.  Homology runs only on the distinct
-irreducible targets, through HomologyEngine: a table counts every target
-(induced_betti_tables), and linear_flags reads them by increasing |W| until
-linear presentation breaks.  A target that is a cluster graph, c disjoint
-cliques K_{k_i}, is a join of c point sets and takes {c - 1: prod(k_i - 1)}
-over any field; this one closed form decides most targets.  The other
-targets split into connected cores whose face homology needs boundary-matrix
-ranks: bitset elimination over GF(2), else one fraction-free dense
-elimination (_rank_dense).  Over Q the GF(2) dims are a certificate: they
-are the Q dims unless two consecutive degrees d, d + 1 >= 1 both carry GF(2)
-homology, the only trace 2-torsion in integral homology can leave
+irreducible targets, through HomologyEngine: a table is counts by (|W|,
+target) times the targets' ranks (_scan_entries), and linear_flags reads
+targets by size until linear presentation breaks.  A target that is a
+cluster graph, c disjoint cliques K_{k_i}, is a join of c point sets and
+takes {c - 1: prod(k_i - 1)} over any field, which decides most targets.
+The other targets split into connected cores whose face homology needs
+boundary-matrix ranks: bitset elimination over GF(2), else one fraction-free
+dense elimination (_rank_dense).  Over Q the GF(2) dims are a certificate:
+they are the Q dims unless two consecutive degrees d, d + 1 >= 1 both carry
+GF(2) homology, the only trace 2-torsion in integral homology can leave
 (universal coefficients); only then does dense elimination run over Q.  The
-engine keeps one memo by vertex mask, for targets and cores alike, and
-takes a field as its characteristic p, 0 for Q.  The reductions are
+engine keeps one memo by vertex mask, for targets and cores alike, and takes
+a field as its characteristic p, 0 for Q.  The reductions are
 homotopy-level, hence field-independent; tests validate them against a
 reduction-free oracle on exhaustive corpora.
 """
@@ -388,23 +388,48 @@ def induced_betti_tables(g: Graph, grounds, field: str = "q",
                          ) -> list[BettiTable]:
     """Exact tables of the induced subgraphs G[U], one per vertex mask U in
     `grounds`, from one lattice scan over the submasks of their union
-    (_irreducible_targets).  Each ground counts its W by (|W|, irreducible
-    target) in one np.unique, and homology runs once per distinct target,
-    through the engine's cluster form, component split, join convolution
-    and memo; every subset of U is a subset of g, so one HomologyEngine
-    serves all the grounds."""
+    (_irreducible_targets) and one HomologyEngine for all (_scan_entries)."""
     engine = _engine(g, field, max_vertices)
     union = 0
     for u in grounds:
         union |= u
     ws, root = _irreducible_targets(engine.adj, union)
-    tables = []
-    for u in grounds:
-        entries: dict[tuple[int, int], int] = {}
-        for pos, rank in _positions(engine, ws, root, u):
-            entries[pos] = entries.get(pos, 0) + rank
-        tables.append(BettiTable(u.bit_count(), field, entries))
-    return tables
+    return [BettiTable(u.bit_count(), field, entries) for u, entries
+            in zip(grounds, _scan_entries(engine, ws, root, grounds))]
+
+
+def _scan_entries(engine: HomologyEngine, ws, root, grounds):
+    """Yield each ground's table entries from the scan (ws, root): C_U @ R
+    by Hochster, R[t, e] being target t's rank in degree e - 1, at i = j - e;
+    C_U @ P, P the 0/1 keys of R, marks each (i, j) reached, rank 0 too."""
+    n = len(engine.adj)
+    targets, counts = _count_matrices(ws, root, grounds, n)
+    # R | P.  Sum over W of count * rank <= sum over W of the faces of
+    # Ind(G[W]) <= 3^n (each vertex in the face, in W only, or out) < 2^63
+    # for n <= 39, past any scan that fits in memory: int64 is exact.
+    rp = np.zeros((len(targets), 2 * (n + 1)), dtype=np.int64)
+    for t, r in enumerate(targets.tolist()):
+        for d, rank in engine.irreducible_dims(ws.item(r)).items():
+            rp[t, d + 1], rp[t, n + d + 2] = rank, 1
+    for c in counts:
+        beta = c @ rp
+        js, es = np.nonzero(beta[:, n + 1:])
+        yield dict(zip(zip((js - es).tolist(), js.tolist()),
+                       beta[js, es].tolist()))
+
+
+def _count_matrices(ws: np.ndarray, root: np.ndarray, grounds, n: int
+                    ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(targets, [C_U for U in grounds]): the scan's irreducible targets, by
+    index in ws, and each U's (n + 1) x T counts of its W by (|W|, target)."""
+    targets = np.flatnonzero(root == np.arange(len(ws)))  # root[r] = r
+    alive = root < len(ws)
+    live, t = ws[alive], len(targets)
+    keys = (np.bitwise_count(live).astype(np.int64) * t
+            + np.searchsorted(targets, root[alive]))
+    return targets, [np.bincount(keys[(live & ~u) == 0],
+                                 minlength=(n + 1) * t).reshape(n + 1, t)
+                     for u in grounds]
 
 
 def _irreducible_targets(adj, union: int) -> tuple[np.ndarray, np.ndarray]:
@@ -438,23 +463,6 @@ def _irreducible_targets(adj, union: int) -> tuple[np.ndarray, np.ndarray]:
         step = jumped
 
 
-def _positions(engine: HomologyEngine, ws: np.ndarray, root: np.ndarray,
-               ground: int):
-    """((i, j), rank) that the W of the scan (ws, root) inside `ground` add
-    to the table of G[ground], by increasing |W|: one np.unique counts them
-    by (|W|, r = root), W's homology being that of ws[r], and by beta_{i,j}
-    = sum over |W| = j of dim H~_{j-i-1}(Ind(G[W])), homology in degree d
-    lands at i = j - d - 1.  The engine memoizes the dims of each ws[r]."""
-    m = len(ws)
-    inside = (root < m) & ((ws & ~ground) == 0)
-    keys, counts = np.unique(np.bitwise_count(ws[inside]).astype(np.int64)
-                             * (m + 1) + root[inside], return_counts=True)
-    for key, count in zip(keys.tolist(), counts.tolist()):
-        j, r = divmod(key, m + 1)
-        for d, rank in engine.irreducible_dims(ws.item(r)).items():
-            yield (j - d - 1, j), rank * count
-
-
 def _cone_free_submasks(adj, u: int) -> np.ndarray:
     """The nonempty submasks W of u with no isolated vertex in G[W], in
     increasing order.  Vertices of u join from the lowest, each doubling
@@ -473,14 +481,22 @@ def _cone_free_submasks(adj, u: int) -> np.ndarray:
 
 def linear_flags(g: Graph, field: str = "q",
                  max_vertices: int = DEFAULT_BETTI_GUARD) -> tuple[bool, bool]:
-    """(linear resolution, linear presentation) of S/I(G); both hold
-    vacuously for edgeless graphs.  The lattice scan's distinct irreducible
-    targets are read in order of increasing |W| (the key order), and
-    homology stops at the first break of linear presentation."""
+    """(linear resolution, linear presentation) of S/I(G), vacuous for no
+    edges, by linearity's rule on the scan's targets by increasing size: one
+    with homology in a degree d >= 1 breaks resolution (j - i = d + 1), and
+    presentation too, ending the read, if a W of size d + 3 (i = 2) has it."""
     engine = _engine(g, field, max_vertices)
-    ground = (1 << g.n) - 1
-    ws, root = _irreducible_targets(engine.adj, ground)
-    return linearity(_positions(engine, ws, root, ground))
+    full = (1 << g.n) - 1
+    ws, root = _irreducible_targets(engine.adj, full)
+    targets, (counts,) = _count_matrices(ws, root, (full,), g.n)
+    lr = True
+    for t in np.argsort(np.bitwise_count(ws[targets]), kind="stable").tolist():
+        for d in engine.irreducible_dims(ws.item(targets[t])):
+            if d >= 1:
+                lr = False
+                if counts[d + 3, t]:  # |target| >= 2d + 2 >= d + 3
+                    return False, False
+    return lr, True
 
 
 @dataclass(frozen=True)

@@ -21,18 +21,18 @@ the shrinking is free or already done:
   cycle count.  ``two_core_pairs`` does this on an edge list: in the dense
   critical window a draw lists its non-edges, complemented, which are the
   complement's edges, and the trials hand ``is_chordal`` the complement's
-  2-core (``two_core``), already peeled; every cycle count runs on the
-  2-core of the graph it counts.
+  2-core (``two_core``), already peeled.  The DFS for chordless cycles of
+  length >= 5 runs on the 2-core too, as does a wedge count past 2^21 labels.
 
 Induced 4-cycles and triangles are counted together, exactly, from the
-codegrees of the vertex pairs (``induced_c4_and_triangles``): a dense graph
-takes them from the product of its 0/1 adjacency matrix with itself, a
-sparse one from its wedges.  The dense-window trials read gap-freeness as
-a zero count of induced 4-cycles on the listed non-edges as drawn, with no
-peel and no rows.  ``cycle_counts_from_pairs`` runs that count, and a DFS
-for the lengths >= 5, on the 2-core of an edge list; the cycle-calibration
-trials hand it the sampler's pairs, so no row is built, and
-``count_chordless_cycles`` hands it g's edges and returns its count dict.
+codegrees of the vertex pairs of any edge list (``induced_c4_and_triangles``):
+a dense graph takes them from the product of its 0/1 adjacency matrix with
+itself, a sparse one from its wedges.  The dense-window trials read
+gap-freeness as a zero count of induced 4-cycles on the listed non-edges as
+drawn.  ``cycle_counts_from_pairs`` runs that count on an edge list as given
+and the DFS on its 2-core; the cycle-calibration trials hand it the
+sampler's pairs, so no row is built, and ``count_chordless_cycles`` hands
+it g's edges and returns its count dict.
 """
 
 from __future__ import annotations
@@ -190,18 +190,18 @@ def cycle_counts_from_pairs(us: np.ndarray, vs: np.ndarray,
     """(chordless cycle counts by length 4..k_max, triangle count) of the
     graph with edges (us[i], vs[i]), each listed once.
 
-    Every cycle lies in the 2-core, so both counts run there.  Length 4 and
-    the triangles come from codegrees, by ``induced_c4_and_triangles``;
-    lengths 5..k_max from a DFS over induced paths, which does not run when
-    k_max is 4.
+    Length 4 and the triangles come from the codegrees of the pairs as given
+    (``induced_c4_and_triangles``); lengths 5..k_max from a DFS over induced
+    paths, on the 2-core (``two_core_pairs``) as its cost grows with trees.
     """
     if k_max < 4:
         raise ValueError("k_max must be >= 4")
-    k, us, vs = two_core_pairs(us, vs)
+    k = int(max(us.max(), vs.max())) + 1 if len(us) else 0
     counts = {length: 0 for length in range(4, k_max + 1)}
     counts[4], triangles = induced_c4_and_triangles(k, us, vs)
     if k_max > 4:
-        _count_long_chordless_cycles(graph_from_pairs(k, us, vs), counts)
+        _count_long_chordless_cycles(
+            graph_from_pairs(*two_core_pairs(us, vs)), counts)
     return counts, triangles
 
 
@@ -274,6 +274,8 @@ def induced_c4_and_triangles(k: int, us: np.ndarray,
     """
     deg = np.bincount(us, minlength=k) + np.bincount(vs, minlength=k)
     if _WEDGE_COST * int((deg * (deg - 1)).sum() // 2) < k ** 3:
+        if k ** 3 >= 1 << 63:  # (pair, center) keys < k^3 must fit int64
+            k, us, vs = two_core_pairs(us, vs)
         s_all, codeg, e_adj = _wedge_sums(k, us, vs)
     else:
         s_all, codeg, e_adj = _matrix_sums(k, us, vs)
@@ -326,6 +328,8 @@ def _wedge_sums(k: int, us: np.ndarray,
     lo = np.searchsorted(keys, edge_keys)
     codeg = np.searchsorted(keys, edge_keys, side="right") - lo
     busy = codeg >= 2
+    if not busy.any():  # E_adj sums over the edges of codegree >= 2 only
+        return s_all, codeg, 0
     common = centers[_ranges(lo[busy], codeg[busy])]
     x, y = _pairs_within(codeg[busy])
     x, y = common[x], common[y]

@@ -1,10 +1,11 @@
 """Tier-1's wall time, raw and in the benchmark's reference units.
 
-The fixed kernel ``calibrate()`` of ``perfbench/one_pass.py`` is timed at
-the start and at the end of the session, and the session's seconds are
-printed also scaled by ``REFERENCE_CALIBRATION_S`` over the kernel's mean
-time, as the benchmark scales ``wall_ref_s``.  Nothing is skipped or gated
-by it.
+The fixed kernel ``calibrate()`` of ``perfbench/one_pass.py`` is timed
+three times at the start and three times at the end of the session, and
+the session's seconds are printed also scaled by
+``REFERENCE_CALIBRATION_S`` over the mean of the two medians, as the
+benchmark scales ``wall_ref_s``.  A median of three damps one sample slowed
+by a burst of load.  Nothing is skipped or gated by it.
 """
 
 import importlib.util
@@ -17,6 +18,7 @@ import eideal  # noqa: F401  (bound first: one_pass imports eideal by name)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 _session: dict = {}
+SAMPLES = 3
 
 
 def _one_pass():
@@ -36,8 +38,13 @@ def _one_pass():
 
 def pytest_sessionstart(session):
     one_pass = _one_pass()
-    _session.update(one_pass=one_pass, calibrations=[one_pass.calibrate()],
+    _session.update(one_pass=one_pass, start_s=_median_calibration(one_pass),
                     start=time.perf_counter())
+
+
+def _median_calibration(one_pass) -> float:
+    """The median of SAMPLES ``calibrate()`` timings, in seconds."""
+    return statistics.median(one_pass.calibrate() for _ in range(SAMPLES))
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -45,10 +52,10 @@ def pytest_terminal_summary(terminalreporter):
         return
     seconds = time.perf_counter() - _session["start"]
     one_pass = _session["one_pass"]
-    start, end = _session["calibrations"] + [one_pass.calibrate()]
+    start, end = _session["start_s"], _median_calibration(one_pass)
     scale = one_pass.REFERENCE_CALIBRATION_S / statistics.mean((start, end))
     terminalreporter.write_line(
         f"test session: {seconds:.1f} s raw, {seconds * scale:.1f} s in "
-        f"reference units (calibrate() took {start:.3f} s at the start and "
-        f"{end:.3f} s at the end; reference "
+        f"reference units (calibrate() took a median {start:.3f} s of "
+        f"{SAMPLES} at the start and {end:.3f} s at the end; reference "
         f"{one_pass.REFERENCE_CALIBRATION_S} s)")

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +12,8 @@ from eideal.betti import (BettiTable, HomologyEngine, SizeGuardExceeded,
                           _homology_from_faces, betti_table,
                           has_linear_presentation, has_linear_resolution,
                           induced_betti_tables, invariants, linear_flags,
-                          parse_field, pd_componentwise, reg_pd_componentwise,
-                          regularity_componentwise)
+                          linearity, parse_field, pd_componentwise,
+                          reg_pd_componentwise, regularity_componentwise)
 from eideal.chordality import is_4_cochordal, is_cochordal
 from eideal.comb_invariants import forest_fold, tree_induced_matching
 from eideal.graph_core import (bits, build_graph, complement,
@@ -302,6 +303,23 @@ def test_linear_flags_vs_table_and_walk_random():
     g = sample_gnp(16, 0.2, 5)
     assert list(_linear_flags_mismatches([g], "f2")) == []
     assert linear_flags(g, "q") == linear_flags(g, "f2")
+
+
+def test_linear_flags_equal_linearity_of_the_table_seeded():
+    # linear_flags reads the count matrix by target and stops at the first
+    # break of presentation; the table's own reading is linearity.
+    seen = Counter()
+    for n in range(6, 12):
+        for s in range(12):
+            for p in (0.3, 0.5, 0.7, 0.8):
+                g = sample_gnp(n, p, seed=9200 + 100 * n + s)
+                for field in ("q", "f2"):
+                    flags = linear_flags(g, field)
+                    assert flags == linearity(
+                        betti_table(g, field).entries.items()), (
+                            g.adj, field)
+                    seen[flags] += 1
+    assert len(seen) == 3 and min(seen.values()) >= 10, seen
 
 
 def test_planted_resolution_exit_fault_is_caught(monkeypatch):
@@ -824,11 +842,5 @@ def test_engine_memo_computes_each_core_once(monkeypatch):
 
 
 def _tables(engine, ws, root, grounds):
-    """The entries of each ground's table, summed from _positions."""
-    out = []
-    for u in grounds:
-        entries = {}
-        for pos, rank in betti._positions(engine, ws, root, u):
-            entries[pos] = entries.get(pos, 0) + rank
-        out.append(entries)
-    return out
+    """The entries of each ground's table, from the scan's count matrices."""
+    return list(betti._scan_entries(engine, ws, root, grounds))

@@ -251,59 +251,73 @@ def test_count_chordless_cycles_random_vs_oracle():
 
 @lru_cache(maxsize=1)
 def _small_graph_counts():
-    """(g, induced C4 count, triangle count, ``_draw_forms(g)``) for every
-    graph on <= 6 vertices, from the subset-scan oracle's table and
-    ``count_triangles``."""
-    return [(g, small_cycle_counts(g)[4], count_triangles(g),
-             _draw_forms(g)) for n in range(7) for g in enumerate_graphs(n)]
+    """(g, {4: induced C4s, 5: chordless 5-cycles}, triangle count,
+    ``_draw_forms(g)``) for every graph on <= 6 vertices: the C4s by
+    ``diagonal_scan_induced_c4``, the 5-cycles from the subset-scan
+    oracle's table, the triangles by ``count_triangles``."""
+    return [(g, {4: diagonal_scan_induced_c4(g), 5: small_cycle_counts(g)[5]},
+             count_triangles(g), _draw_forms(g))
+            for n in range(7) for g in enumerate_graphs(n)]
 
 
 def test_count_induced_c4_exhaustive_n6():
-    # k_max = 4 takes the codegree count alone, with no DFS.  The identity
-    # oracle is checked against the subset scan on the smaller graphs.
-    for g, c4, _, _ in _small_graph_counts():
-        expected = {4: c4}
+    # k_max = 4 takes the codegree count alone, with no DFS.  The diagonal
+    # scan, and on the smaller graphs the identity oracle, are checked
+    # against the subset scan.
+    for g, counts, _, _ in _small_graph_counts():
+        expected = {4: small_cycle_counts(g)[4]}
         assert count_chordless_cycles(g, 4) == expected, g.adj
+        assert counts[4] == expected[4], g.adj
         if g.n <= 5:
             assert trace_identity_induced_c4(g) == expected[4], g.adj
 
 
 def _draw_forms(g: Graph) -> list[GnpDraw]:
-    """g as a draw: its listed edges padded with an isolated vertex (n), a
-    pendant vertex and a pendant path, which the 2-core peel must strip;
-    below 6 vertices also its listed edges unpadded and its listed
-    non-edges."""
+    """g as a draw: its listed edges padded with a pendant path at vertex
+    0, a pendant star at vertex n - 1 and isolated labels among and above
+    the padding's (n, n + 4, n + 7, n + 8, n + 10, n + 11), none of which
+    adds a cycle; below 6 vertices also its listed edges unpadded and its
+    listed non-edges."""
     n = g.n
     us, vs = np.triu_indices(n, k=1)
     kept = np.array([g.adj[u] >> v & 1 for u, v in zip(us.tolist(),
                                                         vs.tolist())],
                     dtype=bool)
     padded = sorted([*zip(us[kept].tolist(), vs[kept].tolist()),
-                     (0, n + 1), (max(n - 1, 0), n + 2), (n + 2, n + 3)])
+                     (0, n + 1), (n + 1, n + 2), (max(n - 1, 0), n + 3),
+                     (n + 3, n + 5), (n + 3, n + 6), (n + 3, n + 9)])
     pu, pv = np.array(padded, dtype=np.int64).T
-    forms = [GnpDraw(n + 4, pu, pv)]
+    forms = [GnpDraw(n + 12, pu, pv)]
     if n < 6:
         forms += [GnpDraw(n, us[kept], vs[kept]),
                   GnpDraw(n, us[~kept], vs[~kept], complemented=True)]
     return forms
 
 
-def _small_graph_disagreements() -> list:
-    """The first graph on <= 6 vertices whose (induced C4, triangle) counts
-    on one of its draw forms, through either codegree route, differ from
-    the oracles'; empty when there is none."""
+def _small_graph_disagreements(k_max: int = 4) -> list:
+    """The first graph on <= 6 vertices whose chordless cycle counts up to
+    k_max (4 or 5) and triangle count on one of its draw forms, through
+    either codegree route, differ from the oracles'; empty when there is
+    none."""
     for route in (chordality._matrix_sums, chordality._wedge_sums):
         with pytest.MonkeyPatch.context() as m:
             m.setattr(chordality, "_matrix_sums", route)
             m.setattr(chordality, "_wedge_sums", route)
-            for g, c4, triangles, forms in _small_graph_counts():
+            for g, counts, triangles, forms in _small_graph_counts():
+                expected = {k: counts[k] for k in range(4, k_max + 1)}
                 for draw in forms:
-                    if _cycle_row(draw, 4, True) != ({4: c4}, triangles):
+                    if _cycle_row(draw, k_max, True) != (expected, triangles):
                         return [(route, g.adj, draw)]
     return []
 
 
-def test_c4_and_triangles_exhaustive_n6_every_draw_form():
+def test_c4_and_triangles_exhaustive_n6_every_draw_form(monkeypatch):
+    # At k_max = 4 the codegree count takes each draw form as given, its
+    # pendant path, pendant star and isolated labels included: no peel.
+    def no_peel(us, vs):
+        raise AssertionError("k_max = 4 peeled its edge list")
+
+    monkeypatch.setattr(chordality, "two_core_pairs", no_peel)
     assert _small_graph_disagreements() == []
 
 
@@ -313,6 +327,48 @@ def _with_e_adj(sums, fault):
         s_all, codeg, e_adj = sums(k, us, vs)
         return s_all, codeg, fault(e_adj)
     return faulty
+
+
+def test_wedge_sums_equal_matrix_sums():
+    # E_adj sums over the edges of codegree >= 2; the wedge route returns
+    # 0 for it at once when there is none.  Graphs without such an edge
+    # (a path, a star, C4, C5, a bowtie and sparse G(40, 0.03) draws) and
+    # with one (a diamond, K4, K5 minus an edge and denser draws).
+    bowtie = build_graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
+    diamond = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    k5_minus = build_graph(5, [e for e in itertools.combinations(range(5), 2)
+                               if e != (0, 1)])
+    graphs = ([path_graph(7), build_graph(6, [(0, v) for v in range(1, 6)]),
+               cycle_graph(4), cycle_graph(5), bowtie]
+              + [sample_gnp(40, 0.03, seed=8400 + t) for t in range(6)]
+              + [diamond, complete_graph(4), k5_minus]
+              + [sample_gnp(n, p, seed=8410 + n)
+                 for n, p in ((12, 0.5), (30, 0.2), (60, 0.1))])
+    busy = []
+    for g in graphs:
+        us, vs = np.array([*g.edges()], dtype=np.int64).reshape(-1, 2).T
+        s_all, codeg, e_adj = chordality._matrix_sums(g.n, us, vs)
+        wedge = chordality._wedge_sums(g.n, us, vs)
+        assert (wedge[0], wedge[1].tolist(), wedge[2]) == (
+            s_all, codeg.tolist(), e_adj), g.adj
+        busy.append(bool((codeg >= 2).any()))
+    assert busy == [False] * 11 + [True] * 6, busy
+
+
+def test_counts_at_labels_past_the_packed_wedge_keys():
+    # The wedge route packs (pair, center) keys below k^3, past int64 from
+    # k = 2^21 on, so such a graph is counted on its 2-core: here a C4 and
+    # a triangle at labels above 2^21, alone or beside a perfect matching
+    # of over 2^21 vertices.
+    h = 2_200_000
+    us, vs = np.array([(0, h), (1, h), (1, h + 1), (0, h + 1),  # a C4
+                       (h + 2, h + 3), (h + 3, h + 4), (h + 2, h + 4)],
+                      dtype=np.int64).T  # and a triangle
+    matching = np.arange(2, h, 2, dtype=np.int64)
+    for ends in ((us, vs), (np.concatenate((us, matching)),
+                            np.concatenate((vs, matching + 1)))):
+        assert chordality.cycle_counts_from_pairs(*ends, 5) == (
+            {4: 1, 5: 0}, 1)
 
 
 def test_planted_counter_faults_are_caught(monkeypatch):
@@ -340,8 +396,9 @@ def test_planted_counter_faults_are_caught(monkeypatch):
             us, vs = us[~cut], vs[~cut]
         return two_core_pairs(us, vs)
 
+    # Only the DFS for lengths >= 5 reads the peel.
     monkeypatch.setattr(chordality, "two_core_pairs", peel_degree_two)
-    assert _small_graph_disagreements()
+    assert _small_graph_disagreements(5)
 
 
 # (n, p, trials): dense draws that list their edges, near-complete draws
