@@ -38,7 +38,6 @@ reduction-free oracle on exhaustive corpora.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -319,14 +318,12 @@ def fold_vertex(rows, live) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BettiTable:
-    """Sparse graded Betti numbers of S/I(G); beta_{0,0}=1 is implicit."""
+    """The graded Betti numbers of S/I(G) as {(i, j): beta_{i,j}} at the
+    positions Hochster's sum reaches, every nonzero one among them;
+    beta_{0,0} = 1 is implicit.  Regularity, projective dimension and
+    linearity read off the positions."""
 
-    ambient_n: int
-    field: str
     entries: dict[tuple[int, int], int]
-
-    def beta(self, i: int, j: int) -> int:
-        return self.entries.get((i, j), 0)
 
     def regularity_quotient(self) -> int:
         return max((j - i for (i, j) in self.entries), default=0)
@@ -337,17 +334,6 @@ class BettiTable:
     def linear_flags(self) -> tuple[bool, bool]:
         """(linear resolution, linear presentation); see linearity."""
         return linearity(self.entries.items())
-
-    def to_json(self) -> str:
-        rows = [[i, j, r] for (i, j), r in sorted(self.entries.items())]
-        return json.dumps({"n": self.ambient_n, "field": self.field,
-                           "entries": rows})
-
-    @classmethod
-    def from_json(cls, text: str) -> "BettiTable":
-        obj = json.loads(text)
-        entries = {(int(i), int(j)): int(r) for i, j, r in obj["entries"]}
-        return cls(int(obj["n"]), obj["field"], entries)
 
 
 def _engine(g: Graph, field: str, max_vertices: int) -> HomologyEngine:
@@ -394,8 +380,8 @@ def induced_betti_tables(g: Graph, grounds, field: str = "q",
     for u in grounds:
         union |= u
     ws, root = _irreducible_targets(engine.adj, union)
-    return [BettiTable(u.bit_count(), field, entries) for u, entries
-            in zip(grounds, _scan_entries(engine, ws, root, grounds))]
+    return [BettiTable(entries)
+            for entries in _scan_entries(engine, ws, root, grounds)]
 
 
 def _scan_entries(engine: HomologyEngine, ws, root, grounds):

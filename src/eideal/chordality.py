@@ -12,10 +12,9 @@ the shrinking is free or already done:
   one to none.  ``is_cochordal`` and ``is_4_cochordal`` therefore drop g's
   isolated vertices, universal in the complement, before they complement
   the rest, so a sparse graph pays only for the complement on the ends of
-  its edges.  The threshold trials do the same on a draw that lists its
-  edges: ``GnpDraw.live_graph`` builds it on the vertices that carry one
-  (``relabel_live``), and they run ``is_chordal`` and ``has_induced_c4``
-  on the complement of that small graph, never on n rows.
+  its edges.  The threshold trials call these two public predicates on a
+  draw that lists its edges, handing them the graph on the vertices that
+  carry one (``GnpDraw.live_graph``, ``relabel_live``), never n rows.
 * A vertex of degree <= 1 lies on no cycle at all, so peeling such vertices
   until none is left, down to the 2-core, keeps both verdicts and every
   cycle count.  ``two_core_pairs`` does this on an edge list: in the dense
@@ -200,8 +199,7 @@ def cycle_counts_from_pairs(us: np.ndarray, vs: np.ndarray,
     counts = {length: 0 for length in range(4, k_max + 1)}
     counts[4], triangles = induced_c4_and_triangles(k, us, vs)
     if k_max > 4:
-        _count_long_chordless_cycles(
-            graph_from_pairs(*two_core_pairs(us, vs)), counts)
+        _count_long_chordless_cycles(two_core(us, vs), counts)
     return counts, triangles
 
 
@@ -276,6 +274,9 @@ def induced_c4_and_triangles(k: int, us: np.ndarray,
     if _WEDGE_COST * int((deg * (deg - 1)).sum() // 2) < k ** 3:
         if k ** 3 >= 1 << 63:  # (pair, center) keys < k^3 must fit int64
             k, us, vs = two_core_pairs(us, vs)
+            if k ** 3 >= 1 << 63:
+                raise ValueError(f"2-core of {k} vertices: the wedge count "
+                                 f"holds fewer than 2**21")
         s_all, codeg, e_adj = _wedge_sums(k, us, vs)
     else:
         s_all, codeg, e_adj = _matrix_sums(k, us, vs)

@@ -245,65 +245,64 @@ def matching_number(g: Graph, w: int | None = None) -> int:
 def independence_number(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> int:
     """Maximum independent set size: the isolated vertices plus a branch
     and bound on each component's mask, all within one ``budget`` of nodes."""
-    nodes = 0
-    best = 0
-
-    def greedy_color_bound(active: int) -> int:
-        # Chromatic-style bound on the independence number of the complement
-        # view: pack active vertices into cliques greedily.
-        bound = 0
-        rest = active
-        while rest:
-            v = rest & -rest
-            vi = v.bit_length() - 1
-            clique = 1 << vi
-            cand = g.adj[vi] & rest
-            while cand:
-                u = cand & -cand
-                ui = u.bit_length() - 1
-                clique |= u
-                cand &= g.adj[ui]
-            rest &= ~clique
-            bound += 1
-        return bound
-
-    def solve(active: int, size: int):
-        nonlocal nodes, best
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError(
-                f"independence search exceeded {budget} nodes")
-        # A vertex of degree <= 1 lies in some maximum independent set:
-        # take it, drop its neighbour, and repeat while degrees fall to 1.
-        degs = {v: (g.adj[v] & active).bit_count() for v in bits(active)}
-        low = [v for v, d in degs.items() if d <= 1]
-        while low:
-            v = low.pop()
-            if not active >> v & 1:
-                continue
-            drop = g.adj[v] & active | 1 << v
-            active &= ~drop
-            size += 1
-            for u in bits(drop):
-                del degs[u]
-                for w in bits(g.adj[u] & active):
-                    degs[w] -= 1
-                    if degs[w] == 1:
-                        low.append(w)
-        best = max(best, size)
-        if active == 0 or size + greedy_color_bound(active) <= best:
-            return
-        v = max(degs, key=degs.__getitem__)
-        solve(active & ~(g.adj[v] | (1 << v)), size + 1)
-        solve(active & ~(1 << v), size)
-
     masks = connected_components(g).masks
     total = g.n - sum(mask.bit_count() for mask in masks)
+    search = [0, 0]  # [best in this component, nodes so far]
     for comp in masks:
-        best = 0
-        solve(comp, 0)
-        total += best
+        search[0] = 0
+        _independence(g.adj, budget, search, comp, 0)
+        total += search[0]
     return total
+
+
+def _independence(adj, budget: int, search, active: int, size: int) -> None:
+    # Module level, like _induced_matching: a self-referencing closure over
+    # g is a reference cycle that keeps g alive until the cyclic GC runs.
+    search[1] += 1
+    if search[1] > budget:
+        raise BudgetExceededError(
+            f"independence search exceeded {budget} nodes")
+    # A vertex of degree <= 1 lies in some maximum independent set:
+    # take it, drop its neighbour, and repeat while degrees fall to 1.
+    degs = {v: (adj[v] & active).bit_count() for v in bits(active)}
+    low = [v for v, d in degs.items() if d <= 1]
+    while low:
+        v = low.pop()
+        if not active >> v & 1:
+            continue
+        drop = adj[v] & active | 1 << v
+        active &= ~drop
+        size += 1
+        for u in bits(drop):
+            del degs[u]
+            for w in bits(adj[u] & active):
+                degs[w] -= 1
+                if degs[w] == 1:
+                    low.append(w)
+    search[0] = max(search[0], size)
+    if active == 0 or size + _clique_cover_bound(adj, active) <= search[0]:
+        return
+    v = max(degs, key=degs.__getitem__)
+    _independence(adj, budget, search, active & ~(adj[v] | (1 << v)),
+                  size + 1)
+    _independence(adj, budget, search, active & ~(1 << v), size)
+
+
+def _clique_cover_bound(adj, active: int) -> int:
+    """Cliques in a greedy packing of the active vertices: at least alpha."""
+    bound = 0
+    rest = active
+    while rest:
+        vi = (rest & -rest).bit_length() - 1
+        clique = 1 << vi
+        cand = adj[vi] & rest
+        while cand:
+            u = cand & -cand
+            clique |= u
+            cand &= adj[u.bit_length() - 1]
+        rest &= ~clique
+        bound += 1
+    return bound
 
 
 @dataclass(frozen=True)

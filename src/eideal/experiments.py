@@ -21,13 +21,13 @@ from .asymptotics import (expected_chordless_cycles, gw_limit_estimate,
                           prob_lr_sparse_window)
 from .betti import (DEFAULT_BETTI_GUARD, MAX_SCAN_VERTICES,
                     induced_betti_tables, reg_pd_componentwise)
-from .chordality import (cycle_counts_from_pairs, has_induced_c4,
-                         induced_c4_and_triangles, is_4_cochordal, is_chordal,
-                         is_cochordal, is_locally_4_cochordal,
-                         is_locally_cochordal, two_core)
+from .chordality import (cycle_counts_from_pairs, induced_c4_and_triangles,
+                         is_4_cochordal, is_chordal, is_cochordal,
+                         is_locally_4_cochordal, is_locally_cochordal,
+                         two_core)
 from .comb_invariants import (DEFAULT_MIS_BUDGET, BudgetExceededError,
                               cover_profile)
-from .graph_core import complement, disjoint_union, max_degree, to_hex_dump
+from .graph_core import disjoint_union, max_degree, to_hex_dump
 from .random_models import (GnpDraw, ParamSchedule, check_seed, draw_gnp,
                             rng_for, sample_gnp, schedule_p, substream_seed)
 
@@ -360,31 +360,29 @@ def _sampled_rows(config: ExperimentConfig, workers: int, fn):
 def _threshold_verdicts(draw: GnpDraw, pred_names) -> list[bool]:
     """Each named predicate on the drawn graph.
 
-    The two cochordal predicates read the draw's pairs and never build g.
-    A complemented draw lists the complement's edges: ``is_4_cochordal``
-    counts their induced 4-cycles by codegrees
-    (``induced_c4_and_triangles``), and ``is_cochordal`` runs ``is_chordal``
-    on their 2-core (``two_core``).  Both predicates read the complement of
-    a plain draw's graph on the vertices with an edge (``live_graph``),
-    built once.  The local predicates read g, built once.
+    A complemented draw lists the complement's edges, so the two cochordal
+    predicates read its pairs and never build g: ``is_4_cochordal`` counts
+    their induced 4-cycles by codegrees (``induced_c4_and_triangles``), and
+    ``is_cochordal`` runs ``is_chordal`` on their 2-core (``two_core``).  On
+    a plain draw they are the public predicates on the graph of the vertices
+    with an edge (``live_graph``), built once: isolated vertices, universal
+    in the complement, change neither.  The local predicates read g, built
+    once, as isolated vertices change their verdicts: 2K2 is locally
+    cochordal, 2K2 plus an isolated vertex is not.
     """
-    g = h = None
+    graphs = {}
     verdicts = []
     for name in pred_names:
-        if name not in ("is_cochordal", "is_4_cochordal"):
-            if g is None:
-                g = draw.graph()
-            verdicts.append(PREDICATES[name](g))
-        elif draw.complemented and name == "is_4_cochordal":
+        if draw.complemented and name == "is_4_cochordal":
             verdicts.append(
                 induced_c4_and_triangles(draw.n, draw.us, draw.vs)[0] == 0)
-        elif draw.complemented:
+        elif draw.complemented and name == "is_cochordal":
             verdicts.append(is_chordal(two_core(draw.us, draw.vs)))
         else:
-            if h is None:
-                h = complement(draw.live_graph())
-            verdicts.append(is_chordal(h) if name == "is_cochordal"
-                            else not has_induced_c4(h))
+            live = name in ("is_cochordal", "is_4_cochordal")
+            if live not in graphs:
+                graphs[live] = draw.live_graph() if live else draw.graph()
+            verdicts.append(PREDICATES[name](graphs[live]))
     return verdicts
 
 

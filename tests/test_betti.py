@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from eideal import betti
-from eideal.betti import (BettiTable, HomologyEngine, SizeGuardExceeded,
+from eideal.betti import (HomologyEngine, SizeGuardExceeded,
                           _homology_from_faces, betti_table,
                           has_linear_presentation, has_linear_resolution,
                           induced_betti_tables, invariants, linear_flags,
@@ -480,12 +480,6 @@ def test_induced_tables_from_one_engine_atlas_n6():
                 tables = induced_betti_tables(g, (full, low, full & ~low))
                 assert tables == [betti_table(g), betti_table(a),
                                   betti_table(b)], (a.adj, b.adj)
-
-
-def test_table_json_round_trip():
-    table = betti_table(cycle_graph(5))
-    again = BettiTable.from_json(table.to_json())
-    assert again == table
 
 
 def _per_subset_entries(g, field):

@@ -371,6 +371,17 @@ def test_counts_at_labels_past_the_packed_wedge_keys():
             {4: 1, 5: 0}, 1)
 
 
+def test_refuses_a_2_core_past_the_packed_wedge_keys(monkeypatch):
+    # A 2-core of 2^21 vertices would wrap the int64 wedge keys; the
+    # stubbed peel reports that size without building such a graph.
+    h = 1 << 21
+    us, vs = np.array([(0, h + 1), (1, h + 2), (0, 1)], dtype=np.int64).T
+    monkeypatch.setattr(chordality, "two_core_pairs",
+                        lambda us, vs: (h, us, vs))
+    with pytest.raises(ValueError, match=f"2-core of {h} vertices.*2\\*\\*21"):
+        chordality.induced_c4_and_triangles(h + 3, us, vs)
+
+
 def test_planted_counter_faults_are_caught(monkeypatch):
     # Each fault edits the E_adj both routes hand to the shared identity
     # I4 = (S_non - S_adj + E_adj) / 2.

@@ -1,7 +1,9 @@
+import gc
 import os
 import random
 import subprocess
 import sys
+import weakref
 
 import networkx as nx
 import pytest
@@ -678,6 +680,22 @@ def test_independence_number_searches_each_component():
     assert independence_number(tens, budget=30) == 20
     with pytest.raises(BudgetExceededError):
         independence_number(tens, budget=3)
+
+
+@pytest.mark.parametrize("solver", [independence_number,
+                                    induced_matching_number, cover_profile])
+def test_solver_frees_its_graph_without_the_cyclic_gc(solver):
+    # A recursive closure over g is a reference cycle: with the cyclic GC
+    # off it would keep g alive after the call returns.
+    g = disjoint_union(cycle_graph(7), complete_graph(3))
+    ref = weakref.ref(g)
+    gc.disable()
+    try:
+        solver(g)
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_maximal_independent_sets_on_a_mask():
