@@ -17,11 +17,11 @@ the shrinking is free or already done:
   carry one (``GnpDraw.live_graph``, ``relabel_live``), never n rows.
 * A vertex of degree <= 1 lies on no cycle at all, so peeling such vertices
   until none is left, down to the 2-core, keeps both verdicts and every
-  cycle count.  ``two_core_pairs`` does this on an edge list: in the dense
+  cycle count.  ``two_core`` does this on an edge list: in the dense
   critical window a draw lists its non-edges, complemented, which are the
   complement's edges, and the trials hand ``is_chordal`` the complement's
-  2-core (``two_core``), already peeled.  The DFS for chordless cycles of
-  length >= 5 runs on the 2-core too, as does a wedge count past 2^21 labels.
+  2-core, already peeled.  The DFS for chordless cycles of length >= 5 runs
+  on the 2-core too.
 
 Induced 4-cycles and triangles are counted together, exactly, from the
 codegrees of the vertex pairs of any edge list (``induced_c4_and_triangles``):
@@ -118,12 +118,11 @@ def has_induced_c4(g: Graph) -> bool:
     return False
 
 
-def two_core_pairs(us: np.ndarray,
-                   vs: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
-    """(k, us', vs'): the 2-core of the graph with edges (us[i], vs[i]), its
-    k vertices relabelled 0..k-1 in increasing order.  Edges at a vertex of
-    degree 1 are cut until none is left; by the leaf lemma of the module
-    docstring every cycle survives."""
+def two_core(us: np.ndarray, vs: np.ndarray) -> Graph:
+    """The 2-core of the graph with edges (us[i], vs[i]), its vertices
+    relabelled 0..k-1 in increasing order: chordal (and induced-C4-free) iff
+    that graph is.  Edges at a vertex of degree 1 are cut until none is
+    left; by the leaf lemma of the module docstring every cycle survives."""
     size = int(max(us.max(), vs.max())) + 1 if len(us) else 0
     while True:
         deg = (np.bincount(us, minlength=size)
@@ -134,13 +133,7 @@ def two_core_pairs(us: np.ndarray,
             break
         keep = ~cut
         us, vs = us[keep], vs[keep]
-    return relabel_live(deg, us, vs)
-
-
-def two_core(us: np.ndarray, vs: np.ndarray) -> Graph:
-    """The graph of ``two_core_pairs``: chordal (and induced-C4-free) iff
-    the graph with edges (us[i], vs[i]) is."""
-    return graph_from_pairs(*two_core_pairs(us, vs))
+    return graph_from_pairs(*relabel_live(deg, us, vs))
 
 
 def _live_complement(g: Graph) -> Graph:
@@ -189,9 +182,10 @@ def cycle_counts_from_pairs(us: np.ndarray, vs: np.ndarray,
     """(chordless cycle counts by length 4..k_max, triangle count) of the
     graph with edges (us[i], vs[i]), each listed once.
 
-    Length 4 and the triangles come from the codegrees of the pairs as given
-    (``induced_c4_and_triangles``); lengths 5..k_max from a DFS over induced
-    paths, on the 2-core (``two_core_pairs``) as its cost grows with trees.
+    Length 4 and the triangles come from the codegrees of the pairs as
+    given, unpeeled whatever their labels (``induced_c4_and_triangles``);
+    lengths 5..k_max from a DFS over induced paths, on the 2-core
+    (``two_core``) as its cost grows with trees.
     """
     if k_max < 4:
         raise ValueError("k_max must be >= 4")
@@ -272,11 +266,6 @@ def induced_c4_and_triangles(k: int, us: np.ndarray,
     """
     deg = np.bincount(us, minlength=k) + np.bincount(vs, minlength=k)
     if _WEDGE_COST * int((deg * (deg - 1)).sum() // 2) < k ** 3:
-        if k ** 3 >= 1 << 63:  # (pair, center) keys < k^3 must fit int64
-            k, us, vs = two_core_pairs(us, vs)
-            if k ** 3 >= 1 << 63:
-                raise ValueError(f"2-core of {k} vertices: the wedge count "
-                                 f"holds fewer than 2**21")
         s_all, codeg, e_adj = _wedge_sums(k, us, vs)
     else:
         s_all, codeg, e_adj = _matrix_sums(k, us, vs)
@@ -316,23 +305,29 @@ def _wedge_sums(k: int, us: np.ndarray,
                 vs: np.ndarray) -> tuple[int, np.ndarray, int]:
     """``_matrix_sums`` from the wedges: a pair's codegree is the number of
     vertices that have both as neighbors, and an edge's common neighbors
-    are those wedges' centers.  Costs about the wedge count plus S_adj."""
+    are those wedges' centers.  Costs about the wedge count plus S_adj.
+    Its int64 keys stay below k^2 (a vertex pair) and below m k (an edge's
+    index, a center) for m edges: far from 2^63 for any list in memory."""
     edge_keys = np.minimum(us, vs) * k + np.maximum(us, vs)
     centers, ends = np.divmod(np.sort(np.concatenate((us * k + vs,
                                                       vs * k + us))), k)
     first, second = _pairs_within(np.bincount(centers, minlength=k))
-    # Wedges by (end pair, center); ends ascend within a center.
-    keys, centers = np.divmod(np.sort((ends[first] * k + ends[second]) * k
-                                      + centers[first]), k)
+    # Each wedge by its end pair; ends ascend within a center.
+    pairs = ends[first] * k + ends[second]
+    keys = np.sort(pairs)
     # A pair of codegree c is a run of c equal keys: C(c, 2) earlier-equal.
     s_all = int((np.arange(len(keys)) - np.searchsorted(keys, keys)).sum())
-    lo = np.searchsorted(keys, edge_keys)
-    codeg = np.searchsorted(keys, edge_keys, side="right") - lo
-    busy = codeg >= 2
-    if not busy.any():  # E_adj sums over the edges of codegree >= 2 only
+    codeg = (np.searchsorted(keys, edge_keys, side="right")
+             - np.searchsorted(keys, edge_keys))
+    # E_adj sums over the edges of codegree >= 2 only.
+    if not (codeg >= 2).any():
         return s_all, codeg, 0
-    common = centers[_ranges(lo[busy], codeg[busy])]
-    x, y = _pairs_within(codeg[busy])
+    busy = np.sort(edge_keys[codeg >= 2])
+    at = np.searchsorted(busy, pairs)
+    over = busy[np.minimum(at, len(busy) - 1)] == pairs
+    # The centers of the wedges over each busy edge, grouped by that edge.
+    at, common = np.divmod(np.sort(at[over] * k + centers[first[over]]), k)
+    x, y = _pairs_within(np.bincount(at))
     x, y = common[x], common[y]
     inner = np.minimum(x, y) * k + np.maximum(x, y)
     edge_keys = np.sort(edge_keys)

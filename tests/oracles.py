@@ -16,6 +16,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from eideal.betti import HomologyEngine, linearity
+from eideal.chordality import two_core
 from eideal.graph_core import (Graph, bits, build_graph, complement,
                                edge_mask, enumerate_graphs,
                                graph_from_edge_mask, induced_subgraph,
@@ -180,6 +181,21 @@ def cochordal_counts_by_edges(n: int) -> dict[str, list[int]]:
         out["is_cochordal"][g.edge_count] += not any(counts.values())
         out["is_4_cochordal"][g.edge_count] += counts[4] == 0
     return out
+
+
+def peel_degree_two(us: np.ndarray, vs: np.ndarray) -> Graph:
+    """A faulty ``two_core`` for planted-fault tests: it also peels vertices
+    of degree 2, which can lie on a chordless cycle."""
+    size = int(max(us.max(), vs.max())) + 1 if len(us) else 0
+    while True:
+        deg = (np.bincount(us, minlength=size)
+               + np.bincount(vs, minlength=size))
+        low = (deg >= 1) & (deg <= 2)
+        cut = low[us] | low[vs]
+        if not cut.any():
+            break
+        us, vs = us[~cut], vs[~cut]
+    return two_core(us, vs)
 
 
 def exact_gnp_probability(counts: list[int], p: float) -> float:
@@ -348,6 +364,17 @@ def naive_cover_sizes(g: Graph) -> tuple[int, int]:
     sizes = [(((1 << g.n) - 1) & ~s & ~iso).bit_count()
              for s in naive_maximal_independent_sets(g)]
     return min(sizes), max(sizes)
+
+
+@lru_cache(maxsize=None)
+def unmixed_counts_by_edges(n: int) -> list[int]:
+    """N_m for m = 0..C(n, 2): the labeled n-vertex graphs with m edges
+    whose minimal covers all have one size (``naive_cover_sizes``)."""
+    out = [0] * (n * (n - 1) // 2 + 1)
+    for g in enumerate_graphs(n):
+        lo, hi = naive_cover_sizes(g)
+        out[g.edge_count] += lo == hi
+    return out
 
 
 # -- naive homology over Q and GF(p), straight from boundary matrices --

@@ -16,7 +16,7 @@ from eideal.graph_core import (Graph, build_graph, complement, complete_graph,
                                cycle_graph, delete_closed_neighborhood,
                                disjoint_union, empty_graph,
                                enumerate_graphs, graph_from_edge_mask,
-                               path_graph)
+                               path_graph, relabel_live)
 from eideal.experiments import _cycle_row, _threshold_verdicts
 from eideal.random_models import (_SPARSE_GNP_THRESHOLD, GnpDraw, draw_gnp,
                                   sample_gnp)
@@ -24,7 +24,8 @@ from eideal.random_models import (_SPARSE_GNP_THRESHOLD, GnpDraw, draw_gnp,
 from oracles import (diagonal_scan_induced_c4, elimination_is_chordal,
                      naive_chordless_cycle_counts, naive_has_induced_c4,
                      naive_is_chordal, pair_scan_has_induced_c4,
-                     small_cycle_counts, trace_identity_induced_c4)
+                     peel_degree_two, small_cycle_counts,
+                     trace_identity_induced_c4)
 
 
 def test_chordal_basics():
@@ -317,7 +318,7 @@ def test_c4_and_triangles_exhaustive_n6_every_draw_form(monkeypatch):
     def no_peel(us, vs):
         raise AssertionError("k_max = 4 peeled its edge list")
 
-    monkeypatch.setattr(chordality, "two_core_pairs", no_peel)
+    monkeypatch.setattr(chordality, "two_core", no_peel)
     assert _small_graph_disagreements() == []
 
 
@@ -344,22 +345,31 @@ def test_wedge_sums_equal_matrix_sums():
               + [diamond, complete_graph(4), k5_minus]
               + [sample_gnp(n, p, seed=8410 + n)
                  for n, p in ((12, 0.5), (30, 0.2), (60, 0.1))])
+    ends = [(g.n, *np.array([*g.edges()], dtype=np.int64).reshape(-1, 2).T)
+            for g in graphs]
+    # A diamond, a C4 and a triangle at labels from 2^22 on, where k^3
+    # passes int64; the matrix route takes the relabelled copy.
+    h = 1 << 22
+    us, vs = np.array([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2),  # diamond
+                       (4, 9), (9, 5), (5, 10), (10, 4),  # C4
+                       (6, 7), (7, 8), (8, 6)], dtype=np.int64).T + h
+    ends.append((h + 11, us, vs))
     busy = []
-    for g in graphs:
-        us, vs = np.array([*g.edges()], dtype=np.int64).reshape(-1, 2).T
-        s_all, codeg, e_adj = chordality._matrix_sums(g.n, us, vs)
-        wedge = chordality._wedge_sums(g.n, us, vs)
+    for k, us, vs in ends:
+        deg = np.bincount(us, minlength=k) + np.bincount(vs, minlength=k)
+        s_all, codeg, e_adj = chordality._matrix_sums(
+            *relabel_live(deg, us, vs))
+        wedge = chordality._wedge_sums(k, us, vs)
         assert (wedge[0], wedge[1].tolist(), wedge[2]) == (
-            s_all, codeg.tolist(), e_adj), g.adj
+            s_all, codeg.tolist(), e_adj), (k, us, vs)
         busy.append(bool((codeg >= 2).any()))
-    assert busy == [False] * 11 + [True] * 6, busy
+    assert busy == [False] * 11 + [True] * 7, busy
 
 
-def test_counts_at_labels_past_the_packed_wedge_keys():
-    # The wedge route packs (pair, center) keys below k^3, past int64 from
-    # k = 2^21 on, so such a graph is counted on its 2-core: here a C4 and
-    # a triangle at labels above 2^21, alone or beside a perfect matching
-    # of over 2^21 vertices.
+def test_counts_at_labels_past_2_to_the_21():
+    # k^3 passes int64 from k = 2^21 on, while the wedge keys stay below
+    # k^2 and m k: a C4 and a triangle at labels above 2^21, alone or
+    # beside a perfect matching of over 2^21 vertices, counted unpeeled.
     h = 2_200_000
     us, vs = np.array([(0, h), (1, h), (1, h + 1), (0, h + 1),  # a C4
                        (h + 2, h + 3), (h + 3, h + 4), (h + 2, h + 4)],
@@ -369,17 +379,6 @@ def test_counts_at_labels_past_the_packed_wedge_keys():
                             np.concatenate((vs, matching + 1)))):
         assert chordality.cycle_counts_from_pairs(*ends, 5) == (
             {4: 1, 5: 0}, 1)
-
-
-def test_refuses_a_2_core_past_the_packed_wedge_keys(monkeypatch):
-    # A 2-core of 2^21 vertices would wrap the int64 wedge keys; the
-    # stubbed peel reports that size without building such a graph.
-    h = 1 << 21
-    us, vs = np.array([(0, h + 1), (1, h + 2), (0, 1)], dtype=np.int64).T
-    monkeypatch.setattr(chordality, "two_core_pairs",
-                        lambda us, vs: (h, us, vs))
-    with pytest.raises(ValueError, match=f"2-core of {h} vertices.*2\\*\\*21"):
-        chordality.induced_c4_and_triangles(h + 3, us, vs)
 
 
 def test_planted_counter_faults_are_caught(monkeypatch):
@@ -392,23 +391,8 @@ def test_planted_counter_faults_are_caught(monkeypatch):
                 m.setattr(chordality, name,
                           _with_e_adj(getattr(chordality, name), fault))
             assert _small_graph_disagreements()
-    two_core_pairs = chordality.two_core_pairs
-
-    def peel_degree_two(us, vs):
-        # Also peels vertices of degree 2, which can lie on a chordless cycle.
-        size = int(max(us.max(), vs.max())) + 1 if len(us) else 0
-        while True:
-            deg = (np.bincount(us, minlength=size)
-                   + np.bincount(vs, minlength=size))
-            low = (deg >= 1) & (deg <= 2)
-            cut = low[us] | low[vs]
-            if not cut.any():
-                break
-            us, vs = us[~cut], vs[~cut]
-        return two_core_pairs(us, vs)
-
     # Only the DFS for lengths >= 5 reads the peel.
-    monkeypatch.setattr(chordality, "two_core_pairs", peel_degree_two)
+    monkeypatch.setattr(chordality, "two_core", peel_degree_two)
     assert _small_graph_disagreements(5)
 
 
@@ -460,7 +444,7 @@ def test_large_sparse_core_counts_without_a_matrix(monkeypatch):
     # of vertices: a k x k float64 matrix of it would take over 100 MB.
     draw = draw_gnp(10_000, 2e-4, seed=8317)
     assert not draw.complemented
-    assert chordality.two_core_pairs(draw.us, draw.vs)[0] > 3_000
+    assert chordality.two_core(draw.us, draw.vs).n > 3_000
     g = draw.graph()
     expected = {4: diagonal_scan_induced_c4(g), 5: 0}
     chordality._count_long_chordless_cycles(g, expected)

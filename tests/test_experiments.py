@@ -9,7 +9,8 @@ import pytest
 from eideal import betti, chordality, experiments, random_models
 from eideal.chordality import (count_chordless_cycles, count_triangles,
                                is_locally_4_cochordal, is_locally_cochordal)
-from eideal.comb_invariants import BudgetExceededError, cover_profile
+from eideal.comb_invariants import (BudgetExceededError, CoverProfile,
+                                   cover_profile, maximal_independent_sets)
 from eideal.corpus import flag_tables
 from eideal.experiments import (CSV_COLUMNS, ConfigError, ExperimentConfig,
                                 _additivity_trial, _componentwise_row,
@@ -21,8 +22,9 @@ from eideal.experiments import (CSV_COLUMNS, ConfigError, ExperimentConfig,
                                 run_lipschitz_audit, run_threshold,
                                 run_unmixed_scan, run_variance_audit,
                                 wilson_interval)
-from eideal.graph_core import (complement, graph_from_pairs,
-                               induced_subgraph, induced_subgraph_mask)
+from eideal.graph_core import (complement, connected_components,
+                               graph_from_pairs, induced_subgraph,
+                               induced_subgraph_mask)
 from eideal.random_models import (_SPARSE_GNP_THRESHOLD, GnpDraw,
                                   ParamSchedule, draw_gnp, sample_gnp,
                                   schedule_p, substream_seed)
@@ -30,7 +32,8 @@ from eideal.random_models import (_SPARSE_GNP_THRESHOLD, GnpDraw,
 from oracles import (cochordal_counts_by_edges, elimination_is_chordal,
                      exact_componentwise_means, exact_gnp_probability,
                      naive_has_induced_c4,
-                     naive_is_chordal, pair_scan_has_induced_c4)
+                     naive_is_chordal, pair_scan_has_induced_c4,
+                     peel_degree_two, unmixed_counts_by_edges)
 
 
 def test_wilson_interval_basics():
@@ -329,44 +332,62 @@ def test_threshold_trivial_schedules():
     assert report.cells[0].estimate == 1.0
 
 
+def _flag_counts_by_edges(n):
+    """N_m of ``cochordal_counts_by_edges`` read from the Froberg audit's
+    tables, by one edge count of every mask."""
+    _, _, cochordal, gap_free = flag_tables(n)
+    edges = np.bitwise_count(np.arange(len(cochordal), dtype=np.uint32))
+    return {name: np.bincount(edges[flag],
+                              minlength=n * (n - 1) // 2 + 1).tolist()
+            for name, flag in (("is_cochordal", cochordal),
+                               ("is_4_cochordal", gap_free))}
+
+
 def test_cochordal_counts_match_flag_tables():
     # N_m two ways: cycle counts of the complements, and the Froberg
     # audit's tables by edge count.
     for n in (5, 6):
-        _, _, cochordal, gap_free = flag_tables(n)
-        edges = np.array([m.bit_count() for m in range(len(cochordal))])
-        counts = cochordal_counts_by_edges(n)
-        for name, flag in (("is_cochordal", cochordal),
-                           ("is_4_cochordal", gap_free)):
-            assert counts[name] == np.bincount(
-                edges[flag], minlength=n * (n - 1) // 2 + 1).tolist(), n
+        assert _flag_counts_by_edges(n) == cochordal_counts_by_edges(n), n
 
 
 EXACT_TRIALS = 3000
 
 
-@pytest.mark.parametrize("n, p, complemented_share", [
-    (5, 0.04, 0.0),   # geometric skips, below the sparse threshold
-    (6, 0.04, 0.0),
-    (6, 0.1, 0.18),   # flat draw, kept as edges when at most 2 of 15 drawn
-    (5, 0.5, 1.0),    # flat draw listing its non-edges, complemented
-    (6, 0.6, 1.0),
-])
-def test_threshold_cells_match_exact_probability(n, p, complemented_share):
-    # The whole sampled route (draw, peel, verdict, aggregation) against
-    # P_n(p) = sum_m N_m p^m (1 - p)^(C(n,2) - m), at 4 se.
+def _threshold_gaps(n, p):
+    """{predicate: (estimate - P_n(p)) / se} of the two cochordal threshold
+    cells of G(n, p), with P_n(p) = sum_m N_m p^m (1 - p)^(C(n,2) - m) from
+    the flag tables (checked against the oracle at n = 5, 6 above)."""
     config = ExperimentConfig(kind="threshold", seed=1729,
                               trials=EXACT_TRIALS, n_list=(n,),
                               schedule=ParamSchedule.constant(p),
                               predicates=("is_cochordal", "is_4_cochordal"))
+    counts = _flag_counts_by_edges(n)
+    gaps = {}
+    for cell in run_experiment(config).cells:
+        exact = exact_gnp_probability(counts[cell.cell_id], p)
+        se = math.sqrt(exact * (1 - exact) / EXACT_TRIALS)
+        gaps[cell.cell_id] = (cell.estimate - exact) / se
+    return gaps
+
+
+@pytest.mark.parametrize("n, p, complemented_share", [
+    (5, 0.04, 0.0),   # geometric skips, below the sparse threshold
+    (6, 0.04, 0.0),
+    (7, 0.04, 0.0),
+    (6, 0.1, 0.18),   # flat draw, kept as edges when at most 2 of 15 drawn
+    (7, 0.3, 0.449),  # flat draw, complemented from 7 of 21 drawn on
+    (5, 0.5, 1.0),    # flat draw listing its non-edges, complemented
+    (6, 0.6, 1.0),
+    (7, 0.6, 1.0),
+])
+def test_threshold_cells_match_exact_probability(n, p, complemented_share):
+    # The whole sampled route (draw, peel, verdict, aggregation) against
+    # P_n(p), at 4 se.
     shares = map_gnp_trials("threshold", 1729, n, p, EXACT_TRIALS, 1,
                             operator.attrgetter("complemented"))
     assert np.mean(shares) == pytest.approx(complemented_share, abs=0.03)
-    for cell in run_experiment(config).cells:
-        exact = exact_gnp_probability(
-            cochordal_counts_by_edges(n)[cell.cell_id], p)
-        se = math.sqrt(exact * (1 - exact) / EXACT_TRIALS)
-        assert abs(cell.estimate - exact) <= 4 * se, (cell.cell_id, exact)
+    gaps = _threshold_gaps(n, p)
+    assert max(map(abs, gaps.values())) <= 4, gaps
 
 
 MEAN_TRIALS = 1500
@@ -527,24 +548,11 @@ def test_dense_draw_verdicts_vs_oracle():
 
 def test_planted_peel_fault_is_caught(monkeypatch):
     # Only is_cochordal reads the peel; is_4_cochordal counts induced
-    # 4-cycles on the listed pairs as drawn.
-    two_core = experiments.two_core
-
-    def peel_degree_two(us, vs):
-        # Peels vertices of degree <= 2, which can lie on a chordless cycle.
-        size = int(max(us.max(), vs.max())) + 1 if len(us) else 0
-        while True:
-            deg = (np.bincount(us, minlength=size)
-                   + np.bincount(vs, minlength=size))
-            low = (deg >= 1) & (deg <= 2)
-            cut = low[us] | low[vs]
-            if not cut.any():
-                break
-            us, vs = us[~cut], vs[~cut]
-        return two_core(us, vs)
-
+    # 4-cycles on the listed pairs as drawn.  The fault fails the draws'
+    # oracle, and moves the complemented n = 7 cell's distribution.
     monkeypatch.setattr(experiments, "two_core", peel_degree_two)
     assert _dense_draw_disagreements()
+    assert _threshold_gaps(7, 0.6)["is_cochordal"] > 4
 
 
 def _triangles_for_c4s(k, us, vs):
@@ -762,6 +770,36 @@ def test_unmixed_scan_small():
     cell = _strict_json(run_unmixed_scan(cfg).to_json())["cells"][0]
     assert cell["estimate"] is None
     assert (cell["guard_trips"], cell["trials"]) == (5, 0)
+
+
+def _unmixed_gap(n, p):
+    """(estimate - P_n(p)) / se of the unmixed_scan cell of G(n, p), with
+    P_n(p) from every labeled n-vertex graph's naive cover sizes."""
+    cell = run_experiment(ExperimentConfig(
+        kind="unmixed_scan", seed=1729, trials=EXACT_TRIALS, n_list=(n,),
+        schedule=ParamSchedule.constant(p))).cells[0]
+    exact = exact_gnp_probability(unmixed_counts_by_edges(n), p)
+    return (cell.estimate - exact) / math.sqrt(exact * (1 - exact)
+                                               / cell.trials)
+
+
+@pytest.mark.parametrize("p", [0.04, 0.3])
+def test_unmixed_scan_matches_exact_probability(p):
+    assert abs(_unmixed_gap(5, p)) <= 4
+
+
+def test_planted_last_component_flag_is_caught(monkeypatch):
+    # Unmixedness is the AND over components; this profile keeps only the
+    # last component's flag.
+    def last_flag_only(g, budget):
+        unmixed = True
+        for comp in connected_components(g).masks:
+            unmixed = len({s.bit_count()
+                           for s in maximal_independent_sets(g, comp)}) == 1
+        return CoverProfile(0, 0, unmixed)
+
+    monkeypatch.setattr(experiments, "cover_profile", last_flag_only)
+    assert abs(_unmixed_gap(5, 0.3)) > 4
 
 
 def test_cycle_calibration_small():
