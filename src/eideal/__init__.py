@@ -11,10 +11,9 @@ from .graph_core import (Graph, build_graph, complement, complete_graph,
                          to_edge_list_text, to_hex_dump)
 from .random_models import (ParamSchedule, sample_gnp, sample_gw_tree,
                             schedule_p, substream_seed)
-from .chordality import (count_chordless_cycles, count_triangles,
-                         has_induced_c4, is_4_cochordal, is_chordal,
-                         is_cochordal, is_locally_4_cochordal,
-                         is_locally_cochordal)
+from .chordality import (count_chordless_cycles, has_induced_c4,
+                         is_4_cochordal, is_chordal, is_cochordal,
+                         is_locally_4_cochordal, is_locally_cochordal)
 from .comb_invariants import (BudgetExceededError, CoverProfile,
                               cover_profile, independence_number,
                               induced_matching_number, matching_number,

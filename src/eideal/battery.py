@@ -294,9 +294,8 @@ def _sandwich_row(draw: GnpDraw) -> tuple:
     cens = sum(reg.censored)  # disjoint masks: the sum is the union
     cens_lo = sum(solved[mask] for mask in reg.censored)
     cens_hi = matching_number(g, cens)
-    match = matching_number(g, ~cens) + cens_hi
-    return (reg.value, len(parts), len(parts.masks), nu, match, cens_lo,
-            cens_hi, reg.censored_components)
+    return (reg.value, len(parts), len(parts.masks), nu, matching_number(g),
+            cens_lo, cens_hi)
 
 
 def criterion_sandwich(seed: int = DEFAULT_SEED,
@@ -313,7 +312,7 @@ def criterion_sandwich(seed: int = DEFAULT_SEED,
     upper_ok = 0
     det_ok = 0
     literal_ok = 0
-    for (reg_star, comps, nontrivial, nu, match, clo, chi, _cens) in rows:
+    for (reg_star, comps, nontrivial, nu, match, clo, chi) in rows:
         lower_bound = comps / n - math.exp(-lam)
         if lower_bound <= (reg_star + clo) / n:
             lower_ok += 1

@@ -476,7 +476,9 @@ def linear_flags(g: Graph, field: str = "q",
     ws, root = _irreducible_targets(engine.adj, full)
     targets, (counts,) = _count_matrices(ws, root, (full,), g.n)
     lr = True
-    for t in np.argsort(np.bitwise_count(ws[targets]), kind="stable").tolist():
+    sizes = np.bitwise_count(ws[targets]).tolist()
+    # Python's sort is stable (ties by index) and maps no numpy sort code.
+    for t in sorted(range(len(sizes)), key=sizes.__getitem__):
         for d in engine.irreducible_dims(ws.item(targets[t])):
             if d >= 1:
                 lr = False

@@ -202,7 +202,8 @@ def _count_long_chordless_cycles(g: Graph, counts: dict[int, int]) -> None:
 
     The DFS runs over induced paths with canonical start: the cycle's
     smallest vertex first, and the smaller of its two cycle-neighbors as the
-    second vertex.
+    second vertex.  A frame holds only what extends a path: its last vertex,
+    its length (vertices on it, counting s) and its candidate mask.
     """
     k_max = max(counts)
     adj = g.adj
@@ -217,11 +218,9 @@ def _count_long_chordless_cycles(g: Graph, counts: dict[int, int]) -> None:
             # holds vertices not on the path and non-adjacent to the interior
             # vertices v1..second-to-last; adjacency to s or to last is
             # unconstrained until used.
-            stack = [((v1,), above & ~(1 << v1))]
+            stack = [(v1, 2, above & ~(1 << v1))]
             while stack:
-                path, cand = stack.pop()
-                last = path[-1]
-                length = len(path) + 1  # vertices on the path, counting s
+                last, length, cand = stack.pop()
                 for u in bits(cand & adj[last]):
                     if sn >> u & 1:
                         # u closes a cycle of length+1 vertices; chords to the
@@ -231,7 +230,7 @@ def _count_long_chordless_cycles(g: Graph, counts: dict[int, int]) -> None:
                         if 4 <= length <= k_max - 1 and u > v1:
                             counts[length + 1] += 1
                     elif length + 2 <= k_max:
-                        stack.append((path + (u,),
+                        stack.append((u, length + 1,
                                       cand & ~adj[last] & ~(1 << u)))
 
 
@@ -350,10 +349,3 @@ def _pairs_within(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     later = np.repeat(np.cumsum(sizes), sizes) - idx - 1
     return np.repeat(idx, later), _ranges(idx + 1, later)
 
-
-def count_triangles(g: Graph) -> int:
-    """Number of triangles (3-cycles)."""
-    total = 0
-    for u, v in g.edges():
-        total += (g.adj[u] & g.adj[v]).bit_count()
-    return total // 3

@@ -7,8 +7,10 @@ domination of a forest from the parent list that a graph walk records
 twice.  Induced matching folds a walk's trees and branches on its cyclic
 components, walking each branch once.  Matching peels leaves (always
 optimal) and matches what is left with Edmonds' blossom algorithm on bit
-rows, ``max_matching``.  Independence and cover extremes search with an
-explicit node budget.
+rows, ``max_matching``.  Independence is a recursive branch and bound
+within a node budget.  Cover extremes come from one pivoting Bron-Kerbosch
+search per component, on an explicit stack whose frames keep a set's size,
+not the set, within a budget of maximal sets.
 """
 
 from __future__ import annotations
@@ -314,50 +316,53 @@ class CoverProfile:
     unmixed: bool
 
 
-def maximal_independent_sets(g: Graph, w: int):
-    """Yield the maximal independent sets of G[w] as vertex masks, by
-    Bron-Kerbosch with pivoting on the complement of G[w] (cliques there are
-    independent sets here), read off g's own rows."""
-    cadj = {v: w & ~(g.adj[v] | 1 << v) for v in bits(w)}
-
-    def bk(r: int, p: int, x: int):
-        if p == 0 and x == 0:
-            yield r
-            return
-        pivot = max(bits(p | x), key=lambda u: (cadj[u] & p).bit_count())
-        for v in bits(p & ~cadj[pivot]):
-            yield from bk(r | (1 << v), p & cadj[v], x & cadj[v])
-            p &= ~(1 << v)
-            x |= 1 << v
-
-    return bk(0, w, 0)
-
-
 def cover_profile(g: Graph, budget: int = DEFAULT_MIS_BUDGET) -> CoverProfile:
-    """Cover extremes by enumerating maximal independent sets on each
-    component's mask; ``budget`` caps the sets enumerated over them all.
+    """Cover extremes from the smallest and largest maximal independent set
+    of each component; ``budget`` caps the sets met over them all.
 
-    Isolated vertices sit in every maximal independent set and never in a
-    minimal cover, so they contribute nothing; unmixedness of the whole graph
-    is the conjunction over components.
+    Each component's mask is searched by pivoting Bron-Kerbosch (Tomita,
+    Tanaka & Takahashi, Theor. Comput. Sci. 2006) on its complement rows,
+    whose cliques are the independent sets here, on an explicit stack of
+    (size, candidates, excluded) frames: no component is too deep for it.
+    A frame with neither left is one maximal set, and only its size is
+    kept.  Isolated vertices sit in every maximal independent set and in no
+    minimal cover.  Within a component the smallest cover is at most the
+    largest minimal one, so the sums are equal iff every one is unmixed.
     """
     min_cover = 0
     max_minimal = 0
-    unmixed = True
     for comp in connected_components(g).masks:
+        cadj = {v: comp & ~(g.adj[v] | 1 << v) for v in bits(comp)}
         k = comp.bit_count()
-        lo = k + 1
-        hi = -1
-        for s in maximal_independent_sets(g, comp):
-            budget -= 1
-            if budget < 0:
-                raise BudgetExceededError(
-                    "maximal independent set enumeration budget exhausted")
-            size = s.bit_count()
-            lo = min(lo, size)
-            hi = max(hi, size)
+        lo, hi = k, 0
+        stack = [(0, comp, 0)]
+        while stack:
+            size, p, x = stack.pop()
+            if not p | x:
+                budget -= 1
+                if budget < 0:
+                    raise BudgetExceededError(
+                        "maximal independent set enumeration budget "
+                        "exhausted")
+                lo = min(lo, size)
+                hi = max(hi, size)
+                continue
+            # Tomita's pivot, a vertex with the most neighbors in p; the
+            # scan stops at one adjacent to all of p but itself, which
+            # leaves at most one branch.
+            pivot = most = -1
+            full = p.bit_count()
+            for u in bits(p | x):
+                c = (cadj[u] & p).bit_count()
+                if c > most:
+                    pivot, most = u, c
+                    if c >= full - (p >> u & 1):
+                        break
+            size += 1
+            for v in bits(p & ~cadj[pivot]):
+                stack.append((size, p & cadj[v], x & cadj[v]))
+                p &= ~(1 << v)
+                x |= 1 << v
         min_cover += k - hi
         max_minimal += k - lo
-        if lo != hi:
-            unmixed = False
-    return CoverProfile(min_cover, max_minimal, unmixed)
+    return CoverProfile(min_cover, max_minimal, min_cover == max_minimal)

@@ -15,8 +15,9 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from eideal.betti import HomologyEngine, linearity
+from eideal.betti import HomologyEngine, fold_vertex, linearity
 from eideal.chordality import two_core
+from eideal.corpus import _induced_masks, _vertex_rows
 from eideal.graph_core import (Graph, bits, build_graph, complement,
                                edge_mask, enumerate_graphs,
                                graph_from_edge_mask, induced_subgraph,
@@ -146,6 +147,14 @@ def pair_scan_has_induced_c4(g: Graph) -> bool:
     return False
 
 
+def count_triangles(g: Graph) -> int:
+    """Number of triangles (3-cycles), from the rows of each edge's ends."""
+    total = 0
+    for u, v in g.edges():
+        total += (g.adj[u] & g.adj[v]).bit_count()
+    return total // 3
+
+
 def naive_chordless_cycle_counts(g: Graph, k_max: int) -> dict[int, int]:
     counts = {k: 0 for k in range(4, k_max + 1)}
     for size in range(4, min(k_max, g.n) + 1):
@@ -242,6 +251,55 @@ def exact_componentwise_means(n: int, p: float,
             reg += weight * r
             pd += weight * d
     return reg, pd
+
+
+_reg_pd: dict[int, tuple[np.ndarray, ...]] = {}
+
+
+def reg_pd_tables(k: int) -> tuple[np.ndarray, ...]:
+    """(reg, pd, top reg, top pd) of S/I(G) over GF(2) for every labeled
+    k-vertex graph G, by edge mask, as int8: the exhaustive audit's vertex
+    deletion, with numbers in place of flags.
+
+    By Hochster's formula each Betti number of G sits in G - v for some v or
+    at the top set, so reg and pd are the larger of the deletions' and the
+    top set's terms.  H~_d(Ind(G)) != 0 sits at (k - d - 1, k), adding
+    d + 1 to reg and k - d - 1 to pd; the top terms are the largest over d,
+    0 for none.  A cone has no homology.  A fold deleting y has
+    Ind(G) ~ Ind(G - y), the same degrees one vertex up: the reg term of
+    G - y's top set and its pd term plus one.  Only irreducible top sets
+    reach the engine.  Built once per session for each k.
+    """
+    if k in _reg_pd:
+        return _reg_pd[k]
+    masks = np.arange(1 << (k * (k - 1) // 2), dtype=np.uint32)
+    reg, pd, top_reg, top_pd = (np.zeros(len(masks), dtype=np.int8)
+                                for _ in range(4))
+    if k:
+        full = (1 << k) - 1
+        rows = _vertex_rows(k, masks)
+        cone = (rows == 0).any(axis=0)
+        fold = fold_vertex(rows, full)
+        sub_reg, sub_pd, sub_top_reg, sub_top_pd = reg_pd_tables(k - 1)
+        for v in range(k):
+            rest = tuple(u for u in range(k) if u != v)
+            ind = _induced_masks(k, masks, rest)
+            np.maximum(reg, sub_reg[ind], out=reg)
+            np.maximum(pd, sub_pd[ind], out=pd)
+            at = ~cone & (fold == v)
+            top_reg[at] = sub_top_reg[ind[at]]
+            top_pd[at] = np.where(sub_top_reg[ind[at]] > 0,
+                                  sub_top_pd[ind[at]] + 1, 0)
+        for i in np.flatnonzero(~cone & (fold < 0)).tolist():
+            g = graph_from_edge_mask(k, int(masks[i]))
+            dims = HomologyEngine(g, "f2").irreducible_dims(full)
+            if dims:
+                top_reg[i] = max(dims) + 1
+                top_pd[i] = k - 1 - min(dims)
+        np.maximum(reg, top_reg, out=reg)
+        np.maximum(pd, top_pd, out=pd)
+    _reg_pd[k] = reg, pd, top_reg, top_pd
+    return _reg_pd[k]
 
 
 def diagonal_scan_induced_c4(g: Graph) -> int:

@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from eideal import chordality
-from eideal.chordality import (count_chordless_cycles, count_triangles,
-                               has_induced_c4, is_4_cochordal, is_chordal,
-                               is_cochordal, is_locally_4_cochordal,
-                               is_locally_cochordal)
+from eideal.chordality import (count_chordless_cycles, has_induced_c4,
+                               is_4_cochordal, is_chordal, is_cochordal,
+                               is_locally_4_cochordal, is_locally_cochordal)
 from eideal.graph_core import (Graph, build_graph, complement, complete_graph,
                                cycle_graph, delete_closed_neighborhood,
                                disjoint_union, empty_graph,
@@ -21,7 +20,8 @@ from eideal.experiments import _cycle_row, _threshold_verdicts
 from eideal.random_models import (_SPARSE_GNP_THRESHOLD, GnpDraw, draw_gnp,
                                   sample_gnp)
 
-from oracles import (diagonal_scan_induced_c4, elimination_is_chordal,
+from oracles import (count_triangles, diagonal_scan_induced_c4,
+                     elimination_is_chordal,
                      naive_chordless_cycle_counts, naive_has_induced_c4,
                      naive_is_chordal, pair_scan_has_induced_c4,
                      peel_degree_two, small_cycle_counts,

@@ -154,6 +154,18 @@ def test_invariants_large_graph_censors_betti(tmp_path, capsys):
     assert payload["unmixed"] is True
 
 
+def test_invariants_on_a_large_star_prints_its_covers(tmp_path, capsys):
+    # A maximal independent set of 1,200 leaves: deeper than the
+    # interpreter's recursion limit, so no search may recurse per vertex.
+    from eideal.graph_core import star_graph
+
+    path = tmp_path / "star.txt"
+    path.write_text(to_edge_list_text(star_graph(1200)))
+    assert run_cli(["invariants", "--in", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "covers: min 1, largest minimal 1200, unmixed False" in out
+
+
 @pytest.mark.parametrize("solver", ["cover_profile", "independence_number"])
 def test_invariants_text_reports_a_budget_trip(c5_file, capsys, monkeypatch,
                                                solver):

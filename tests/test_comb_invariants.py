@@ -10,25 +10,24 @@ import pytest
 
 from eideal.asymptotics import gw_limit_estimate
 from eideal.betti import betti_table, reg_pd_componentwise
-from eideal.comb_invariants import (BudgetExceededError, cover_profile,
-                                    forest_fold,
+from eideal.comb_invariants import (BudgetExceededError, CoverProfile,
+                                    cover_profile, forest_fold,
                                     independence_number,
                                     induced_matching_number, is_forest,
-                                    matching_number,
-                                    maximal_independent_sets, max_matching,
+                                    matching_number, max_matching,
                                     tree_induced_matching)
 from eideal.graph_core import (bits, build_graph, complete_graph,
                                connected_components, cycle_graph,
                                disjoint_union, empty_graph, enumerate_graphs,
-                               induced_subgraph, induced_subgraph_mask,
-                               path_graph, star_graph, walk_components)
+                               induced_subgraph_mask, path_graph, star_graph,
+                               walk_components)
 from eideal.random_models import sample_gnp, sample_gw_tree
 
 from oracles import (naive_cover_sizes, naive_independence_number,
                      naive_induced_matching_number,
                      naive_maximal_independent_sets, naive_matching_number,
-                     padded_partitions, small_matching_numbers,
-                     union_find_components)
+                     padded_graphs, padded_partitions,
+                     small_matching_numbers, union_find_components)
 
 
 def random_tree(n, rng):
@@ -497,12 +496,13 @@ def test_sandwich_row_solves_each_component_once(monkeypatch):
         assert row[5:7] == expected
         assert row[4] == matching_number(g)
         # Every search branching on g's own rows, each mask once; one peel
-        # over the censored union and one over the rest, each core vertex
-        # matched by one blossom; only components within the guard relabeled.
+        # over the censored union and one over all of g, the blossoms on no
+        # more rows than g has live vertices; only components within the
+        # guard relabeled.
         assert all(k == n for k, _ in cores)
         assert len({comp for _, comp in cores}) == len(cores)
         assert set(reg.censored) <= {comp for _, comp in cores}
-        assert peels == [(n, cens), (n, ~cens)]
+        assert peels == [(n, cens), (n, None)]
         assert sum(blossom_rows) <= sum(row != 0 for row in g.adj)
         assert all(h.n <= 18 for h in relabeled)
         assert len(relabeled) == sum(
@@ -698,16 +698,39 @@ def test_solver_frees_its_graph_without_the_cyclic_gc(solver):
         gc.enable()
 
 
-def test_maximal_independent_sets_on_a_mask():
-    rng = random.Random(31)
-    for trial in range(80):
-        g = sample_gnp(8, 0.1 + 0.1 * (trial % 8), seed=3100 + trial)
-        w = rng.getrandbits(8)
-        kept = list(bits(w))
-        expected = sorted(sum(1 << kept[i] for i in bits(s)) for s in
-                          naive_maximal_independent_sets(
-                              induced_subgraph_mask(g, w)))
-        assert sorted(maximal_independent_sets(g, w)) == expected
+def _assert_cover_profiles_match_oracle(profile=cover_profile):
+    """``profile`` against the naive cover sizes on every graph on at most
+    5 vertices, padded with isolated vertices."""
+    for g in padded_graphs(5):
+        prof = profile(g)
+        lo, hi = naive_cover_sizes(g)
+        assert prof == CoverProfile(lo, hi, lo == hi), g
+
+
+def test_cover_profile_padded_graphs_vs_oracle():
+    _assert_cover_profiles_match_oracle()
+
+
+def test_planted_exclusion_fault_is_caught():
+    # A frame that never moves a branched vertex to the excluded set ends
+    # frames whose set a vertex tried earlier could still extend: it counts
+    # non-maximal sets.
+    import inspect
+
+    import eideal.comb_invariants as comb_invariants
+
+    source = inspect.getsource(comb_invariants.cover_profile)
+    assert source.count("x |= 1 << v") == 1
+    namespace = dict(vars(comb_invariants))
+    exec(source.replace("x |= 1 << v", "x |= 0"), namespace)
+    with pytest.raises(AssertionError):
+        _assert_cover_profiles_match_oracle(namespace["cover_profile"])
+
+
+def test_cover_profile_is_not_bounded_by_the_recursion_limit():
+    # A star's two maximal independent sets are its center and its 3,000
+    # leaves: a search one frame deeper per vertex would need 3,000 frames.
+    assert cover_profile(star_graph(3000)) == CoverProfile(1, 3000, False)
 
 
 def test_cover_profile_named_cases():

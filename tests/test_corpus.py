@@ -1,4 +1,6 @@
+import inspect
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -9,10 +11,12 @@ from eideal.corpus import (CROSS_CHECK_STRIDE, _complement_cycle_masks,
                            exhaustive_flag_audit, flag_tables,
                            random_flag_audit)
 from eideal.graph_core import (build_graph, complement, edge_mask,
-                               enumerate_graphs)
+                               enumerate_graphs, graph_from_edge_mask)
+from eideal.random_models import rng_for
 
+import oracles
 from oracles import (is_irreducible, naive_betti_table,
-                     naive_linear_flag_table, per_subset_dims,
+                     naive_linear_flag_table, per_subset_dims, reg_pd_tables,
                      small_cycle_counts)
 
 
@@ -249,3 +253,62 @@ def test_negative_n_is_a_value_error():
         exhaustive_flag_audit(-1)
     with pytest.raises(ValueError, match="n must be >= 0, got -2"):
         random_flag_audit(-2, 3, seed=1)
+
+
+# -- exact reg and pd of every small graph, by vertex deletion ---------------
+
+@lru_cache(maxsize=None)
+def _naive_reg_pd(k: int) -> tuple[list[int], list[int]]:
+    """(reg, pd) of S/I(G) over GF(2) from ``naive_betti_table``, for every
+    labeled k-vertex graph by edge mask."""
+    tables = [naive_betti_table(g, "f2") for g in enumerate_graphs(k)]
+    return ([max((j - i for i, j in t), default=0) for t in tables],
+            [max((i for i, j in t), default=0) for t in tables])
+
+
+def _reg_pd_off_naive(tables) -> list[int]:
+    """Sizes k <= 5 whose (reg, pd) tables differ from the naive ones."""
+    return [k for k in range(6)
+            if (tables(k)[0].tolist(), tables(k)[1].tolist())
+            != _naive_reg_pd(k)]
+
+
+def test_reg_pd_tables_match_naive_tables_k0_to_k5():
+    assert _reg_pd_off_naive(reg_pd_tables) == []
+
+
+def test_reg_pd_tables_match_betti_table_on_seeded_k6_graphs():
+    reg, pd, _, _ = reg_pd_tables(6)
+    rng = rng_for(6, "reg_pd_tables")
+    for mask in rng.integers(0, 1 << 15, size=400).tolist():
+        table = betti.betti_table(graph_from_edge_mask(6, mask), "f2")
+        assert (reg[mask], pd[mask]) == (table.regularity_quotient(),
+                                         table.projective_dimension()), mask
+
+
+def test_deletion_bounds_exhaustive_k6():
+    # reg(G) - reg(G - v) in {0, 1} and pd(G) - pd(G - v) in {0, ..., k - 1}
+    # on every labeled graph on k <= 6 vertices and every v.
+    for k in range(1, 7):
+        reg, pd, _, _ = reg_pd_tables(k)
+        sub_reg, sub_pd, _, _ = reg_pd_tables(k - 1)
+        masks = np.arange(len(reg), dtype=np.uint32)
+        for v in range(k):
+            ind = corpus._induced_masks(
+                k, masks, tuple(u for u in range(k) if u != v))
+            d_reg = reg - sub_reg[ind]
+            d_pd = pd - sub_pd[ind]
+            assert d_reg.min() >= 0 and d_reg.max() <= 1, (k, v)
+            assert d_pd.min() >= 0 and d_pd.max() <= k - 1, (k, v)
+
+
+@pytest.mark.parametrize("good, bad", [
+    ("sub_top_pd[ind[at]] + 1", "sub_top_pd[ind[at]]"),
+    ("top_reg[i] = max(dims) + 1", "top_reg[i] = max(dims)"),
+], ids=["fold_pd_term_unshifted", "reg_term_read_as_d"])
+def test_planted_reg_pd_term_fault_is_caught(good, bad):
+    source = inspect.getsource(oracles.reg_pd_tables)
+    assert source.count(good) == 1
+    namespace = dict(vars(oracles), _reg_pd={})
+    exec(source.replace(good, bad), namespace)
+    assert _reg_pd_off_naive(namespace["reg_pd_tables"])

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from eideal import betti, chordality, experiments, random_models
-from eideal.chordality import (count_chordless_cycles, count_triangles,
+from eideal.chordality import (count_chordless_cycles,
                                is_locally_4_cochordal, is_locally_cochordal)
 from eideal.comb_invariants import (BudgetExceededError, CoverProfile,
-                                   cover_profile, maximal_independent_sets)
+                                   cover_profile)
 from eideal.corpus import flag_tables
 from eideal.experiments import (CSV_COLUMNS, ConfigError, ExperimentConfig,
                                 _additivity_trial, _componentwise_row,
@@ -29,11 +29,12 @@ from eideal.random_models import (_SPARSE_GNP_THRESHOLD, GnpDraw,
                                   ParamSchedule, draw_gnp, sample_gnp,
                                   schedule_p, substream_seed)
 
-from oracles import (cochordal_counts_by_edges, elimination_is_chordal,
-                     exact_componentwise_means, exact_gnp_probability,
-                     naive_has_induced_c4,
-                     naive_is_chordal, pair_scan_has_induced_c4,
-                     peel_degree_two, unmixed_counts_by_edges)
+from oracles import (cochordal_counts_by_edges, count_triangles,
+                     elimination_is_chordal, exact_componentwise_means,
+                     exact_gnp_probability, naive_cover_sizes,
+                     naive_has_induced_c4, naive_is_chordal,
+                     pair_scan_has_induced_c4, peel_degree_two,
+                     unmixed_counts_by_edges)
 
 
 def test_wilson_interval_basics():
@@ -700,6 +701,15 @@ def test_unmixed_verdict_on_live_vertices_equals_the_full_graph(budget):
     assert {True, False, None} <= set(verdicts)
 
 
+def test_unmixed_verdict_counts_a_trip_on_a_deep_search():
+    # This draw's giant component has maximal independent sets too large
+    # for a search one frame deeper per vertex: it must trip its budget,
+    # not the interpreter's recursion limit.
+    n = 3000
+    draw = draw_gnp(n, 2 / n, substream_seed(1, "unmixed_scan", n, 0))
+    assert _unmixed_verdict(draw, 50) is None
+
+
 def test_no_sparse_runner_builds_n_rows(monkeypatch):
     def no_graph(draw):
         raise AssertionError(f"rows built for a draw on {draw.n} vertices")
@@ -794,8 +804,8 @@ def test_planted_last_component_flag_is_caught(monkeypatch):
     def last_flag_only(g, budget):
         unmixed = True
         for comp in connected_components(g).masks:
-            unmixed = len({s.bit_count()
-                           for s in maximal_independent_sets(g, comp)}) == 1
+            lo, hi = naive_cover_sizes(induced_subgraph_mask(g, comp))
+            unmixed = lo == hi
         return CoverProfile(0, 0, unmixed)
 
     monkeypatch.setattr(experiments, "cover_profile", last_flag_only)
