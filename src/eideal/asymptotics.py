@@ -213,6 +213,10 @@ def gw_limit_estimate(lam: float, trials: int, cap: int,
     maximal independent set i: pd = |T| - i and depth = i, and the per-tree
     values are nu/|T|, pd/|T| and i/|T|, summed in tree order; the seeds
     share one hash of their (seed, "gw") prefix (``substream_seeds``).
+    A shape of at most 16 vertices is folded once per call: its (nu, i) is
+    kept by parent list, and each recurrence adds its values again, tree by
+    tree, so every sum is the same float as folding each tree.  The bound
+    keeps the memo to the shapes that repeat and caps what it holds.
     Trees that hit `cap` are censored: excluded from every estimate and
     counted in its censor_fraction.
     """
@@ -223,6 +227,13 @@ def gw_limit_estimate(lam: float, trials: int, cap: int,
     s_nu = s_pd = s_dep = q_nu = q_pd = q_dep = 0.0  # sums, sums of squares
     used = 0
     censored = 0
+    # (nu, i) of each parent list of at most 16 vertices, folded once per
+    # call: at rate 0.5, 99.8% of the trees are that small, in about 600
+    # shapes per 20,000 trees.  Larger shapes rarely repeat, and at rate 1
+    # would keep megabytes of one-off keys alive for the call, so they are
+    # folded every time.  The pair of small ints is one object per entry;
+    # the three ratios would be four, and double the memo's memory.
+    folds = {}
     # Tree t is sample_gw_tree(lam, cap, substream_seed(seed, "gw", t)):
     # rng_for hashes its seed once more, and rngs_for seeds it in bulk.
     tree_seeds = map(substream_seed, substream_seeds(seed, "gw",
@@ -233,7 +244,12 @@ def gw_limit_estimate(lam: float, trials: int, cap: int,
             censored += 1
             continue
         size = len(parents)
-        nu, mmis = forest_fold(parents)
+        fold = folds.get(parents) if size <= 16 else None
+        if fold is None:
+            fold = forest_fold(parents)
+            if size <= 16:
+                folds[parents] = fold
+        nu, mmis = fold
         nu, pd, dep = nu / size, (size - mmis) / size, mmis / size
         s_nu, s_pd, s_dep = s_nu + nu, s_pd + pd, s_dep + dep
         q_nu, q_pd, q_dep = q_nu + nu * nu, q_pd + pd * pd, q_dep + dep * dep

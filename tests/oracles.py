@@ -302,6 +302,41 @@ def reg_pd_tables(k: int) -> tuple[np.ndarray, ...]:
     return _reg_pd[k]
 
 
+def table_componentwise_means(n: int, p: float,
+                              guard: int) -> tuple[float, float]:
+    """``exact_componentwise_means`` read off ``reg_pd_tables(n)``, with no
+    canonical form: reg and pd add over components, so each graph counts
+    the table entry of its edges outside censored components (cyclic, on
+    more than ``guard`` vertices), whose vertices are then isolated and
+    add 0.  Graphs are summed by edge count, each count weighted by
+    p^m (1 - p)^(C(n,2) - m)."""
+    pairs = pair_list(n)
+    masks = np.arange(1 << len(pairs), dtype=np.uint32)
+    rows = _vertex_rows(n, masks)
+    degree = np.bitwise_count(rows)
+    censored = []
+    for v in range(n):
+        # v's component as a vertex mask: n sweeps close it under rows.
+        reach = np.full(len(masks), 1 << v, dtype=np.uint32)
+        for _ in range(n):
+            for u in range(n):
+                reach |= np.where(reach >> np.uint32(u) & 1, rows[u], 0)
+        ends = sum(np.where(reach >> np.uint32(u) & 1, degree[u], 0)
+                   for u in range(n))
+        size = np.bitwise_count(reach)
+        censored.append((ends >= 2 * size) & (size > guard))
+    kept = np.zeros(len(masks), dtype=np.uint32)
+    for i, (u, _) in enumerate(pairs):
+        kept |= (~censored[u]).astype(np.uint32) << np.uint32(i)
+    reg, pd, _, _ = reg_pd_tables(n)
+    edges = np.bitwise_count(masks)
+    weight = [p ** m * (1 - p) ** (len(pairs) - m)
+              for m in range(len(pairs) + 1)]
+    return tuple(float(np.dot(weight, np.bincount(
+        edges, weights=table[masks & kept], minlength=len(weight))))
+        for table in (reg, pd))
+
+
 def diagonal_scan_induced_c4(g: Graph) -> int:
     """Induced 4-cycles from their diagonals: a non-adjacent pair {a, c} and
     two non-adjacent common neighbors x, y span the induced C4 a-x-c-y, and

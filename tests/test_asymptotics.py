@@ -371,3 +371,55 @@ def test_gw_limit_equals_a_loop_of_single_trees(lam):
                 assert all(a == b or (math.isnan(a) and math.isnan(b))
                            for a, b in zip(got, expected, strict=True)), \
                     (which, cap, seed, got, expected)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0])
+def test_gw_limit_folds_each_small_shape_once(monkeypatch, lam):
+    # The memo is keyed on the whole parent list and holds trees of at most
+    # 16 vertices only: one fold per distinct small kept tree, one per kept
+    # tree above 16.
+    import eideal.asymptotics as asymptotics
+
+    grown, folded = [], []
+    grow, fold = asymptotics.grow_gw_tree, asymptotics.forest_fold
+
+    def recorded_grow(*args):
+        tree = grow(*args)
+        grown.append(tree)
+        return tree
+
+    def counted_fold(parents):
+        folded.append(parents)
+        return fold(parents)
+
+    monkeypatch.setattr(asymptotics, "grow_gw_tree", recorded_grow)
+    monkeypatch.setattr(asymptotics, "forest_fold", counted_fold)
+    gw_limit_estimate(lam, 3000, 200, 17)
+    kept = [parents for parents, capped in grown if not capped]
+    small = {parents for parents in kept if len(parents) <= 16}
+    large = [parents for parents in kept if len(parents) > 16]
+    assert len(small) < len(kept) - len(large) and large
+    assert sorted(folded) == sorted([*small, *large])
+
+
+def test_gw_limit_memo_stops_at_16_vertices(monkeypatch):
+    # Sampled trees above 16 vertices seldom repeat, so a fixed stream of
+    # two paths pins the bound: the 16-vertex one is folded once, the
+    # 17-vertex one every time it is drawn.
+    import eideal.asymptotics as asymptotics
+
+    paths = [(tuple(range(-1, size - 1)), False) for size in (16, 17)]
+    drawn = iter(paths * 5)
+    folded = []
+    fold = asymptotics.forest_fold
+
+    def counted_fold(parents):
+        folded.append(len(parents))
+        return fold(parents)
+
+    monkeypatch.setattr(asymptotics, "grow_gw_tree",
+                        lambda lam, cap, rng: next(drawn))
+    monkeypatch.setattr(asymptotics, "forest_fold", counted_fold)
+    est = gw_limit_estimate(0.5, 10, 100, 0)
+    assert sorted(folded) == [16] + [17] * 5
+    assert est["depth"].trials == 10

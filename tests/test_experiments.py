@@ -34,7 +34,7 @@ from oracles import (cochordal_counts_by_edges, count_triangles,
                      exact_gnp_probability, naive_cover_sizes,
                      naive_has_induced_c4, naive_is_chordal,
                      pair_scan_has_induced_c4, peel_degree_two,
-                     unmixed_counts_by_edges)
+                     table_componentwise_means, unmixed_counts_by_edges)
 
 
 def test_wilson_interval_basics():
@@ -416,6 +416,65 @@ def test_sparse_runner_means_match_exact_values(lam, guard):
         schedule=schedule, betti_guard=guard)).cells[0].extra
     se = math.sqrt(audit["variance"] / MEAN_TRIALS)
     assert abs(audit["mean_reg_star"] - reg) <= 4 * se, reg
+
+
+# G(6, lambda/6) reaches every draw form: sparse below p = 0.05, a flat
+# draw listing its kept pairs (at most 2 edges) or its non-edges at
+# lambda = 1, and complemented almost always at lambda = 4, which only
+# variance_audit's schedule allows.
+N6_FORMS = {0.25: {"sparse"}, 1.0: {"kept", "complemented"},
+            4.0: {"complemented"}}
+
+
+def _n6_runner_gaps(lam, guard):
+    """|runner mean - exact mean| in standard errors for E[reg*] and E[pd]
+    of G(6, lambda/6) summed over components (``table_componentwise_means``),
+    from gw_limit's graph cells at lambda <= 1 and variance_audit's mean."""
+    n = 6
+    p = lam / n
+    reg, pd = table_componentwise_means(n, p, guard)
+    schedule = ParamSchedule.sparse(lam)
+    kind = "gw_limit" if lam <= 1 else "variance_audit"
+    forms = map_gnp_trials(kind, 1729, n, p, MEAN_TRIALS, 1, lambda draw: (
+        "complemented" if draw.complemented
+        else "sparse" if p < _SPARSE_GNP_THRESHOLD else "kept"))
+    assert set(forms) == N6_FORMS[lam]
+    if kind == "variance_audit":
+        audit = run_experiment(ExperimentConfig(
+            kind=kind, seed=1729, trials=MEAN_TRIALS, n_list=(n,),
+            schedule=schedule, betti_guard=guard)).cells[0].extra
+        se = math.sqrt(audit["variance"] / MEAN_TRIALS)
+        return {"reg_star": abs(audit["mean_reg_star"] - reg) / se}
+    cells = {c.cell_id: c for c in run_experiment(ExperimentConfig(
+        kind=kind, seed=1729, trials=MEAN_TRIALS, n_list=(n,),
+        schedule=schedule, betti_guard=guard, gw_trials=2,
+        gw_cap=10)).cells if c.n == n}
+    return {col: abs(cells[f"graph_{col}"].estimate - exact / n)
+            / cells[f"graph_{col}"].extra["stderr"]
+            for col, exact in (("reg_star", reg), ("pd", pd))}
+
+
+@pytest.mark.parametrize("lam", N6_FORMS)
+@pytest.mark.parametrize("guard", [18, 2])
+def test_sparse_runner_means_match_exact_values_n6(lam, guard):
+    # At guard 2 every cyclic component is censored and counts 0.
+    gaps = _n6_runner_gaps(lam, guard)
+    assert max(gaps.values()) <= 4, gaps
+
+
+def test_planted_live_vertex_drop_is_caught(monkeypatch):
+    # n = 6 is the first size whose runner draws reach live_graph's relabel.
+    live_graph = GnpDraw.live_graph
+
+    def drop_highest_live(draw):
+        g = live_graph(draw)
+        if draw.complemented or g.n == draw.n:
+            return g
+        return induced_subgraph(g, range(g.n - 1))
+
+    monkeypatch.setattr(GnpDraw, "live_graph", drop_highest_live)
+    for lam in (0.25, 1.0):
+        assert max(_n6_runner_gaps(lam, 18).values()) > 4, lam
 
 
 def test_threshold_determinism_across_workers():
